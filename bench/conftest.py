@@ -1,0 +1,10 @@
+"""Puts the benchmark modules and the checkout's `src/` on the path for
+`python -m pytest bench`."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE.parent / "src", HERE):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
