@@ -107,11 +107,14 @@ class InputPrior:
 
     def density(self, x) -> float:
         """Joint truncated-normal density; zero outside the box."""
-        x = np.asarray(x, dtype=float).ravel()
-        if not self.contains(x):
-            return 0.0
-        z = (x - self.mu) / self.sigma
-        return float(np.exp(np.sum(-0.5 * z * z - self._log_norm)))
+        return float(self.densities(np.asarray(x, dtype=float).ravel()[np.newaxis, :])[0])
+
+    def densities(self, X) -> np.ndarray:
+        """`density` at each row of X (n x D)."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        inside = np.all((X >= self.low) & (X <= self.high), axis=1)
+        z = (X - self.mu) / self.sigma
+        return np.where(inside, np.exp(np.sum(-0.5 * z * z - self._log_norm, axis=1)), 0.0)
 
     def grad_log_density(self, x) -> np.ndarray:
         """Gradient of log density inside the box: -(x - mu) / sigma^2."""
@@ -189,7 +192,8 @@ def acquisition_value(spec: AcquisitionSpec, model: MultiGpModel, x, t: int) -> 
     """[G_t(x)]^beta_t * D_t(x), times the prior density when configured.
 
     beta_t = 0 (and geometry_op 'none') reduce to pure diversity; 0^0 is
-    taken as 1 so that reduction is exact.
+    taken as 1 so that reduction is exact.  Each output's kernel vector is
+    built once and solved against at most once.
     """
     x = np.asarray(x, dtype=float).ravel()
     prior_weight = 1.0
@@ -198,16 +202,59 @@ def acquisition_value(spec: AcquisitionSpec, model: MultiGpModel, x, t: int) -> 
         if prior_weight == 0.0:
             return 0.0
     xn = model.normalize(x)
-    d_values = np.array([_variance(m, xn, spec.strict_zero_at_nodes) for m in model.models])
+    terms = [(m, *gp.kernel_vector(m, xn)) for m in model.models]
+    strict = spec.strict_zero_at_nodes
+    d_values = np.array([gp.variance_terms(m, k_x, sq, strict)[0] for m, k_x, _, sq in terms])
     d_term = _combine(d_values, spec.diversity_op)
     beta = beta_at(spec.tempering, t)
     if spec.geometry_op == "none" or beta == 0.0:
         return d_term * prior_weight
     if d_term == 0.0:
         return 0.0
-    g_values = np.array([gp.mean_gradient_norm(m, xn) for m in model.models])
+    g_values = np.array(
+        [float(np.linalg.norm(gp.mean_gradient_from(m, k_x, diffs))) for m, k_x, diffs, _ in terms]
+    )
     g_term = _combine(g_values, spec.geometry_op)
     return g_term**beta * d_term * prior_weight
+
+
+def acquisition_values(spec: AcquisitionSpec, model: MultiGpModel, X, t: int) -> np.ndarray:
+    """`acquisition_value` at each row of X (n x D, raw coordinates).
+
+    Each output's terms come from one `gp.batch_terms` call instead of n
+    per-point calls.  The rules are those of the per-point form: exact zeros
+    at nodes, the variance clamps, the prior weight and zero outside its
+    box, the product's zero rule and 0^0 = 1.  Per-output factors are
+    combined row by row in the per-point order, and the power is taken one
+    value at a time, so the values match the per-point form.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    values = np.zeros(X.shape[0])
+    weights = np.ones(X.shape[0]) if spec.prior is None else spec.prior.densities(X)
+    live = weights != 0.0
+    if not np.any(live):
+        return values
+    xn = model.normalize(X[live].T)
+    beta = beta_at(spec.tempering, t)
+    geometric = spec.geometry_op != "none" and beta != 0.0
+    terms = [gp.batch_terms(m, xn, spec.strict_zero_at_nodes, geometric) for m in model.models]
+    combined = _combine_rows(np.column_stack([v for v, _ in terms]), spec.diversity_op)
+    if geometric:
+        norms = np.column_stack([np.sqrt(gp.rowwise_dot(g, g)) for _, g in terms])
+        powered = np.array([g**beta for g in _combine_rows(norms, spec.geometry_op).tolist()])
+        combined = np.where(combined == 0.0, 0.0, powered * combined)
+    values[live] = combined * weights[live]
+    return values
+
+
+def _combine_rows(values: np.ndarray, op: str) -> np.ndarray:
+    """`_combine` of each row of an (n, P) array of per-output factors."""
+    if op == "sum":
+        return np.sum(values, axis=1)
+    combined = np.zeros(values.shape[0])
+    positive = ~np.any(values <= 0.0, axis=1)
+    combined[positive] = np.exp(np.sum(np.log(values[positive]), axis=1))
+    return combined
 
 
 def acquisition_gradient(spec: AcquisitionSpec, model: MultiGpModel, x, t: int) -> np.ndarray:
@@ -217,7 +264,8 @@ def acquisition_gradient(spec: AcquisitionSpec, model: MultiGpModel, x, t: int) 
     mapped back through the affine normalization.  Wherever a multiplicative
     factor is exactly zero (at nodes, in flat regions, outside the prior
     box) the zero vector is returned: the acquisition is flat or nonsmooth
-    there and the optimizer treats it as a plateau.
+    there and the optimizer treats it as a plateau.  Each output's kernel
+    vector is built once, and one solve serves its variance and gradient.
     """
     x = np.asarray(x, dtype=float).ravel()
     dimension = model.dataset.dimension
@@ -233,16 +281,13 @@ def acquisition_gradient(spec: AcquisitionSpec, model: MultiGpModel, x, t: int) 
 
     widths = model.dataset.input_bounds[:, 1] - model.dataset.input_bounds[:, 0]
     xn = model.normalize(x)
-    strict = spec.strict_zero_at_nodes
+    terms = [(m, *gp.kernel_vector(m, xn)) for m in model.models]
 
     d_values = np.empty(model.n_outputs)
     d_grads = np.empty((model.n_outputs, dimension))
-    for p, m in enumerate(model.models):
-        d_values[p] = _variance(m, xn, strict)
-        if strict:
-            d_grads[p] = gp.noise_free_variance_gradient(m, xn)
-        else:
-            d_grads[p] = gp.variance_gradient(m, xn)
+    for p, (m, k_x, diffs, sq) in enumerate(terms):
+        d_values[p], w = gp.variance_terms(m, k_x, sq, spec.strict_zero_at_nodes, weights=True)
+        d_grads[p] = gp.variance_gradient_from(m, k_x, diffs, w)
     d_term, d_grad = _combine_with_gradient(d_values, d_grads, spec.diversity_op)
 
     beta = beta_at(spec.tempering, t)
@@ -257,9 +302,10 @@ def acquisition_gradient(spec: AcquisitionSpec, model: MultiGpModel, x, t: int) 
 
     g_values = np.empty(model.n_outputs)
     g_grads = np.empty((model.n_outputs, dimension))
-    for p, m in enumerate(model.models):
-        g_values[p] = gp.mean_gradient_norm(m, xn)
-        g_grads[p] = gp.mean_gradient_norm_gradient(m, xn)
+    for p, (m, k_x, diffs, _) in enumerate(terms):
+        g = gp.mean_gradient_from(m, k_x, diffs)
+        g_values[p] = float(np.linalg.norm(g))
+        g_grads[p] = gp.mean_gradient_norm_gradient_from(m, k_x, diffs, g, g_values[p])
     g_term, g_grad = _combine_with_gradient(g_values, g_grads, spec.geometry_op)
     if g_term == 0.0:
         return zeros

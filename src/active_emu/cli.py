@@ -35,12 +35,8 @@ def _cmd_run(args) -> int:
     simulator_spec, loop_config = parse_run_config(raw, seed_override=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    sim = make_simulator(simulator_spec)
-    try:
+    with make_simulator(simulator_spec) as sim:
         result = run_loop(loop_config, sim)
-    finally:
-        if hasattr(sim, "close"):
-            sim.close()
     if result.failure is not None:
         print(f"simulator failure: {result.failure}", file=sys.stderr)
         if result.dataset is not None:

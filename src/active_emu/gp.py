@@ -179,7 +179,7 @@ def _noise_free_factor(X, params: KernelParams):
     return None
 
 
-def _kernel_vector(model: GpModel, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def kernel_vector(model: GpModel, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """k_x plus the difference vectors and squared distances to the nodes."""
     x = np.asarray(x, dtype=float).ravel()
     if x.size != model.train_inputs.shape[0]:
@@ -192,22 +192,48 @@ def _kernel_vector(model: GpModel, x) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 def predict_mean(model: GpModel, x) -> float:
     """Predictive mean k_x^T alpha (reverts to the zero prior mean far away)."""
-    k_x, _, _ = _kernel_vector(model, x)
+    k_x, _, _ = kernel_vector(model, x)
     return float(k_x @ model.alpha)
+
+
+def _variance_factor(model: GpModel, strict: bool):
+    """Cholesky factor behind the variance: K alone when strict, else K + nugget I."""
+    if strict and model.noise_free_factor is not None:
+        return model.noise_free_factor
+    return model.factor
+
+
+def _clamped(value, strict: bool, what: str):
+    """Round-off clamp of a variance: tiny negatives become 0, larger ones raise."""
+    clamp = _NOISE_FREE_CLAMP if strict else _VARIANCE_CLAMP
+    if np.all(value >= -clamp):
+        return np.maximum(value, 0.0) if isinstance(value, np.ndarray) else max(value, 0.0)
+    worst = float(np.min(value))
+    raise IllConditionedError(f"{what} {worst} is more negative than round-off allows")
+
+
+def variance_terms(model: GpModel, k_x, sq, strict: bool, weights: bool = False):
+    """Variance at one point from its kernel vector, and w solving (K [+ nugget I]) w = k_x.
+
+    strict selects the noise-free variance, which is exactly zero at a node.
+    There the solve is skipped, and w is None, unless `weights` asks for it
+    (the variance gradient needs it).
+    """
+    at_node = strict and np.min(sq) <= DUPLICATE_TOLERANCE**2
+    w = None
+    if weights or not at_node:
+        w = cho_solve(_variance_factor(model, strict), k_x)
+    if at_node:
+        return 0.0, w
+    if strict:
+        return _clamped(1.0 - float(k_x @ w), True, "noise-free variance"), w
+    return _clamped(model.nugget + 1.0 - float(k_x @ w), False, "predictive variance"), w
 
 
 def predict_variance(model: GpModel, x) -> float:
     """Predictive variance nugget + k(x,x) - k_x^T (K + nugget I)^{-1} k_x."""
-    k_x, _, _ = _kernel_vector(model, x)
-    w = cho_solve(model.factor, k_x)
-    value = model.nugget + 1.0 - float(k_x @ w)
-    if value >= 0.0:
-        return value
-    if value >= -_VARIANCE_CLAMP:
-        return 0.0
-    raise IllConditionedError(
-        f"predictive variance {value} is more negative than round-off allows"
-    )
+    k_x, _, sq = kernel_vector(model, x)
+    return variance_terms(model, k_x, sq, strict=False)[0]
 
 
 def noise_free_variance(model: GpModel, x) -> float:
@@ -217,25 +243,36 @@ def noise_free_variance(model: GpModel, x) -> float:
     zero-at-nodes condition requires; the node identity is enforced directly
     because Cholesky round-off cannot deliver an exact zero.
     """
-    k_x, _, sq = _kernel_vector(model, x)
-    if np.min(sq) <= DUPLICATE_TOLERANCE**2:
-        return 0.0
-    factor = model.noise_free_factor if model.noise_free_factor is not None else model.factor
-    w = cho_solve(factor, k_x)
-    value = 1.0 - float(k_x @ w)
-    if value >= 0.0:
-        return value
-    if value >= -_NOISE_FREE_CLAMP:
-        return 0.0
-    raise IllConditionedError(
-        f"noise-free variance {value} is more negative than round-off allows"
-    )
+    k_x, _, sq = kernel_vector(model, x)
+    return variance_terms(model, k_x, sq, strict=True)[0]
+
+
+def variance_gradient_from(model: GpModel, k_x, diffs, w) -> np.ndarray:
+    """Gradient of the variance whose solve gave w (k(x,x) is constant here)."""
+    return (2.0 / model.params.bandwidth**2) * (diffs.T @ (k_x * w))
+
+
+def mean_gradient_from(model: GpModel, k_x, diffs) -> np.ndarray:
+    """Gradient of the predictive mean: sum_i alpha_i grad_x k(x, x_i)."""
+    return -(diffs.T @ (k_x * model.alpha)) / model.params.bandwidth**2
+
+
+def mean_gradient_norm_gradient_from(model: GpModel, k_x, diffs, g, norm: float) -> np.ndarray:
+    """Gradient of ||g|| for the mean gradient g; zero where the norm vanishes (< 1e-12)."""
+    if norm < 1e-12:
+        return np.zeros_like(g)
+    b2 = model.params.bandwidth**2
+    # Hessian-vector product of the mean without forming the D x D Hessian:
+    # H g = (1/b2^2) sum_i alpha_i k_i d_i (d_i . g) - (1/b2) (alpha . k) g.
+    t = diffs @ g
+    Hg = (diffs.T @ (model.alpha * k_x * t)) / b2**2 - (float(model.alpha @ k_x) / b2) * g
+    return Hg / norm
 
 
 def mean_gradient(model: GpModel, x) -> np.ndarray:
     """Gradient of the predictive mean: sum_i alpha_i grad_x k(x, x_i)."""
-    k_x, diffs, _ = _kernel_vector(model, x)
-    return -(diffs.T @ (k_x * model.alpha)) / model.params.bandwidth**2
+    k_x, diffs, _ = kernel_vector(model, x)
+    return mean_gradient_from(model, k_x, diffs)
 
 
 def mean_gradient_norm(model: GpModel, x) -> float:
@@ -245,32 +282,63 @@ def mean_gradient_norm(model: GpModel, x) -> float:
 
 def mean_gradient_norm_gradient(model: GpModel, x) -> np.ndarray:
     """Gradient of ||grad mean||; zero where the norm vanishes (< 1e-12)."""
-    k_x, diffs, _ = _kernel_vector(model, x)
-    b2 = model.params.bandwidth**2
-    g = -(diffs.T @ (k_x * model.alpha)) / b2
-    norm = float(np.linalg.norm(g))
-    if norm < 1e-12:
-        return np.zeros_like(g)
-    # Hessian-vector product of the mean without forming the D x D Hessian:
-    # H g = (1/b2^2) sum_i alpha_i k_i d_i (d_i . g) - (1/b2) (alpha . k) g.
-    t = diffs @ g
-    Hg = (diffs.T @ (model.alpha * k_x * t)) / b2**2 - (float(model.alpha @ k_x) / b2) * g
-    return Hg / norm
+    k_x, diffs, _ = kernel_vector(model, x)
+    g = mean_gradient_from(model, k_x, diffs)
+    return mean_gradient_norm_gradient_from(model, k_x, diffs, g, float(np.linalg.norm(g)))
 
 
 def variance_gradient(model: GpModel, x) -> np.ndarray:
     """Analytic gradient of predict_variance (k(x,x) is constant here)."""
-    k_x, diffs, _ = _kernel_vector(model, x)
-    w = cho_solve(model.factor, k_x)
-    return (2.0 / model.params.bandwidth**2) * (diffs.T @ (k_x * w))
+    k_x, diffs, _ = kernel_vector(model, x)
+    return variance_gradient_from(model, k_x, diffs, cho_solve(model.factor, k_x))
 
 
 def noise_free_variance_gradient(model: GpModel, x) -> np.ndarray:
     """Gradient of noise_free_variance."""
-    k_x, diffs, _ = _kernel_vector(model, x)
-    factor = model.noise_free_factor if model.noise_free_factor is not None else model.factor
-    w = cho_solve(factor, k_x)
-    return (2.0 / model.params.bandwidth**2) * (diffs.T @ (k_x * w))
+    k_x, diffs, _ = kernel_vector(model, x)
+    return variance_gradient_from(model, k_x, diffs, cho_solve(_variance_factor(model, True), k_x))
+
+
+def rowwise_dot(A, B) -> np.ndarray:
+    """Dot product of each row of A with the same row of B (both n x k).
+
+    Stacked 1 x k by k x 1 products, so each row is reduced as `a @ b`
+    reduces a single pair.
+    """
+    return np.matmul(A[:, np.newaxis, :], B[:, :, np.newaxis])[:, 0, 0]
+
+
+def batch_terms(model: GpModel, Xq, strict: bool, mean_gradients: bool = True):
+    """Variances (noise-free when strict) and mean gradients at the columns of Xq (D x n).
+
+    The batch form of `variance_terms` and `mean_gradient_from`: one n x m
+    kernel block, one solve with n right-hand sides and one batched product
+    for the gradients, under the same rules (exact zero at nodes when
+    strict, the same round-off clamps).  The solve treats each right-hand
+    side as a single solve does, and every reduction is the per-point one
+    (one dot product per point), so the results match the per-point path.
+    Returns the variances (n,) and the gradients (n, D), or None for the
+    gradients when not asked for.
+    """
+    Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
+    if Xq.shape[0] != model.train_inputs.shape[0]:
+        raise ValueError(f"query points have dimension {Xq.shape[0]}, model expects {model.train_inputs.shape[0]}")
+    diffs = Xq.T[:, np.newaxis, :] - model.train_inputs.T[np.newaxis, :, :]  # (n, m, D)
+    sq = np.einsum("nmd,nmd->nm", diffs, diffs)
+    K = np.exp(-sq / (2.0 * model.params.bandwidth**2))  # row j is k_x of point j
+    W = cho_solve(_variance_factor(model, strict), K.T)  # (m, n)
+    quad = rowwise_dot(K, W.T)
+    if strict:
+        values = 1.0 - quad
+        values[np.min(sq, axis=1) <= DUPLICATE_TOLERANCE**2] = 0.0
+        variances = _clamped(values, True, "noise-free variance")
+    else:
+        variances = _clamped(model.nugget + 1.0 - quad, False, "predictive variance")
+    if not mean_gradients:
+        return variances, None
+    weighted = (K * model.alpha)[:, :, np.newaxis]
+    gradients = -np.matmul(diffs.transpose(0, 2, 1), weighted)[:, :, 0] / model.params.bandwidth**2
+    return variances, gradients
 
 
 def predict_mean_many(model: GpModel, X) -> np.ndarray:

@@ -174,10 +174,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResults:
     """Run every strategy `runs` times and aggregate RMSE per node count.
 
     Individual run failures are recorded, flagged, and excluded from the
-    averages.  Deterministic given the config seed.
+    averages.  Deterministic given the config seed.  Every simulator built
+    here (the test set's and one per run) is closed when it is done with.
     """
-    test_sim = make_simulator(config.simulator)
-    test_inputs, test_outputs = build_test_set(config, test_sim)
+    with make_simulator(config.simulator) as test_sim:
+        test_inputs, test_outputs = build_test_set(config, test_sim)
 
     rows = []
     failures: list[RunFailure] = []
@@ -187,14 +188,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResults:
         for run_index in range(config.runs):
             run_seed = derive_seed(config.seed, strategy_index, run_index)
             loop_config = _loop_config(config, strategy, run_seed)
-            sim = make_simulator(config.simulator)
             trajectory: dict[int, float] = {}
 
             def hook(m, model, _trajectory=trajectory):
                 _trajectory[m] = multi_output_rmse(model, test_inputs, test_outputs)
 
             try:
-                result = _execute(strategy, loop_config, sim, hook)
+                with make_simulator(config.simulator) as sim:
+                    result = _execute(strategy, loop_config, sim, hook)
             except Exception as exc:  # noqa: BLE001 - run isolation by design
                 failures.append(RunFailure(strategy, run_index, f"{type(exc).__name__}: {exc}"))
                 continue

@@ -16,14 +16,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .acquisition import AcquisitionSpec, acquisition_gradient, acquisition_value, beta_at
-from .gp import DUPLICATE_TOLERANCE, Dataset
+from .acquisition import (
+    AcquisitionSpec,
+    acquisition_gradient,
+    acquisition_value,
+    acquisition_values,
+    beta_at,
+)
+from .gp import DUPLICATE_TOLERANCE, Dataset, IllConditionedError
 from .kernels import squared_distances
 from .multi_output import MultiGpModel, fit_all, fit_single_node, predict_mean_matrix
 from .optimize import OptimizerConfig, maximize
 from .samplers import grid_design, lhs_design, make_sampler, sobol_sequence
 from .seeding import derive_seed
 from .simulators import Simulator, SimulatorError
+
+# Failures that end a run with a partial result instead of an exception: the
+# simulator could not produce an output, or a fit or the acquisition met a
+# matrix beyond round-off.
+RUN_FAILURES = (SimulatorError, IllConditionedError)
 
 
 @dataclass(frozen=True)
@@ -72,6 +83,14 @@ class EmulationResult:
     failure: str | None = None
 
 
+def _partial(dataset, model, trace, sim: Simulator, evals_before: int, exc: Exception) -> EmulationResult:
+    """The result of a run ended by one of RUN_FAILURES."""
+    return EmulationResult(
+        dataset=dataset, model=model, trace=trace,
+        evaluations=sim.eval_count - evals_before, failure=str(exc),
+    )
+
+
 def _initial_dataset(config: LoopConfig, sim: Simulator) -> Dataset:
     if config.initial_points is not None:
         points = np.atleast_2d(np.asarray(config.initial_points, dtype=float))
@@ -118,6 +137,13 @@ def _is_duplicate(dataset: Dataset, x: np.ndarray) -> bool:
 def _choose_next_point(
     config: LoopConfig, model: MultiGpModel, dataset: Dataset, bounds, t: int
 ) -> tuple[np.ndarray, float]:
+    """Maximize the acquisition at iteration t; returns the point and its value.
+
+    The search ranks its random probes with the batch form
+    `acquisition_values` and re-scores the winner with `acquisition_value`,
+    so the ascent, and with it the chosen point and the recorded value, is
+    that of a search scoring every probe point by point.
+    """
     spec = config.acquisition
 
     def objective(x):
@@ -126,9 +152,14 @@ def _choose_next_point(
     def gradient(x):
         return acquisition_gradient(spec, model, x, t)
 
+    def batch_objective(X):
+        return acquisition_values(spec, model, X, t)
+
     for attempt in range(config.max_duplicate_retries):
         opt_config = config.optimizer.with_seed(derive_seed(config.seed, 2, t, attempt))
-        x_star, value = maximize(objective, bounds, opt_config, gradient=gradient)
+        x_star, value = maximize(
+            objective, bounds, opt_config, gradient=gradient, batch_objective=batch_objective
+        )
         if not _is_duplicate(dataset, x_star):
             return x_star, value
     # Every optimizer attempt landed on an existing node (possible in
@@ -155,20 +186,20 @@ def run(config: LoopConfig, sim: Simulator, iteration_hook=None) -> EmulationRes
     """Run the active loop with acquisition maximization.
 
     `iteration_hook(n_nodes, model)` is called after every fit, letting
-    callers track metrics without refitting.  A simulator failure aborts the
-    run and returns the partial trace and last-good model in the result.
+    callers track metrics without refitting.  A simulator failure, or an
+    ill-conditioned fit or acquisition (RUN_FAILURES), aborts the run and
+    returns the partial trace in the result, with every node evaluated so
+    far and the last model that fitted (None if none did).
     """
     bounds = np.asarray(sim.bounds, dtype=float)
     evals_before = sim.eval_count
     trace: list[IterationRecord] = []
+    dataset = model = None
     try:
         dataset = _initial_dataset(config, sim)
-    except SimulatorError as exc:
-        return EmulationResult(
-            dataset=None, model=None, trace=trace, evaluations=sim.eval_count - evals_before,
-            failure=str(exc),
-        )
-    model = _fit(dataset, config, 0)
+        model = _fit(dataset, config, 0)
+    except RUN_FAILURES as exc:
+        return _partial(dataset, model, trace, sim, evals_before, exc)
     if iteration_hook is not None:
         iteration_hook(dataset.n_nodes, model)
 
@@ -183,16 +214,12 @@ def run(config: LoopConfig, sim: Simulator, iteration_hook=None) -> EmulationRes
     while dataset.n_nodes < config.budget:
         t += 1
         started = time.perf_counter()
-        x_star, value = _choose_next_point(config, model, dataset, bounds, t)
         try:
-            y_star = sim.evaluate(x_star)
-        except SimulatorError as exc:
-            return EmulationResult(
-                dataset=dataset, model=model, trace=trace,
-                evaluations=sim.eval_count - evals_before, failure=str(exc),
-            )
-        dataset = dataset.with_node(x_star, y_star)
-        model = _fit(dataset, config, t)
+            x_star, value = _choose_next_point(config, model, dataset, bounds, t)
+            dataset = dataset.with_node(x_star, sim.evaluate(x_star))
+            model = _fit(dataset, config, t)
+        except RUN_FAILURES as exc:
+            return _partial(dataset, model, trace, sim, evals_before, exc)
         trace.append(
             IterationRecord(
                 iteration=t,
@@ -264,14 +291,10 @@ def _sequential_baseline(sampler_kind, config, sim, iteration_hook):
         while _is_duplicate(dataset, x_next):
             x_next = sampler.next_point()
         try:
-            y_next = sim.evaluate(x_next)
-        except SimulatorError as exc:
-            return EmulationResult(
-                dataset=dataset, model=model, trace=trace,
-                evaluations=sim.eval_count - evals_before, failure=str(exc),
-            )
-        dataset = dataset.with_node(x_next, y_next)
-        model = _fit(dataset, config, t)
+            dataset = dataset.with_node(x_next, sim.evaluate(x_next))
+            model = _fit(dataset, config, t)
+        except RUN_FAILURES as exc:
+            return _partial(dataset, model, trace, sim, evals_before, exc)
         trace.append(
             IterationRecord(
                 iteration=t,
@@ -306,13 +329,10 @@ def _nonsequential_baseline(sampler_kind, config, sim, iteration_hook):
             points = lhs_design(sim.dimension, m, seed=derive_seed(config.seed, 5, m), bounds=bounds)
         try:
             outputs = np.column_stack([sim.evaluate(points[:, i]) for i in range(m)])
-        except SimulatorError as exc:
-            return EmulationResult(
-                dataset=dataset, model=model, trace=trace,
-                evaluations=sim.eval_count - evals_before, failure=str(exc),
-            )
-        dataset = Dataset(points, outputs, bounds)
-        model = _fit(dataset, config, t)
+            dataset = Dataset(points, outputs, bounds)
+            model = _fit(dataset, config, t)
+        except RUN_FAILURES as exc:
+            return _partial(dataset, model, trace, sim, evals_before, exc)
         trace.append(
             IterationRecord(
                 iteration=t,

@@ -126,13 +126,24 @@ def _ascent(objective, gradient, x0, f0, lo, hi, cfg: AscentConfig):
     return x, fx
 
 
-def _random_then_ascent(objective, gradient, lo, hi, cfg: OptimizerConfig):
+def _random_then_ascent(objective, gradient, batch_objective, lo, hi, cfg: OptimizerConfig):
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_random if cfg.n_random is not None else 10 ** lo.size
     probes = lo + rng.random((n, lo.size)) * (hi - lo)
-    values = np.array([_evaluate(objective, p) for p in probes])
-    best = int(np.argmax(values))
-    x0, f0 = probes[best], float(values[best])
+    if batch_objective is None:
+        values = np.array([_evaluate(objective, p) for p in probes])
+        best = int(np.argmax(values))
+        x0, f0 = probes[best], float(values[best])
+    else:
+        values = np.asarray(batch_objective(probes), dtype=float)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            x = probes[bad[0]]
+            raise OptimizerFailure(
+                f"batch objective returned non-finite value {values[bad[0]]} at {x.tolist()}", point=x
+            )
+        x0 = probes[int(np.argmax(values))]
+        f0 = _evaluate(objective, x0)  # the ascent starts from the per-point value
     x, fx = _ascent(objective, gradient, x0, f0, lo, hi, cfg.ascent)
     if fx > f0:
         return x, fx
@@ -187,13 +198,22 @@ def _reflect(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return lo + y
 
 
-def maximize(objective, bounds, config: OptimizerConfig, gradient=None):
+def maximize(objective, bounds, config: OptimizerConfig, gradient=None, batch_objective=None):
     """Maximize `objective` over the box; returns (argmax, value).
 
     `gradient` is an optional callable returning the analytic gradient; when
     absent, the ascent phase falls back to central finite differences.
+
+    `batch_objective` is an optional callable mapping an n x D block of
+    points to their n values.  `random-then-ascent` then ranks its random
+    probes with one batch call instead of n calls of `objective`.  A batch
+    form may round differently from `objective`, so the winning probe is
+    re-scored with `objective` and the ascent starts from exactly the value
+    it would start from without the batch form: the result is the same
+    unless two probes tie within that rounding.  Simulated annealing
+    ignores it.
     """
     lo, hi = _check_bounds(bounds)
     if config.strategy == "random-then-ascent":
-        return _random_then_ascent(objective, gradient, lo, hi, config)
+        return _random_then_ascent(objective, gradient, batch_objective, lo, hi, config)
     return _simulated_annealing(objective, lo, hi, config)

@@ -31,7 +31,11 @@ class SimulatorProtocolError(SimulatorError):
 
 
 class Simulator:
-    """Base class: bounds checking and evaluation counting."""
+    """Base class: bounds checking, output checking and evaluation counting.
+
+    Usable as a context manager; `close` releases whatever the simulator
+    holds (nothing for the built-in ones, the child process for the bridge).
+    """
 
     kind = "base"
 
@@ -52,11 +56,22 @@ class Simulator:
         y = np.asarray(self._eval(x), dtype=float).ravel()
         if y.size != self.n_outputs:
             raise SimulatorError(f"simulator returned {y.size} outputs, expected {self.n_outputs}")
+        if not np.all(np.isfinite(y)):
+            raise SimulatorError(f"simulator returned non-finite outputs {y.tolist()} at {x.tolist()}")
         self.eval_count += 1  # only successful evaluations count
         return y
 
     def _eval(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def close(self) -> None:
+        """Release held resources; the base simulator holds none."""
+
+    def __enter__(self) -> "Simulator":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 class ToyLog1D(Simulator):
@@ -228,12 +243,6 @@ class ExternalSimulator(Simulator):
         except Exception:
             self._proc.kill()
         self._proc = None
-
-    def __enter__(self) -> "ExternalSimulator":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 def make_simulator(spec: dict) -> Simulator:

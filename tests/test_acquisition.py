@@ -1,7 +1,10 @@
 """Acquisition variants, tempering, prior weighting, and analytic gradients."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor
 from scipy.stats import truncnorm
 
 from active_emu.acquisition import (
@@ -11,12 +14,15 @@ from active_emu.acquisition import (
     TemperingSchedule,
     acquisition_gradient,
     acquisition_value,
+    acquisition_values,
     beta_at,
     diversity,
     geometry,
 )
-from active_emu.gp import Dataset
-from active_emu.multi_output import fit_all, predict_all
+from active_emu.gp import Dataset, IllConditionedError
+from active_emu.kernels import kernel_matrix
+from active_emu.multi_output import MultiGpModel, fit_all, predict_all
+from active_emu.optimize import OptimizerConfig, maximize
 
 from conftest import central_difference_gradient, random_multi_model, relative_gradient_error
 
@@ -331,3 +337,81 @@ class TestVariantTable:
             AcquisitionSpec(diversity_op="max")
         with pytest.raises(ValueError):
             AcquisitionSpec(geometry_op="min")
+
+
+BATCH_BOUNDS = np.array([[-1.0, 2.0], [0.0, 4.0]])
+BATCH_PRIOR = InputPrior(mu=[0.5, 2.0], sigma=[0.8, 1.5], low=[-0.5, 0.5], high=[1.5, 3.5])
+
+
+def _batch_points(model, rng):
+    """Random points over the box (some outside the prior box) plus every node."""
+    lo, hi = BATCH_BOUNDS[:, 0], BATCH_BOUNDS[:, 1]
+    return np.vstack([lo + rng.random((40, 2)) * (hi - lo), model.dataset.X.T])
+
+
+class TestAcquisitionValues:
+    """The batch form against the per-point form it replaces in the search."""
+
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("prior", [None, BATCH_PRIOR])
+    def test_matches_per_point_values(self, rng, variant, strict, prior):
+        # Interpolation has a round-off variance at the nodes unless strict,
+        # so the non-strict cases use a nugget.
+        for nugget in (0.0, 1e-3) if strict else (1e-3,):
+            model = random_multi_model(
+                rng, dimension=2, n_outputs=3, n_nodes=8, bandwidths=[0.15, 0.2, 0.25],
+                nugget=nugget, bounds=BATCH_BOUNDS,
+            )
+            points = _batch_points(model, rng)
+            for beta in (0.0, 0.5, 1.0):
+                spec = AcquisitionSpec.from_variant(
+                    variant, tempering=TemperingSchedule.constant(beta), prior=prior,
+                    strict_zero_at_nodes=strict,
+                )
+                batch = acquisition_values(spec, model, points, t=4)
+                single = np.array([acquisition_value(spec, model, x, t=4) for x in points])
+                assert batch.shape == (points.shape[0],)
+                np.testing.assert_array_equal(batch == 0.0, single == 0.0)
+                scale = np.where(np.abs(single) < 1e-300, 1.0, np.abs(single))
+                assert np.max(np.abs(batch - single) / scale) <= 1e-12
+
+    def test_exact_zeros_at_nodes_and_outside_prior(self, rng):
+        model = random_multi_model(rng, dimension=2, n_outputs=2, n_nodes=6, nugget=1e-3, bounds=BATCH_BOUNDS)
+        spec = AcquisitionSpec.from_variant(
+            "SDxSG", tempering=TemperingSchedule.constant(1.0), prior=BATCH_PRIOR
+        )
+        outside = np.array([[-0.9, 2.0], [1.9, 2.0], [0.5, 0.2], [0.5, 3.9]])
+        nodes = model.dataset.X.T[[BATCH_PRIOR.contains(x) for x in model.dataset.X.T]]
+        assert np.all(acquisition_values(spec, model, outside, t=2) == 0.0)
+        assert np.all(acquisition_values(spec, model, nodes, t=2) == 0.0)
+
+    def test_clamp_violation_raises_like_per_point(self, rng):
+        model = random_multi_model(rng, dimension=2, n_outputs=2, n_nodes=6, nugget=1e-3, bounds=BATCH_BOUNDS)
+        # A factor of K / 2 doubles k^T K^{-1} k, driving the noise-free
+        # variance far below its round-off clamp near the nodes.
+        first = model.models[0]
+        broken = replace(first, noise_free_factor=cho_factor(0.5 * kernel_matrix(first.train_inputs, first.params), lower=True))
+        model = MultiGpModel(model.dataset, (broken,) + model.models[1:])
+        spec = AcquisitionSpec.from_variant("SD")
+        near_node = model.dataset.X[:, 0] + 0.01
+        with pytest.raises(IllConditionedError):
+            acquisition_value(spec, model, near_node, t=1)
+        with pytest.raises(IllConditionedError):
+            acquisition_values(spec, model, np.vstack([near_node, near_node + 0.5]), t=1)
+
+    @pytest.mark.parametrize("variant", ["SDxSG", "PDxPG", "PD"])
+    def test_search_with_batch_matches_per_point_search(self, rng, variant):
+        model = random_multi_model(rng, dimension=2, n_outputs=3, n_nodes=8, nugget=1e-4, bounds=BATCH_BOUNDS)
+        spec = AcquisitionSpec.from_variant(variant, tempering=TemperingSchedule.constant(1.0), prior=BATCH_PRIOR)
+        for seed in range(5):
+            config = OptimizerConfig(strategy="random-then-ascent", n_random=100, seed=seed)
+            objective = lambda x: acquisition_value(spec, model, x, 3)
+            gradient = lambda x: acquisition_gradient(spec, model, x, 3)
+            plain = maximize(objective, BATCH_BOUNDS, config, gradient=gradient)
+            batched = maximize(
+                objective, BATCH_BOUNDS, config, gradient=gradient,
+                batch_objective=lambda X: acquisition_values(spec, model, X, 3),
+            )
+            np.testing.assert_array_equal(batched[0], plain[0])
+            assert batched[1] == plain[1]

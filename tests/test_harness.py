@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from active_emu import harness
 from active_emu.acquisition import TemperingSchedule
 from active_emu.gp import Dataset
 from active_emu.harness import (
@@ -164,6 +165,53 @@ class TestRunExperiment:
             rows = list(csv.reader(handle))
         assert rows[0] == ["strategy", "m", "rmse_mean", "rmse_stderr", "evals_used"]
         assert len(rows) == len(results.rows) + 1
+
+
+class TestSimulatorLifetime:
+    def test_every_simulator_built_is_closed(self, monkeypatch):
+        built = []
+
+        class Recording(ToyLog1D):
+            closed = False
+
+            def close(self):
+                self.closed = True
+
+        def make(spec):
+            sim = Recording()
+            built.append(sim)
+            return sim
+
+        monkeypatch.setattr(harness, "make_simulator", make)
+        run_experiment(tiny_experiment(runs=2))
+        assert len(built) == 1 + 2 * 2  # the test set's, then one per (strategy, run)
+        assert all(sim.closed for sim in built)
+
+    def test_simulator_of_a_raising_run_is_closed(self, monkeypatch):
+        built = []
+
+        class Raising(ToyLog1D):
+            closed = False
+
+            def _eval(self, x):
+                if self.eval_count >= 5:
+                    raise RuntimeError("solver died")
+                return super()._eval(x)
+
+            def close(self):
+                self.closed = True
+
+        def make(spec):
+            sim = Raising()
+            built.append(sim)
+            return sim
+
+        monkeypatch.setattr(harness, "make_simulator", make)
+        monkeypatch.setattr(harness, "build_test_set", lambda config, sim: (np.array([[1.0]]), np.zeros((2, 1))))
+        results = run_experiment(tiny_experiment(strategies=("random",), runs=2))
+        assert len(results.failures) == 2
+        assert all("solver died" in f.message for f in results.failures)
+        assert len(built) == 3 and all(sim.closed for sim in built)
 
 
 class TestDensityReport:

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from active_emu import config as run_config
+from active_emu import loop
 from active_emu.acquisition import AcquisitionSpec, TemperingSchedule
+from active_emu.gp import IllConditionedError
 from active_emu.loop import (
     EmulationResult,
     LoopConfig,
@@ -12,8 +15,8 @@ from active_emu.loop import (
     write_lut_csv,
     write_trace_ndjson,
 )
-from active_emu.optimize import AnnealingConfig, OptimizerConfig
-from active_emu.simulators import Simulator, SimulatorError, ToyLog1D
+from active_emu.optimize import AnnealingConfig, OptimizerConfig, maximize
+from active_emu.simulators import Simulator, SimulatorError, ToyLog1D, make_simulator
 
 X0_1D = np.array([[0.1, 3.4, 6.7, 10.0]])
 
@@ -53,6 +56,37 @@ class FailingSimulator(Simulator):
         if self.eval_count >= self.fail_after:
             raise SimulatorError("solver crashed")
         return self._inner._eval(x)
+
+
+class NanSimulator(Simulator):
+    """Returns NaN outputs at its k-th call (1-based)."""
+
+    kind = "nan"
+
+    def __init__(self, nan_at):
+        super().__init__(dimension=1, n_outputs=2, bounds=[[0.1, 10.0]])
+        self.nan_at = nan_at
+        self.calls = 0
+        self._inner = ToyLog1D()
+
+    def _eval(self, x):
+        self.calls += 1
+        if self.calls == self.nan_at:
+            return np.array([np.nan, 0.0])
+        return self._inner._eval(x)
+
+
+def failing_after(fn, calls, exc):
+    """fn, except that every call after the first `calls` raises exc."""
+    count = [0]
+
+    def wrapped(*args, **kwargs):
+        count[0] += 1
+        if count[0] > calls:
+            raise exc
+        return fn(*args, **kwargs)
+
+    return wrapped
 
 
 class TestRun:
@@ -120,6 +154,49 @@ class TestRun:
         assert result.model is not None
         assert result.dataset.n_nodes == 5
         assert result.evaluations == 5
+
+    def test_nan_output_returns_partial_result(self):
+        sim = NanSimulator(nan_at=6)  # 4 initial nodes, the second added node is NaN
+        result = run(toy_config(budget=10), sim)
+        assert "non-finite" in result.failure
+        assert result.dataset.n_nodes == 5
+        assert result.evaluations == 5
+        assert len(result.trace) == 1
+        assert result.model is not None
+
+    def test_nan_in_initial_design_returns_partial_result(self):
+        result = run(toy_config(budget=10), NanSimulator(nan_at=2))
+        assert "non-finite" in result.failure
+        assert result.dataset is None and result.model is None
+        assert result.evaluations == 1
+
+    def test_ill_conditioned_refit_returns_partial_result(self, monkeypatch):
+        error = IllConditionedError("output 0: kernel matrix is not positive definite", 1e17)
+        monkeypatch.setattr(loop, "fit_all", failing_after(loop.fit_all, 3, error))
+        result = run(toy_config(budget=10), ToyLog1D())
+        assert "not positive definite" in result.failure
+        assert len(result.trace) == 2  # fits 2 and 3 completed iterations 1 and 2
+        assert result.dataset.n_nodes == 7  # the node whose refit failed is kept
+        assert result.evaluations == 7
+        assert result.model.dataset.n_nodes == 6  # the last model that fitted
+
+    def test_ill_conditioned_acquisition_returns_partial_result(self, monkeypatch):
+        error = IllConditionedError("noise-free variance -0.1 is more negative than round-off allows")
+        monkeypatch.setattr(loop, "acquisition_value", failing_after(loop.acquisition_value, 500, error))
+        result = run(toy_config(budget=10), ToyLog1D())
+        assert "more negative" in result.failure
+        assert len(result.trace) == 1  # one 300-step annealing search, then the failing one
+        assert result.dataset.n_nodes == 5
+        assert result.model.dataset.n_nodes == 5
+
+    def test_ill_conditioned_initial_fit_returns_partial_result(self, monkeypatch):
+        error = IllConditionedError("output 1: kernel matrix is not positive definite", 1e17)
+        monkeypatch.setattr(loop, "fit_all", failing_after(loop.fit_all, 0, error))
+        result = run(toy_config(budget=8), ToyLog1D())
+        assert "not positive definite" in result.failure
+        assert result.model is None
+        assert result.dataset.n_nodes == 4
+        assert result.trace == []
 
     def test_convergence_stop(self):
         # a huge threshold fires at the first successive-model comparison
@@ -221,6 +298,41 @@ class TestWriters:
         write_lut_csv(first.dataset, a)
         write_lut_csv(second.dataset, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_batched_search_writes_the_same_lut(self, tmp_path, monkeypatch):
+        # Acceptance criterion 10's settings, m = 30 to 40.
+        raw = {
+            "simulator": {"kind": "fixture-9band", "dimension": 2},
+            "initial_design": {"sampler": "prior-random", "size": 30},
+            "budget": 40,
+            "acquisition": {
+                "variant": "SDxSG",
+                "tempering": {"kind": "constant", "beta": 1.0},
+                "prior": {"mu": [45.0, 3.5], "sigma": [30.0, 4.5], "min": [20.0, 0.0], "max": [90.0, 10.0]},
+            },
+            "optimizer": {"strategy": "random-then-ascent", "n_random": 100, "ascent_iterations": 60},
+            "hyperparameters": {
+                "strategy": "marginal-likelihood",
+                "nugget": {"policy": "fixed", "value": 1e-4},
+                "optimizer": {"strategy": "random-then-ascent", "n_random": 10, "ascent_iterations": 40},
+            },
+            "seed": 20240819,
+        }
+        sim_spec, config = run_config.parse_run_config(raw)
+        batched = run(config, make_simulator(sim_spec))
+
+        def per_point_maximize(objective, bounds, opt_config, gradient=None, batch_objective=None):
+            assert batch_objective is not None
+            return maximize(objective, bounds, opt_config, gradient=gradient)
+
+        monkeypatch.setattr(loop, "maximize", per_point_maximize)
+        per_point = run(config, make_simulator(sim_spec))
+        a, b = tmp_path / "batched.csv", tmp_path / "per_point.csv"
+        write_lut_csv(batched.dataset, a)
+        write_lut_csv(per_point.dataset, b)
+        assert batched.dataset.n_nodes == 40
+        assert a.read_bytes() == b.read_bytes()
+        assert [r.acquisition_value for r in batched.trace] == [r.acquisition_value for r in per_point.trace]
 
     def test_trace_ndjson(self, tmp_path):
         import json

@@ -68,6 +68,73 @@ class TestRandomThenAscent:
         assert len(calls) >= 100  # 10^2 probes plus the ascent phase
 
 
+def wavy(x):
+    return float(np.sin(7.0 * x[0]) * np.cos(3.0 * x[1]) + 0.1 * x[1])
+
+
+def wavy_gradient(x):
+    return np.array([
+        7.0 * np.cos(7.0 * x[0]) * np.cos(3.0 * x[1]),
+        -3.0 * np.sin(7.0 * x[0]) * np.sin(3.0 * x[1]) + 0.1,
+    ])
+
+
+def wavy_batch(X):
+    """wavy at each row, rounded differently from the per-point form."""
+    return np.sin(7.0 * X[:, 0]) * np.cos(3.0 * X[:, 1]) * (1.0 + 1e-15) + 0.1 * X[:, 1]
+
+
+class TestBatchObjective:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_same_result_as_per_point_search(self, seed):
+        config = OptimizerConfig(strategy="random-then-ascent", n_random=60, seed=seed)
+        plain = maximize(wavy, BOUNDS_2D, config, gradient=wavy_gradient)
+        batched = maximize(wavy, BOUNDS_2D, config, gradient=wavy_gradient, batch_objective=wavy_batch)
+        np.testing.assert_array_equal(batched[0], plain[0])
+        assert batched[1] == plain[1]
+
+    def test_one_batch_call_and_winner_rescored(self):
+        batches, points = [], []
+
+        def counting(x):
+            points.append(np.array(x))
+            return wavy(x)
+
+        def batch(X):
+            batches.append(X.shape)
+            return wavy_batch(X)
+
+        config = OptimizerConfig(strategy="random-then-ascent", n_random=40, seed=2,
+                                 ascent=AscentConfig(max_iterations=0))
+        x, value = maximize(counting, BOUNDS_2D, config, batch_objective=batch)
+        assert batches == [(40, 2)]
+        assert len(points) == 1  # only the winning probe, re-scored per point
+        np.testing.assert_array_equal(points[0], x)
+        assert value == wavy(x)
+
+    def test_non_finite_batch_value_raises_with_its_probe(self):
+        def batch(X):
+            values = wavy_batch(X)
+            values[X[:, 0] > 0.5] = np.inf
+            return values
+
+        config = OptimizerConfig(strategy="random-then-ascent", n_random=50, seed=0)
+        with pytest.raises(OptimizerFailure) as excinfo:
+            maximize(wavy, BOUNDS_2D, config, batch_objective=batch)
+        assert excinfo.value.point[0] > 0.5
+
+    def test_annealing_ignores_batch_objective(self):
+        def batch(X):
+            raise AssertionError("annealing must score point by point")
+
+        config = OptimizerConfig(strategy="simulated-annealing", seed=4,
+                                 annealing=AnnealingConfig(iterations=200))
+        plain = maximize(wavy, BOUNDS_2D, config)
+        batched = maximize(wavy, BOUNDS_2D, config, batch_objective=batch)
+        np.testing.assert_array_equal(batched[0], plain[0])
+        assert batched[1] == plain[1]
+
+
 class TestSimulatedAnnealing:
     def test_finds_interior_maximum(self):
         center = np.array([0.6, 0.5])

@@ -95,6 +95,17 @@ class TestToySimulators:
             sim.evaluate([1.0 + i])
         assert sim.eval_count == 5
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_output_rejected_and_not_counted(self, bad):
+        class Broken(ToyLog1D):
+            def _eval(self, x):
+                return np.array([bad, 0.0])
+
+        sim = Broken()
+        with pytest.raises(SimulatorError, match="non-finite"):
+            sim.evaluate([1.0])
+        assert sim.eval_count == 0
+
 
 class TestFixture:
     def test_shapes(self):
@@ -176,6 +187,13 @@ class TestExternalBridge:
         with _external("import sys; sys.exit(3)") as sim:
             with pytest.raises(SimulatorProtocolError):
                 sim.evaluate([1.0])
+
+    def test_nan_from_child_is_a_simulator_error(self):
+        child = 'import json, sys\nfor line in sys.stdin:\n    req = json.loads(line)\n    print(json.dumps({"id": req["id"], "y": [float("nan"), 0.0]}), flush=True)\n'
+        with _external(child) as sim:
+            with pytest.raises(SimulatorError, match="non-finite"):
+                sim.evaluate([1.0])
+            assert sim.eval_count == 0
 
     def test_is_a_simulator_error(self):
         assert issubclass(SimulatorProtocolError, SimulatorError)
