@@ -6,6 +6,12 @@ Six variants arise from combining the per-output terms by sum or product:
 SD, PD, SDxSG, SDxPG, PDxSG, PDxPG.  The value is zero at every node in
 interpolation mode; in regression mode the diversity term defaults to the
 noise-free variance so that the same holds.
+
+`acquisition_value` and `acquisition_gradient` score one point;
+`acquisition_values` scores a block of points with one kernel block and one
+multi-right-hand-side solve per output.  The acquisition search ranks its
+random probes with the block form and re-scores the winner with the
+per-point form, from which the gradient ascent starts.
 """
 
 from __future__ import annotations
@@ -225,8 +231,9 @@ def acquisition_values(spec: AcquisitionSpec, model: MultiGpModel, X, t: int) ->
     per-point calls.  The rules are those of the per-point form: exact zeros
     at nodes, the variance clamps, the prior weight and zero outside its
     box, the product's zero rule and 0^0 = 1.  Per-output factors are
-    combined row by row in the per-point order, and the power is taken one
-    value at a time, so the values match the per-point form.
+    combined row by row in the per-point order and the power is taken one
+    value at a time, so that the values reproduce the per-point form; the
+    tests hold them to it within 1e-12 relative.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     values = np.zeros(X.shape[0])

@@ -139,10 +139,12 @@ def _choose_next_point(
 ) -> tuple[np.ndarray, float]:
     """Maximize the acquisition at iteration t; returns the point and its value.
 
-    The search ranks its random probes with the batch form
+    The search ranks its random probes with one call of the batch form
     `acquisition_values` and re-scores the winner with `acquisition_value`,
-    so the ascent, and with it the chosen point and the recorded value, is
-    that of a search scoring every probe point by point.
+    so the ascent starts from the winner's per-point value.  The batch
+    values reproduce the per-point ones, so the chosen point and the
+    recorded value are those of a search that scores every probe point by
+    point, and a seeded run writes the same LUT either way.
     """
     spec = config.acquisition
 
@@ -259,7 +261,8 @@ def baseline_run(
 
     Sequential samplers append one point per iteration.  Non-sequential
     strategies ('grid', 'lhs') rebuild the full design at every size
-    m = 1..M, so their cumulative simulator cost is (M^2 + M) / 2.
+    m = 1..M, so their cumulative simulator cost is (M^2 + M) / 2.  The
+    failures of RUN_FAILURES end the run with a partial result, as in `run`.
     """
     if sequential:
         return _sequential_baseline(sampler_kind, config, sim, iteration_hook)
@@ -270,17 +273,20 @@ def _sequential_baseline(sampler_kind, config, sim, iteration_hook):
     bounds = np.asarray(sim.bounds, dtype=float)
     evals_before = sim.eval_count
     trace: list[IterationRecord] = []
-    dataset = _initial_dataset(config, sim)
-    pool = config.budget - dataset.n_nodes
-    sampler = make_sampler(
-        sampler_kind,
-        sim.dimension,
-        bounds,
-        seed=derive_seed(config.seed, 4),
-        pool_size=pool,
-        prior=config.acquisition.prior,
-    )
-    model = _fit(dataset, config, 0)
+    dataset = model = None
+    try:
+        dataset = _initial_dataset(config, sim)
+        sampler = make_sampler(
+            sampler_kind,
+            sim.dimension,
+            bounds,
+            seed=derive_seed(config.seed, 4),
+            pool_size=config.budget - dataset.n_nodes,
+            prior=config.acquisition.prior,
+        )
+        model = _fit(dataset, config, 0)
+    except RUN_FAILURES as exc:
+        return _partial(dataset, model, trace, sim, evals_before, exc)
     if iteration_hook is not None:
         iteration_hook(dataset.n_nodes, model)
     t = 0

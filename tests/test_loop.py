@@ -254,6 +254,13 @@ class TestSequentialBaselines:
         np.testing.assert_array_equal(a.dataset.X, b.dataset.X)
 
 
+    @pytest.mark.parametrize("nan_at", [2, 6])  # in the initial design, then at the second added node
+    def test_nan_output_returns_partial_result(self, nan_at):
+        result = baseline_run("random", True, toy_config(budget=8), NanSimulator(nan_at=nan_at))
+        assert "non-finite" in result.failure
+        assert result.evaluations == nan_at - 1
+
+
 class TestNonSequentialBaselines:
     def test_grid_rebuilds_and_costs_quadratic(self):
         sim = ToyLog1D()
