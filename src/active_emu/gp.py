@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.lapack import dpocon
 
 from .kernels import KernelParams, cross_kernel, kernel_matrix, squared_distances
 from .optimize import AnnealingConfig, OptimizerConfig, maximize
@@ -293,12 +294,6 @@ def variance_gradient(model: GpModel, x) -> np.ndarray:
     return variance_gradient_from(model, k_x, diffs, cho_solve(model.factor, k_x))
 
 
-def noise_free_variance_gradient(model: GpModel, x) -> np.ndarray:
-    """Gradient of noise_free_variance."""
-    k_x, diffs, _ = kernel_vector(model, x)
-    return variance_gradient_from(model, k_x, diffs, cho_solve(_variance_factor(model, True), k_x))
-
-
 def rowwise_dot(A, B) -> np.ndarray:
     """Dot product of each row of A with the same row of B (both n x k).
 
@@ -358,10 +353,10 @@ def log_marginal_likelihood(inputs, outputs, params: KernelParams, nugget: float
     return -0.5 * float(y @ alpha) - 0.5 * log_det - 0.5 * y.size * np.log(2.0 * np.pi)
 
 
-def _condition_estimate(factor) -> float:
-    """Condition estimate of the factorized matrix via the Cholesky diagonal."""
-    diag = np.diag(factor[0])
-    return float((np.max(diag) / np.min(diag)) ** 2)
+def _condition_estimate(K, factor) -> float:
+    """LAPACK's 1-norm condition estimate of K from its Cholesky factor."""
+    rcond, _ = dpocon(factor[0], np.linalg.norm(K, 1), uplo="L")
+    return 1.0 / rcond if rcond > 0.0 else np.inf
 
 
 def _ml_objective(X, y, learn_nugget: bool, fixed_nugget: float):
@@ -428,7 +423,7 @@ def select_hyperparameters(
                 factor = cho_factor(K, lower=True)
             except LinAlgError:
                 continue
-            if _condition_estimate(factor) <= CONDITION_BOUND:
+            if _condition_estimate(K, factor) <= CONDITION_BOUND:
                 return KernelParams(float(bandwidth)), fixed_nugget
         return KernelParams(float(BANDWIDTH_GRID[0])), fixed_nugget
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .acquisition import AcquisitionSpec, InputPrior, TemperingSchedule
-from .loop import EmulationResult, LoopConfig, baseline_run, run
+from .loop import NONSEQUENTIAL_BASELINES, EmulationResult, LoopConfig, baseline_run, check_design, run
 from .multi_output import MultiGpModel, predict_mean_matrix
 from .optimize import OptimizerConfig
 from .samplers import sample_truncated_gaussian
@@ -24,7 +24,6 @@ from .seeding import derive_seed
 from .simulators import make_simulator
 
 SEQUENTIAL_BASELINES = ("random", "sobol", "seq-lhs", "prior-random")
-NONSEQUENTIAL_BASELINES = ("grid", "lhs")
 
 
 @dataclass(frozen=True)
@@ -78,6 +77,8 @@ class ExperimentConfig:
                 raise ValueError(f"unknown strategy: {strategy!r}")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        if self.initial_points is None:
+            check_design(self.initial_sampler, self.prior)
 
 
 @dataclass
@@ -163,11 +164,7 @@ def _loop_config(config: ExperimentConfig, strategy: str, run_seed: int) -> Loop
 def _execute(strategy: str, loop_config: LoopConfig, sim, hook) -> EmulationResult:
     if strategy.startswith("amogape:"):
         return run(loop_config, sim, iteration_hook=hook)
-    if strategy in SEQUENTIAL_BASELINES:
-        return baseline_run(strategy, True, loop_config, sim, iteration_hook=hook)
-    if strategy in NONSEQUENTIAL_BASELINES:
-        return baseline_run(strategy, False, loop_config, sim, iteration_hook=hook)
-    raise ValueError(f"unknown strategy: {strategy!r}")
+    return baseline_run(strategy, strategy in SEQUENTIAL_BASELINES, loop_config, sim, iteration_hook=hook)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResults:

@@ -1,15 +1,22 @@
-"""The sequential active-emulation loop: fit, maximize the acquisition,
-query the simulator, append the node, repeat until the node budget or the
-successive-model convergence criterion is reached.
+"""The emulation loop: fit, pick the next design, simulate, repeat until
+the node budget or the successive-model convergence criterion is reached.
 
-`baseline_run` drives the same machinery with a sampler instead of the
-acquisition maximizer; non-sequential baselines regenerate the whole design
-at every size, paying the full quadratic evaluation cost.
+AMOGAPE and every baseline run through one loop, `_drive`, and differ
+only in their start and their step.  The start is the initial design
+(nothing for a non-sequential baseline).  The step returns the next
+evaluated dataset: AMOGAPE adds the acquisition maximizer, a sequential
+baseline adds its sampler's next point, and a non-sequential baseline
+('grid', 'lhs') evaluates a fresh design of size t at iteration t, paying
+the full quadratic evaluation cost.  `_drive` owns the rest: evaluation
+accounting, the fits and the hook, the trace, the convergence test, and
+the partial result when a run fails.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
+import itertools
 import json
 import time
 from dataclasses import dataclass, field
@@ -18,6 +25,7 @@ import numpy as np
 
 from .acquisition import (
     AcquisitionSpec,
+    InputPrior,
     acquisition_gradient,
     acquisition_value,
     acquisition_values,
@@ -36,6 +44,23 @@ from .simulators import Simulator, SimulatorError
 # matrix beyond round-off.
 RUN_FAILURES = (SimulatorError, IllConditionedError)
 
+# Designs `_design` builds by name.  The first two are also the baselines
+# that rebuild their whole design at every size.
+NONSEQUENTIAL_BASELINES = ("grid", "lhs")
+DESIGNS = NONSEQUENTIAL_BASELINES + ("sobol", "random", "prior-random")
+
+# Acquisition searches per iteration before falling back to the best
+# non-duplicate uniform probe.
+MAX_DUPLICATE_RETRIES = 5
+
+
+def check_design(kind, prior: InputPrior | None) -> None:
+    """Raise ValueError unless `_design` can build the named design."""
+    if kind not in DESIGNS:
+        raise ValueError(f"unknown initial design {kind!r}; expected one of {DESIGNS}")
+    if kind == "prior-random" and prior is None:
+        raise ValueError("the prior-random design needs an input prior")
+
 
 @dataclass(frozen=True)
 class LoopConfig:
@@ -46,18 +71,19 @@ class LoopConfig:
     nugget_policy: float | str = 0.0
     hyper_optimizer: OptimizerConfig | None = None
     initial_points: np.ndarray | None = None  # D x m0, raw coordinates
-    initial_sampler: str | None = None  # lhs | sobol | random | prior-random
+    initial_sampler: str | None = None  # one of DESIGNS
     initial_size: int | None = None
     convergence_epsilon: float | None = None
     convergence_probes: int = 1000
     seed: int = 0
-    max_duplicate_retries: int = 5
 
     def __post_init__(self) -> None:
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
-        if self.initial_points is None and (self.initial_sampler is None or self.initial_size is None):
-            raise ValueError("either initial_points or an initial sampler with a size is required")
+        if self.initial_points is None:
+            if self.initial_sampler is None or self.initial_size is None:
+                raise ValueError("either initial_points or an initial sampler with a size is required")
+            check_design(self.initial_sampler, self.acquisition.prior)
         if self.convergence_epsilon is not None and not self.convergence_epsilon > 0.0:
             raise ValueError("convergence threshold must be positive")
 
@@ -83,36 +109,32 @@ class EmulationResult:
     failure: str | None = None
 
 
-def _partial(dataset, model, trace, sim: Simulator, evals_before: int, exc: Exception) -> EmulationResult:
-    """The result of a run ended by one of RUN_FAILURES."""
-    return EmulationResult(
-        dataset=dataset, model=model, trace=trace,
-        evaluations=sim.eval_count - evals_before, failure=str(exc),
-    )
+def _design(kind: str, n: int, sim: Simulator, seed: int, prior: InputPrior | None) -> np.ndarray:
+    """n design points (D x n) of the named kind over the simulator's box."""
+    if kind == "grid":
+        return grid_design(sim.dimension, n, bounds=sim.bounds)
+    if kind == "lhs":
+        return lhs_design(sim.dimension, n, seed=seed, bounds=sim.bounds)
+    if kind == "sobol":
+        return sobol_sequence(sim.dimension, n, bounds=sim.bounds)
+    sampler = make_sampler(kind, sim.dimension, sim.bounds, seed=seed, prior=prior)
+    return np.column_stack([sampler.next_point() for _ in range(n)])
+
+
+def _evaluated(points: np.ndarray, sim: Simulator) -> Dataset:
+    outputs = np.column_stack([sim.evaluate(points[:, i]) for i in range(points.shape[1])])
+    return Dataset(points, outputs, sim.bounds)
 
 
 def _initial_dataset(config: LoopConfig, sim: Simulator) -> Dataset:
     if config.initial_points is not None:
         points = np.atleast_2d(np.asarray(config.initial_points, dtype=float))
     else:
-        seed = derive_seed(config.seed, 0)
-        size = int(config.initial_size)
-        kind = config.initial_sampler
-        if kind == "lhs":
-            points = lhs_design(sim.dimension, size, seed=seed, bounds=sim.bounds)
-        elif kind == "sobol":
-            points = sobol_sequence(sim.dimension, size, bounds=sim.bounds)
-        elif kind == "grid":
-            points = grid_design(sim.dimension, size, bounds=sim.bounds)
-        elif kind in ("random", "prior-random"):
-            sampler = make_sampler(
-                kind, sim.dimension, sim.bounds, seed=seed, prior=config.acquisition.prior
-            )
-            points = np.column_stack([sampler.next_point() for _ in range(size)])
-        else:
-            raise ValueError(f"unknown initial sampler: {kind!r}")
-    outputs = np.column_stack([sim.evaluate(points[:, i]) for i in range(points.shape[1])])
-    return Dataset(points, outputs, sim.bounds)
+        points = _design(
+            config.initial_sampler, int(config.initial_size), sim,
+            derive_seed(config.seed, 0), config.acquisition.prior,
+        )
+    return _evaluated(points, sim)
 
 
 def _fit(dataset: Dataset, config: LoopConfig, iteration: int) -> MultiGpModel:
@@ -157,7 +179,7 @@ def _choose_next_point(
     def batch_objective(X):
         return acquisition_values(spec, model, X, t)
 
-    for attempt in range(config.max_duplicate_retries):
+    for attempt in range(MAX_DUPLICATE_RETRIES):
         opt_config = config.optimizer.with_seed(derive_seed(config.seed, 2, t, attempt))
         x_star, value = maximize(
             objective, bounds, opt_config, gradient=gradient, batch_objective=batch_objective
@@ -176,78 +198,74 @@ def _choose_next_point(
     return x_star, value
 
 
-def _probe_grid(bounds: np.ndarray, n: int) -> np.ndarray:
-    return sobol_sequence(bounds.shape[0], n, bounds=bounds)
+def _drive(config: LoopConfig, sim: Simulator, start, step, iteration_hook) -> EmulationResult:
+    """The loop every strategy shares.
 
-
-def _rms_difference(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.sqrt(np.mean((a - b) ** 2)))
+    `start()` returns the evaluated initial dataset, or None when the first
+    step builds the whole design.  `step(model, dataset, t)` returns the
+    evaluated dataset of iteration t and the acquisition value of its new
+    node (None when no acquisition chose it).  The loop fits after the
+    start and after every step, calls `iteration_hook(n_nodes, model)`
+    after every fit, and records one IterationRecord per step.  With
+    `convergence_epsilon` set it stops once the mean predictions on a Sobol
+    probe set move by at most that RMS between successive models.  A
+    failure of RUN_FAILURES ends the run with a partial result: the trace
+    so far, every node evaluated so far and the last model that fitted
+    (None if none did).
+    """
+    evals_before = sim.eval_count
+    trace: list[IterationRecord] = []
+    dataset = model = previous = None
+    converged = False
+    if config.convergence_epsilon is not None:
+        probes = sobol_sequence(sim.dimension, config.convergence_probes, bounds=sim.bounds)
+    for t in itertools.count():
+        started = time.perf_counter()
+        try:
+            dataset, value = (start(), None) if t == 0 else step(model, dataset, t)
+            if dataset is None:
+                continue
+            model = _fit(dataset, config, t)
+        except RUN_FAILURES as exc:
+            return EmulationResult(dataset, model, trace, sim.eval_count - evals_before, failure=str(exc))
+        if t > 0:
+            trace.append(
+                IterationRecord(
+                    iteration=t,
+                    n_nodes=dataset.n_nodes,
+                    x=tuple(float(v) for v in dataset.X[:, -1]),
+                    acquisition_value=None if value is None else float(value),
+                    beta=None if value is None else beta_at(config.acquisition.tempering, t),
+                    bandwidths=model.bandwidths,
+                    wall_time=time.perf_counter() - started,
+                )
+            )
+        if iteration_hook is not None:
+            iteration_hook(dataset.n_nodes, model)
+        if config.convergence_epsilon is not None:
+            predictions = predict_mean_matrix(model, probes)
+            if previous is not None:
+                rms = float(np.sqrt(np.mean((predictions - previous) ** 2)))
+                converged = rms <= config.convergence_epsilon
+            previous = predictions
+        if converged or dataset.n_nodes >= config.budget:
+            break
+    return EmulationResult(dataset, model, trace, sim.eval_count - evals_before, converged=converged)
 
 
 def run(config: LoopConfig, sim: Simulator, iteration_hook=None) -> EmulationResult:
-    """Run the active loop with acquisition maximization.
+    """Run the active loop: each step adds the acquisition maximizer.
 
     `iteration_hook(n_nodes, model)` is called after every fit, letting
-    callers track metrics without refitting.  A simulator failure, or an
-    ill-conditioned fit or acquisition (RUN_FAILURES), aborts the run and
-    returns the partial trace in the result, with every node evaluated so
-    far and the last model that fitted (None if none did).
+    callers track metrics without refitting.  See `_drive` for convergence
+    and for the partial result of a failed run.
     """
-    bounds = np.asarray(sim.bounds, dtype=float)
-    evals_before = sim.eval_count
-    trace: list[IterationRecord] = []
-    dataset = model = None
-    try:
-        dataset = _initial_dataset(config, sim)
-        model = _fit(dataset, config, 0)
-    except RUN_FAILURES as exc:
-        return _partial(dataset, model, trace, sim, evals_before, exc)
-    if iteration_hook is not None:
-        iteration_hook(dataset.n_nodes, model)
 
-    probes = None
-    previous_predictions = None
-    if config.convergence_epsilon is not None:
-        probes = _probe_grid(bounds, config.convergence_probes)
-        previous_predictions = predict_mean_matrix(model, probes)
+    def acquire(model, dataset, t):
+        x_star, value = _choose_next_point(config, model, dataset, sim.bounds, t)
+        return dataset.with_node(x_star, sim.evaluate(x_star)), value
 
-    converged = False
-    t = 0
-    while dataset.n_nodes < config.budget:
-        t += 1
-        started = time.perf_counter()
-        try:
-            x_star, value = _choose_next_point(config, model, dataset, bounds, t)
-            dataset = dataset.with_node(x_star, sim.evaluate(x_star))
-            model = _fit(dataset, config, t)
-        except RUN_FAILURES as exc:
-            return _partial(dataset, model, trace, sim, evals_before, exc)
-        trace.append(
-            IterationRecord(
-                iteration=t,
-                n_nodes=dataset.n_nodes,
-                x=tuple(float(v) for v in x_star),
-                acquisition_value=float(value),
-                beta=beta_at(config.acquisition.tempering, t),
-                bandwidths=model.bandwidths,
-                wall_time=time.perf_counter() - started,
-            )
-        )
-        if iteration_hook is not None:
-            iteration_hook(dataset.n_nodes, model)
-        if probes is not None:
-            predictions = predict_mean_matrix(model, probes)
-            if _rms_difference(predictions, previous_predictions) <= config.convergence_epsilon:
-                converged = True
-                break
-            previous_predictions = predictions
-    return EmulationResult(
-        dataset=dataset,
-        model=model,
-        trace=trace,
-        evaluations=sim.eval_count - evals_before,
-        converged=converged,
-    )
+    return _drive(config, sim, lambda: _initial_dataset(config, sim), acquire, iteration_hook)
 
 
 def baseline_run(
@@ -259,102 +277,47 @@ def baseline_run(
 ) -> EmulationResult:
     """Run the loop with a sampling strategy instead of the acquisition.
 
-    Sequential samplers append one point per iteration.  Non-sequential
-    strategies ('grid', 'lhs') rebuild the full design at every size
-    m = 1..M, so their cumulative simulator cost is (M^2 + M) / 2.  The
-    failures of RUN_FAILURES end the run with a partial result, as in `run`.
+    A sequential baseline starts from the initial design and each step adds
+    its sampler's next point that is not already a node.  A non-sequential
+    baseline ('grid', 'lhs') has no start: step t evaluates a fresh design
+    of size t, so its cumulative simulator cost over m = 1..M is
+    (M^2 + M) / 2.  Hook, trace, convergence and failures are those of
+    `run` (see `_drive`).
     """
-    if sequential:
-        return _sequential_baseline(sampler_kind, config, sim, iteration_hook)
-    return _nonsequential_baseline(sampler_kind, config, sim, iteration_hook)
+    if not sequential:
+        if sampler_kind not in NONSEQUENTIAL_BASELINES:
+            raise ValueError(
+                f"non-sequential baseline must be one of {NONSEQUENTIAL_BASELINES}, got {sampler_kind!r}"
+            )
 
+        def redesign(model, dataset, t):
+            points = _design(sampler_kind, t, sim, derive_seed(config.seed, 5, t), None)
+            return _evaluated(points, sim), None
 
-def _sequential_baseline(sampler_kind, config, sim, iteration_hook):
-    bounds = np.asarray(sim.bounds, dtype=float)
-    evals_before = sim.eval_count
-    trace: list[IterationRecord] = []
-    dataset = model = None
-    try:
+        return _drive(config, sim, lambda: None, redesign, iteration_hook)
+
+    sampler = None
+
+    def start():
+        nonlocal sampler
         dataset = _initial_dataset(config, sim)
         sampler = make_sampler(
             sampler_kind,
             sim.dimension,
-            bounds,
+            sim.bounds,
             seed=derive_seed(config.seed, 4),
             pool_size=config.budget - dataset.n_nodes,
             prior=config.acquisition.prior,
         )
-        model = _fit(dataset, config, 0)
-    except RUN_FAILURES as exc:
-        return _partial(dataset, model, trace, sim, evals_before, exc)
-    if iteration_hook is not None:
-        iteration_hook(dataset.n_nodes, model)
-    t = 0
-    while dataset.n_nodes < config.budget:
-        t += 1
-        started = time.perf_counter()
+        return dataset
+
+    def next_sample(model, dataset, t):
         x_next = sampler.next_point()
         while _is_duplicate(dataset, x_next):
             x_next = sampler.next_point()
-        try:
-            dataset = dataset.with_node(x_next, sim.evaluate(x_next))
-            model = _fit(dataset, config, t)
-        except RUN_FAILURES as exc:
-            return _partial(dataset, model, trace, sim, evals_before, exc)
-        trace.append(
-            IterationRecord(
-                iteration=t,
-                n_nodes=dataset.n_nodes,
-                x=tuple(float(v) for v in x_next),
-                acquisition_value=None,
-                beta=None,
-                bandwidths=model.bandwidths,
-                wall_time=time.perf_counter() - started,
-            )
-        )
-        if iteration_hook is not None:
-            iteration_hook(dataset.n_nodes, model)
-    return EmulationResult(
-        dataset=dataset, model=model, trace=trace, evaluations=sim.eval_count - evals_before
-    )
+        return dataset.with_node(x_next, sim.evaluate(x_next)), None
 
-
-def _nonsequential_baseline(sampler_kind, config, sim, iteration_hook):
-    if sampler_kind not in ("grid", "lhs"):
-        raise ValueError(f"non-sequential baseline must be 'grid' or 'lhs', got {sampler_kind!r}")
-    bounds = np.asarray(sim.bounds, dtype=float)
-    evals_before = sim.eval_count
-    trace: list[IterationRecord] = []
-    dataset = None
-    model = None
-    for t, m in enumerate(range(1, config.budget + 1), start=1):
-        started = time.perf_counter()
-        if sampler_kind == "grid":
-            points = grid_design(sim.dimension, m, bounds=bounds)
-        else:
-            points = lhs_design(sim.dimension, m, seed=derive_seed(config.seed, 5, m), bounds=bounds)
-        try:
-            outputs = np.column_stack([sim.evaluate(points[:, i]) for i in range(m)])
-            dataset = Dataset(points, outputs, bounds)
-            model = _fit(dataset, config, t)
-        except RUN_FAILURES as exc:
-            return _partial(dataset, model, trace, sim, evals_before, exc)
-        trace.append(
-            IterationRecord(
-                iteration=t,
-                n_nodes=m,
-                x=tuple(float(v) for v in points[:, -1]),
-                acquisition_value=None,
-                beta=None,
-                bandwidths=model.bandwidths,
-                wall_time=time.perf_counter() - started,
-            )
-        )
-        if iteration_hook is not None:
-            iteration_hook(m, model)
-    return EmulationResult(
-        dataset=dataset, model=model, trace=trace, evaluations=sim.eval_count - evals_before
-    )
+    return _drive(config, sim, start, next_sample, iteration_hook)
 
 
 def write_lut_csv(dataset: Dataset, path) -> None:
@@ -376,17 +339,4 @@ def write_trace_ndjson(trace, path) -> None:
     """Per-iteration records, one JSON object per line."""
     with open(path, "w") as handle:
         for record in trace:
-            handle.write(
-                json.dumps(
-                    {
-                        "iteration": record.iteration,
-                        "n_nodes": record.n_nodes,
-                        "x": list(record.x),
-                        "acquisition_value": record.acquisition_value,
-                        "beta": record.beta,
-                        "bandwidths": list(record.bandwidths),
-                        "wall_time": record.wall_time,
-                    }
-                )
-                + "\n"
-            )
+            handle.write(json.dumps(dataclasses.asdict(record)) + "\n")

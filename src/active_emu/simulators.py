@@ -150,7 +150,8 @@ class ExternalSimulator(Simulator):
     Request  {"id": <int>, "x": [<float>, ...]}
     Response {"id": <int>, "y": [<float>, ...]}
     One request is in flight at a time; a per-call timeout guards against
-    hung solvers (external codes can be very slow, default 300 s).
+    hung solvers (external codes can be very slow, default 300 s).  A
+    protocol error closes the child, and the next call starts a fresh one.
     """
 
     kind = "external"
@@ -196,6 +197,15 @@ class ExternalSimulator(Simulator):
             self._buffer.extend(chunk)
 
     def _eval(self, x):
+        try:
+            return self._exchange(x)
+        except SimulatorProtocolError:
+            # The child may still answer the failed request later; a fresh
+            # child on the next call keeps replies in step with requests.
+            self.close()
+            raise
+
+    def _exchange(self, x):
         self._ensure_started()
         assert self._proc is not None and self._proc.stdin is not None
         self._next_id += 1

@@ -38,6 +38,13 @@ EXPERIMENT_CONFIG = {
     },
 }
 
+# Initial designs the loop cannot build; the last has no prior to draw from.
+BAD_INITIAL_DESIGNS = [
+    {"sampler": "halton", "size": 4},
+    {"sampler": "seq-lhs", "size": 4},
+    {"sampler": "prior-random", "size": 4},
+]
+
 
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
@@ -90,6 +97,13 @@ class TestRunCommand:
     def test_unknown_variant_is_config_error(self, tmp_path):
         payload = json.loads(json.dumps(RUN_CONFIG))
         payload["acquisition"]["variant"] = "QQ"
+        config = write_config(tmp_path, payload)
+        assert main(["run", "--config", config, "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("design", BAD_INITIAL_DESIGNS)
+    def test_bad_initial_design_is_config_error(self, tmp_path, design):
+        payload = json.loads(json.dumps(RUN_CONFIG))
+        payload["initial_design"] = design
         config = write_config(tmp_path, payload)
         assert main(["run", "--config", config, "--out", str(tmp_path / "o")]) == 2
 
@@ -163,6 +177,15 @@ class TestExperimentCommand:
             rows = list(csv.reader(handle))
         assert rows[0] == ["x1", "x2", "density"]
         assert len(rows) == 101
+
+    @pytest.mark.parametrize("design", BAD_INITIAL_DESIGNS)
+    def test_bad_initial_design_is_config_error(self, tmp_path, design):
+        payload = json.loads(json.dumps(EXPERIMENT_CONFIG))
+        payload["initial_design"] = design
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "o"
+        assert main(["experiment", "--config", config, "--out", str(out)]) == 2
+        assert not (out / "results.csv").exists()
 
     def test_unknown_strategy_is_config_error(self, tmp_path):
         payload = json.loads(json.dumps(EXPERIMENT_CONFIG))

@@ -258,14 +258,26 @@ class TestHyperparameters:
         # the next-larger grid bandwidth would violate one of the two
         K = kernel_matrix(X, params, 0.0)
         factor = cho_factor(K, lower=True)
-        assert _condition_estimate(factor) <= CONDITION_BOUND
+        assert _condition_estimate(K, factor) <= CONDITION_BOUND
         larger = BANDWIDTH_GRID[np.searchsorted(BANDWIDTH_GRID, params.bandwidth) + 1]
         K_next = kernel_matrix(X, KernelParams(larger), 0.0)
         try:
-            estimate = _condition_estimate(cho_factor(K_next, lower=True))
+            estimate = _condition_estimate(K_next, cho_factor(K_next, lower=True))
         except np.linalg.LinAlgError:
             estimate = np.inf
         assert estimate > CONDITION_BOUND
+
+    def test_max_stable_with_nugget_respects_true_condition(self):
+        # 130 LHS nodes in 2-D with nugget 1e-4: the top of the grid gives a
+        # 2-norm condition of about 1.3e6, above the bound
+        from active_emu.samplers import lhs_design
+
+        X = lhs_design(2, 130, seed=1)
+        params, nugget = select_hyperparameters(
+            X, np.zeros(130), strategy="max-stable-bandwidth", nugget_policy=1e-4
+        )
+        assert nugget == 1e-4
+        assert np.linalg.cond(kernel_matrix(X, params, nugget)) <= CONDITION_BOUND
 
     def test_marginal_likelihood_recovers_bandwidth(self):
         # statistical self-consistency: data drawn from the prior with a

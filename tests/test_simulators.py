@@ -183,6 +183,26 @@ class TestExternalBridge:
             with pytest.raises(SimulatorProtocolError, match="timed out"):
                 sim.evaluate([1.0])
 
+    def test_timeout_restarts_the_child(self, tmp_path):
+        # The first child answers its first request late; without a
+        # restart the late reply would be read as the answer to call 2.
+        marker = tmp_path / "slept"
+        child = (
+            "import json, math, os, sys, time\n"
+            "for line in sys.stdin:\n"
+            "    req = json.loads(line)\n"
+            f"    if not os.path.exists({str(marker)!r}):\n"
+            f"        open({str(marker)!r}, 'w').close()\n"
+            "        time.sleep(0.8)\n"
+            "    x = req['x'][0]\n"
+            "    print(json.dumps({'id': req['id'], 'y': [math.log(x), 0.5 * math.log(3 * x)]}), flush=True)\n"
+        )
+        with _external(child, timeout=0.6) as sim:
+            with pytest.raises(SimulatorProtocolError, match="timed out"):
+                sim.evaluate([2.0])
+            np.testing.assert_allclose(sim.evaluate([5.0]), [np.log(5.0), 0.5 * np.log(15.0)], atol=1e-12)
+            assert sim.eval_count == 1
+
     def test_dead_child_raises(self):
         with _external("import sys; sys.exit(3)") as sim:
             with pytest.raises(SimulatorProtocolError):
