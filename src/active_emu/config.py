@@ -110,6 +110,13 @@ def _parse_nugget(raw) -> float | str:
 
 
 def _parse_hyper(raw) -> tuple[str, float | str, OptimizerConfig | None]:
+    """The `hyperparameters` block: strategy, nugget and optimizer.
+
+    `optimizer` drives the learned nugget's 2-D search only.  A fixed
+    nugget's marginal-likelihood search is one deterministic grid and
+    golden-section pass, and max-stable-bandwidth a grid walk; the key is
+    still accepted, and ignored, with those.
+    """
     if raw is None:
         return "marginal-likelihood", 0.0, None
     _require_keys(raw, {"strategy", "nugget", "optimizer"}, "hyperparameters")

@@ -1,9 +1,10 @@
 """Single-output Gaussian-process interpolation and regression.
 
 Zero-mean GP with the exponentiated quadratic kernel: predictive mean and
-variance, analytic derivatives of both, and bandwidth selection either by
-marginal likelihood or by the largest bandwidth that keeps the kernel
-matrix numerically invertible.
+variance, analytic derivatives of both, and bandwidth selection for every
+output row of a dataset at once, either by marginal likelihood (with a
+fixed nugget, one factorisation per grid bandwidth serves all rows) or by
+the largest bandwidth that keeps the kernel matrix numerically invertible.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from scipy.linalg.lapack import dpocon
 
 from .kernels import KernelParams, cross_kernel, kernel_matrix, squared_distances
 from .optimize import AnnealingConfig, OptimizerConfig, maximize
+from .seeding import derive_seed
 
 # Pairwise node distance below which two nodes count as duplicates
 # (normalized input units).
@@ -29,6 +31,15 @@ BANDWIDTH_GRID = np.geomspace(1e-2, 1e1, 50)
 CONDITION_BOUND = 1e6
 
 LEARNED_NUGGET_BOUNDS = (1e-8, 1e-1)
+
+# Golden-section evaluations per output when the fixed-nugget
+# marginal-likelihood search refines its grid maximum.
+GOLDEN_SECTION_STEPS = 12
+_INVERSE_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+# `GpModel.noise_free_factor` until its first use builds it (Ellipsis, a
+# singleton that survives pickling).
+_UNBUILT = Ellipsis
 
 # Round-off window for clamping tiny negative predictive variances.
 _VARIANCE_CLAMP = 1e-12
@@ -114,7 +125,13 @@ class Dataset:
 
 @dataclass(frozen=True)
 class GpModel:
-    """Fitted single-output GP; immutable after `fit`."""
+    """Fitted single-output GP; immutable after `fit`, but for one cache.
+
+    With a nugget, the factor of K alone is built by the first strict
+    variance that needs it (`_variance_factor`), not by `fit`: models that
+    never serve a strict acquisition (baselines, RMSE fits, a run's final
+    model) skip its Cholesky and do not hold a second m x m array.
+    """
 
     params: KernelParams
     nugget: float
@@ -122,7 +139,7 @@ class GpModel:
     factor: tuple  # Cholesky factor of K + nugget I (scipy cho_factor)
     train_inputs: np.ndarray  # D x m
     train_outputs: np.ndarray  # (m,)
-    noise_free_factor: tuple | None  # Cholesky of K alone; None if unobtainable
+    noise_free_factor: tuple | None  # Cholesky of K alone; None if unobtainable, or _UNBUILT
 
     @property
     def n_nodes(self) -> int:
@@ -154,10 +171,6 @@ def fit(inputs, outputs, params: KernelParams, nugget: float = 0.0) -> GpModel:
             condition_estimate=cond,
         ) from exc
     alpha = cho_solve(factor, y)
-    if nugget == 0.0:
-        noise_free = factor
-    else:
-        noise_free = _noise_free_factor(X, params)
     return GpModel(
         params=params,
         nugget=float(nugget),
@@ -165,18 +178,26 @@ def fit(inputs, outputs, params: KernelParams, nugget: float = 0.0) -> GpModel:
         factor=factor,
         train_inputs=X,
         train_outputs=y,
-        noise_free_factor=noise_free,
+        noise_free_factor=factor if nugget == 0.0 else _UNBUILT,
     )
 
 
 def _noise_free_factor(X, params: KernelParams):
-    """Cholesky of the nugget-free K, escalating jitter if needed."""
+    """Cholesky of the nugget-free K, escalating jitter if needed.
+
+    A factor is kept only when LAPACK's condition estimate of the jittered
+    matrix stays below 1/eps: a Cholesky can succeed on a numerically
+    singular K and then give variances far more negative than round-off.
+    """
     K = kernel_matrix(X, params, 0.0)
     for jitter in (0.0, 1e-12, 1e-10, 1e-8):
+        Kj = K + jitter * np.eye(K.shape[0])
         try:
-            return cho_factor(K + jitter * np.eye(K.shape[0]), lower=True)
+            factor = cho_factor(Kj, lower=True)
         except LinAlgError:
             continue
+        if _condition_estimate(Kj, factor) * np.finfo(float).eps < 1.0:
+            return factor
     return None
 
 
@@ -198,10 +219,16 @@ def predict_mean(model: GpModel, x) -> float:
 
 
 def _variance_factor(model: GpModel, strict: bool):
-    """Cholesky factor behind the variance: K alone when strict, else K + nugget I."""
-    if strict and model.noise_free_factor is not None:
-        return model.noise_free_factor
-    return model.factor
+    """Cholesky factor behind the variance: K alone when strict, else K + nugget I.
+
+    Builds and keeps the factor of K alone on first use; where even the
+    largest jitter gives none, K + nugget I stands in.
+    """
+    if not strict:
+        return model.factor
+    if model.noise_free_factor is _UNBUILT:
+        object.__setattr__(model, "noise_free_factor", _noise_free_factor(model.train_inputs, model.params))
+    return model.factor if model.noise_free_factor is None else model.noise_free_factor
 
 
 def _clamped(value, strict: bool, what: str):
@@ -359,31 +386,110 @@ def _condition_estimate(K, factor) -> float:
     return 1.0 / rcond if rcond > 0.0 else np.inf
 
 
-def _ml_objective(X, y, learn_nugget: bool, fixed_nugget: float):
-    """Marginal-likelihood objective over log-space parameters.
+def _log_ml_rows(sq, Y, bandwidth: float, nugget: float):
+    """Log marginal likelihood of every row of Y (P x m) at one bandwidth.
 
-    Precomputes the squared-distance matrix once; each evaluation is one
-    exponentiation plus one Cholesky.
+    K + nugget I is the same for every row, so one Cholesky gives the
+    log-determinant of all of them and one solve with the rows as
+    right-hand sides gives every quadratic term (GPML eq. 5.8).  `sq` holds
+    the nodes' squared distances with a zero diagonal.  Returns None when
+    the matrix is not positive definite.
+    """
+    K = np.exp(-sq / (2.0 * bandwidth**2))
+    K[np.diag_indices_from(K)] = 1.0 + nugget
+    try:
+        factor = cho_factor(K, lower=True)
+    except LinAlgError:
+        return None
+    alpha = cho_solve(factor, Y.T)  # (m, P)
+    log_det = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
+    return -0.5 * rowwise_dot(Y, alpha.T) - 0.5 * log_det - 0.5 * Y.shape[1] * np.log(2.0 * np.pi)
+
+
+def _golden_section_max(f, lo: float, hi: float, evaluations: int) -> tuple[float, float]:
+    """Best (value, point) of `evaluations` golden-section probes of f on [lo, hi]."""
+    c = hi - _INVERSE_GOLDEN * (hi - lo)
+    d = lo + _INVERSE_GOLDEN * (hi - lo)
+    fc, fd = f(c), f(d)
+    best = max((fc, c), (fd, d))
+    for _ in range(evaluations - 2):
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INVERSE_GOLDEN * (hi - lo)
+            fc = f(c)
+            best = max(best, (fc, c))
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INVERSE_GOLDEN * (hi - lo)
+            fd = f(d)
+            best = max(best, (fd, d))
+    return best
+
+
+def _shared_ml_bandwidths(X, Y, nugget: float) -> list[float]:
+    """Marginal-likelihood bandwidth of every row of Y under one fixed nugget.
+
+    Every BANDWIDTH_GRID value is scored for all rows at once, with one
+    factorisation each.  Each row is then refined by golden section over
+    log-bandwidth inside the grid cells either side of its grid maximum
+    (clipped at the grid ends), and keeps its grid point unless the
+    refinement beats it.  A row whose grid has no finite score (no grid
+    bandwidth factorises) gets the smallest grid bandwidth, which `fit` then
+    rejects with IllConditionedError.
     """
     sq = squared_distances(X, X)
     np.fill_diagonal(sq, 0.0)
-    m = y.size
-    const = -0.5 * m * np.log(2.0 * np.pi)
 
-    def objective(theta):
-        bandwidth = np.exp(theta[0])
-        nugget = np.exp(theta[1]) if learn_nugget else fixed_nugget
-        K = np.exp(-sq / (2.0 * bandwidth**2))
-        K[np.diag_indices_from(K)] = 1.0 + nugget
+    def scores(bandwidth, rows):
+        values = _log_ml_rows(sq, rows, bandwidth, nugget)
+        return np.full(rows.shape[0], -np.inf) if values is None else values
+
+    grid_scores = np.array([scores(b, Y) for b in BANDWIDTH_GRID])  # (grid, P)
+    log_grid = np.log(BANDWIDTH_GRID)
+    bandwidths = []
+    for p, row in enumerate(Y):
+        k = int(np.argmax(grid_scores[:, p]))
+        bandwidth = float(BANDWIDTH_GRID[k])
+        if np.isfinite(grid_scores[k, p]):
+            lo, hi = log_grid[max(k - 1, 0)], log_grid[min(k + 1, log_grid.size - 1)]
+            value, log_b = _golden_section_max(
+                lambda t: scores(np.exp(t), row[np.newaxis, :])[0], lo, hi, GOLDEN_SECTION_STEPS
+            )
+            if value > grid_scores[k, p]:
+                bandwidth = float(np.exp(log_b))
+        bandwidths.append(bandwidth)
+    return bandwidths
+
+
+def _max_stable_bandwidth(X, nugget: float) -> float:
+    """Largest grid bandwidth whose K + nugget I factorises within CONDITION_BOUND."""
+    for bandwidth in BANDWIDTH_GRID[::-1]:
+        K = kernel_matrix(X, KernelParams(bandwidth), nugget)
         try:
             factor = cho_factor(K, lower=True)
         except LinAlgError:
-            return -1e300  # finite so the optimizer can walk away from it
-        alpha = cho_solve(factor, y)
-        log_det = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
-        return -0.5 * float(y @ alpha) - 0.5 * log_det + const
+            continue
+        if _condition_estimate(K, factor) <= CONDITION_BOUND:
+            return float(bandwidth)
+    return float(BANDWIDTH_GRID[0])
 
-    return objective
+
+def _learned_nugget_search(X, y, seed: int, optimizer: OptimizerConfig) -> tuple[KernelParams, float]:
+    """Bandwidth and nugget of one row by `optimizer` over log-space bounds."""
+    sq = squared_distances(X, X)
+    np.fill_diagonal(sq, 0.0)
+    Y = y[np.newaxis, :]
+
+    def objective(theta):
+        values = _log_ml_rows(sq, Y, np.exp(theta[0]), np.exp(theta[1]))
+        return -1e300 if values is None else float(values[0])  # finite so the optimizer can walk away
+
+    bounds = [
+        [np.log(BANDWIDTH_GRID[0]), np.log(BANDWIDTH_GRID[-1])],
+        [np.log(LEARNED_NUGGET_BOUNDS[0]), np.log(LEARNED_NUGGET_BOUNDS[1])],
+    ]
+    theta, _ = maximize(objective, bounds, optimizer.with_seed(seed))
+    return KernelParams(float(np.exp(theta[0]))), float(np.exp(theta[1]))
 
 
 def select_hyperparameters(
@@ -393,17 +499,29 @@ def select_hyperparameters(
     nugget_policy: float | str = 0.0,
     seed: int = 0,
     optimizer: OptimizerConfig | None = None,
-) -> tuple[KernelParams, float]:
-    """Choose the kernel bandwidth (and optionally the nugget).
+):
+    """Choose the kernel bandwidth (and optionally the nugget) of every output row.
 
-    strategy 'marginal-likelihood' maximizes the log marginal likelihood by
-    simulated annealing over log-space bounds; 'max-stable-bandwidth' walks
-    the bandwidth grid from the top and returns the largest value whose
-    regularized kernel matrix stays below the condition bound.
+    `outputs` is one row (m,) or P rows (P x m).  The result is one
+    (KernelParams, nugget) pair for a single row, else a list of P pairs.
     nugget_policy is either a fixed variance (float) or the string 'learned'.
+
+    strategy 'marginal-likelihood' with a fixed nugget maximizes each row's
+    log marginal likelihood by one deterministic search shared by all rows
+    (`_shared_ml_bandwidths`).  With the learned nugget each row gets its
+    own 2-D search by `optimizer` (short simulated annealing by default),
+    seeded with `derive_seed(seed, p)` for row p; `optimizer` and `seed`
+    apply to the learned nugget only.
+    'max-stable-bandwidth' walks the bandwidth grid once from the top and
+    gives every row the largest value whose regularized kernel matrix stays
+    below the condition bound.
     """
     X = np.atleast_2d(np.asarray(inputs, dtype=float))
-    y = np.asarray(outputs, dtype=float).ravel()
+    Y = np.asarray(outputs, dtype=float)
+    single = Y.ndim == 1
+    Y = np.atleast_2d(Y)
+    if Y.shape[1] != X.shape[1]:
+        raise ValueError(f"{X.shape[1]} input nodes but {Y.shape[1]} outputs per row")
     if X.shape[1] < 2:
         raise ValueError("hyperparameter selection needs at least two nodes")
     learn_nugget = nugget_policy == "learned"
@@ -411,37 +529,24 @@ def select_hyperparameters(
         fixed_nugget = float(nugget_policy)
         if fixed_nugget < 0.0:
             raise ValueError(f"nugget must be nonnegative, got {fixed_nugget}")
-    else:
-        fixed_nugget = 0.0
 
     if strategy == "max-stable-bandwidth":
         if learn_nugget:
             raise ValueError("max-stable-bandwidth requires a fixed nugget")
-        for bandwidth in BANDWIDTH_GRID[::-1]:
-            K = kernel_matrix(X, KernelParams(bandwidth), fixed_nugget)
-            try:
-                factor = cho_factor(K, lower=True)
-            except LinAlgError:
-                continue
-            if _condition_estimate(K, factor) <= CONDITION_BOUND:
-                return KernelParams(float(bandwidth)), fixed_nugget
-        return KernelParams(float(BANDWIDTH_GRID[0])), fixed_nugget
-
-    if strategy != "marginal-likelihood":
+        selected = [(KernelParams(_max_stable_bandwidth(X, fixed_nugget)), fixed_nugget)] * Y.shape[0]
+    elif strategy != "marginal-likelihood":
         raise ValueError(f"unknown hyperparameter strategy: {strategy!r}")
-
-    bounds = [[np.log(BANDWIDTH_GRID[0]), np.log(BANDWIDTH_GRID[-1])]]
-    if learn_nugget:
-        bounds.append([np.log(LEARNED_NUGGET_BOUNDS[0]), np.log(LEARNED_NUGGET_BOUNDS[1])])
-    if optimizer is None:
-        # The log-space search is 1- or 2-dimensional and smooth; a short
-        # annealing chain is enough.
-        optimizer = OptimizerConfig(
-            strategy="simulated-annealing",
-            annealing=AnnealingConfig(iterations=200),
-        )
-    objective = _ml_objective(X, y, learn_nugget, fixed_nugget)
-    theta, _ = maximize(objective, bounds, optimizer.with_seed(seed))
-    bandwidth = float(np.exp(theta[0]))
-    nugget = float(np.exp(theta[1])) if learn_nugget else fixed_nugget
-    return KernelParams(bandwidth), nugget
+    elif learn_nugget:
+        if optimizer is None:
+            # The log-space search is 2-dimensional and smooth; a short
+            # annealing chain is enough.
+            optimizer = OptimizerConfig(
+                strategy="simulated-annealing",
+                annealing=AnnealingConfig(iterations=200),
+            )
+        selected = [
+            _learned_nugget_search(X, y, derive_seed(seed, p), optimizer) for p, y in enumerate(Y)
+        ]
+    else:
+        selected = [(KernelParams(b), fixed_nugget) for b in _shared_ml_bandwidths(X, Y, fixed_nugget)]
+    return selected[0] if single else selected

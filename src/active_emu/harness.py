@@ -63,7 +63,7 @@ class ExperimentConfig:
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     hyper_strategy: str = "marginal-likelihood"
     nugget_policy: float | str = 0.0
-    hyper_optimizer: OptimizerConfig | None = None
+    hyper_optimizer: OptimizerConfig | None = None  # the learned nugget's search only
     seed: int = 0
 
     def __post_init__(self) -> None:

@@ -69,7 +69,7 @@ class LoopConfig:
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     hyper_strategy: str = "marginal-likelihood"
     nugget_policy: float | str = 0.0
-    hyper_optimizer: OptimizerConfig | None = None
+    hyper_optimizer: OptimizerConfig | None = None  # the learned nugget's search only
     initial_points: np.ndarray | None = None  # D x m0, raw coordinates
     initial_sampler: str | None = None  # one of DESIGNS
     initial_size: int | None = None
@@ -298,26 +298,25 @@ def baseline_run(
 
     sampler = None
 
-    def start():
-        nonlocal sampler
-        dataset = _initial_dataset(config, sim)
-        sampler = make_sampler(
-            sampler_kind,
-            sim.dimension,
-            sim.bounds,
-            seed=derive_seed(config.seed, 4),
-            pool_size=config.budget - dataset.n_nodes,
-            prior=config.acquisition.prior,
-        )
-        return dataset
-
     def next_sample(model, dataset, t):
+        # Built at the first step, so that an initial design that already
+        # fills the budget needs no sampler (seq-lhs cannot build an empty pool).
+        nonlocal sampler
+        if sampler is None:
+            sampler = make_sampler(
+                sampler_kind,
+                sim.dimension,
+                sim.bounds,
+                seed=derive_seed(config.seed, 4),
+                pool_size=config.budget - dataset.n_nodes,
+                prior=config.acquisition.prior,
+            )
         x_next = sampler.next_point()
         while _is_duplicate(dataset, x_next):
             x_next = sampler.next_point()
         return dataset.with_node(x_next, sim.evaluate(x_next)), None
 
-    return _drive(config, sim, start, next_sample, iteration_hook)
+    return _drive(config, sim, lambda: _initial_dataset(config, sim), next_sample, iteration_hook)
 
 
 def write_lut_csv(dataset: Dataset, path) -> None:

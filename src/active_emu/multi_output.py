@@ -16,7 +16,6 @@ from . import gp
 from .gp import Dataset, GpModel, IllConditionedError
 from .kernels import KernelParams
 from .optimize import OptimizerConfig
-from .seeding import derive_seed
 
 # Bandwidth used when a model must be built from a single node, where no
 # selection strategy applies.
@@ -52,31 +51,35 @@ def fit_all(
 ) -> MultiGpModel:
     """Fit one GP per output row of the dataset.
 
-    Hyperparameters are selected independently per output (deterministic
-    given `seed`); pass `bandwidths` to skip selection and fit with fixed
-    kernel parameters.
+    Hyperparameters are selected for all outputs by one call of
+    `gp.select_hyperparameters`; each output still gets its own.  With a
+    fixed nugget that search is deterministic and shares its
+    factorisations between outputs; `seed` and `hyper_optimizer` apply to
+    the learned nugget only.  Pass `bandwidths` to skip selection and fit
+    with fixed kernel parameters.
     """
     if bandwidths is None and dataset.n_nodes < 2:
         raise ValueError("hyperparameter selection needs at least two nodes")
     Xn = dataset.normalize(dataset.X)
+    if bandwidths is None:
+        selected = gp.select_hyperparameters(
+            Xn,
+            dataset.Y,
+            strategy=hyper_strategy,
+            nugget_policy=nugget_policy,
+            seed=seed,
+            optimizer=hyper_optimizer,
+        )
+    else:
+        nugget = 0.0 if nugget_policy == "learned" else float(nugget_policy)
+        selected = [
+            (b if isinstance(b, KernelParams) else KernelParams(float(b)), nugget) for b in bandwidths
+        ]
     models = []
     for p in range(dataset.n_outputs):
-        y = dataset.Y[p]
+        params, nugget = selected[p]
         try:
-            if bandwidths is not None:
-                b = bandwidths[p]
-                params = b if isinstance(b, KernelParams) else KernelParams(float(b))
-                nugget = 0.0 if nugget_policy == "learned" else float(nugget_policy)
-            else:
-                params, nugget = gp.select_hyperparameters(
-                    Xn,
-                    y,
-                    strategy=hyper_strategy,
-                    nugget_policy=nugget_policy,
-                    seed=derive_seed(seed, p),
-                    optimizer=hyper_optimizer,
-                )
-            models.append(gp.fit(Xn, y, params, nugget))
+            models.append(gp.fit(Xn, dataset.Y[p], params, nugget))
         except IllConditionedError as exc:
             raise IllConditionedError(
                 f"output {p}: {exc}", condition_estimate=exc.condition_estimate

@@ -7,13 +7,14 @@ from active_emu import gp
 from active_emu.gp import (
     BANDWIDTH_GRID,
     CONDITION_BOUND,
+    GOLDEN_SECTION_STEPS,
     Dataset,
     IllConditionedError,
     fit,
     log_marginal_likelihood,
     select_hyperparameters,
 )
-from active_emu.kernels import KernelParams, kernel_matrix
+from active_emu.kernels import KernelParams, kernel_matrix, squared_distances
 from active_emu.optimize import AnnealingConfig, OptimizerConfig
 
 from conftest import central_difference_gradient, relative_gradient_error, random_gp_model, separated_points
@@ -312,8 +313,141 @@ class TestHyperparameters:
         second = select_hyperparameters(X, y, nugget_policy=0.02, seed=42)
         assert first == second
 
+    def test_max_stable_walks_once_for_every_row(self, rng, monkeypatch):
+        # reference: the per-output walk, one grid walk for each row
+        X = separated_points(rng, 2, 25, 0.05)
+        Y = rng.normal(size=(4, 25))
+        expected = []
+        for _ in Y:
+            chosen = BANDWIDTH_GRID[0]
+            for bandwidth in BANDWIDTH_GRID[::-1]:
+                K = kernel_matrix(X, KernelParams(bandwidth), 1e-4)
+                try:
+                    factor = gp.cho_factor(K, lower=True)
+                except np.linalg.LinAlgError:
+                    continue
+                if gp._condition_estimate(K, factor) <= CONDITION_BOUND:
+                    chosen = bandwidth
+                    break
+            expected.append(float(chosen))
+        calls = []
+        original = gp.cho_factor
+        monkeypatch.setattr(gp, "cho_factor", lambda *a, **k: calls.append(1) or original(*a, **k))
+        selected = select_hyperparameters(X, Y, strategy="max-stable-bandwidth", nugget_policy=1e-4)
+        assert [params.bandwidth for params, _ in selected] == expected
+        assert all(nugget == 1e-4 for _, nugget in selected)
+        one_row = len(calls)
+        select_hyperparameters(X, Y[0], strategy="max-stable-bandwidth", nugget_policy=1e-4)
+        assert len(calls) == 2 * one_row  # four rows cost what one row costs
+
     def test_log_marginal_likelihood_value(self):
         # m=1: lml = -0.5 y^2/(1+nugget) - 0.5 log(1+nugget) - 0.5 log(2 pi)
         value = log_marginal_likelihood(np.array([[0.3]]), [2.0], KernelParams(1.0), nugget=0.0)
         expected = -0.5 * 4.0 - 0.5 * np.log(2.0 * np.pi)
         assert value == pytest.approx(expected, rel=1e-12)
+
+
+def _log_ml(X, y, bandwidth, nugget):
+    try:
+        return log_marginal_likelihood(X, y, KernelParams(bandwidth), nugget)
+    except np.linalg.LinAlgError:
+        return -np.inf
+
+
+def dense_oracle(X, y, nugget):
+    """Best log marginal likelihood over 1,000 log-spaced bandwidths, then
+    1,000 more inside the cells either side of the best of those."""
+    coarse = np.geomspace(BANDWIDTH_GRID[0], BANDWIDTH_GRID[-1], 1000)
+    values = [_log_ml(X, y, b, nugget) for b in coarse]
+    j = int(np.argmax(values))
+    fine = np.geomspace(coarse[max(j - 1, 0)], coarse[min(j + 1, coarse.size - 1)], 1000)
+    return max(max(values), max(_log_ml(X, y, b, nugget) for b in fine))
+
+
+class TestSharedSearch:
+    """The fixed-nugget marginal-likelihood search shared by all outputs."""
+
+    @staticmethod
+    def outputs(X):
+        x0, x1 = X
+        return np.vstack([
+            np.sin(3.0 * x0) + np.cos(2.0 * x1),
+            np.sin(10.0 * x0 * x1),
+            np.exp(-x0) + 0.3 * x1,
+            np.tanh(8.0 * (x0 - 0.5)) * x1,
+        ])
+
+    def test_every_output_near_the_dense_oracle(self, rng):
+        X = separated_points(rng, 2, 40, 0.03)
+        Y = self.outputs(X)
+        for nugget in (1e-4, 1e-2):
+            selected = select_hyperparameters(X, Y, nugget_policy=nugget)
+            assert len(selected) == Y.shape[0]
+            for y, (params, chosen_nugget) in zip(Y, selected):
+                assert chosen_nugget == nugget
+                assert _log_ml(X, y, params.bandwidth, nugget) >= dense_oracle(X, y, nugget) - 1e-3
+
+    def test_one_factorisation_per_grid_bandwidth(self, rng, monkeypatch):
+        X = separated_points(rng, 2, 30, 0.03)
+        Y = self.outputs(X)
+        # a factorisation's bandwidth shows in its entry for the nearest pair
+        sq = squared_distances(X, X) + np.diag(np.full(30, np.inf))
+        pair = np.unravel_index(np.argmin(sq), sq.shape)
+        seen = []
+        original = gp.cho_factor
+
+        def counting(K, **kwargs):
+            seen.append(K[pair])
+            return original(K, **kwargs)
+
+        monkeypatch.setattr(gp, "cho_factor", counting)
+        select_hyperparameters(X, Y, nugget_policy=1e-4)
+        seen = np.array(seen)
+        for bandwidth in BANDWIDTH_GRID:
+            expected = np.exp(-sq[pair] / (2.0 * bandwidth**2))
+            assert np.sum(np.isclose(seen, expected, rtol=1e-12, atol=0.0)) == 1
+        assert len(seen) <= BANDWIDTH_GRID.size + Y.shape[0] * GOLDEN_SECTION_STEPS
+
+    def test_maximum_at_the_grid_edge(self, rng):
+        # a constant output prefers the flattest kernel: the top of the grid
+        X = separated_points(rng, 2, 20, 0.05)
+        y = np.ones(20)
+        params, _ = select_hyperparameters(X, y, nugget_policy=1e-4)
+        assert params.bandwidth == BANDWIDTH_GRID[-1]
+        assert _log_ml(X, y, params.bandwidth, 1e-4) >= dense_oracle(X, y, 1e-4) - 1e-3
+
+    def test_no_grid_bandwidth_factorises(self):
+        # nodes 1e-11 apart are distinct, but without a nugget their kernel
+        # rows are equal at every grid bandwidth, so K is singular
+        from active_emu.multi_output import fit_all
+
+        ds = Dataset(X=[[0.0, 1e-11, 0.5, 1.0]], Y=[[0.0, 0.0, 1.0, 2.0], [1.0, 1.0, 0.0, 3.0]],
+                     input_bounds=[[0.0, 1.0]])
+        with pytest.raises(IllConditionedError, match="output 0"):
+            fit_all(ds, nugget_policy=0.0)
+
+
+class TestNoiseFreeFactor:
+    def test_numerically_singular_K_gets_a_bounded_factor(self):
+        # 10 nodes on [0, 1] with bandwidth 1: the jitter-free Cholesky
+        # succeeds, but LAPACK estimates the condition of K at about 1e17
+        X = np.linspace(0.0, 1.0, 10)[np.newaxis, :]
+        K = kernel_matrix(X, KernelParams(1.0), 0.0)
+        raw = gp.cho_factor(K, lower=True)
+        assert gp._condition_estimate(K, raw) * np.finfo(float).eps > 1.0
+        factor = gp._noise_free_factor(X, KernelParams(1.0))
+        L = np.tril(factor[0])
+        assert gp._condition_estimate(L @ L.T, factor) * np.finfo(float).eps < 1.0
+
+    def test_built_on_first_strict_use(self, rng):
+        X = separated_points(rng, 2, 12, 0.1)
+        y = rng.normal(size=12)
+        model = fit(X, y, KernelParams(0.4), nugget=1e-4)
+        assert model.noise_free_factor is gp._UNBUILT  # fit and non-strict variances skip it
+        gp.predict_variance(model, rng.random(2))
+        assert model.noise_free_factor is gp._UNBUILT
+        gp.noise_free_variance(model, rng.random(2))
+        expected = gp._noise_free_factor(X, KernelParams(0.4))
+        np.testing.assert_array_equal(model.noise_free_factor[0], expected[0])
+        exact = fit(X, y, KernelParams(0.4), nugget=0.0)
+        assert exact.noise_free_factor is exact.factor
