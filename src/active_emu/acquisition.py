@@ -7,11 +7,12 @@ SD, PD, SDxSG, SDxPG, PDxSG, PDxPG.  The value is zero at every node in
 interpolation mode; in regression mode the diversity term defaults to the
 noise-free variance so that the same holds.
 
-`acquisition_value` and `acquisition_gradient` score one point;
-`acquisition_values` scores a block of points with one kernel block and one
-multi-right-hand-side solve per output.  The acquisition search ranks its
-random probes with the block form and re-scores the winner with the
-per-point form, from which the gradient ascent starts.
+Every value and gradient comes from one block evaluation of the GPs,
+`gp.evaluate`: `acquisition_values` scores a block of points,
+`acquisition_value` is its one-row block, and `acquisition_gradient`
+differentiates the one-row block.  The acquisition search ranks its random
+probes with the block form and re-scores the winner alone, from which the
+gradient ascent starts.
 """
 
 from __future__ import annotations
@@ -165,121 +166,65 @@ class AcquisitionSpec:
         return cls(diversity_op=d_op, geometry_op=g_op, **kwargs)
 
 
-def _variance(model_p, xn, strict: bool) -> float:
-    if strict:
-        return gp.noise_free_variance(model_p, xn)
-    return gp.predict_variance(model_p, xn)
-
-
-def _combine(values: np.ndarray, op: str) -> float:
-    if op == "sum":
-        return float(np.sum(values))
-    if np.any(values <= 0.0):
-        return 0.0
-    # log-space product; values can be very small for many outputs
-    return float(np.exp(np.sum(np.log(values))))
-
-
-def diversity(model: MultiGpModel, x, op: str, strict: bool = True) -> float:
-    """Combined per-output predictive variances at a raw input point."""
-    xn = model.normalize(np.asarray(x, dtype=float).ravel())
-    values = np.array([_variance(m, xn, strict) for m in model.models])
-    return _combine(values, op)
-
-
-def geometry(model: MultiGpModel, x, op: str) -> float:
-    """Combined per-output predictive-mean gradient norms at a raw point."""
-    xn = model.normalize(np.asarray(x, dtype=float).ravel())
-    values = np.array([gp.mean_gradient_norm(m, xn) for m in model.models])
-    return _combine(values, op)
-
-
 def acquisition_value(spec: AcquisitionSpec, model: MultiGpModel, x, t: int) -> float:
-    """[G_t(x)]^beta_t * D_t(x), times the prior density when configured.
-
-    beta_t = 0 (and geometry_op 'none') reduce to pure diversity; 0^0 is
-    taken as 1 so that reduction is exact.  Each output's kernel vector is
-    built once and solved against at most once.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    prior_weight = 1.0
-    if spec.prior is not None:
-        prior_weight = spec.prior.density(x)
-        if prior_weight == 0.0:
-            return 0.0
-    xn = model.normalize(x)
-    terms = [(m, *gp.kernel_vector(m, xn)) for m in model.models]
-    strict = spec.strict_zero_at_nodes
-    d_values = np.array([gp.variance_terms(m, k_x, sq, strict)[0] for m, k_x, _, sq in terms])
-    d_term = _combine(d_values, spec.diversity_op)
-    beta = beta_at(spec.tempering, t)
-    if spec.geometry_op == "none" or beta == 0.0:
-        return d_term * prior_weight
-    if d_term == 0.0:
-        return 0.0
-    g_values = np.array(
-        [float(np.linalg.norm(gp.mean_gradient_from(m, k_x, diffs))) for m, k_x, diffs, _ in terms]
-    )
-    g_term = _combine(g_values, spec.geometry_op)
-    return g_term**beta * d_term * prior_weight
+    """[G_t(x)]^beta_t * D_t(x), times the prior density when configured: the one-row block."""
+    return float(acquisition_values(spec, model, np.asarray(x, dtype=float).ravel()[np.newaxis, :], t)[0])
 
 
 def acquisition_values(spec: AcquisitionSpec, model: MultiGpModel, X, t: int) -> np.ndarray:
-    """`acquisition_value` at each row of X (n x D, raw coordinates).
+    """The acquisition at each row of X (n x D, raw coordinates).
 
-    Each output's terms come from one `gp.batch_terms` call instead of n
-    per-point calls.  The rules are those of the per-point form: exact zeros
-    at nodes, the variance clamps, the prior weight and zero outside its
-    box, the product's zero rule and 0^0 = 1.  Per-output factors are
-    combined row by row in the per-point order and the power is taken one
-    value at a time, so that the values reproduce the per-point form; the
-    tests hold them to it within 1e-12 relative.
+    One `gp.evaluate` gives every output's terms at the points inside the
+    prior box; the rest score exactly zero.  Nodes score exactly zero when
+    strict.  The per-output factors are combined row by row and the power
+    is taken one value at a time, as for a single point.  beta_t = 0 (and
+    geometry_op 'none') reduce to pure diversity; 0^0 is taken as 1 so that
+    reduction is exact.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     values = np.zeros(X.shape[0])
     weights = np.ones(X.shape[0]) if spec.prior is None else spec.prior.densities(X)
     live = weights != 0.0
-    if not np.any(live):
+    if not live.any():
         return values
-    xn = model.normalize(X[live].T)
     beta = beta_at(spec.tempering, t)
     geometric = spec.geometry_op != "none" and beta != 0.0
-    terms = [gp.batch_terms(m, xn, spec.strict_zero_at_nodes, geometric) for m in model.models]
-    combined = _combine_rows(np.column_stack([v for v, _ in terms]), spec.diversity_op)
+    terms = gp.evaluate(model.models, model.normalize(X[live].T).T, spec.strict_zero_at_nodes, geometric)
+    combined = _combine_rows(terms.variances, spec.diversity_op)
     if geometric:
-        norms = np.column_stack([np.sqrt(gp.rowwise_dot(g, g)) for _, g in terms])
-        powered = np.array([g**beta for g in _combine_rows(norms, spec.geometry_op).tolist()])
+        powered = np.array([g**beta for g in _combine_rows(terms.gradient_norms, spec.geometry_op).tolist()])
         combined = np.where(combined == 0.0, 0.0, powered * combined)
     values[live] = combined * weights[live]
     return values
 
 
 def _combine_rows(values: np.ndarray, op: str) -> np.ndarray:
-    """`_combine` of each row of an (n, P) array of per-output factors."""
+    """Sum or product of each row of an (n, P) array of per-output factors.
+
+    The product is taken in log space (values can be very small for many
+    outputs) and is exactly zero where any factor is not positive.
+    """
     if op == "sum":
-        return np.sum(values, axis=1)
+        return values.sum(axis=1)
     combined = np.zeros(values.shape[0])
-    positive = ~np.any(values <= 0.0, axis=1)
-    combined[positive] = np.exp(np.sum(np.log(values[positive]), axis=1))
+    positive = ~(values <= 0.0).any(axis=1)
+    combined[positive] = np.exp(np.log(values[positive]).sum(axis=1))
     return combined
 
 
 def acquisition_gradient(spec: AcquisitionSpec, model: MultiGpModel, x, t: int) -> np.ndarray:
     """Analytic gradient of acquisition_value with respect to the raw input.
 
-    Per-output factors are differentiated in normalized coordinates and
-    mapped back through the affine normalization.  Wherever a multiplicative
-    factor is exactly zero (at nodes, in flat regions, outside the prior
-    box) the zero vector is returned: the acquisition is flat or nonsmooth
-    there and the optimizer treats it as a plateau.  Each output's kernel
-    vector is built once, and one solve serves its variance and gradient.
+    The one-row `gp.evaluate` with derivatives gives the per-output factors
+    and their gradients in normalized coordinates, mapped back through the
+    affine normalization.  Wherever a multiplicative factor is exactly zero
+    (at nodes, in flat regions, outside the prior box) the zero vector is
+    returned: the acquisition is flat or nonsmooth there and the optimizer
+    treats it as a plateau.
     """
     x = np.asarray(x, dtype=float).ravel()
-    dimension = model.dataset.dimension
-    zeros = np.zeros(dimension)
-
-    prior_weight = 1.0
-    prior_grad_log = np.zeros(dimension)
+    zeros = np.zeros(model.dataset.dimension)
+    prior_weight, prior_grad_log = 1.0, zeros
     if spec.prior is not None:
         prior_weight = spec.prior.density(x)
         if prior_weight == 0.0:
@@ -287,33 +232,18 @@ def acquisition_gradient(spec: AcquisitionSpec, model: MultiGpModel, x, t: int) 
         prior_grad_log = spec.prior.grad_log_density(x)
 
     widths = model.dataset.input_bounds[:, 1] - model.dataset.input_bounds[:, 0]
-    xn = model.normalize(x)
-    terms = [(m, *gp.kernel_vector(m, xn)) for m in model.models]
-
-    d_values = np.empty(model.n_outputs)
-    d_grads = np.empty((model.n_outputs, dimension))
-    for p, (m, k_x, diffs, sq) in enumerate(terms):
-        d_values[p], w = gp.variance_terms(m, k_x, sq, spec.strict_zero_at_nodes, weights=True)
-        d_grads[p] = gp.variance_gradient_from(m, k_x, diffs, w)
-    d_term, d_grad = _combine_with_gradient(d_values, d_grads, spec.diversity_op)
-
     beta = beta_at(spec.tempering, t)
-    if spec.geometry_op == "none" or beta == 0.0:
-        if d_term == 0.0:
-            return zeros
-        total = d_grad / widths + d_term * prior_grad_log
-        return total * prior_weight
-
+    geometric = spec.geometry_op != "none" and beta != 0.0
+    terms = gp.evaluate(
+        model.models, model.normalize(x)[np.newaxis, :], spec.strict_zero_at_nodes, geometric, derivatives=True
+    )
+    d_term, d_grad = _combine_with_gradient(terms.variances[0], terms.variance_gradients[0], spec.diversity_op)
     if d_term == 0.0:
         return zeros
+    if not geometric:
+        return (d_grad / widths + d_term * prior_grad_log) * prior_weight
 
-    g_values = np.empty(model.n_outputs)
-    g_grads = np.empty((model.n_outputs, dimension))
-    for p, (m, k_x, diffs, _) in enumerate(terms):
-        g = gp.mean_gradient_from(m, k_x, diffs)
-        g_values[p] = float(np.linalg.norm(g))
-        g_grads[p] = gp.mean_gradient_norm_gradient_from(m, k_x, diffs, g, g_values[p])
-    g_term, g_grad = _combine_with_gradient(g_values, g_grads, spec.geometry_op)
+    g_term, g_grad = _combine_with_gradient(terms.gradient_norms[0], terms.norm_gradients[0], spec.geometry_op)
     if g_term == 0.0:
         return zeros
 

@@ -1,21 +1,27 @@
 """Single-output Gaussian-process interpolation and regression.
 
-Zero-mean GP with the exponentiated quadratic kernel: predictive mean and
-variance, analytic derivatives of both, and bandwidth selection for every
-output row of a dataset at once, either by marginal likelihood (with a
-fixed nugget, one factorisation per grid bandwidth serves all rows) or by
-the largest bandwidth that keeps the kernel matrix numerically invertible.
+Zero-mean GP with the exponentiated quadratic kernel.  `fit` gives one
+output row its weights and Cholesky factor.  `evaluate` is the one
+evaluation of fitted GPs away from their nodes: for a block of query points
+and all models over the same nodes, the variances (predictive or
+noise-free), the mean gradients and, on request, their derivatives.  The
+predictive means are `multi_output.predict_mean_matrix`.  Bandwidths are
+selected for every output row of a dataset at once, either by marginal
+likelihood (with a fixed nugget, one factorisation per grid bandwidth
+serves all rows) or by the largest bandwidth that keeps the kernel matrix
+numerically invertible.  Every solve with a Cholesky factor is `_solve`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.linalg.lapack import dpocon
+from scipy.linalg import LinAlgError, cho_factor
+from scipy.linalg.lapack import dpocon, dpotrs
 
-from .kernels import KernelParams, cross_kernel, kernel_matrix, squared_distances
+from .kernels import KernelParams, kernel_matrix, squared_distances
 from .optimize import AnnealingConfig, OptimizerConfig, maximize
 from .seeding import derive_seed
 
@@ -170,7 +176,7 @@ def fit(inputs, outputs, params: KernelParams, nugget: float = 0.0) -> GpModel:
             "distinct nodes or a nugget are required",
             condition_estimate=cond,
         ) from exc
-    alpha = cho_solve(factor, y)
+    alpha = _solve(factor, y)
     return GpModel(
         params=params,
         nugget=float(nugget),
@@ -201,23 +207,6 @@ def _noise_free_factor(X, params: KernelParams):
     return None
 
 
-def kernel_vector(model: GpModel, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """k_x plus the difference vectors and squared distances to the nodes."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != model.train_inputs.shape[0]:
-        raise ValueError(f"query point has dimension {x.size}, model expects {model.train_inputs.shape[0]}")
-    diffs = x[np.newaxis, :] - model.train_inputs.T  # (m, D), row i = x - x_i
-    sq = np.einsum("ij,ij->i", diffs, diffs)
-    k_x = np.exp(-sq / (2.0 * model.params.bandwidth**2))
-    return k_x, diffs, sq
-
-
-def predict_mean(model: GpModel, x) -> float:
-    """Predictive mean k_x^T alpha (reverts to the zero prior mean far away)."""
-    k_x, _, _ = kernel_vector(model, x)
-    return float(k_x @ model.alpha)
-
-
 def _variance_factor(model: GpModel, strict: bool):
     """Cholesky factor behind the variance: K alone when strict, else K + nugget I.
 
@@ -231,142 +220,108 @@ def _variance_factor(model: GpModel, strict: bool):
     return model.factor if model.noise_free_factor is None else model.noise_free_factor
 
 
-def _clamped(value, strict: bool, what: str):
-    """Round-off clamp of a variance: tiny negatives become 0, larger ones raise."""
+def _clamped(values: np.ndarray, strict: bool) -> np.ndarray:
+    """Round-off clamp of variances: tiny negatives become 0, larger ones raise."""
     clamp = _NOISE_FREE_CLAMP if strict else _VARIANCE_CLAMP
-    if np.all(value >= -clamp):
-        return np.maximum(value, 0.0) if isinstance(value, np.ndarray) else max(value, 0.0)
-    worst = float(np.min(value))
-    raise IllConditionedError(f"{what} {worst} is more negative than round-off allows")
-
-
-def variance_terms(model: GpModel, k_x, sq, strict: bool, weights: bool = False):
-    """Variance at one point from its kernel vector, and w solving (K [+ nugget I]) w = k_x.
-
-    strict selects the noise-free variance, which is exactly zero at a node.
-    There the solve is skipped, and w is None, unless `weights` asks for it
-    (the variance gradient needs it).
-    """
-    at_node = strict and np.min(sq) <= DUPLICATE_TOLERANCE**2
-    w = None
-    if weights or not at_node:
-        w = cho_solve(_variance_factor(model, strict), k_x)
-    if at_node:
-        return 0.0, w
-    if strict:
-        return _clamped(1.0 - float(k_x @ w), True, "noise-free variance"), w
-    return _clamped(model.nugget + 1.0 - float(k_x @ w), False, "predictive variance"), w
-
-
-def predict_variance(model: GpModel, x) -> float:
-    """Predictive variance nugget + k(x,x) - k_x^T (K + nugget I)^{-1} k_x."""
-    k_x, _, sq = kernel_vector(model, x)
-    return variance_terms(model, k_x, sq, strict=False)[0]
-
-
-def noise_free_variance(model: GpModel, x) -> float:
-    """Variance with the nugget excluded everywhere: k(x,x) - k_x^T K^{-1} k_x.
-
-    Exactly zero at training nodes, which is what the acquisition's
-    zero-at-nodes condition requires; the node identity is enforced directly
-    because Cholesky round-off cannot deliver an exact zero.
-    """
-    k_x, _, sq = kernel_vector(model, x)
-    return variance_terms(model, k_x, sq, strict=True)[0]
-
-
-def variance_gradient_from(model: GpModel, k_x, diffs, w) -> np.ndarray:
-    """Gradient of the variance whose solve gave w (k(x,x) is constant here)."""
-    return (2.0 / model.params.bandwidth**2) * (diffs.T @ (k_x * w))
-
-
-def mean_gradient_from(model: GpModel, k_x, diffs) -> np.ndarray:
-    """Gradient of the predictive mean: sum_i alpha_i grad_x k(x, x_i)."""
-    return -(diffs.T @ (k_x * model.alpha)) / model.params.bandwidth**2
-
-
-def mean_gradient_norm_gradient_from(model: GpModel, k_x, diffs, g, norm: float) -> np.ndarray:
-    """Gradient of ||g|| for the mean gradient g; zero where the norm vanishes (< 1e-12)."""
-    if norm < 1e-12:
-        return np.zeros_like(g)
-    b2 = model.params.bandwidth**2
-    # Hessian-vector product of the mean without forming the D x D Hessian:
-    # H g = (1/b2^2) sum_i alpha_i k_i d_i (d_i . g) - (1/b2) (alpha . k) g.
-    t = diffs @ g
-    Hg = (diffs.T @ (model.alpha * k_x * t)) / b2**2 - (float(model.alpha @ k_x) / b2) * g
-    return Hg / norm
-
-
-def mean_gradient(model: GpModel, x) -> np.ndarray:
-    """Gradient of the predictive mean: sum_i alpha_i grad_x k(x, x_i)."""
-    k_x, diffs, _ = kernel_vector(model, x)
-    return mean_gradient_from(model, k_x, diffs)
-
-
-def mean_gradient_norm(model: GpModel, x) -> float:
-    """Euclidean norm of the predictive-mean gradient."""
-    return float(np.linalg.norm(mean_gradient(model, x)))
-
-
-def mean_gradient_norm_gradient(model: GpModel, x) -> np.ndarray:
-    """Gradient of ||grad mean||; zero where the norm vanishes (< 1e-12)."""
-    k_x, diffs, _ = kernel_vector(model, x)
-    g = mean_gradient_from(model, k_x, diffs)
-    return mean_gradient_norm_gradient_from(model, k_x, diffs, g, float(np.linalg.norm(g)))
-
-
-def variance_gradient(model: GpModel, x) -> np.ndarray:
-    """Analytic gradient of predict_variance (k(x,x) is constant here)."""
-    k_x, diffs, _ = kernel_vector(model, x)
-    return variance_gradient_from(model, k_x, diffs, cho_solve(model.factor, k_x))
+    if (values >= -clamp).all():
+        return np.maximum(values, 0.0)
+    what = "noise-free variance" if strict else "predictive variance"
+    raise IllConditionedError(f"{what} {float(np.min(values))} is more negative than round-off allows")
 
 
 def rowwise_dot(A, B) -> np.ndarray:
-    """Dot product of each row of A with the same row of B (both n x k).
+    """Dot product of each row of A (n x k) with the same row of B, or with B if it is one k-vector.
 
     Stacked 1 x k by k x 1 products, so each row is reduced as `a @ b`
     reduces a single pair.
     """
-    return np.matmul(A[:, np.newaxis, :], B[:, :, np.newaxis])[:, 0, 0]
+    return np.matmul(A[:, np.newaxis, :], B[..., np.newaxis])[:, 0, 0]
 
 
-def batch_terms(model: GpModel, Xq, strict: bool, mean_gradients: bool = True):
-    """Variances (noise-free when strict) and mean gradients at the columns of Xq (D x n).
+class Evaluation(NamedTuple):
+    """Per-output terms at n points: (n, P) values, (n, P, D) gradients; None where not asked for."""
 
-    The batch form of `variance_terms` and `mean_gradient_from`: one n x m
-    kernel block, one solve with n right-hand sides and one batched product
-    for the gradients, under the same rules (exact zero at nodes when
-    strict, the same round-off clamps).  The solve treats each right-hand
-    side as a single solve does, and every reduction is the per-point one
-    (one dot product per point), so the results match the per-point path.
-    Returns the variances (n,) and the gradients (n, D), or None for the
-    gradients when not asked for.
+    variances: np.ndarray
+    mean_gradients: np.ndarray | None
+    gradient_norms: np.ndarray | None  # Euclidean norms of mean_gradients
+    variance_gradients: np.ndarray | None
+    norm_gradients: np.ndarray | None  # gradients of gradient_norms
+
+
+def evaluate(models, Xq, strict: bool, mean_gradients: bool = True, derivatives: bool = False) -> Evaluation:
+    """Variances and mean gradients of fitted GPs that share their nodes, at the rows of Xq (n x D).
+
+    The (n, m, D) differences to the nodes and their squared distances are
+    built once for all models.  Each model then takes one n x m kernel
+    block, one solve with n right-hand sides and stacked products (the
+    triangular-solve form of GPML Alg. 2.1).  strict selects the noise-free
+    variance, exactly zero at a node; both variances pass the round-off
+    clamps.  `derivatives` adds the variance gradients and, with
+    `mean_gradients`, the gradients of the mean-gradient norms (a
+    Hessian-vector product, zero where the norm is below 1e-12).
+
+    Every reduction is one dot product or matrix-vector product per point,
+    as for a single point, so a row depends on the rest of the block only
+    through the solve: a one-row block is the evaluation of that point.
     """
     Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
-    if Xq.shape[0] != model.train_inputs.shape[0]:
-        raise ValueError(f"query points have dimension {Xq.shape[0]}, model expects {model.train_inputs.shape[0]}")
-    diffs = Xq.T[:, np.newaxis, :] - model.train_inputs.T[np.newaxis, :, :]  # (n, m, D)
+    nodes = models[0].train_inputs
+    if Xq.shape[1] != nodes.shape[0]:
+        raise ValueError(f"query points have dimension {Xq.shape[1]}, models expect {nodes.shape[0]}")
+    diffs = Xq[:, np.newaxis, :] - nodes.T[np.newaxis, :, :]  # (n, m, D), diffs[j, i] = x_j - x_i
+    diffs_t = diffs.transpose(0, 2, 1)
     sq = np.einsum("nmd,nmd->nm", diffs, diffs)
-    K = np.exp(-sq / (2.0 * model.params.bandwidth**2))  # row j is k_x of point j
-    W = cho_solve(_variance_factor(model, strict), K.T)  # (m, n)
-    quad = rowwise_dot(K, W.T)
-    if strict:
-        values = 1.0 - quad
-        values[np.min(sq, axis=1) <= DUPLICATE_TOLERANCE**2] = 0.0
-        variances = _clamped(values, True, "noise-free variance")
-    else:
-        variances = _clamped(model.nugget + 1.0 - quad, False, "predictive variance")
-    if not mean_gradients:
-        return variances, None
-    weighted = (K * model.alpha)[:, :, np.newaxis]
-    gradients = -np.matmul(diffs.transpose(0, 2, 1), weighted)[:, :, 0] / model.params.bandwidth**2
-    return variances, gradients
+    at_node = sq.min(axis=1) <= DUPLICATE_TOLERANCE**2
+    n, P, D = Xq.shape[0], len(models), Xq.shape[1]
+    variances = np.empty((n, P))
+    gradients = np.empty((n, P, D)) if mean_gradients else None
+    norms = np.empty((n, P)) if mean_gradients else None
+    variance_gradients = np.empty((n, P, D)) if derivatives else None
+    norm_gradients = np.empty((n, P, D)) if derivatives and mean_gradients else None
+    for p, model in enumerate(models):
+        b2 = model.params.bandwidth**2
+        K = np.exp(-sq / (2.0 * b2))  # row j is k_x of point j
+        W = _solve(_variance_factor(model, strict), K.T)  # (m, n)
+        quad = rowwise_dot(K, W.T)
+        if strict:
+            values = 1.0 - quad
+            values[at_node] = 0.0
+        else:
+            values = model.nugget + 1.0 - quad
+        variances[:, p] = _clamped(values, strict)
+        if derivatives:
+            variance_gradients[:, p] = (2.0 / b2) * _stacked(diffs_t, K * W.T)
+        if not mean_gradients:
+            continue
+        weighted = K * model.alpha
+        g = -_stacked(diffs_t, weighted) / b2
+        gradients[:, p] = g
+        norms[:, p] = norm = np.sqrt(rowwise_dot(g, g))
+        if derivatives:
+            # Hessian-vector product of the mean without forming the D x D Hessian:
+            # H g = (1/b2^2) sum_i alpha_i k_i d_i (d_i . g) - (1/b2) (alpha . k) g.
+            t = _stacked(diffs, g)
+            Hg = _stacked(diffs_t, weighted * t) / b2**2 - (rowwise_dot(K, model.alpha) / b2)[:, np.newaxis] * g
+            flat = norm < 1e-12
+            norm_gradients[:, p] = Hg / np.where(flat, 1.0, norm)[:, np.newaxis]
+            norm_gradients[flat, p] = 0.0
+    return Evaluation(variances, gradients, norms, variance_gradients, norm_gradients)
 
 
-def predict_mean_many(model: GpModel, X) -> np.ndarray:
-    """Predictive means at the columns of X (D x n); returns shape (n,)."""
-    K = cross_kernel(model.train_inputs, X, model.params)
-    return K.T @ model.alpha
+def _stacked(A, V) -> np.ndarray:
+    """A[j] @ V[j] for every j: (n, r, k) matrices times the rows of V (n x k)."""
+    return np.matmul(A, V[:, :, np.newaxis])[:, :, 0]
+
+
+def _solve(factor, B) -> np.ndarray:
+    """Solve (L L^T) X = B from a `cho_factor` factor.
+
+    LAPACK dpotrs, bitwise `cho_solve` without its finiteness checks.
+    """
+    X, info = dpotrs(factor[0], B, lower=factor[1])
+    if info != 0:
+        raise ValueError(f"dpotrs: illegal value in argument {-info}")
+    return X
 
 
 def log_marginal_likelihood(inputs, outputs, params: KernelParams, nugget: float = 0.0) -> float:
@@ -375,7 +330,7 @@ def log_marginal_likelihood(inputs, outputs, params: KernelParams, nugget: float
     y = np.asarray(outputs, dtype=float).ravel()
     K = kernel_matrix(X, params, nugget)
     factor = cho_factor(K, lower=True)
-    alpha = cho_solve(factor, y)
+    alpha = _solve(factor, y)
     log_det = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
     return -0.5 * float(y @ alpha) - 0.5 * log_det - 0.5 * y.size * np.log(2.0 * np.pi)
 
@@ -401,7 +356,7 @@ def _log_ml_rows(sq, Y, bandwidth: float, nugget: float):
         factor = cho_factor(K, lower=True)
     except LinAlgError:
         return None
-    alpha = cho_solve(factor, Y.T)  # (m, P)
+    alpha = _solve(factor, Y.T)  # (m, P)
     log_det = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
     return -0.5 * rowwise_dot(Y, alpha.T) - 0.5 * log_det - 0.5 * Y.shape[1] * np.log(2.0 * np.pi)
 

@@ -161,12 +161,14 @@ def _choose_next_point(
 ) -> tuple[np.ndarray, float]:
     """Maximize the acquisition at iteration t; returns the point and its value.
 
-    The search ranks its random probes with one call of the batch form
-    `acquisition_values` and re-scores the winner with `acquisition_value`,
-    so the ascent starts from the winner's per-point value.  The batch
-    values reproduce the per-point ones, so the chosen point and the
-    recorded value are those of a search that scores every probe point by
-    point, and a seeded run writes the same LUT either way.
+    The search ranks its random probes with one call of the block form
+    `acquisition_values` and re-scores the winner alone with
+    `acquisition_value`, its one-row block, so the ascent starts from the
+    winner's own value.  The re-score stays although both are one block
+    evaluation: an n-column solve may round differently from a 1-column
+    solve on other BLAS builds.  The chosen point and the recorded value
+    are those of a search that scores every probe point by point, and a
+    seeded run writes the same LUT either way.
     """
     spec = config.acquisition
 

@@ -3,7 +3,9 @@
 Each output row gets its own bandwidth; the P models share the training
 inputs, which are normalized to the unit hypercube once per fit.  All
 single-output operations are applied in normalized coordinates, so gradient
-norms reported here are with respect to unit-cube units.
+norms reported here are with respect to unit-cube units.  Variances and
+gradients at a block of points come from one `gp.evaluate` over all P
+models; the predictive means are `predict_mean_matrix`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from . import gp
 from .gp import Dataset, GpModel, IllConditionedError
-from .kernels import KernelParams
+from .kernels import KernelParams, cross_kernel
 from .optimize import OptimizerConfig
 
 # Bandwidth used when a model must be built from a single node, where no
@@ -94,15 +96,17 @@ def fit_single_node(dataset: Dataset, nugget: float = 0.0) -> MultiGpModel:
 
 
 def predict_all(model: MultiGpModel, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-output (means, variances, gradient norms) at one raw input point."""
-    xn = model.normalize(np.asarray(x, dtype=float).ravel())
-    means = np.array([gp.predict_mean(m, xn) for m in model.models])
-    variances = np.array([gp.predict_variance(m, xn) for m in model.models])
-    grad_norms = np.array([gp.mean_gradient_norm(m, xn) for m in model.models])
-    return means, variances, grad_norms
+    """Per-output (means, variances, gradient norms) at one raw input point.
+
+    The one-point slice of `gp.evaluate` (predictive variances), with the
+    means of `predict_mean_matrix`.
+    """
+    x = np.asarray(x, dtype=float).reshape(-1, 1)
+    terms = gp.evaluate(model.models, model.normalize(x).T, strict=False)
+    return predict_mean_matrix(model, x)[:, 0], terms.variances[0], terms.gradient_norms[0]
 
 
 def predict_mean_matrix(model: MultiGpModel, X) -> np.ndarray:
-    """Predictive means for all outputs at the columns of X (raw); (P, n)."""
+    """Predictive means k_x^T alpha for all outputs at the columns of X (raw); (P, n)."""
     Xn = model.dataset.normalize(np.atleast_2d(np.asarray(X, dtype=float)))
-    return np.vstack([gp.predict_mean_many(m, Xn) for m in model.models])
+    return np.vstack([cross_kernel(m.train_inputs, Xn, m.params).T @ m.alpha for m in model.models])

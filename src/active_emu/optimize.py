@@ -207,11 +207,12 @@ def maximize(objective, bounds, config: OptimizerConfig, gradient=None, batch_ob
     `batch_objective` is an optional callable mapping an n x D block of
     points to their n values.  `random-then-ascent` then ranks its random
     probes with one batch call instead of n calls of `objective`.  A batch
-    form may round differently from `objective`, so the winning probe is
-    re-scored with `objective` and the ascent starts from exactly the value
-    it would start from without the batch form: the result is the same
-    unless two probes tie within that rounding.  Simulated annealing
-    ignores it.
+    form may round differently from `objective` (the acquisition's n-column
+    solve may round differently from a 1-column solve on other BLAS builds),
+    so the winning probe is re-scored with `objective` and the ascent starts
+    from exactly the value it would start from without the batch form: the
+    result is the same unless two probes tie within that rounding.
+    Simulated annealing ignores it.
     """
     lo, hi = _check_bounds(bounds)
     if config.strategy == "random-then-ascent":

@@ -11,6 +11,7 @@ import json
 import os
 import select
 import subprocess
+import tempfile
 import time
 from importlib import resources
 
@@ -21,13 +22,19 @@ class SimulatorError(RuntimeError):
     """The simulator could not produce an output."""
 
 
+# Bytes of the external child's stderr kept on a protocol error.
+STDERR_TAIL_BYTES = 4096
+
+
 class SimulatorProtocolError(SimulatorError):
-    """External bridge protocol violation; carries the raw exchange."""
+    """External bridge protocol violation; carries the raw exchange and the
+    tail of the child's stderr."""
 
     def __init__(self, message: str, request: str | None = None, response: str | None = None):
         super().__init__(message)
         self.request = request
         self.response = response
+        self.stderr_tail: str | None = None
 
 
 class Simulator:
@@ -152,6 +159,9 @@ class ExternalSimulator(Simulator):
     One request is in flight at a time; a per-call timeout guards against
     hung solvers (external codes can be very slow, default 300 s).  A
     protocol error closes the child, and the next call starts a fresh one.
+    The child's stderr goes to a temporary file, which cannot fill up and
+    block it as an unread pipe would; a protocol error carries its last
+    STDERR_TAIL_BYTES as `stderr_tail` and ends with its last line.
     """
 
     kind = "external"
@@ -161,17 +171,20 @@ class ExternalSimulator(Simulator):
         self.command = list(command)
         self.timeout = timeout
         self._proc: subprocess.Popen | None = None
+        self._stderr = None
         self._next_id = 0
         self._buffer = bytearray()
 
     def _ensure_started(self) -> None:
         if self._proc is not None and self._proc.poll() is None:
             return
+        self.close()
+        self._stderr = tempfile.TemporaryFile()
         self._proc = subprocess.Popen(
             self.command,
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
+            stderr=self._stderr,
         )
         self._buffer = bytearray()
 
@@ -199,10 +212,13 @@ class ExternalSimulator(Simulator):
     def _eval(self, x):
         try:
             return self._exchange(x)
-        except SimulatorProtocolError:
+        except SimulatorProtocolError as exc:
             # The child may still answer the failed request later; a fresh
             # child on the next call keeps replies in step with requests.
-            self.close()
+            exc.stderr_tail = self._stop()
+            lines = exc.stderr_tail.strip().splitlines()
+            if lines:
+                exc.args = (f"{exc}; stderr: {lines[-1]}",)
             raise
 
     def _exchange(self, x):
@@ -242,9 +258,10 @@ class ExternalSimulator(Simulator):
             )
         return np.asarray(y, dtype=float)
 
-    def close(self) -> None:
+    def _stop(self) -> str:
+        """End the child; returns the last STDERR_TAIL_BYTES it wrote to stderr."""
         if self._proc is None:
-            return
+            return ""
         try:
             if self._proc.stdin is not None:
                 self._proc.stdin.close()
@@ -253,6 +270,12 @@ class ExternalSimulator(Simulator):
         except Exception:
             self._proc.kill()
         self._proc = None
+        with self._stderr as stderr:
+            stderr.seek(max(stderr.seek(0, os.SEEK_END) - STDERR_TAIL_BYTES, 0))
+            return stderr.read().decode("utf-8", errors="replace")
+
+    def close(self) -> None:
+        self._stop()
 
 
 def make_simulator(spec: dict) -> Simulator:

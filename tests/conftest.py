@@ -4,9 +4,10 @@ import mpmath
 import numpy as np
 import pytest
 
+from active_emu import gp
 from active_emu.gp import Dataset, fit
 from active_emu.kernels import KernelParams
-from active_emu.multi_output import MultiGpModel
+from active_emu.multi_output import MultiGpModel, predict_mean_matrix
 
 
 def central_difference_gradient(f, x, step=1e-6):
@@ -75,6 +76,27 @@ def relative_gradient_error(analytic, numeric, floor=1e-8):
     numeric = np.asarray(numeric, dtype=float)
     scale = max(float(np.linalg.norm(numeric)), floor)
     return float(np.linalg.norm(analytic - numeric)) / scale
+
+
+def as_multi(model):
+    """One fitted GP with nodes in the unit cube as a one-output MultiGpModel.
+
+    Over the unit cube the normalization is the identity.
+    """
+    dimension = model.train_inputs.shape[0]
+    dataset = Dataset(model.train_inputs, model.train_outputs[np.newaxis, :], np.array([[0.0, 1.0]] * dimension))
+    return MultiGpModel(dataset, (model,))
+
+
+def mean_at(model, x):
+    """`predict_mean_matrix` of one fitted GP (nodes in the unit cube) at one point."""
+    return float(predict_mean_matrix(as_multi(model), np.reshape(x, (-1, 1)))[0, 0])
+
+
+def terms_at(model, x, strict=False):
+    """`gp.evaluate` of one fitted GP at one point with every derivative; each field's one entry."""
+    terms = gp.evaluate([model], np.reshape(np.asarray(x, dtype=float), (1, -1)), strict, derivatives=True)
+    return gp.Evaluation(*(field[0, 0] for field in terms))
 
 
 def random_gp_model(rng, dimension=1, n_nodes=6, bandwidth=0.3, nugget=0.0, min_separation=0.05):

@@ -10,7 +10,6 @@ import time
 import numpy as np
 import pytest
 
-from active_emu import gp
 from active_emu.acquisition import (
     VARIANT_NAMES,
     AcquisitionSpec,
@@ -29,7 +28,14 @@ from active_emu.pci import MonotoneFunction1D, cinf_cost, node_density_check, op
 from active_emu.samplers import SequentialLhsSampler, lhs_design, sobol_sequence
 from active_emu.simulators import ToyLog1D, ToyLog2D, make_simulator
 
-from conftest import central_difference_gradient, mp_gp_gradients, relative_gradient_error, separated_points
+from conftest import (
+    central_difference_gradient,
+    mean_at,
+    mp_gp_gradients,
+    relative_gradient_error,
+    separated_points,
+    terms_at,
+)
 
 
 def report(number: int, name: str, detail: str = "") -> None:
@@ -140,9 +146,9 @@ class TestCriterion3InterpolationExactness:
             model = fit(X, y, params, nugget=0.0)
             for i in range(X.shape[1]):
                 node = X[:, i]
-                mean = gp.predict_mean(model, node)
+                mean = mean_at(model, node)
                 assert abs(mean - y[i]) <= 1e-8 * (1.0 + abs(y[i]))
-                assert gp.predict_variance(model, node) <= 1e-8
+                assert terms_at(model, node).variances <= 1e-8
         report(3, "interpolation exactness", "100 models, D in {1,2,3}, m in [2,30]")
 
 
@@ -201,9 +207,10 @@ class TestCriterion5AnalyticGradients:
             # central difference of a variance near 1 loses about 1e-10 to
             # round-off, which is 1e-3 relative where the gradient is ~1e-7.
             mean_oracle, var_oracle = mp_gp_gradients(model, x)
-            mean_analytic = gp.mean_gradient(model, x)
+            terms = terms_at(model, x)
+            mean_analytic = terms.mean_gradients
             assert relative_gradient_error(mean_analytic, mean_oracle) < self.TOLERANCE
-            var_analytic = gp.variance_gradient(model, x)
+            var_analytic = terms.variance_gradients
             assert relative_gradient_error(var_analytic, var_oracle, floor=1e-7) < self.TOLERANCE
             checked += 1
         report(5, "mean/variance gradients vs finite differences", "120 probes each")

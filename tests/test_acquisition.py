@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import cho_factor
 from scipy.stats import truncnorm
 
+from active_emu import gp
 from active_emu.acquisition import (
     VARIANT_NAMES,
     AcquisitionSpec,
@@ -16,8 +17,6 @@ from active_emu.acquisition import (
     acquisition_value,
     acquisition_values,
     beta_at,
-    diversity,
-    geometry,
 )
 from active_emu.gp import Dataset, IllConditionedError
 from active_emu.kernels import kernel_matrix
@@ -108,7 +107,19 @@ class TestInputPrior:
             InputPrior(mu=[0.0, 1.0], sigma=[1.0], low=[0.0], high=[1.0])
 
 
+def diversity(model, x, op):
+    """The pure-diversity acquisition (SD or PD) at one raw point."""
+    return acquisition_value(AcquisitionSpec.from_variant({"sum": "SD", "product": "PD"}[op]), model, x, t=1)
+
+
+def strict_variances(model, x):
+    """Each output's noise-free variance at one raw point, from the block evaluation."""
+    return gp.evaluate(model.models, model.normalize(np.ravel(x))[np.newaxis, :], strict=True).variances[0]
+
+
 class TestDiversityGeometry:
+    """The diversity and geometry terms, through the variants that isolate them."""
+
     def test_interpolation_diversity_zero_at_nodes(self, rng):
         model = random_multi_model(rng, dimension=1, n_outputs=2, n_nodes=5)
         for i in range(5):
@@ -122,22 +133,29 @@ class TestDiversityGeometry:
         assert diversity(model, x, "sum") == pytest.approx(diversity(model, x, "product"), rel=1e-12)
 
     def test_sum_and_product_arithmetic(self, rng):
+        # Without a nugget the noise-free and predictive variances coincide.
         model = random_multi_model(rng, dimension=2, n_outputs=2, n_nodes=6)
         x = rng.random(2)
         _, variances, grads = predict_all(model, x)
         assert diversity(model, x, "sum") == pytest.approx(variances.sum(), rel=1e-9)
         assert diversity(model, x, "product") == pytest.approx(variances.prod(), rel=1e-9)
-        assert geometry(model, x, "sum") == pytest.approx(grads.sum(), rel=1e-9)
-        assert geometry(model, x, "product") == pytest.approx(grads.prod(), rel=1e-9)
+        # At beta = 1 the value is the geometry term times the diversity term.
+        for variant, geometry in (("SDxSG", grads.sum()), ("SDxPG", grads.prod())):
+            spec = AcquisitionSpec.from_variant(variant, tempering=TemperingSchedule.constant(1.0))
+            assert acquisition_value(spec, model, x, t=1) / variances.sum() == pytest.approx(geometry, rel=1e-9)
 
     def test_product_geometry_zero_when_any_output_flat(self):
         x = np.linspace(0.1, 10.0, 8)
         Y = np.vstack([np.log(x), np.zeros_like(x)])
         ds = Dataset(X=x[np.newaxis, :], Y=Y, input_bounds=[[0.1, 10.0]])
         model = fit_all(ds, bandwidths=[0.25, 0.25], nugget_policy=0.0)
+        product, total = (
+            AcquisitionSpec.from_variant(v, tempering=TemperingSchedule.constant(1.0)) for v in ("SDxPG", "SDxSG")
+        )
         for probe in (0.9, 4.4, 8.2):
-            assert geometry(model, [probe], "product") == 0.0
-            assert geometry(model, [probe], "sum") > 0.0
+            assert diversity(model, [probe], "sum") > 0.0
+            assert acquisition_value(product, model, [probe], t=1) == 0.0
+            assert acquisition_value(total, model, [probe], t=1) > 0.0
 
 
 class TestAcquisitionValue:
@@ -146,17 +164,17 @@ class TestAcquisitionValue:
         spec = AcquisitionSpec.from_variant("PDxPG", tempering=TemperingSchedule.one_minus_inverse_t())
         x = [0.4]
         assert acquisition_value(spec, model, x, t=1) == pytest.approx(
-            diversity(model, x, "product"), rel=1e-12
+            np.prod(strict_variances(model, x)), rel=1e-12
         )
 
     def test_geometry_none_equals_diversity_for_all_t(self, rng):
         model = random_multi_model(rng, dimension=2, n_outputs=3, n_nodes=7)
-        for variant, op in (("SD", "sum"), ("PD", "product")):
+        for variant, combine in (("SD", np.sum), ("PD", np.prod)):
             spec = AcquisitionSpec.from_variant(variant)
             for t in (1, 2, 9):
                 x = rng.random(2)
                 assert acquisition_value(spec, model, x, t) == pytest.approx(
-                    diversity(model, x, op), rel=1e-12
+                    combine(strict_variances(model, x)), rel=1e-12
                 )
 
     @pytest.mark.parametrize("variant", VARIANT_NAMES)

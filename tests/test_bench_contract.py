@@ -1,9 +1,12 @@
-"""The names the benchmark's tracer wraps must exist and nest as it expects.
+"""The names the benchmark's tracer wraps must exist and nest as it expects,
+and its layer probes must run.
 
 `bench/tracing.py` replaces functions by the names their callers look them
 up by and reports a missing name as absent instead of failing, so a rename
-would otherwise show up only as a quietly wrong per-layer split.  The
-tracer is imported read-only from its file.
+would otherwise show up only as a quietly wrong per-layer split.  The probes
+in `bench/workloads.py` call the program directly, after the traced pass, so
+a rename there would show up only as a crash at the end of a benchmark run.
+Both files are imported read-only.
 """
 
 import importlib.util
@@ -12,19 +15,28 @@ from pathlib import Path
 
 import numpy as np
 
+from active_emu import acquisition, gp, kernels
 from active_emu.acquisition import InputPrior
+from active_emu.config import parse_run_config
 from active_emu.harness import ExperimentConfig, TestSetSpec, run_experiment
+from active_emu.multi_output import fit_all
 from active_emu.optimize import AnnealingConfig, OptimizerConfig
+from active_emu.simulators import make_simulator
 
-TRACING_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING_PATH)
+def load_bench(name):
+    """bench/<name>.py as the module `bench_<name>`."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH_DIR / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracing():
+    return load_bench("tracing")
 
 
 def test_every_traced_name_is_present():
@@ -55,3 +67,28 @@ def test_every_run_span_has_a_fit_child():
     assert len(runs) == len(strategies)
     fit_parents = {span.parent for span in tracer.spans if span.name == "multi_output.fit_all"}
     assert all(index in fit_parents for index in runs)
+
+
+def test_layer_probes_run_on_a_fitted_fixture_model(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH_DIR))  # workloads imports its siblings by name
+    workloads = load_bench("workloads")
+    sim_spec, config = parse_run_config(dict(workloads.FIXTURE_RUN, seed=0))
+    rng = np.random.default_rng(0)
+    with make_simulator(sim_spec) as sim:
+        lo, hi = sim.bounds[:, 0], sim.bounds[:, 1]
+        X = (lo + rng.random((12, 2)) * (hi - lo)).T
+        dataset = gp.Dataset(X, np.column_stack([sim.evaluate(x) for x in X.T]), sim.bounds)
+    model = fit_all(dataset, nugget_policy=config.nugget_policy)
+    probes = lo + rng.random((5, 2)) * (hi - lo)
+    metrics = workloads._acquisition_us(acquisition, config.acquisition, model, probes, 3)
+    metrics.update(
+        workloads._gram_chol(gp, kernels, dataset.normalize(X), model.bandwidths[0], config.nugget_policy)
+    )
+    assert sorted(metrics) == [
+        "acquisition.gradient.us",
+        "acquisition.value.us",
+        "kernels.gram_chol_us.m130",
+        "kernels.gram_chol_us.m30",
+        "kernels.gram_chol_us.m60",
+    ]
+    assert all(np.isfinite(value) and value > 0.0 for value in metrics.values())

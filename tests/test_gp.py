@@ -15,9 +15,18 @@ from active_emu.gp import (
     select_hyperparameters,
 )
 from active_emu.kernels import KernelParams, kernel_matrix, squared_distances
+from active_emu.multi_output import fit_all, predict_mean_matrix
 from active_emu.optimize import AnnealingConfig, OptimizerConfig
 
-from conftest import central_difference_gradient, relative_gradient_error, random_gp_model, separated_points
+from conftest import (
+    as_multi,
+    central_difference_gradient,
+    mean_at,
+    random_gp_model,
+    relative_gradient_error,
+    separated_points,
+    terms_at,
+)
 
 
 class TestDataset:
@@ -101,50 +110,52 @@ class TestPredictMean:
         model = random_gp_model(rng, dimension=2, n_nodes=8, bandwidth=0.4)
         for i in range(model.n_nodes):
             x_i = model.train_inputs[:, i]
-            assert gp.predict_mean(model, x_i) == pytest.approx(model.train_outputs[i], abs=1e-8)
+            assert mean_at(model, x_i) == pytest.approx(model.train_outputs[i], abs=1e-8)
 
     def test_reverts_to_prior_mean_far_away(self, rng):
         model = random_gp_model(rng, dimension=1, n_nodes=5, bandwidth=0.2)
-        assert abs(gp.predict_mean(model, [50.0])) < 1e-6
+        assert abs(mean_at(model, [50.0])) < 1e-6
 
     def test_two_node_closed_form(self):
-        X = np.array([[0.0, np.sqrt(2.0)]])
-        model = fit(X, [1.0, 1.0], KernelParams(1.0), nugget=0.0)
-        assert gp.predict_mean(model, [0.0]) == pytest.approx(1.0, abs=1e-12)
+        # Nodes 0 and sqrt(2) at bandwidth 1, over a box [0, 2] that
+        # normalizes them to 0 and sqrt(2)/2 at bandwidth 1/2.
+        ds = Dataset(X=[[0.0, np.sqrt(2.0)]], Y=[[1.0, 1.0]], input_bounds=[[0.0, 2.0]])
+        model = fit_all(ds, bandwidths=[0.5], nugget_policy=0.0)
+        assert predict_mean_matrix(model, [[0.0]])[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_batch_matches_scalar(self, rng):
         model = random_gp_model(rng, dimension=2, n_nodes=7)
         queries = rng.random((2, 9))
-        batch = gp.predict_mean_many(model, queries)
+        batch = predict_mean_matrix(as_multi(model), queries)[0]
         for j in range(9):
-            assert batch[j] == pytest.approx(gp.predict_mean(model, queries[:, j]), rel=1e-12)
+            assert batch[j] == pytest.approx(mean_at(model, queries[:, j]), rel=1e-12)
 
 
 class TestPredictVariance:
     def test_zero_at_nodes_interpolation(self, rng):
         model = random_gp_model(rng, dimension=1, n_nodes=6, bandwidth=0.15)
         for i in range(model.n_nodes):
-            assert gp.predict_variance(model, model.train_inputs[:, i]) <= 1e-8
+            assert terms_at(model, model.train_inputs[:, i]).variances <= 1e-8
 
     def test_single_node_with_nugget(self):
         model = fit(np.array([[0.5]]), [1.0], KernelParams(1.0), nugget=0.02)
         expected = 0.02 + 1.0 - 1.0 / 1.02
-        assert gp.predict_variance(model, [0.5]) == pytest.approx(expected, rel=1e-12)
+        assert terms_at(model, [0.5]).variances == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.039608, abs=1e-6)
 
     def test_prior_variance_far_away(self):
         model = fit(np.array([[0.5]]), [1.0], KernelParams(0.1), nugget=0.3)
-        assert gp.predict_variance(model, [30.0]) == pytest.approx(1.3, abs=1e-6)
+        assert terms_at(model, [30.0]).variances == pytest.approx(1.3, abs=1e-6)
 
     def test_nonnegative_everywhere(self, rng):
         model = random_gp_model(rng, dimension=2, n_nodes=12, bandwidth=0.3, nugget=0.0)
-        for _ in range(200):
-            assert gp.predict_variance(model, rng.random(2)) >= 0.0
+        variances = gp.evaluate([model], rng.random((200, 2)), strict=False).variances
+        assert np.all(variances >= 0.0)
 
     def test_noise_free_variance_exact_zero_at_nodes(self, rng):
         model = random_gp_model(rng, dimension=1, n_nodes=6, bandwidth=0.2, nugget=0.02)
         for i in range(model.n_nodes):
-            assert gp.noise_free_variance(model, model.train_inputs[:, i]) == 0.0
+            assert terms_at(model, model.train_inputs[:, i], strict=True).variances == 0.0
 
     def test_variance_never_increases_with_new_node(self, rng):
         # monotone information gain: refitting with one extra node cannot
@@ -162,20 +173,20 @@ class TestPredictVariance:
             )
             for _ in range(50):
                 probe = rng.random(dim)
-                v_small = gp.predict_variance(model_small, probe)
-                v_big = gp.predict_variance(model_big, probe)
+                v_small = terms_at(model_small, probe).variances
+                v_big = terms_at(model_big, probe).variances
                 assert v_big <= v_small + 1e-9
 
 
 class TestGradients:
     def test_mean_gradient_zero_at_single_node(self):
         model = fit(np.array([[0.5]]), [2.0], KernelParams(0.5), nugget=0.0)
-        np.testing.assert_allclose(gp.mean_gradient(model, [0.5]), [0.0])
+        np.testing.assert_allclose(terms_at(model, [0.5]).mean_gradients, [0.0])
 
     def test_gradient_norm_zero_at_symmetric_midpoint(self):
         X = np.array([[0.3, 0.7]])
         model = fit(X, [1.0, 1.0], KernelParams(0.4), nugget=0.0)
-        assert gp.mean_gradient_norm(model, [0.5]) <= 1e-10
+        assert terms_at(model, [0.5]).gradient_norms <= 1e-10
 
     def test_mean_gradient_matches_finite_differences(self, rng):
         for _ in range(40):
@@ -183,19 +194,19 @@ class TestGradients:
             model = random_gp_model(rng, dimension=dim, n_nodes=int(rng.integers(3, 8)),
                                     bandwidth=0.15 + 0.2 * rng.random(), min_separation=0.1)
             x = rng.random(dim)
-            analytic = gp.mean_gradient(model, x)
-            numeric = central_difference_gradient(lambda q: gp.predict_mean(model, q), x)
+            analytic = terms_at(model, x).mean_gradients
+            numeric = central_difference_gradient(lambda q: mean_at(model, q), x)
             assert relative_gradient_error(analytic, numeric) < 1e-5
 
     def test_variance_gradient_zero_at_node(self, rng):
         model = random_gp_model(rng, dimension=2, n_nodes=5, bandwidth=0.4)
-        grad = gp.variance_gradient(model, model.train_inputs[:, 2])
+        grad = terms_at(model, model.train_inputs[:, 2]).variance_gradients
         np.testing.assert_allclose(grad, np.zeros(2), atol=1e-9)
 
     def test_variance_gradient_zero_between_symmetric_nodes(self):
         X = np.array([[0.3, 0.7]])
         model = fit(X, [1.0, -1.0], KernelParams(0.3), nugget=0.0)
-        assert abs(gp.variance_gradient(model, [0.5])[0]) <= 1e-10
+        assert abs(terms_at(model, [0.5]).variance_gradients[0]) <= 1e-10
 
     def test_variance_gradient_matches_finite_differences(self, rng):
         for _ in range(40):
@@ -205,8 +216,8 @@ class TestGradients:
                                     bandwidth=0.15 + 0.2 * rng.random(), nugget=nugget,
                                     min_separation=0.1)
             x = rng.random(dim)
-            analytic = gp.variance_gradient(model, x)
-            numeric = central_difference_gradient(lambda q: gp.predict_variance(model, q), x)
+            analytic = terms_at(model, x).variance_gradients
+            numeric = central_difference_gradient(lambda q: terms_at(model, q).variances, x)
             assert relative_gradient_error(analytic, numeric, floor=1e-6) < 1e-5
 
     def test_gradient_norm_gradient_matches_finite_differences(self, rng):
@@ -215,10 +226,11 @@ class TestGradients:
             dim = int(rng.integers(1, 3))
             model = random_gp_model(rng, dimension=dim, n_nodes=6, bandwidth=0.3)
             x = rng.random(dim)
-            if gp.mean_gradient_norm(model, x) < 1e-3:
+            terms = terms_at(model, x)
+            if terms.gradient_norms < 1e-3:
                 continue  # the norm is nonsmooth near zero gradient
-            analytic = gp.mean_gradient_norm_gradient(model, x)
-            numeric = central_difference_gradient(lambda q: gp.mean_gradient_norm(model, q), x)
+            analytic = terms.norm_gradients
+            numeric = central_difference_gradient(lambda q: terms_at(model, q).gradient_norms, x)
             assert relative_gradient_error(analytic, numeric) < 1e-4
             count += 1
 
@@ -419,8 +431,6 @@ class TestSharedSearch:
     def test_no_grid_bandwidth_factorises(self):
         # nodes 1e-11 apart are distinct, but without a nugget their kernel
         # rows are equal at every grid bandwidth, so K is singular
-        from active_emu.multi_output import fit_all
-
         ds = Dataset(X=[[0.0, 1e-11, 0.5, 1.0]], Y=[[0.0, 0.0, 1.0, 2.0], [1.0, 1.0, 0.0, 3.0]],
                      input_bounds=[[0.0, 1.0]])
         with pytest.raises(IllConditionedError, match="output 0"):
@@ -444,9 +454,9 @@ class TestNoiseFreeFactor:
         y = rng.normal(size=12)
         model = fit(X, y, KernelParams(0.4), nugget=1e-4)
         assert model.noise_free_factor is gp._UNBUILT  # fit and non-strict variances skip it
-        gp.predict_variance(model, rng.random(2))
+        gp.evaluate([model], rng.random((1, 2)), strict=False, derivatives=True)
         assert model.noise_free_factor is gp._UNBUILT
-        gp.noise_free_variance(model, rng.random(2))
+        gp.evaluate([model], rng.random((1, 2)), strict=True)
         expected = gp._noise_free_factor(X, KernelParams(0.4))
         np.testing.assert_array_equal(model.noise_free_factor[0], expected[0])
         exact = fit(X, y, KernelParams(0.4), nugget=0.0)

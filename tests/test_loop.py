@@ -196,6 +196,22 @@ class TestPinnedOutputs:
         assert nodes == expected[0], "nodes or outputs moved"
         assert trace == expected[1], "trace moved"
 
+    def test_seeded_fixture_run_is_unchanged(self):
+        # Acceptance criterion 10's settings, m = 30 to 40.  The toy runs
+        # above search by annealing; this one ranks random probes in a block
+        # and climbs the analytic acquisition gradient.  Its matrices stay
+        # below OpenBLAS's threading size: the digests were recorded at 1
+        # and at 2 BLAS threads, and agree.
+        spec, config = run_config.parse_run_config(dict(FIXTURE_RUN, budget=40, seed=20240819))
+        with make_simulator(spec) as sim:
+            result = run(config, sim)
+        assert result.failure is None
+        assert result.evaluations == 40
+        assert result.converged is False
+        nodes, trace = result_digests(result)
+        assert nodes == "a5c31fc330489f4d09ee254b1c3dcb30274328434ca3e861f1a43ef76263274e", "nodes or outputs moved"
+        assert trace == "712a0ebccde523f74fb05bab845ea701b89ed3ee58c41b870896c2c576a266a9", "trace moved"
+
 
 class TestRun:
     def test_budget_reached_with_exact_eval_count(self):

@@ -6,7 +6,7 @@ import pytest
 from active_emu import gp
 from active_emu.gp import Dataset, IllConditionedError
 from active_emu.kernels import KernelParams
-from active_emu.multi_output import fit_all, predict_all, predict_mean_matrix
+from active_emu.multi_output import MultiGpModel, fit_all, predict_all, predict_mean_matrix
 
 from conftest import random_multi_model
 
@@ -101,9 +101,12 @@ class TestPredictAll:
         xn = model.normalize(x)
         means, variances, grads = predict_all(model, x)
         for p, single in enumerate(model.models):
-            assert means[p] == gp.predict_mean(single, xn)
-            assert variances[p] == gp.predict_variance(single, xn)
-            assert grads[p] == gp.mean_gradient_norm(single, xn)
+            ds = Dataset(model.dataset.X, model.dataset.Y[p : p + 1], model.dataset.input_bounds)
+            alone = MultiGpModel(ds, (single,))
+            terms = gp.evaluate([single], xn[np.newaxis, :], strict=False)
+            assert means[p] == predict_mean_matrix(alone, x[:, np.newaxis])[0, 0]
+            assert variances[p] == terms.variances[0, 0]
+            assert grads[p] == terms.gradient_norms[0, 0]
 
     def test_mean_matrix_matches_point_calls(self, rng):
         model = random_multi_model(rng, dimension=1, n_outputs=2, n_nodes=6,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from active_emu.simulators import (
+    STDERR_TAIL_BYTES,
     ExternalSimulator,
     FixtureNineBand,
     SimulatorError,
@@ -207,6 +208,17 @@ class TestExternalBridge:
         with _external("import sys; sys.exit(3)") as sim:
             with pytest.raises(SimulatorProtocolError):
                 sim.evaluate([1.0])
+
+    def test_protocol_error_carries_the_stderr_tail(self):
+        # 5,000 bytes of noise, then the last line; the child never replies.
+        child = "import sys; sys.stdin.readline(); sys.stderr.write('x' * 5000 + '\\nsolver exploded\\n'); sys.exit(1)"
+        with _external(child) as sim:
+            with pytest.raises(SimulatorProtocolError, match="closed its output") as excinfo:
+                sim.evaluate([1.0])
+        tail = excinfo.value.stderr_tail
+        assert tail.endswith("x\nsolver exploded\n")
+        assert len(tail.encode()) == STDERR_TAIL_BYTES
+        assert str(excinfo.value).endswith("stderr: solver exploded")
 
     def test_nan_from_child_is_a_simulator_error(self):
         child = 'import json, sys\nfor line in sys.stdin:\n    req = json.loads(line)\n    print(json.dumps({"id": req["id"], "y": [float("nan"), 0.0]}), flush=True)\n'
