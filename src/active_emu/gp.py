@@ -9,7 +9,10 @@ predictive means are `multi_output.predict_mean_matrix`.  Bandwidths are
 selected for every output row of a dataset at once, either by marginal
 likelihood (with a fixed nugget, one factorisation per grid bandwidth
 serves all rows) or by the largest bandwidth that keeps the kernel matrix
-numerically invertible.  Every solve with a Cholesky factor is `_solve`.
+numerically invertible.  Every Cholesky factorisation is `cho_factor` and
+every solve with its factor is `_solve`, both thin LAPACK calls; the search
+hands each row the factor of its chosen bandwidth, so `fit` does not
+factorise again.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor
-from scipy.linalg.lapack import dpocon, dpotrs
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
 
 from .kernels import KernelParams, kernel_matrix, squared_distances
 from .optimize import AnnealingConfig, OptimizerConfig, maximize
@@ -80,6 +83,10 @@ class Dataset:
             raise ValueError("each input bound must satisfy low < high")
         if X.shape[1] != Y.shape[1]:
             raise ValueError(f"X has {X.shape[1]} nodes but Y has {Y.shape[1]} output columns")
+        if not np.isfinite(X).all():
+            raise ValueError("nodes must be finite")
+        if not np.isfinite(Y).all():
+            raise ValueError("outputs must be finite")
         lo, hi = bounds[:, 0:1], bounds[:, 1:2]
         if np.any(X < lo - 1e-9) or np.any(X > hi + 1e-9):
             raise ValueError("nodes must lie within input_bounds")
@@ -142,7 +149,7 @@ class GpModel:
     params: KernelParams
     nugget: float
     alpha: np.ndarray  # solves (K + nugget I) alpha = y
-    factor: tuple  # Cholesky factor of K + nugget I (scipy cho_factor)
+    factor: tuple  # Cholesky factor of K + nugget I (`cho_factor`)
     train_inputs: np.ndarray  # D x m
     train_outputs: np.ndarray  # (m,)
     noise_free_factor: tuple | None  # Cholesky of K alone; None if unobtainable, or _UNBUILT
@@ -152,11 +159,13 @@ class GpModel:
         return self.train_inputs.shape[1]
 
 
-def fit(inputs, outputs, params: KernelParams, nugget: float = 0.0) -> GpModel:
+def fit(inputs, outputs, params: KernelParams, nugget: float = 0.0, factor=None) -> GpModel:
     """Fit the GP weights for one output row.
 
     With nugget 0 this is exact interpolation; coincident or near-coincident
-    nodes then make K singular and raise IllConditionedError.
+    nodes then make K singular and raise IllConditionedError.  `factor`, the
+    `cho_factor` of K + nugget I at these inputs and parameters (as
+    `select_hyperparameters` hands it out), saves the factorisation.
     """
     X = np.atleast_2d(np.asarray(inputs, dtype=float))
     y = np.asarray(outputs, dtype=float).ravel()
@@ -166,16 +175,17 @@ def fit(inputs, outputs, params: KernelParams, nugget: float = 0.0) -> GpModel:
         raise ValueError("fit needs at least one node")
     if nugget < 0.0:
         raise ValueError(f"nugget must be nonnegative, got {nugget}")
-    K = kernel_matrix(X, params, nugget)
-    try:
-        factor = cho_factor(K, lower=True)
-    except LinAlgError as exc:
-        cond = float(np.linalg.cond(K))
-        raise IllConditionedError(
-            f"kernel matrix is not positive definite (condition estimate {cond:.3e}); "
-            "distinct nodes or a nugget are required",
-            condition_estimate=cond,
-        ) from exc
+    if factor is None:
+        K = kernel_matrix(X, params, nugget)
+        try:
+            factor = cho_factor(K, lower=True)
+        except LinAlgError as exc:
+            cond = float(np.linalg.cond(K))
+            raise IllConditionedError(
+                f"kernel matrix is not positive definite (condition estimate {cond:.3e}); "
+                "distinct nodes or a nugget are required",
+                condition_estimate=cond,
+            ) from exc
     alpha = _solve(factor, y)
     return GpModel(
         params=params,
@@ -197,7 +207,8 @@ def _noise_free_factor(X, params: KernelParams):
     """
     K = kernel_matrix(X, params, 0.0)
     for jitter in (0.0, 1e-12, 1e-10, 1e-8):
-        Kj = K + jitter * np.eye(K.shape[0])
+        Kj = K.copy()
+        Kj.ravel()[:: K.shape[0] + 1] += jitter
         try:
             factor = cho_factor(Kj, lower=True)
         except LinAlgError:
@@ -313,26 +324,34 @@ def _stacked(A, V) -> np.ndarray:
     return np.matmul(A, V[:, :, np.newaxis])[:, :, 0]
 
 
+def cho_factor(K, lower: bool = True) -> tuple:
+    """Lower Cholesky factor of K, as `(L, True)`; LinAlgError if K is not positive definite.
+
+    LAPACK dpotrf on the lower triangle of K, bitwise
+    `scipy.linalg.cho_factor(K, lower=True)` without its finiteness check
+    (`Dataset` rejects non-finite data).  As there, the strict upper
+    triangle of L is left as it was in K.
+    """
+    if not lower:
+        raise ValueError("only the lower Cholesky factor is supported")
+    L, info = dpotrf(K, lower=1, clean=0)
+    if info > 0:
+        raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"dpotrf: illegal value in argument {-info}")
+    return L, True
+
+
 def _solve(factor, B) -> np.ndarray:
     """Solve (L L^T) X = B from a `cho_factor` factor.
 
-    LAPACK dpotrs, bitwise `cho_solve` without its finiteness checks.
+    LAPACK dpotrs, bitwise `scipy.linalg.cho_solve` without its finiteness
+    checks.
     """
     X, info = dpotrs(factor[0], B, lower=factor[1])
     if info != 0:
         raise ValueError(f"dpotrs: illegal value in argument {-info}")
     return X
-
-
-def log_marginal_likelihood(inputs, outputs, params: KernelParams, nugget: float = 0.0) -> float:
-    """Standard zero-mean GP log marginal likelihood."""
-    X = np.atleast_2d(np.asarray(inputs, dtype=float))
-    y = np.asarray(outputs, dtype=float).ravel()
-    K = kernel_matrix(X, params, nugget)
-    factor = cho_factor(K, lower=True)
-    alpha = _solve(factor, y)
-    log_det = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
-    return -0.5 * float(y @ alpha) - 0.5 * log_det - 0.5 * y.size * np.log(2.0 * np.pi)
 
 
 def _condition_estimate(K, factor) -> float:
@@ -342,47 +361,61 @@ def _condition_estimate(K, factor) -> float:
 
 
 def _log_ml_rows(sq, Y, bandwidth: float, nugget: float):
-    """Log marginal likelihood of every row of Y (P x m) at one bandwidth.
+    """Log marginal likelihood of every row of Y (P x m) at one bandwidth, and its factor.
 
     K + nugget I is the same for every row, so one Cholesky gives the
     log-determinant of all of them and one solve with the rows as
     right-hand sides gives every quadratic term (GPML eq. 5.8).  `sq` holds
-    the nodes' squared distances with a zero diagonal.  Returns None when
-    the matrix is not positive definite.
+    the nodes' squared distances with a zero diagonal.  The factor equals
+    that of `kernel_matrix` bit for bit while `sq` is exactly symmetric, as
+    `squared_distances(X, X)` is (numpy forms X.T @ X by a symmetric
+    rank-k update): K's lower triangle, all that `cho_factor` reads, then
+    equals `kernel_matrix`'s symmetrised one.  Returns (None, None) when the
+    matrix is not positive definite.
     """
-    K = np.exp(-sq / (2.0 * bandwidth**2))
-    K[np.diag_indices_from(K)] = 1.0 + nugget
+    K = np.divide(sq, -(2.0 * bandwidth**2))
+    np.exp(K, out=K)
+    K.ravel()[:: K.shape[0] + 1] = 1.0 + nugget
     try:
         factor = cho_factor(K, lower=True)
     except LinAlgError:
-        return None
+        return None, None
     alpha = _solve(factor, Y.T)  # (m, P)
-    log_det = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
-    return -0.5 * rowwise_dot(Y, alpha.T) - 0.5 * log_det - 0.5 * Y.shape[1] * np.log(2.0 * np.pi)
+    log_det = 2.0 * float(np.log(factor[0].diagonal()).sum())
+    return -0.5 * rowwise_dot(Y, alpha.T) - 0.5 * log_det - 0.5 * Y.shape[1] * np.log(2.0 * np.pi), factor
 
 
-def _golden_section_max(f, lo: float, hi: float, evaluations: int) -> tuple[float, float]:
-    """Best (value, point) of `evaluations` golden-section probes of f on [lo, hi]."""
-    c = hi - _INVERSE_GOLDEN * (hi - lo)
-    d = lo + _INVERSE_GOLDEN * (hi - lo)
-    fc, fd = f(c), f(d)
-    best = max((fc, c), (fd, d))
+def _golden_section_max(f, lo: float, hi: float, evaluations: int) -> tuple:
+    """Best (value, point, payload) of `evaluations` golden-section probes of f on [lo, hi].
+
+    f returns (value, payload).  Probes rank by (value, point); only the
+    two live probes and the best keep their payloads.
+    """
+
+    def probe(t):
+        value, payload = f(t)
+        return value, t, payload
+
+    def rank(entry):
+        return entry[:2]
+
+    C = probe(hi - _INVERSE_GOLDEN * (hi - lo))
+    D = probe(lo + _INVERSE_GOLDEN * (hi - lo))
+    best = max(C, D, key=rank)
     for _ in range(evaluations - 2):
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INVERSE_GOLDEN * (hi - lo)
-            fc = f(c)
-            best = max(best, (fc, c))
+        if C[0] >= D[0]:
+            hi, D = D[1], C
+            C = probe(hi - _INVERSE_GOLDEN * (hi - lo))
+            best = max(best, C, key=rank)
         else:
-            lo, c, fc = c, d, fd
-            d = lo + _INVERSE_GOLDEN * (hi - lo)
-            fd = f(d)
-            best = max(best, (fd, d))
+            lo, C = C[1], D
+            D = probe(lo + _INVERSE_GOLDEN * (hi - lo))
+            best = max(best, D, key=rank)
     return best
 
 
-def _shared_ml_bandwidths(X, Y, nugget: float) -> list[float]:
-    """Marginal-likelihood bandwidth of every row of Y under one fixed nugget.
+def _shared_ml_bandwidths(X, Y, nugget: float) -> tuple[list[float], list]:
+    """Marginal-likelihood bandwidth of every row of Y under one fixed nugget, and its factor.
 
     Every BANDWIDTH_GRID value is scored for all rows at once, with one
     factorisation each.  Each row is then refined by golden section over
@@ -391,15 +424,24 @@ def _shared_ml_bandwidths(X, Y, nugget: float) -> list[float]:
     refinement beats it.  A row whose grid has no finite score (no grid
     bandwidth factorises) gets the smallest grid bandwidth, which `fit` then
     rejects with IllConditionedError.
+
+    Each row's factor is the one the search built at its chosen bandwidth
+    (None where that factorisation failed).  Only the factors of the rows'
+    running maxima are kept, at most one per row.
     """
     sq = squared_distances(X, X)
     np.fill_diagonal(sq, 0.0)
 
     def scores(bandwidth, rows):
-        values = _log_ml_rows(sq, rows, bandwidth, nugget)
-        return np.full(rows.shape[0], -np.inf) if values is None else values
+        values, factor = _log_ml_rows(sq, rows, bandwidth, nugget)
+        return np.full(rows.shape[0], -np.inf) if values is None else values, factor
 
-    grid_scores = np.array([scores(b, Y) for b in BANDWIDTH_GRID])  # (grid, P)
+    grid_scores = np.empty((BANDWIDTH_GRID.size, Y.shape[0]))
+    factors = [None] * Y.shape[0]
+    for k, bandwidth in enumerate(BANDWIDTH_GRID):
+        grid_scores[k], factor = scores(bandwidth, Y)
+        for p in (grid_scores[: k + 1].argmax(axis=0) == k).nonzero()[0]:
+            factors[p] = factor  # the row's grid maximum so far
     log_grid = np.log(BANDWIDTH_GRID)
     bandwidths = []
     for p, row in enumerate(Y):
@@ -407,26 +449,34 @@ def _shared_ml_bandwidths(X, Y, nugget: float) -> list[float]:
         bandwidth = float(BANDWIDTH_GRID[k])
         if np.isfinite(grid_scores[k, p]):
             lo, hi = log_grid[max(k - 1, 0)], log_grid[min(k + 1, log_grid.size - 1)]
-            value, log_b = _golden_section_max(
-                lambda t: scores(np.exp(t), row[np.newaxis, :])[0], lo, hi, GOLDEN_SECTION_STEPS
-            )
+
+            def refined(t):
+                values, factor = scores(np.exp(t), row[np.newaxis, :])
+                return values[0], factor
+
+            value, log_b, factor = _golden_section_max(refined, lo, hi, GOLDEN_SECTION_STEPS)
             if value > grid_scores[k, p]:
                 bandwidth = float(np.exp(log_b))
+                factors[p] = factor
         bandwidths.append(bandwidth)
-    return bandwidths
+    return bandwidths, factors
 
 
-def _max_stable_bandwidth(X, nugget: float) -> float:
-    """Largest grid bandwidth whose K + nugget I factorises within CONDITION_BOUND."""
+def _max_stable_bandwidth(X, nugget: float) -> tuple[float, tuple | None]:
+    """Largest grid bandwidth whose K + nugget I factorises within CONDITION_BOUND, and its factor.
+
+    Where none does, the smallest grid bandwidth, with its factor if it has one.
+    """
     for bandwidth in BANDWIDTH_GRID[::-1]:
         K = kernel_matrix(X, KernelParams(bandwidth), nugget)
         try:
             factor = cho_factor(K, lower=True)
         except LinAlgError:
+            factor = None
             continue
         if _condition_estimate(K, factor) <= CONDITION_BOUND:
-            return float(bandwidth)
-    return float(BANDWIDTH_GRID[0])
+            return float(bandwidth), factor
+    return float(BANDWIDTH_GRID[0]), factor
 
 
 def _learned_nugget_search(X, y, seed: int, optimizer: OptimizerConfig) -> tuple[KernelParams, float]:
@@ -436,7 +486,7 @@ def _learned_nugget_search(X, y, seed: int, optimizer: OptimizerConfig) -> tuple
     Y = y[np.newaxis, :]
 
     def objective(theta):
-        values = _log_ml_rows(sq, Y, np.exp(theta[0]), np.exp(theta[1]))
+        values, _ = _log_ml_rows(sq, Y, np.exp(theta[0]), np.exp(theta[1]))
         return -1e300 if values is None else float(values[0])  # finite so the optimizer can walk away
 
     bounds = [
@@ -457,8 +507,11 @@ def select_hyperparameters(
 ):
     """Choose the kernel bandwidth (and optionally the nugget) of every output row.
 
-    `outputs` is one row (m,) or P rows (P x m).  The result is one
-    (KernelParams, nugget) pair for a single row, else a list of P pairs.
+    `outputs` is one row (m,) or P rows (P x m).  Returns (selected,
+    factors): `selected` is one (KernelParams, nugget) pair for a single
+    row, else a list of P pairs, and `factors` has the same shape, holding
+    each row's `cho_factor` of K + nugget I at its choice where the search
+    built one (both fixed-nugget strategies), else None.
     nugget_policy is either a fixed variance (float) or the string 'learned'.
 
     strategy 'marginal-likelihood' with a fixed nugget maximizes each row's
@@ -488,7 +541,9 @@ def select_hyperparameters(
     if strategy == "max-stable-bandwidth":
         if learn_nugget:
             raise ValueError("max-stable-bandwidth requires a fixed nugget")
-        selected = [(KernelParams(_max_stable_bandwidth(X, fixed_nugget)), fixed_nugget)] * Y.shape[0]
+        bandwidth, factor = _max_stable_bandwidth(X, fixed_nugget)
+        selected = [(KernelParams(bandwidth), fixed_nugget)] * Y.shape[0]
+        factors = [factor] * Y.shape[0]
     elif strategy != "marginal-likelihood":
         raise ValueError(f"unknown hyperparameter strategy: {strategy!r}")
     elif learn_nugget:
@@ -502,6 +557,10 @@ def select_hyperparameters(
         selected = [
             _learned_nugget_search(X, y, derive_seed(seed, p), optimizer) for p, y in enumerate(Y)
         ]
+        factors = [None] * Y.shape[0]
     else:
-        selected = [(KernelParams(b), fixed_nugget) for b in _shared_ml_bandwidths(X, Y, fixed_nugget)]
-    return selected[0] if single else selected
+        bandwidths, factors = _shared_ml_bandwidths(X, Y, fixed_nugget)
+        selected = [(KernelParams(b), fixed_nugget) for b in bandwidths]
+    if single:
+        return selected[0], factors[0]
+    return selected, factors

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import gp
 from .gp import Dataset, GpModel, IllConditionedError
-from .kernels import KernelParams, cross_kernel
+from .kernels import KernelParams, squared_distances
 from .optimize import OptimizerConfig
 
 # Bandwidth used when a model must be built from a single node, where no
@@ -56,7 +56,8 @@ def fit_all(
     Hyperparameters are selected for all outputs by one call of
     `gp.select_hyperparameters`; each output still gets its own.  With a
     fixed nugget that search is deterministic and shares its
-    factorisations between outputs; `seed` and `hyper_optimizer` apply to
+    factorisations between outputs, and each model reuses the factor the
+    search built at its bandwidth; `seed` and `hyper_optimizer` apply to
     the learned nugget only.  Pass `bandwidths` to skip selection and fit
     with fixed kernel parameters.
     """
@@ -64,7 +65,7 @@ def fit_all(
         raise ValueError("hyperparameter selection needs at least two nodes")
     Xn = dataset.normalize(dataset.X)
     if bandwidths is None:
-        selected = gp.select_hyperparameters(
+        selected, factors = gp.select_hyperparameters(
             Xn,
             dataset.Y,
             strategy=hyper_strategy,
@@ -77,11 +78,12 @@ def fit_all(
         selected = [
             (b if isinstance(b, KernelParams) else KernelParams(float(b)), nugget) for b in bandwidths
         ]
+        factors = [None] * len(selected)
     models = []
     for p in range(dataset.n_outputs):
         params, nugget = selected[p]
         try:
-            models.append(gp.fit(Xn, dataset.Y[p], params, nugget))
+            models.append(gp.fit(Xn, dataset.Y[p], params, nugget, factor=factors[p]))
         except IllConditionedError as exc:
             raise IllConditionedError(
                 f"output {p}: {exc}", condition_estimate=exc.condition_estimate
@@ -107,6 +109,18 @@ def predict_all(model: MultiGpModel, x) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def predict_mean_matrix(model: MultiGpModel, X) -> np.ndarray:
-    """Predictive means k_x^T alpha for all outputs at the columns of X (raw); (P, n)."""
+    """Predictive means k_x^T alpha for all outputs at the columns of X (raw); (P, n).
+
+    The (m, n) squared distances to the shared nodes are built once; each
+    output's kernel block then reuses one buffer, with the bits of
+    `cross_kernel`.
+    """
     Xn = model.dataset.normalize(np.atleast_2d(np.asarray(X, dtype=float)))
-    return np.vstack([cross_kernel(m.train_inputs, Xn, m.params).T @ m.alpha for m in model.models])
+    sq = squared_distances(model.models[0].train_inputs, Xn)
+    K = np.empty_like(sq)
+    means = np.empty((model.n_outputs, sq.shape[1]))
+    for p, m in enumerate(model.models):
+        np.divide(sq, -(2.0 * m.params.bandwidth**2), out=K)
+        np.exp(K, out=K)
+        means[p] = K.T @ m.alpha
+    return means

@@ -3,11 +3,26 @@
 import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from active_emu import gp
 from active_emu.gp import Dataset, fit
-from active_emu.kernels import KernelParams
+from active_emu.kernels import KernelParams, kernel_matrix
 from active_emu.multi_output import MultiGpModel, predict_mean_matrix
+
+
+def log_marginal_likelihood(inputs, outputs, params, nugget=0.0):
+    """Zero-mean GP log marginal likelihood (GPML eq. 5.8) on scipy's own Cholesky.
+
+    An oracle for the bandwidth search, independent of the factorisation
+    and solve in `gp`.
+    """
+    X = np.atleast_2d(np.asarray(inputs, dtype=float))
+    y = np.asarray(outputs, dtype=float).ravel()
+    factor = cho_factor(kernel_matrix(X, params, nugget), lower=True)
+    alpha = cho_solve(factor, y)
+    log_det = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
+    return -0.5 * float(y @ alpha) - 0.5 * log_det - 0.5 * y.size * np.log(2.0 * np.pi)
 
 
 def central_difference_gradient(f, x, step=1e-6):

@@ -1,8 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
-lines; the three experiment criteria (1, 2, 10) dominate the runtime
-(roughly two, two and seven minutes respectively).
+lines; the three experiment criteria (1, 2, 10) dominate the runtime, and
+each has a wall-clock gate of its own.  Every test here carries the
+`acceptance` marker, so `pytest -m "not acceptance"` runs the rest of the
+suite alone.
 """
 
 import time
@@ -36,6 +38,8 @@ from conftest import (
     separated_points,
     terms_at,
 )
+
+pytestmark = pytest.mark.acceptance
 
 
 def report(number: int, name: str, detail: str = "") -> None:
@@ -413,6 +417,7 @@ class TestCriterion10FixtureExperiment:
             )
             margins[strategy] = margin / pooled_stderr(row[3], random_row[3])
         elapsed = time.time() - started
+        assert elapsed < 900.0
         report(10, "fixture-9band beats truncated-Gaussian random sampling",
                f"margins {margins['amogape:SD']:.1f} / {margins['amogape:SDxSG']:.1f} stderr, "
                f"{elapsed:.0f} s")

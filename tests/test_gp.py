@@ -11,7 +11,6 @@ from active_emu.gp import (
     Dataset,
     IllConditionedError,
     fit,
-    log_marginal_likelihood,
     select_hyperparameters,
 )
 from active_emu.kernels import KernelParams, kernel_matrix, squared_distances
@@ -21,6 +20,7 @@ from active_emu.optimize import AnnealingConfig, OptimizerConfig
 from conftest import (
     as_multi,
     central_difference_gradient,
+    log_marginal_likelihood,
     mean_at,
     random_gp_model,
     relative_gradient_error,
@@ -63,6 +63,40 @@ class TestDataset:
         np.testing.assert_allclose(ds2.X, [[0.2, 0.8]])
         with pytest.raises(ValueError, match="duplicate"):
             ds2.with_node([0.8], [3.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_nodes(self, bad):
+        with pytest.raises(ValueError, match="nodes must be finite"):
+            Dataset(X=[[0.2, bad]], Y=[[1.0, 2.0]], input_bounds=[[0.0, 1.0]])
+        ds = Dataset(X=[[0.2]], Y=[[1.0]], input_bounds=[[0.0, 1.0]])
+        with pytest.raises(ValueError, match="nodes must be finite"):
+            ds.with_node([bad], [2.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_rejects_non_finite_outputs(self, bad):
+        with pytest.raises(ValueError, match="outputs must be finite"):
+            Dataset(X=[[0.2, 0.8]], Y=[[1.0, 2.0], [3.0, bad]], input_bounds=[[0.0, 1.0]])
+        ds = Dataset(X=[[0.2]], Y=[[1.0], [3.0]], input_bounds=[[0.0, 1.0]])
+        with pytest.raises(ValueError, match="outputs must be finite"):
+            ds.with_node([0.8], [2.0, bad])
+
+
+class TestCholesky:
+    @pytest.mark.parametrize("m", [24, 130])
+    def test_equals_scipy_cho_factor(self, rng, m):
+        from scipy.linalg import cho_factor
+
+        X = rng.random((2, m))
+        K = kernel_matrix(X, KernelParams(0.2), 1e-4)
+        L, lower = gp.cho_factor(K, lower=True)
+        expected, expected_lower = cho_factor(K, lower=True)
+        assert lower is True and expected_lower is True
+        np.testing.assert_array_equal(np.tril(L), np.tril(expected))
+
+    def test_not_positive_definite_raises(self):
+        K = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            gp.cho_factor(K, lower=True)
 
 
 class TestFit:
@@ -243,7 +277,7 @@ class TestHyperparameters:
     def test_fixed_nugget_passthrough(self, rng):
         X = separated_points(rng, 1, 6, 0.1)
         y = rng.normal(size=6)
-        _, nugget = select_hyperparameters(X, y, nugget_policy=0.02, seed=1)
+        (_, nugget), _ = select_hyperparameters(X, y, nugget_policy=0.02, seed=1)
         assert nugget == 0.02
 
     def test_max_stable_two_nodes_closed_form(self):
@@ -254,8 +288,8 @@ class TestHyperparameters:
             k = np.exp(-1.0 / (2.0 * bandwidth**2))
             if (1.0 + k) / (1.0 - k) <= CONDITION_BOUND:
                 expected = bandwidth
-        params, nugget = select_hyperparameters(X, [0.0, 1.0], strategy="max-stable-bandwidth",
-                                                nugget_policy=0.0)
+        (params, nugget), _ = select_hyperparameters(X, [0.0, 1.0], strategy="max-stable-bandwidth",
+                                                     nugget_policy=0.0)
         assert params.bandwidth == pytest.approx(expected)
         assert nugget == 0.0
 
@@ -266,7 +300,7 @@ class TestHyperparameters:
 
         X = separated_points(rng, 2, 10, 0.1)
         y = rng.normal(size=10)
-        params, _ = select_hyperparameters(X, y, strategy="max-stable-bandwidth", nugget_policy=0.0)
+        (params, _), _ = select_hyperparameters(X, y, strategy="max-stable-bandwidth", nugget_policy=0.0)
         # the selected bandwidth factorizes and its estimate is within bound;
         # the next-larger grid bandwidth would violate one of the two
         K = kernel_matrix(X, params, 0.0)
@@ -286,7 +320,7 @@ class TestHyperparameters:
         from active_emu.samplers import lhs_design
 
         X = lhs_design(2, 130, seed=1)
-        params, nugget = select_hyperparameters(
+        (params, nugget), _ = select_hyperparameters(
             X, np.zeros(130), strategy="max-stable-bandwidth", nugget_policy=1e-4
         )
         assert nugget == 1e-4
@@ -302,7 +336,7 @@ class TestHyperparameters:
             X = np.sort(rng.random(40))[np.newaxis, :]
             K = kernel_matrix(X, KernelParams(true_bandwidth), 1e-6)
             y = np.linalg.cholesky(K) @ rng.normal(size=40)
-            params, _ = select_hyperparameters(
+            (params, _), _ = select_hyperparameters(
                 X, y, nugget_policy=1e-6, seed=seed,
                 optimizer=OptimizerConfig(strategy="simulated-annealing",
                                           annealing=AnnealingConfig(iterations=150)),
@@ -314,15 +348,16 @@ class TestHyperparameters:
     def test_learned_nugget_within_bounds(self, rng):
         X = separated_points(rng, 1, 20, 0.02)
         y = np.sin(6.0 * X[0]) + 0.1 * rng.normal(size=20)
-        params, nugget = select_hyperparameters(X, y, nugget_policy="learned", seed=7)
+        (params, nugget), factor = select_hyperparameters(X, y, nugget_policy="learned", seed=7)
+        assert factor is None  # the learned search keeps no factor
         assert 1e-8 <= nugget <= 1e-1
         assert BANDWIDTH_GRID[0] <= params.bandwidth <= BANDWIDTH_GRID[-1]
 
     def test_deterministic_given_seed(self, rng):
         X = separated_points(rng, 1, 10, 0.05)
         y = rng.normal(size=10)
-        first = select_hyperparameters(X, y, nugget_policy=0.02, seed=42)
-        second = select_hyperparameters(X, y, nugget_policy=0.02, seed=42)
+        first, _ = select_hyperparameters(X, y, nugget_policy=0.02, seed=42)
+        second, _ = select_hyperparameters(X, y, nugget_policy=0.02, seed=42)
         assert first == second
 
     def test_max_stable_walks_once_for_every_row(self, rng, monkeypatch):
@@ -345,7 +380,7 @@ class TestHyperparameters:
         calls = []
         original = gp.cho_factor
         monkeypatch.setattr(gp, "cho_factor", lambda *a, **k: calls.append(1) or original(*a, **k))
-        selected = select_hyperparameters(X, Y, strategy="max-stable-bandwidth", nugget_policy=1e-4)
+        selected, _ = select_hyperparameters(X, Y, strategy="max-stable-bandwidth", nugget_policy=1e-4)
         assert [params.bandwidth for params, _ in selected] == expected
         assert all(nugget == 1e-4 for _, nugget in selected)
         one_row = len(calls)
@@ -393,7 +428,7 @@ class TestSharedSearch:
         X = separated_points(rng, 2, 40, 0.03)
         Y = self.outputs(X)
         for nugget in (1e-4, 1e-2):
-            selected = select_hyperparameters(X, Y, nugget_policy=nugget)
+            selected, _ = select_hyperparameters(X, Y, nugget_policy=nugget)
             assert len(selected) == Y.shape[0]
             for y, (params, chosen_nugget) in zip(Y, selected):
                 assert chosen_nugget == nugget
@@ -420,11 +455,37 @@ class TestSharedSearch:
             assert np.sum(np.isclose(seen, expected, rtol=1e-12, atol=0.0)) == 1
         assert len(seen) <= BANDWIDTH_GRID.size + Y.shape[0] * GOLDEN_SECTION_STEPS
 
+    @pytest.mark.parametrize("strategy", ["marginal-likelihood", "max-stable-bandwidth"])
+    def test_fit_all_factorises_only_in_the_search(self, rng, monkeypatch, strategy):
+        X = separated_points(rng, 2, 30, 0.03)
+        ds = Dataset(X, self.outputs(X), [[0.0, 1.0]] * 2)
+        refinements = ds.n_outputs * GOLDEN_SECTION_STEPS if strategy == "marginal-likelihood" else 0
+        in_fit, calls = [], []
+        original_factor, original_fit = gp.cho_factor, gp.fit
+
+        def fitting(*args, **kwargs):
+            in_fit.append(True)
+            try:
+                return original_fit(*args, **kwargs)
+            finally:
+                in_fit.pop()
+
+        monkeypatch.setattr(gp, "cho_factor", lambda K, **kw: calls.append(bool(in_fit)) or original_factor(K, **kw))
+        monkeypatch.setattr(gp, "fit", fitting)
+        model = fit_all(ds, hyper_strategy=strategy, nugget_policy=1e-4)
+        assert 0 < len(calls) <= BANDWIDTH_GRID.size + refinements
+        assert not any(calls), "fit factorised again"
+        # each model is the one fit builds from its own factorisation
+        for y, built in zip(ds.Y, model.models):
+            expected = fit(X, y, built.params, 1e-4)
+            np.testing.assert_array_equal(np.tril(built.factor[0]), np.tril(expected.factor[0]))
+            np.testing.assert_array_equal(built.alpha, expected.alpha)
+
     def test_maximum_at_the_grid_edge(self, rng):
         # a constant output prefers the flattest kernel: the top of the grid
         X = separated_points(rng, 2, 20, 0.05)
         y = np.ones(20)
-        params, _ = select_hyperparameters(X, y, nugget_policy=1e-4)
+        (params, _), _ = select_hyperparameters(X, y, nugget_policy=1e-4)
         assert params.bandwidth == BANDWIDTH_GRID[-1]
         assert _log_ml(X, y, params.bandwidth, 1e-4) >= dense_oracle(X, y, 1e-4) - 1e-3
 

@@ -5,8 +5,10 @@ import pytest
 
 from active_emu import gp
 from active_emu.gp import Dataset, IllConditionedError
-from active_emu.kernels import KernelParams
+from active_emu.kernels import KernelParams, cross_kernel
 from active_emu.multi_output import MultiGpModel, fit_all, predict_all, predict_mean_matrix
+from active_emu.samplers import lhs_design
+from active_emu.simulators import FixtureNineBand
 
 from conftest import random_multi_model
 
@@ -107,6 +109,18 @@ class TestPredictAll:
             assert means[p] == predict_mean_matrix(alone, x[:, np.newaxis])[0, 0]
             assert variances[p] == terms.variances[0, 0]
             assert grads[p] == terms.gradient_norms[0, 0]
+
+    def test_mean_matrix_matches_each_output_kernel_bitwise(self):
+        sim = FixtureNineBand(2)
+        X = lhs_design(2, 60, seed=5, bounds=sim.bounds)
+        Y = np.column_stack([sim.evaluate(x) for x in X.T])
+        model = fit_all(Dataset(X, Y, sim.bounds), nugget_policy=1e-4)
+        Xq = lhs_design(2, 500, seed=6, bounds=sim.bounds)
+        means = predict_mean_matrix(model, Xq)
+        Xn = model.normalize(Xq)
+        assert means.shape == (9, 500)
+        for row, single in zip(means, model.models):
+            np.testing.assert_array_equal(row, cross_kernel(single.train_inputs, Xn, single.params).T @ single.alpha)
 
     def test_mean_matrix_matches_point_calls(self, rng):
         model = random_multi_model(rng, dimension=1, n_outputs=2, n_nodes=6,
