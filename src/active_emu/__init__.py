@@ -6,7 +6,7 @@ norm, producing a compact lookup table plus a fitted emulator.
 """
 
 from .acquisition import AcquisitionSpec, InputPrior, TemperingSchedule
-from .gp import Dataset, GpModel, IllConditionedError
+from .gp import Dataset, IllConditionedError
 from .kernels import KernelParams
 from .loop import EmulationResult, LoopConfig, baseline_run, run
 from .multi_output import MultiGpModel, fit_all, predict_all
@@ -21,7 +21,6 @@ __all__ = [
     "AscentConfig",
     "Dataset",
     "EmulationResult",
-    "GpModel",
     "IllConditionedError",
     "InputPrior",
     "KernelParams",

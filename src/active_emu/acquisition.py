@@ -189,7 +189,7 @@ def acquisition_values(spec: AcquisitionSpec, model: MultiGpModel, X, t: int) ->
         return values
     beta = beta_at(spec.tempering, t)
     geometric = spec.geometry_op != "none" and beta != 0.0
-    terms = gp.evaluate(model.models, model.normalize(X[live].T).T, spec.strict_zero_at_nodes, geometric)
+    terms = gp.evaluate(model, model.normalize(X[live].T).T, spec.strict_zero_at_nodes, geometric)
     combined = _combine_rows(terms.variances, spec.diversity_op)
     if geometric:
         powered = np.array([g**beta for g in _combine_rows(terms.gradient_norms, spec.geometry_op).tolist()])
@@ -235,7 +235,7 @@ def acquisition_gradient(spec: AcquisitionSpec, model: MultiGpModel, x, t: int) 
     beta = beta_at(spec.tempering, t)
     geometric = spec.geometry_op != "none" and beta != 0.0
     terms = gp.evaluate(
-        model.models, model.normalize(x)[np.newaxis, :], spec.strict_zero_at_nodes, geometric, derivatives=True
+        model, model.normalize(x)[np.newaxis, :], spec.strict_zero_at_nodes, geometric, derivatives=True
     )
     d_term, d_grad = _combine_with_gradient(terms.variances[0], terms.variance_gradients[0], spec.diversity_op)
     if d_term == 0.0:

@@ -121,8 +121,6 @@ def _parse_hyper(raw) -> tuple[str, float | str, OptimizerConfig | None]:
         return "marginal-likelihood", 0.0, None
     _require_keys(raw, {"strategy", "nugget", "optimizer"}, "hyperparameters")
     strategy = raw.get("strategy", "marginal-likelihood")
-    if strategy not in ("marginal-likelihood", "max-stable-bandwidth"):
-        raise ConfigError(f"unknown hyperparameter strategy: {strategy!r}")
     nugget = _parse_nugget(raw.get("nugget"))
     optimizer = None
     if raw.get("optimizer") is not None:

@@ -1,18 +1,17 @@
-"""Single-output Gaussian-process interpolation and regression.
+"""Gaussian-process interpolation and regression of every output row over shared nodes.
 
-Zero-mean GP with the exponentiated quadratic kernel.  `fit` gives one
-output row its weights and Cholesky factor.  `evaluate` is the one
-evaluation of fitted GPs away from their nodes: for a block of query points
-and all models over the same nodes, the variances (predictive or
-noise-free), the mean gradients and, on request, their derivatives.  The
-predictive means are `multi_output.predict_mean_matrix`.  Bandwidths are
-selected for every output row of a dataset at once, either by marginal
-likelihood (with a fixed nugget, one factorisation per grid bandwidth
-serves all rows) or by the largest bandwidth that keeps the kernel matrix
-numerically invertible.  Every Cholesky factorisation is `cho_factor` and
-every solve with its factor is `_solve`, both thin LAPACK calls; the search
-hands each row the factor of its chosen bandwidth, so `fit` does not
-factorise again.
+Zero-mean GPs with the exponentiated quadratic kernel, one per output row,
+each with its own bandwidth and nugget.  `select_hyperparameters` chooses
+them for all rows at once, either by marginal likelihood (with a fixed
+nugget, one factorisation per grid bandwidth serves all rows) or by the
+largest bandwidth that keeps the kernel matrix numerically invertible.
+`fit` solves every row's weights, reusing the factors the search built.
+`evaluate` is the one evaluation of a fitted `multi_output.MultiGpModel`
+away from its nodes: every output's variances (predictive or noise-free),
+mean gradients and, on request, their derivatives at a block of points.
+The predictive means are `multi_output.predict_mean_matrix`.  Every
+Cholesky factorisation is `cho_factor` and every solve with its factor is
+`_solve`, both thin LAPACK calls.
 """
 
 from __future__ import annotations
@@ -41,14 +40,12 @@ CONDITION_BOUND = 1e6
 
 LEARNED_NUGGET_BOUNDS = (1e-8, 1e-1)
 
+HYPER_STRATEGIES = ("marginal-likelihood", "max-stable-bandwidth")
+
 # Golden-section evaluations per output when the fixed-nugget
 # marginal-likelihood search refines its grid maximum.
 GOLDEN_SECTION_STEPS = 12
 _INVERSE_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-# `GpModel.noise_free_factor` until its first use builds it (Ellipsis, a
-# singleton that survives pickling).
-_UNBUILT = Ellipsis
 
 # Round-off window for clamping tiny negative predictive variances.
 _VARIANCE_CLAMP = 1e-12
@@ -136,66 +133,30 @@ class Dataset:
         return Dataset(np.hstack([self.X, x]), np.hstack([self.Y, y]), self.input_bounds)
 
 
-@dataclass(frozen=True)
-class GpModel:
-    """Fitted single-output GP; immutable after `fit`, but for one cache.
+def fit(nodes, Y, bandwidths, nuggets, factors) -> tuple[np.ndarray, list]:
+    """Weights alpha (P x m) of every output row of Y at the nodes (D x m), and the P factors.
 
-    With a nugget, the factor of K alone is built by the first strict
-    variance that needs it (`_variance_factor`), not by `fit`: models that
-    never serve a strict acquisition (baselines, RMSE fits, a run's final
-    model) skip its Cholesky and do not hold a second m x m array.
+    Row p solves (K + nuggets[p] I) alpha[p] = Y[p] at bandwidths[p] with
+    factors[p], the `cho_factor` the search handed out, or a new one where
+    that is None.  Without a nugget, (near-)coincident nodes make K
+    singular and raise IllConditionedError, tagged with the row.
     """
-
-    params: KernelParams
-    nugget: float
-    alpha: np.ndarray  # solves (K + nugget I) alpha = y
-    factor: tuple  # Cholesky factor of K + nugget I (`cho_factor`)
-    train_inputs: np.ndarray  # D x m
-    train_outputs: np.ndarray  # (m,)
-    noise_free_factor: tuple | None  # Cholesky of K alone; None if unobtainable, or _UNBUILT
-
-    @property
-    def n_nodes(self) -> int:
-        return self.train_inputs.shape[1]
-
-
-def fit(inputs, outputs, params: KernelParams, nugget: float = 0.0, factor=None) -> GpModel:
-    """Fit the GP weights for one output row.
-
-    With nugget 0 this is exact interpolation; coincident or near-coincident
-    nodes then make K singular and raise IllConditionedError.  `factor`, the
-    `cho_factor` of K + nugget I at these inputs and parameters (as
-    `select_hyperparameters` hands it out), saves the factorisation.
-    """
-    X = np.atleast_2d(np.asarray(inputs, dtype=float))
-    y = np.asarray(outputs, dtype=float).ravel()
-    if X.shape[1] != y.size:
-        raise ValueError(f"{X.shape[1]} input nodes but {y.size} outputs")
-    if X.shape[1] < 1:
-        raise ValueError("fit needs at least one node")
-    if nugget < 0.0:
-        raise ValueError(f"nugget must be nonnegative, got {nugget}")
-    if factor is None:
-        K = kernel_matrix(X, params, nugget)
-        try:
-            factor = cho_factor(K, lower=True)
-        except LinAlgError as exc:
-            cond = float(np.linalg.cond(K))
-            raise IllConditionedError(
-                f"kernel matrix is not positive definite (condition estimate {cond:.3e}); "
-                "distinct nodes or a nugget are required",
-                condition_estimate=cond,
-            ) from exc
-    alpha = _solve(factor, y)
-    return GpModel(
-        params=params,
-        nugget=float(nugget),
-        alpha=alpha,
-        factor=factor,
-        train_inputs=X,
-        train_outputs=y,
-        noise_free_factor=factor if nugget == 0.0 else _UNBUILT,
-    )
+    alpha = np.empty(Y.shape)
+    factors = list(factors)
+    for p, y in enumerate(Y):
+        if factors[p] is None:
+            K = kernel_matrix(nodes, KernelParams(bandwidths[p]), nuggets[p])
+            try:
+                factors[p] = cho_factor(K, lower=True)
+            except LinAlgError as exc:
+                cond = float(np.linalg.cond(K))
+                raise IllConditionedError(
+                    f"output {p}: kernel matrix is not positive definite (condition estimate {cond:.3e}); "
+                    "distinct nodes or a nugget are required",
+                    condition_estimate=cond,
+                ) from exc
+        alpha[p] = _solve(factors[p], y)
+    return alpha, factors
 
 
 def _noise_free_factor(X, params: KernelParams):
@@ -218,17 +179,22 @@ def _noise_free_factor(X, params: KernelParams):
     return None
 
 
-def _variance_factor(model: GpModel, strict: bool):
-    """Cholesky factor behind the variance: K alone when strict, else K + nugget I.
+def _strict_factors(model) -> list:
+    """Cholesky factors behind the noise-free variances of a fitted model, one per output.
 
-    Builds and keeps the factor of K alone on first use; where even the
-    largest jitter gives none, K + nugget I stands in.
+    Built on the model's first strict evaluation and kept in its
+    `noise_free_factors`.  Without a nugget an output's factor of K alone is
+    its fit's own; where even the largest jitter gives none, K + nugget I
+    stands in.
     """
-    if not strict:
-        return model.factor
-    if model.noise_free_factor is _UNBUILT:
-        object.__setattr__(model, "noise_free_factor", _noise_free_factor(model.train_inputs, model.params))
-    return model.factor if model.noise_free_factor is None else model.noise_free_factor
+    cache = model.noise_free_factors
+    if not cache:
+        built = [
+            None if nugget == 0.0 else _noise_free_factor(model.nodes, KernelParams(bandwidth))
+            for bandwidth, nugget in zip(model.bandwidths, model.nuggets)
+        ]
+        cache.extend(factor if own is None else own for factor, own in zip(model.factors, built))
+    return cache
 
 
 def _clamped(values: np.ndarray, strict: bool) -> np.ndarray:
@@ -259,16 +225,16 @@ class Evaluation(NamedTuple):
     norm_gradients: np.ndarray | None  # gradients of gradient_norms
 
 
-def evaluate(models, Xq, strict: bool, mean_gradients: bool = True, derivatives: bool = False) -> Evaluation:
-    """Variances and mean gradients of fitted GPs that share their nodes, at the rows of Xq (n x D).
+def evaluate(model, Xq, strict: bool, mean_gradients: bool = True, derivatives: bool = False) -> Evaluation:
+    """Variances and mean gradients of a fitted `MultiGpModel`, at the rows of Xq (n x D, unit cube).
 
-    The (n, m, D) differences to the nodes and their squared distances are
-    built once for all models.  Each model then takes one n x m kernel
-    block, one solve with n right-hand sides and stacked products (the
-    triangular-solve form of GPML Alg. 2.1).  strict selects the noise-free
-    variance, exactly zero at a node; both variances pass the round-off
-    clamps.  `derivatives` adds the variance gradients and, with
-    `mean_gradients`, the gradients of the mean-gradient norms (a
+    The (n, m, D) differences to the model's nodes and their squared
+    distances are built once for all outputs.  Each output then takes one
+    n x m kernel block, one solve with n right-hand sides and stacked
+    products (the triangular-solve form of GPML Alg. 2.1).  strict selects
+    the noise-free variance, exactly zero at a node; both variances pass
+    the round-off clamps.  `derivatives` adds the variance gradients and,
+    with `mean_gradients`, the gradients of the mean-gradient norms (a
     Hessian-vector product, zero where the norm is below 1e-12).
 
     Every reduction is one dot product or matrix-vector product per point,
@@ -276,35 +242,36 @@ def evaluate(models, Xq, strict: bool, mean_gradients: bool = True, derivatives:
     through the solve: a one-row block is the evaluation of that point.
     """
     Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
-    nodes = models[0].train_inputs
+    nodes = model.nodes
     if Xq.shape[1] != nodes.shape[0]:
-        raise ValueError(f"query points have dimension {Xq.shape[1]}, models expect {nodes.shape[0]}")
+        raise ValueError(f"query points have dimension {Xq.shape[1]}, the model expects {nodes.shape[0]}")
     diffs = Xq[:, np.newaxis, :] - nodes.T[np.newaxis, :, :]  # (n, m, D), diffs[j, i] = x_j - x_i
     diffs_t = diffs.transpose(0, 2, 1)
     sq = np.einsum("nmd,nmd->nm", diffs, diffs)
     at_node = sq.min(axis=1) <= DUPLICATE_TOLERANCE**2
-    n, P, D = Xq.shape[0], len(models), Xq.shape[1]
+    n, P, D = Xq.shape[0], model.n_outputs, Xq.shape[1]
     variances = np.empty((n, P))
     gradients = np.empty((n, P, D)) if mean_gradients else None
     norms = np.empty((n, P)) if mean_gradients else None
     variance_gradients = np.empty((n, P, D)) if derivatives else None
     norm_gradients = np.empty((n, P, D)) if derivatives and mean_gradients else None
-    for p, model in enumerate(models):
-        b2 = model.params.bandwidth**2
+    factors = _strict_factors(model) if strict else model.factors
+    for p, (bandwidth, nugget, alpha, factor) in enumerate(zip(model.bandwidths, model.nuggets, model.alpha, factors)):
+        b2 = bandwidth**2
         K = np.exp(-sq / (2.0 * b2))  # row j is k_x of point j
-        W = _solve(_variance_factor(model, strict), K.T)  # (m, n)
+        W = _solve(factor, K.T)  # (m, n)
         quad = rowwise_dot(K, W.T)
         if strict:
             values = 1.0 - quad
             values[at_node] = 0.0
         else:
-            values = model.nugget + 1.0 - quad
+            values = nugget + 1.0 - quad
         variances[:, p] = _clamped(values, strict)
         if derivatives:
             variance_gradients[:, p] = (2.0 / b2) * _stacked(diffs_t, K * W.T)
         if not mean_gradients:
             continue
-        weighted = K * model.alpha
+        weighted = K * alpha
         g = -_stacked(diffs_t, weighted) / b2
         gradients[:, p] = g
         norms[:, p] = norm = np.sqrt(rowwise_dot(g, g))
@@ -312,7 +279,7 @@ def evaluate(models, Xq, strict: bool, mean_gradients: bool = True, derivatives:
             # Hessian-vector product of the mean without forming the D x D Hessian:
             # H g = (1/b2^2) sum_i alpha_i k_i d_i (d_i . g) - (1/b2) (alpha . k) g.
             t = _stacked(diffs, g)
-            Hg = _stacked(diffs_t, weighted * t) / b2**2 - (rowwise_dot(K, model.alpha) / b2)[:, np.newaxis] * g
+            Hg = _stacked(diffs_t, weighted * t) / b2**2 - (rowwise_dot(K, alpha) / b2)[:, np.newaxis] * g
             flat = norm < 1e-12
             norm_gradients[:, p] = Hg / np.where(flat, 1.0, norm)[:, np.newaxis]
             norm_gradients[flat, p] = 0.0
@@ -479,7 +446,7 @@ def _max_stable_bandwidth(X, nugget: float) -> tuple[float, tuple | None]:
     return float(BANDWIDTH_GRID[0]), factor
 
 
-def _learned_nugget_search(X, y, seed: int, optimizer: OptimizerConfig) -> tuple[KernelParams, float]:
+def _learned_nugget_search(X, y, seed: int, optimizer: OptimizerConfig) -> tuple[float, float]:
     """Bandwidth and nugget of one row by `optimizer` over log-space bounds."""
     sq = squared_distances(X, X)
     np.fill_diagonal(sq, 0.0)
@@ -494,7 +461,18 @@ def _learned_nugget_search(X, y, seed: int, optimizer: OptimizerConfig) -> tuple
         [np.log(LEARNED_NUGGET_BOUNDS[0]), np.log(LEARNED_NUGGET_BOUNDS[1])],
     ]
     theta, _ = maximize(objective, bounds, optimizer.with_seed(seed))
-    return KernelParams(float(np.exp(theta[0]))), float(np.exp(theta[1]))
+    return float(np.exp(theta[0])), float(np.exp(theta[1]))
+
+
+def check_hyperparameters(strategy: str, nugget_policy: float | str) -> None:
+    """Raise ValueError unless `select_hyperparameters` accepts this strategy and nugget policy."""
+    if strategy not in HYPER_STRATEGIES:
+        raise ValueError(f"unknown hyperparameter strategy: {strategy!r}")
+    if nugget_policy == "learned":
+        if strategy == "max-stable-bandwidth":
+            raise ValueError("max-stable-bandwidth requires a fixed nugget")
+    elif not float(nugget_policy) >= 0.0:
+        raise ValueError(f"nugget must be nonnegative, got {nugget_policy}")
 
 
 def select_hyperparameters(
@@ -504,15 +482,15 @@ def select_hyperparameters(
     nugget_policy: float | str = 0.0,
     seed: int = 0,
     optimizer: OptimizerConfig | None = None,
-):
+) -> tuple[list[float], list[float], list]:
     """Choose the kernel bandwidth (and optionally the nugget) of every output row.
 
-    `outputs` is one row (m,) or P rows (P x m).  Returns (selected,
-    factors): `selected` is one (KernelParams, nugget) pair for a single
-    row, else a list of P pairs, and `factors` has the same shape, holding
-    each row's `cho_factor` of K + nugget I at its choice where the search
-    built one (both fixed-nugget strategies), else None.
-    nugget_policy is either a fixed variance (float) or the string 'learned'.
+    `outputs` is P rows (P x m), or one row (m,).  Returns the per-row lists
+    (bandwidths, nuggets, factors), where a row's factor is its
+    `cho_factor` of K + nugget I at its choice if the search built one (both
+    fixed-nugget strategies), else None.  nugget_policy is either a fixed
+    variance (float) or the string 'learned'; `check_hyperparameters` says
+    which pairings are accepted.
 
     strategy 'marginal-likelihood' with a fixed nugget maximizes each row's
     log marginal likelihood by one deterministic search shared by all rows
@@ -525,28 +503,14 @@ def select_hyperparameters(
     below the condition bound.
     """
     X = np.atleast_2d(np.asarray(inputs, dtype=float))
-    Y = np.asarray(outputs, dtype=float)
-    single = Y.ndim == 1
-    Y = np.atleast_2d(Y)
+    Y = np.atleast_2d(np.asarray(outputs, dtype=float))
     if Y.shape[1] != X.shape[1]:
         raise ValueError(f"{X.shape[1]} input nodes but {Y.shape[1]} outputs per row")
     if X.shape[1] < 2:
         raise ValueError("hyperparameter selection needs at least two nodes")
-    learn_nugget = nugget_policy == "learned"
-    if not learn_nugget:
-        fixed_nugget = float(nugget_policy)
-        if fixed_nugget < 0.0:
-            raise ValueError(f"nugget must be nonnegative, got {fixed_nugget}")
-
-    if strategy == "max-stable-bandwidth":
-        if learn_nugget:
-            raise ValueError("max-stable-bandwidth requires a fixed nugget")
-        bandwidth, factor = _max_stable_bandwidth(X, fixed_nugget)
-        selected = [(KernelParams(bandwidth), fixed_nugget)] * Y.shape[0]
-        factors = [factor] * Y.shape[0]
-    elif strategy != "marginal-likelihood":
-        raise ValueError(f"unknown hyperparameter strategy: {strategy!r}")
-    elif learn_nugget:
+    check_hyperparameters(strategy, nugget_policy)
+    P = Y.shape[0]
+    if nugget_policy == "learned":
         if optimizer is None:
             # The log-space search is 2-dimensional and smooth; a short
             # annealing chain is enough.
@@ -554,13 +518,11 @@ def select_hyperparameters(
                 strategy="simulated-annealing",
                 annealing=AnnealingConfig(iterations=200),
             )
-        selected = [
-            _learned_nugget_search(X, y, derive_seed(seed, p), optimizer) for p, y in enumerate(Y)
-        ]
-        factors = [None] * Y.shape[0]
-    else:
-        bandwidths, factors = _shared_ml_bandwidths(X, Y, fixed_nugget)
-        selected = [(KernelParams(b), fixed_nugget) for b in bandwidths]
-    if single:
-        return selected[0], factors[0]
-    return selected, factors
+        chosen = [_learned_nugget_search(X, y, derive_seed(seed, p), optimizer) for p, y in enumerate(Y)]
+        return [b for b, _ in chosen], [nugget for _, nugget in chosen], [None] * P
+    nugget = float(nugget_policy)
+    if strategy == "max-stable-bandwidth":
+        bandwidth, factor = _max_stable_bandwidth(X, nugget)
+        return [bandwidth] * P, [nugget] * P, [factor] * P
+    bandwidths, factors = _shared_ml_bandwidths(X, Y, nugget)
+    return bandwidths, [nugget] * P, factors

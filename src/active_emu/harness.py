@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .acquisition import AcquisitionSpec, InputPrior, TemperingSchedule
+from .gp import check_hyperparameters
 from .loop import NONSEQUENTIAL_BASELINES, EmulationResult, LoopConfig, baseline_run, check_design, run
 from .multi_output import MultiGpModel, predict_mean_matrix
 from .optimize import OptimizerConfig
@@ -79,6 +80,7 @@ class ExperimentConfig:
             raise ValueError("runs must be >= 1")
         if self.initial_points is None:
             check_design(self.initial_sampler, self.prior)
+        check_hyperparameters(self.hyper_strategy, self.nugget_policy)
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Exponentiated quadratic kernel: values, matrices, and analytic derivatives.
+"""Exponentiated quadratic kernel: distances and kernel matrices.
 
 All functions are pure math on the coordinates they are given.  The rest of
 the package normalizes inputs to the unit hypercube before calling in here,
@@ -22,42 +22,6 @@ class KernelParams:
     def __post_init__(self) -> None:
         if not self.bandwidth > 0.0:
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
-
-
-def _paired(x, z) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=float).ravel()
-    z = np.asarray(z, dtype=float).ravel()
-    if x.shape != z.shape:
-        raise ValueError(f"dimension mismatch: {x.shape[0]} vs {z.shape[0]}")
-    return x, z
-
-
-def kernel_eval(x, z, params: KernelParams) -> float:
-    """k(x, z) = exp(-||x - z||^2 / (2 delta^2)); symmetric, in (0, 1]."""
-    x, z = _paired(x, z)
-    d = x - z
-    return float(np.exp(-(d @ d) / (2.0 * params.bandwidth**2)))
-
-
-def kernel_gradient(x, z, params: KernelParams) -> np.ndarray:
-    """Gradient of k(x, z) with respect to x: -(k(x,z) / delta^2) (x - z)."""
-    x, z = _paired(x, z)
-    d = x - z
-    k = np.exp(-(d @ d) / (2.0 * params.bandwidth**2))
-    return -(k / params.bandwidth**2) * d
-
-
-def kernel_hessian(x, z, params: KernelParams) -> np.ndarray:
-    """Hessian of k(x, z) with respect to x.
-
-    (k/delta^4) (x-z)(x-z)^T - (k/delta^2) I.  Needed to differentiate the
-    norm of the predictive-mean gradient.
-    """
-    x, z = _paired(x, z)
-    d = x - z
-    b2 = params.bandwidth**2
-    k = np.exp(-(d @ d) / (2.0 * b2))
-    return (k / b2**2) * np.outer(d, d) - (k / b2) * np.eye(x.size)
 
 
 def _as_columns(X) -> np.ndarray:

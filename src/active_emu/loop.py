@@ -31,7 +31,7 @@ from .acquisition import (
     acquisition_values,
     beta_at,
 )
-from .gp import DUPLICATE_TOLERANCE, Dataset, IllConditionedError
+from .gp import DUPLICATE_TOLERANCE, Dataset, IllConditionedError, check_hyperparameters
 from .kernels import squared_distances
 from .multi_output import MultiGpModel, fit_all, fit_single_node, predict_mean_matrix
 from .optimize import OptimizerConfig, maximize
@@ -84,6 +84,7 @@ class LoopConfig:
             if self.initial_sampler is None or self.initial_size is None:
                 raise ValueError("either initial_points or an initial sampler with a size is required")
             check_design(self.initial_sampler, self.acquisition.prior)
+        check_hyperparameters(self.hyper_strategy, self.nugget_policy)
         if self.convergence_epsilon is not None and not self.convergence_epsilon > 0.0:
             raise ValueError("convergence threshold must be positive")
 

@@ -1,21 +1,21 @@
-"""Independent per-output GPs over a shared set of input nodes.
+"""Independent per-output GPs over a shared set of input nodes, held as arrays.
 
-Each output row gets its own bandwidth; the P models share the training
-inputs, which are normalized to the unit hypercube once per fit.  All
-single-output operations are applied in normalized coordinates, so gradient
-norms reported here are with respect to unit-cube units.  Variances and
-gradients at a block of points come from one `gp.evaluate` over all P
-models; the predictive means are `predict_mean_matrix`.
+A fitted `MultiGpModel` is one set of nodes, normalized to the unit
+hypercube once per fit, with one bandwidth, nugget, weight row and
+Cholesky factor per output.  All GP operations are applied in normalized
+coordinates, so gradient norms reported here are with respect to unit-cube
+units.  Variances and gradients at a block of points come from one
+`gp.evaluate` of the model; the predictive means are `predict_mean_matrix`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import gp
-from .gp import Dataset, GpModel, IllConditionedError
+from .gp import Dataset
 from .kernels import KernelParams, squared_distances
 from .optimize import OptimizerConfig
 
@@ -24,20 +24,29 @@ from .optimize import OptimizerConfig
 _SINGLE_NODE_BANDWIDTH = 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiGpModel:
-    """P independently fitted GPs over one dataset; immutable."""
+    """P independently fitted GPs over one dataset; immutable but for one cache, compared by identity.
+
+    Output p has bandwidth bandwidths[p], nugget nuggets[p], weights
+    alpha[p] and factors[p], the `cho_factor` of its K + nugget I.  With a
+    nugget, the first strict evaluation (`gp.evaluate`) builds the factor of
+    K alone and keeps it in `noise_free_factors[p]`: models that never serve
+    a strict acquisition (baselines, RMSE fits, a run's final model) skip
+    that Cholesky and do not hold a second m x m array.
+    """
 
     dataset: Dataset
-    models: tuple[GpModel, ...]
+    nodes: np.ndarray  # D x m, the dataset's nodes in the unit hypercube
+    bandwidths: tuple[float, ...]
+    nuggets: tuple[float, ...]
+    alpha: np.ndarray  # P x m
+    factors: tuple
+    noise_free_factors: list = field(default_factory=list)
 
     @property
     def n_outputs(self) -> int:
-        return len(self.models)
-
-    @property
-    def bandwidths(self) -> tuple[float, ...]:
-        return tuple(m.params.bandwidth for m in self.models)
+        return len(self.bandwidths)
 
     def normalize(self, x) -> np.ndarray:
         return self.dataset.normalize(x)
@@ -56,17 +65,15 @@ def fit_all(
     Hyperparameters are selected for all outputs by one call of
     `gp.select_hyperparameters`; each output still gets its own.  With a
     fixed nugget that search is deterministic and shares its
-    factorisations between outputs, and each model reuses the factor the
-    search built at its bandwidth; `seed` and `hyper_optimizer` apply to
-    the learned nugget only.  Pass `bandwidths` to skip selection and fit
-    with fixed kernel parameters.
+    factorisations between outputs, and `gp.fit` reuses the factor the
+    search built at each output's bandwidth; `seed` and `hyper_optimizer`
+    apply to the learned nugget only.  Pass `bandwidths`, one per output,
+    to skip selection and fit with fixed kernel parameters.
     """
-    if bandwidths is None and dataset.n_nodes < 2:
-        raise ValueError("hyperparameter selection needs at least two nodes")
-    Xn = dataset.normalize(dataset.X)
+    nodes = dataset.normalize(dataset.X)
     if bandwidths is None:
-        selected, factors = gp.select_hyperparameters(
-            Xn,
+        bandwidths, nuggets, factors = gp.select_hyperparameters(
+            nodes,
             dataset.Y,
             strategy=hyper_strategy,
             nugget_policy=nugget_policy,
@@ -74,27 +81,18 @@ def fit_all(
             optimizer=hyper_optimizer,
         )
     else:
-        nugget = 0.0 if nugget_policy == "learned" else float(nugget_policy)
-        selected = [
-            (b if isinstance(b, KernelParams) else KernelParams(float(b)), nugget) for b in bandwidths
-        ]
-        factors = [None] * len(selected)
-    models = []
-    for p in range(dataset.n_outputs):
-        params, nugget = selected[p]
-        try:
-            models.append(gp.fit(Xn, dataset.Y[p], params, nugget, factor=factors[p]))
-        except IllConditionedError as exc:
-            raise IllConditionedError(
-                f"output {p}: {exc}", condition_estimate=exc.condition_estimate
-            ) from exc
-    return MultiGpModel(dataset=dataset, models=tuple(models))
+        if len(bandwidths) != dataset.n_outputs:
+            raise ValueError(f"{len(bandwidths)} bandwidths given for {dataset.n_outputs} outputs")
+        bandwidths = [b.bandwidth if isinstance(b, KernelParams) else float(b) for b in bandwidths]
+        nuggets = [0.0 if nugget_policy == "learned" else float(nugget_policy)] * dataset.n_outputs
+        factors = [None] * dataset.n_outputs
+    alpha, factors = gp.fit(nodes, dataset.Y, bandwidths, nuggets, factors)
+    return MultiGpModel(dataset, nodes, tuple(bandwidths), tuple(nuggets), alpha, tuple(factors))
 
 
 def fit_single_node(dataset: Dataset, nugget: float = 0.0) -> MultiGpModel:
     """Degenerate fit for a one-node dataset (fixed default bandwidth)."""
-    params = [KernelParams(_SINGLE_NODE_BANDWIDTH)] * dataset.n_outputs
-    return fit_all(dataset, nugget_policy=nugget, bandwidths=params)
+    return fit_all(dataset, nugget_policy=nugget, bandwidths=[_SINGLE_NODE_BANDWIDTH] * dataset.n_outputs)
 
 
 def predict_all(model: MultiGpModel, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -104,23 +102,22 @@ def predict_all(model: MultiGpModel, x) -> tuple[np.ndarray, np.ndarray, np.ndar
     means of `predict_mean_matrix`.
     """
     x = np.asarray(x, dtype=float).reshape(-1, 1)
-    terms = gp.evaluate(model.models, model.normalize(x).T, strict=False)
+    terms = gp.evaluate(model, model.normalize(x).T, strict=False)
     return predict_mean_matrix(model, x)[:, 0], terms.variances[0], terms.gradient_norms[0]
 
 
 def predict_mean_matrix(model: MultiGpModel, X) -> np.ndarray:
     """Predictive means k_x^T alpha for all outputs at the columns of X (raw); (P, n).
 
-    The (m, n) squared distances to the shared nodes are built once; each
-    output's kernel block then reuses one buffer, with the bits of
-    `cross_kernel`.
+    The (m, n) squared distances to the nodes are built once; each output's
+    kernel block then reuses one buffer, with the bits of `cross_kernel`.
     """
     Xn = model.dataset.normalize(np.atleast_2d(np.asarray(X, dtype=float)))
-    sq = squared_distances(model.models[0].train_inputs, Xn)
+    sq = squared_distances(model.nodes, Xn)
     K = np.empty_like(sq)
     means = np.empty((model.n_outputs, sq.shape[1]))
-    for p, m in enumerate(model.models):
-        np.divide(sq, -(2.0 * m.params.bandwidth**2), out=K)
+    for p, bandwidth in enumerate(model.bandwidths):
+        np.divide(sq, -(2.0 * bandwidth**2), out=K)
         np.exp(K, out=K)
-        means[p] = K.T @ m.alpha
+        means[p] = K.T @ model.alpha[p]
     return means

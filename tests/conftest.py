@@ -6,9 +6,9 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from active_emu import gp
-from active_emu.gp import Dataset, fit
+from active_emu.gp import Dataset
 from active_emu.kernels import KernelParams, kernel_matrix
-from active_emu.multi_output import MultiGpModel, predict_mean_matrix
+from active_emu.multi_output import fit_all, predict_mean_matrix
 
 
 def log_marginal_likelihood(inputs, outputs, params, nugget=0.0):
@@ -23,6 +23,38 @@ def log_marginal_likelihood(inputs, outputs, params, nugget=0.0):
     alpha = cho_solve(factor, y)
     log_det = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
     return -0.5 * float(y @ alpha) - 0.5 * log_det - 0.5 * y.size * np.log(2.0 * np.pi)
+
+
+def _paired(x, z) -> tuple[np.ndarray, np.ndarray]:
+    x = np.asarray(x, dtype=float).ravel()
+    z = np.asarray(z, dtype=float).ravel()
+    if x.shape != z.shape:
+        raise ValueError(f"dimension mismatch: {x.shape[0]} vs {z.shape[0]}")
+    return x, z
+
+
+def kernel_eval(x, z, params: KernelParams) -> float:
+    """Oracle k(x, z) = exp(-||x - z||^2 / (2 delta^2)) of one pair of points; symmetric, in (0, 1]."""
+    x, z = _paired(x, z)
+    d = x - z
+    return float(np.exp(-(d @ d) / (2.0 * params.bandwidth**2)))
+
+
+def kernel_gradient(x, z, params: KernelParams) -> np.ndarray:
+    """Oracle gradient of k(x, z) with respect to x: -(k(x,z) / delta^2) (x - z)."""
+    x, z = _paired(x, z)
+    d = x - z
+    k = np.exp(-(d @ d) / (2.0 * params.bandwidth**2))
+    return -(k / params.bandwidth**2) * d
+
+
+def kernel_hessian(x, z, params: KernelParams) -> np.ndarray:
+    """Oracle Hessian of k(x, z) with respect to x: (k/delta^4) (x-z)(x-z)^T - (k/delta^2) I."""
+    x, z = _paired(x, z)
+    d = x - z
+    b2 = params.bandwidth**2
+    k = np.exp(-(d @ d) / (2.0 * b2))
+    return (k / b2**2) * np.outer(d, d) - (k / b2) * np.eye(x.size)
 
 
 def central_difference_gradient(f, x, step=1e-6):
@@ -41,16 +73,16 @@ def mp_gp_gradients(model, x, dps=50, step="1e-15"):
     """Oracle gradients of a fitted GP's predictive mean and variance at x.
 
     Both functions are evaluated in mpmath at `dps` significant digits from
-    the model's nodes, outputs, bandwidth and nugget, and differentiated by
-    central differences.  The truncation error is O(step^2) and the
-    round-off about 10^-dps / step, so the oracle is accurate to far more
-    digits than the float64 analytic gradients it checks.  Returns
-    (mean gradient, variance gradient) as float arrays.
+    the one-output model's nodes, outputs, bandwidth and nugget, and
+    differentiated by central differences.  The truncation error is
+    O(step^2) and the round-off about 10^-dps / step, so the oracle is
+    accurate to far more digits than the float64 analytic gradients it
+    checks.  Returns (mean gradient, variance gradient) as float arrays.
     """
     with mpmath.workdps(dps):
-        nodes = [[mpmath.mpf(v) for v in column] for column in model.train_inputs.T]
-        two_b2 = 2 * mpmath.mpf(model.params.bandwidth) ** 2
-        nugget = mpmath.mpf(model.nugget)
+        nodes = [[mpmath.mpf(v) for v in column] for column in model.nodes.T]
+        two_b2 = 2 * mpmath.mpf(model.bandwidths[0]) ** 2
+        nugget = mpmath.mpf(model.nuggets[0])
 
         def kernel_vector(q):
             return mpmath.matrix(
@@ -63,7 +95,7 @@ def mp_gp_gradients(model, x, dps=50, step="1e-15"):
             K[:, i] = kernel_vector(nodes[i])
             K[i, i] += nugget
         K_inv = mpmath.inverse(K)
-        alpha = K_inv * mpmath.matrix([mpmath.mpf(v) for v in model.train_outputs])
+        alpha = K_inv * mpmath.matrix([mpmath.mpf(v) for v in model.dataset.Y[0]])
 
         def mean(q):
             return (kernel_vector(q).T * alpha)[0]
@@ -93,32 +125,32 @@ def relative_gradient_error(analytic, numeric, floor=1e-8):
     return float(np.linalg.norm(analytic - numeric)) / scale
 
 
-def as_multi(model):
-    """One fitted GP with nodes in the unit cube as a one-output MultiGpModel.
+def fit_one(X, y, params, nugget=0.0):
+    """One GP fitted to the outputs y at the nodes X (D x m) in the unit cube, as a one-output model.
 
     Over the unit cube the normalization is the identity.
     """
-    dimension = model.train_inputs.shape[0]
-    dataset = Dataset(model.train_inputs, model.train_outputs[np.newaxis, :], np.array([[0.0, 1.0]] * dimension))
-    return MultiGpModel(dataset, (model,))
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    dataset = Dataset(X, np.reshape(y, (1, -1)), np.array([[0.0, 1.0]] * X.shape[0]))
+    return fit_all(dataset, nugget_policy=nugget, bandwidths=[params])
 
 
 def mean_at(model, x):
-    """`predict_mean_matrix` of one fitted GP (nodes in the unit cube) at one point."""
-    return float(predict_mean_matrix(as_multi(model), np.reshape(x, (-1, 1)))[0, 0])
+    """`predict_mean_matrix` of a one-output model (nodes in the unit cube) at one point."""
+    return float(predict_mean_matrix(model, np.reshape(x, (-1, 1)))[0, 0])
 
 
 def terms_at(model, x, strict=False):
-    """`gp.evaluate` of one fitted GP at one point with every derivative; each field's one entry."""
-    terms = gp.evaluate([model], np.reshape(np.asarray(x, dtype=float), (1, -1)), strict, derivatives=True)
+    """`gp.evaluate` of a one-output model at one point with every derivative; each field's one entry."""
+    terms = gp.evaluate(model, np.reshape(np.asarray(x, dtype=float), (1, -1)), strict, derivatives=True)
     return gp.Evaluation(*(field[0, 0] for field in terms))
 
 
 def random_gp_model(rng, dimension=1, n_nodes=6, bandwidth=0.3, nugget=0.0, min_separation=0.05):
-    """A small fitted GP on well-separated random nodes in the unit cube."""
+    """A small fitted one-output model on well-separated random nodes in the unit cube."""
     X = separated_points(rng, dimension, n_nodes, min_separation)
     y = rng.normal(size=n_nodes)
-    return fit(X, y, KernelParams(bandwidth), nugget)
+    return fit_one(X, y, KernelParams(bandwidth), nugget)
 
 
 def separated_points(rng, dimension, n, min_separation):
@@ -140,8 +172,6 @@ def separated_points(rng, dimension, n, min_separation):
 
 def random_multi_model(rng, dimension=1, n_outputs=2, n_nodes=6, bandwidths=None, nugget=0.0, bounds=None):
     """A MultiGpModel with fixed bandwidths on random separated nodes."""
-    from active_emu.multi_output import fit_all
-
     if bounds is None:
         bounds = np.array([[0.0, 1.0]] * dimension)
     bounds = np.asarray(bounds, dtype=float)

@@ -20,9 +20,9 @@ from active_emu.acquisition import (
     acquisition_gradient,
     acquisition_value,
 )
-from active_emu.gp import Dataset, fit
+from active_emu.gp import Dataset
 from active_emu.harness import ExperimentConfig, TestSetSpec, run_experiment
-from active_emu.kernels import KernelParams, kernel_eval, kernel_gradient
+from active_emu.kernels import KernelParams
 from active_emu.loop import LoopConfig, baseline_run, run, write_lut_csv
 from active_emu.multi_output import fit_all
 from active_emu.optimize import AnnealingConfig, AscentConfig, OptimizerConfig
@@ -32,6 +32,9 @@ from active_emu.simulators import ToyLog1D, ToyLog2D, make_simulator
 
 from conftest import (
     central_difference_gradient,
+    fit_one,
+    kernel_eval,
+    kernel_gradient,
     mean_at,
     mp_gp_gradients,
     relative_gradient_error,
@@ -147,7 +150,7 @@ class TestCriterion2ToyTwoDimensional:
 class TestCriterion3InterpolationExactness:
     def test_interpolation_exactness(self):
         for _, _, X, y, params in random_interpolation_suite(seed=31, count=100):
-            model = fit(X, y, params, nugget=0.0)
+            model = fit_one(X, y, params, nugget=0.0)
             for i in range(X.shape[1]):
                 node = X[:, i]
                 mean = mean_at(model, node)
@@ -203,7 +206,7 @@ class TestCriterion5AnalyticGradients:
             y = rng.normal(size=m)
             params = KernelParams(0.15 + 0.2 * rng.random())
             nugget = float(rng.choice([0.0, 0.02]))
-            model = fit(X, y, params, nugget)
+            model = fit_one(X, y, params, nugget)
             x = 0.05 + 0.9 * rng.random(dimension)
             if min(np.linalg.norm(x - X[:, i]) for i in range(m)) < 0.04:
                 continue

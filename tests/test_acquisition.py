@@ -1,6 +1,6 @@
 """Acquisition variants, tempering, prior weighting, and analytic gradients."""
 
-from dataclasses import replace
+import pickle
 
 import numpy as np
 import pytest
@@ -19,8 +19,8 @@ from active_emu.acquisition import (
     beta_at,
 )
 from active_emu.gp import Dataset, IllConditionedError
-from active_emu.kernels import kernel_matrix
-from active_emu.multi_output import MultiGpModel, fit_all, predict_all
+from active_emu.kernels import KernelParams, kernel_matrix
+from active_emu.multi_output import fit_all, predict_all
 from active_emu.optimize import OptimizerConfig, maximize
 
 from conftest import central_difference_gradient, random_multi_model, relative_gradient_error
@@ -114,7 +114,7 @@ def diversity(model, x, op):
 
 def strict_variances(model, x):
     """Each output's noise-free variance at one raw point, from the block evaluation."""
-    return gp.evaluate(model.models, model.normalize(np.ravel(x))[np.newaxis, :], strict=True).variances[0]
+    return gp.evaluate(model, model.normalize(np.ravel(x))[np.newaxis, :], strict=True).variances[0]
 
 
 class TestDiversityGeometry:
@@ -408,15 +408,28 @@ class TestAcquisitionValues:
         model = random_multi_model(rng, dimension=2, n_outputs=2, n_nodes=6, nugget=1e-3, bounds=BATCH_BOUNDS)
         # A factor of K / 2 doubles k^T K^{-1} k, driving the noise-free
         # variance far below its round-off clamp near the nodes.
-        first = model.models[0]
-        broken = replace(first, noise_free_factor=cho_factor(0.5 * kernel_matrix(first.train_inputs, first.params), lower=True))
-        model = MultiGpModel(model.dataset, (broken,) + model.models[1:])
+        broken = cho_factor(0.5 * kernel_matrix(model.nodes, KernelParams(model.bandwidths[0])), lower=True)
+        strict_variances(model, model.dataset.X[:, 0])  # builds every output's noise-free factor
+        model.noise_free_factors[0] = broken
         spec = AcquisitionSpec.from_variant("SD")
         near_node = model.dataset.X[:, 0] + 0.01
         with pytest.raises(IllConditionedError):
             acquisition_value(spec, model, near_node, t=1)
         with pytest.raises(IllConditionedError):
             acquisition_values(spec, model, np.vstack([near_node, near_node + 0.5]), t=1)
+
+    def test_pickled_model_scores_the_same(self, rng):
+        # once before and once after the first strict evaluation builds the noise-free factors
+        model = random_multi_model(rng, dimension=2, n_outputs=3, n_nodes=8, nugget=1e-3, bounds=BATCH_BOUNDS)
+        spec = AcquisitionSpec.from_variant("SDxSG", tempering=TemperingSchedule.constant(1.0))
+        points = _batch_points(model, rng)
+        unbuilt = pickle.loads(pickle.dumps(model))
+        expected = acquisition_values(spec, model, points, t=3)
+        built = pickle.loads(pickle.dumps(model))
+        assert unbuilt.noise_free_factors == []
+        assert len(built.noise_free_factors) == 3
+        for copy in (unbuilt, built):
+            np.testing.assert_array_equal(acquisition_values(spec, copy, points, t=3), expected)
 
     @pytest.mark.parametrize("variant", ["SDxSG", "PDxPG", "PD"])
     def test_search_with_batch_matches_per_point_search(self, rng, variant):

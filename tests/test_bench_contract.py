@@ -67,6 +67,10 @@ def test_every_run_span_has_a_fit_child():
     assert len(runs) == len(strategies)
     fit_parents = {span.parent for span in tracer.spans if span.name == "multi_output.fit_all"}
     assert all(index in fit_parents for index in runs)
+    # one weight solve of all outputs per fit
+    fits = [i for i, span in enumerate(tracer.spans) if span.name == "multi_output.fit_all"]
+    gp_fit_parents = [span.parent for span in tracer.spans if span.name == "gp.fit"]
+    assert all(gp_fit_parents.count(index) == 1 for index in fits)
 
 
 def test_layer_probes_run_on_a_fitted_fixture_model(monkeypatch):

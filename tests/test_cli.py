@@ -38,6 +38,12 @@ EXPERIMENT_CONFIG = {
     },
 }
 
+# Hyperparameter settings no strategy accepts.
+BAD_HYPERPARAMETERS = [
+    {"strategy": "marginal-likelihood", "nugget": {"policy": "fixed", "value": -0.01}},
+    {"strategy": "max-stable-bandwidth", "nugget": {"policy": "learned"}},
+]
+
 # Initial designs the loop cannot build; the last has no prior to draw from.
 BAD_INITIAL_DESIGNS = [
     {"sampler": "halton", "size": 4},
@@ -106,6 +112,15 @@ class TestRunCommand:
         payload["initial_design"] = design
         config = write_config(tmp_path, payload)
         assert main(["run", "--config", config, "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("hyper", BAD_HYPERPARAMETERS)
+    def test_bad_hyperparameters_are_config_error(self, tmp_path, hyper):
+        payload = json.loads(json.dumps(RUN_CONFIG))
+        payload["hyperparameters"] = hyper
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "o"
+        assert main(["run", "--config", config, "--out", str(out)]) == 2
+        assert not (out / "lut.csv").exists()
 
     def test_simulator_failure_exit_code(self, tmp_path):
         payload = json.loads(json.dumps(RUN_CONFIG))
@@ -182,6 +197,15 @@ class TestExperimentCommand:
     def test_bad_initial_design_is_config_error(self, tmp_path, design):
         payload = json.loads(json.dumps(EXPERIMENT_CONFIG))
         payload["initial_design"] = design
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "o"
+        assert main(["experiment", "--config", config, "--out", str(out)]) == 2
+        assert not (out / "results.csv").exists()
+
+    @pytest.mark.parametrize("hyper", BAD_HYPERPARAMETERS)
+    def test_bad_hyperparameters_are_config_error(self, tmp_path, hyper):
+        payload = json.loads(json.dumps(EXPERIMENT_CONFIG))
+        payload["hyperparameters"] = hyper
         config = write_config(tmp_path, payload)
         out = tmp_path / "o"
         assert main(["experiment", "--config", config, "--out", str(out)]) == 2

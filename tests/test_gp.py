@@ -18,8 +18,8 @@ from active_emu.multi_output import fit_all, predict_mean_matrix
 from active_emu.optimize import AnnealingConfig, OptimizerConfig
 
 from conftest import (
-    as_multi,
     central_difference_gradient,
+    fit_one,
     log_marginal_likelihood,
     mean_at,
     random_gp_model,
@@ -101,20 +101,20 @@ class TestCholesky:
 
 class TestFit:
     def test_single_node_alpha(self):
-        model = fit(np.array([[0.3]]), [5.0], KernelParams(1.0), nugget=0.0)
-        np.testing.assert_allclose(model.alpha, [5.0])
+        alpha, _ = fit(np.array([[0.3]]), np.array([[5.0]]), [1.0], [0.0], [None])
+        np.testing.assert_allclose(alpha, [[5.0]])
 
     def test_two_node_alpha_closed_form(self):
         X = np.array([[0.0, np.sqrt(2.0)]])
-        model = fit(X, [1.0, 1.0], KernelParams(1.0), nugget=0.0)
+        alpha, _ = fit(X, np.array([[1.0, 1.0]]), [1.0], [0.0], [None])
         expected = 1.0 / (1.0 + np.exp(-1.0))
-        np.testing.assert_allclose(model.alpha, [expected, expected], rtol=1e-12)
+        np.testing.assert_allclose(alpha, [[expected, expected]], rtol=1e-12)
         assert expected == pytest.approx(0.731059, abs=1e-6)
 
     def test_coincident_nodes_raise(self):
         X = np.array([[0.5, 0.5]])
         with pytest.raises(IllConditionedError) as excinfo:
-            fit(X, [1.0, 2.0], KernelParams(1.0), nugget=0.0)
+            fit(X, np.array([[1.0, 2.0]]), [1.0], [0.0], [None])
         assert excinfo.value.condition_estimate is not None
 
     def test_alpha_solves_system(self, rng):
@@ -124,16 +124,16 @@ class TestFit:
             X = separated_points(rng, dim, m, 0.03)
             y = rng.normal(size=m)
             nugget = float(rng.choice([0.0, 0.02]))
-            model = fit(X, y, KernelParams(0.3), nugget)
+            alpha, _ = fit(X, y[np.newaxis, :], [0.3], [nugget], [None])
             K = kernel_matrix(X, KernelParams(0.3), nugget)
-            residual = np.linalg.norm(K @ model.alpha - y)
+            residual = np.linalg.norm(K @ alpha[0] - y)
             assert residual < 1e-8 * max(np.linalg.norm(y), 1.0)
 
     def test_factor_reconstructs_matrix(self, rng):
         X = separated_points(rng, 2, 10, 0.05)
         y = rng.normal(size=10)
-        model = fit(X, y, KernelParams(0.4), nugget=0.01)
-        L = np.tril(model.factor[0])
+        _, (factor,) = fit(X, y[np.newaxis, :], [0.4], [0.01], [None])
+        L = np.tril(factor[0])
         K = kernel_matrix(X, KernelParams(0.4), 0.01)
         error = np.linalg.norm(L @ L.T - K) / np.linalg.norm(K)
         assert error < 1e-10
@@ -142,9 +142,9 @@ class TestFit:
 class TestPredictMean:
     def test_interpolates_training_nodes(self, rng):
         model = random_gp_model(rng, dimension=2, n_nodes=8, bandwidth=0.4)
-        for i in range(model.n_nodes):
-            x_i = model.train_inputs[:, i]
-            assert mean_at(model, x_i) == pytest.approx(model.train_outputs[i], abs=1e-8)
+        for i in range(model.dataset.n_nodes):
+            x_i = model.nodes[:, i]
+            assert mean_at(model, x_i) == pytest.approx(model.dataset.Y[0, i], abs=1e-8)
 
     def test_reverts_to_prior_mean_far_away(self, rng):
         model = random_gp_model(rng, dimension=1, n_nodes=5, bandwidth=0.2)
@@ -160,7 +160,7 @@ class TestPredictMean:
     def test_batch_matches_scalar(self, rng):
         model = random_gp_model(rng, dimension=2, n_nodes=7)
         queries = rng.random((2, 9))
-        batch = predict_mean_matrix(as_multi(model), queries)[0]
+        batch = predict_mean_matrix(model, queries)[0]
         for j in range(9):
             assert batch[j] == pytest.approx(mean_at(model, queries[:, j]), rel=1e-12)
 
@@ -168,28 +168,28 @@ class TestPredictMean:
 class TestPredictVariance:
     def test_zero_at_nodes_interpolation(self, rng):
         model = random_gp_model(rng, dimension=1, n_nodes=6, bandwidth=0.15)
-        for i in range(model.n_nodes):
-            assert terms_at(model, model.train_inputs[:, i]).variances <= 1e-8
+        for i in range(model.dataset.n_nodes):
+            assert terms_at(model, model.nodes[:, i]).variances <= 1e-8
 
     def test_single_node_with_nugget(self):
-        model = fit(np.array([[0.5]]), [1.0], KernelParams(1.0), nugget=0.02)
+        model = fit_one(np.array([[0.5]]), [1.0], KernelParams(1.0), nugget=0.02)
         expected = 0.02 + 1.0 - 1.0 / 1.02
         assert terms_at(model, [0.5]).variances == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.039608, abs=1e-6)
 
     def test_prior_variance_far_away(self):
-        model = fit(np.array([[0.5]]), [1.0], KernelParams(0.1), nugget=0.3)
+        model = fit_one(np.array([[0.5]]), [1.0], KernelParams(0.1), nugget=0.3)
         assert terms_at(model, [30.0]).variances == pytest.approx(1.3, abs=1e-6)
 
     def test_nonnegative_everywhere(self, rng):
         model = random_gp_model(rng, dimension=2, n_nodes=12, bandwidth=0.3, nugget=0.0)
-        variances = gp.evaluate([model], rng.random((200, 2)), strict=False).variances
+        variances = gp.evaluate(model, rng.random((200, 2)), strict=False).variances
         assert np.all(variances >= 0.0)
 
     def test_noise_free_variance_exact_zero_at_nodes(self, rng):
         model = random_gp_model(rng, dimension=1, n_nodes=6, bandwidth=0.2, nugget=0.02)
-        for i in range(model.n_nodes):
-            assert terms_at(model, model.train_inputs[:, i], strict=True).variances == 0.0
+        for i in range(model.dataset.n_nodes):
+            assert terms_at(model, model.nodes[:, i], strict=True).variances == 0.0
 
     def test_variance_never_increases_with_new_node(self, rng):
         # monotone information gain: refitting with one extra node cannot
@@ -201,8 +201,8 @@ class TestPredictVariance:
             extra = rng.random(dim)
             while min(np.linalg.norm(extra - X[:, i]) for i in range(8)) < 0.05:
                 extra = rng.random(dim)
-            model_small = fit(X, y, params, 0.0)
-            model_big = fit(
+            model_small = fit_one(X, y, params, 0.0)
+            model_big = fit_one(
                 np.column_stack([X, extra]), np.append(y, rng.normal()), params, 0.0
             )
             for _ in range(50):
@@ -214,12 +214,12 @@ class TestPredictVariance:
 
 class TestGradients:
     def test_mean_gradient_zero_at_single_node(self):
-        model = fit(np.array([[0.5]]), [2.0], KernelParams(0.5), nugget=0.0)
+        model = fit_one(np.array([[0.5]]), [2.0], KernelParams(0.5), nugget=0.0)
         np.testing.assert_allclose(terms_at(model, [0.5]).mean_gradients, [0.0])
 
     def test_gradient_norm_zero_at_symmetric_midpoint(self):
         X = np.array([[0.3, 0.7]])
-        model = fit(X, [1.0, 1.0], KernelParams(0.4), nugget=0.0)
+        model = fit_one(X, [1.0, 1.0], KernelParams(0.4), nugget=0.0)
         assert terms_at(model, [0.5]).gradient_norms <= 1e-10
 
     def test_mean_gradient_matches_finite_differences(self, rng):
@@ -234,12 +234,12 @@ class TestGradients:
 
     def test_variance_gradient_zero_at_node(self, rng):
         model = random_gp_model(rng, dimension=2, n_nodes=5, bandwidth=0.4)
-        grad = terms_at(model, model.train_inputs[:, 2]).variance_gradients
+        grad = terms_at(model, model.nodes[:, 2]).variance_gradients
         np.testing.assert_allclose(grad, np.zeros(2), atol=1e-9)
 
     def test_variance_gradient_zero_between_symmetric_nodes(self):
         X = np.array([[0.3, 0.7]])
-        model = fit(X, [1.0, -1.0], KernelParams(0.3), nugget=0.0)
+        model = fit_one(X, [1.0, -1.0], KernelParams(0.3), nugget=0.0)
         assert abs(terms_at(model, [0.5]).variance_gradients[0]) <= 1e-10
 
     def test_variance_gradient_matches_finite_differences(self, rng):
@@ -277,7 +277,7 @@ class TestHyperparameters:
     def test_fixed_nugget_passthrough(self, rng):
         X = separated_points(rng, 1, 6, 0.1)
         y = rng.normal(size=6)
-        (_, nugget), _ = select_hyperparameters(X, y, nugget_policy=0.02, seed=1)
+        _, [nugget], _ = select_hyperparameters(X, y, nugget_policy=0.02, seed=1)
         assert nugget == 0.02
 
     def test_max_stable_two_nodes_closed_form(self):
@@ -288,9 +288,9 @@ class TestHyperparameters:
             k = np.exp(-1.0 / (2.0 * bandwidth**2))
             if (1.0 + k) / (1.0 - k) <= CONDITION_BOUND:
                 expected = bandwidth
-        (params, nugget), _ = select_hyperparameters(X, [0.0, 1.0], strategy="max-stable-bandwidth",
-                                                     nugget_policy=0.0)
-        assert params.bandwidth == pytest.approx(expected)
+        [bandwidth], [nugget], _ = select_hyperparameters(X, [0.0, 1.0], strategy="max-stable-bandwidth",
+                                                          nugget_policy=0.0)
+        assert bandwidth == pytest.approx(expected)
         assert nugget == 0.0
 
     def test_max_stable_respects_bound(self, rng):
@@ -300,7 +300,8 @@ class TestHyperparameters:
 
         X = separated_points(rng, 2, 10, 0.1)
         y = rng.normal(size=10)
-        (params, _), _ = select_hyperparameters(X, y, strategy="max-stable-bandwidth", nugget_policy=0.0)
+        [bandwidth], _, _ = select_hyperparameters(X, y, strategy="max-stable-bandwidth", nugget_policy=0.0)
+        params = KernelParams(bandwidth)
         # the selected bandwidth factorizes and its estimate is within bound;
         # the next-larger grid bandwidth would violate one of the two
         K = kernel_matrix(X, params, 0.0)
@@ -320,11 +321,11 @@ class TestHyperparameters:
         from active_emu.samplers import lhs_design
 
         X = lhs_design(2, 130, seed=1)
-        (params, nugget), _ = select_hyperparameters(
+        [bandwidth], [nugget], _ = select_hyperparameters(
             X, np.zeros(130), strategy="max-stable-bandwidth", nugget_policy=1e-4
         )
         assert nugget == 1e-4
-        assert np.linalg.cond(kernel_matrix(X, params, nugget)) <= CONDITION_BOUND
+        assert np.linalg.cond(kernel_matrix(X, KernelParams(bandwidth), nugget)) <= CONDITION_BOUND
 
     def test_marginal_likelihood_recovers_bandwidth(self):
         # statistical self-consistency: data drawn from the prior with a
@@ -336,28 +337,28 @@ class TestHyperparameters:
             X = np.sort(rng.random(40))[np.newaxis, :]
             K = kernel_matrix(X, KernelParams(true_bandwidth), 1e-6)
             y = np.linalg.cholesky(K) @ rng.normal(size=40)
-            (params, _), _ = select_hyperparameters(
+            [bandwidth], _, _ = select_hyperparameters(
                 X, y, nugget_policy=1e-6, seed=seed,
                 optimizer=OptimizerConfig(strategy="simulated-annealing",
                                           annealing=AnnealingConfig(iterations=150)),
             )
-            recovered.append(params.bandwidth)
+            recovered.append(bandwidth)
         geometric_mean = float(np.exp(np.mean(np.log(recovered))))
         assert true_bandwidth / 2 <= geometric_mean <= true_bandwidth * 2
 
     def test_learned_nugget_within_bounds(self, rng):
         X = separated_points(rng, 1, 20, 0.02)
         y = np.sin(6.0 * X[0]) + 0.1 * rng.normal(size=20)
-        (params, nugget), factor = select_hyperparameters(X, y, nugget_policy="learned", seed=7)
+        [bandwidth], [nugget], [factor] = select_hyperparameters(X, y, nugget_policy="learned", seed=7)
         assert factor is None  # the learned search keeps no factor
         assert 1e-8 <= nugget <= 1e-1
-        assert BANDWIDTH_GRID[0] <= params.bandwidth <= BANDWIDTH_GRID[-1]
+        assert BANDWIDTH_GRID[0] <= bandwidth <= BANDWIDTH_GRID[-1]
 
     def test_deterministic_given_seed(self, rng):
         X = separated_points(rng, 1, 10, 0.05)
         y = rng.normal(size=10)
-        first, _ = select_hyperparameters(X, y, nugget_policy=0.02, seed=42)
-        second, _ = select_hyperparameters(X, y, nugget_policy=0.02, seed=42)
+        first = select_hyperparameters(X, y, nugget_policy=0.02, seed=42)[:2]
+        second = select_hyperparameters(X, y, nugget_policy=0.02, seed=42)[:2]
         assert first == second
 
     def test_max_stable_walks_once_for_every_row(self, rng, monkeypatch):
@@ -380,9 +381,9 @@ class TestHyperparameters:
         calls = []
         original = gp.cho_factor
         monkeypatch.setattr(gp, "cho_factor", lambda *a, **k: calls.append(1) or original(*a, **k))
-        selected, _ = select_hyperparameters(X, Y, strategy="max-stable-bandwidth", nugget_policy=1e-4)
-        assert [params.bandwidth for params, _ in selected] == expected
-        assert all(nugget == 1e-4 for _, nugget in selected)
+        bandwidths, nuggets, _ = select_hyperparameters(X, Y, strategy="max-stable-bandwidth", nugget_policy=1e-4)
+        assert bandwidths == expected
+        assert all(nugget == 1e-4 for nugget in nuggets)
         one_row = len(calls)
         select_hyperparameters(X, Y[0], strategy="max-stable-bandwidth", nugget_policy=1e-4)
         assert len(calls) == 2 * one_row  # four rows cost what one row costs
@@ -428,11 +429,11 @@ class TestSharedSearch:
         X = separated_points(rng, 2, 40, 0.03)
         Y = self.outputs(X)
         for nugget in (1e-4, 1e-2):
-            selected, _ = select_hyperparameters(X, Y, nugget_policy=nugget)
-            assert len(selected) == Y.shape[0]
-            for y, (params, chosen_nugget) in zip(Y, selected):
+            bandwidths, nuggets, _ = select_hyperparameters(X, Y, nugget_policy=nugget)
+            assert len(bandwidths) == Y.shape[0]
+            for y, bandwidth, chosen_nugget in zip(Y, bandwidths, nuggets):
                 assert chosen_nugget == nugget
-                assert _log_ml(X, y, params.bandwidth, nugget) >= dense_oracle(X, y, nugget) - 1e-3
+                assert _log_ml(X, y, bandwidth, nugget) >= dense_oracle(X, y, nugget) - 1e-3
 
     def test_one_factorisation_per_grid_bandwidth(self, rng, monkeypatch):
         X = separated_points(rng, 2, 30, 0.03)
@@ -475,19 +476,19 @@ class TestSharedSearch:
         model = fit_all(ds, hyper_strategy=strategy, nugget_policy=1e-4)
         assert 0 < len(calls) <= BANDWIDTH_GRID.size + refinements
         assert not any(calls), "fit factorised again"
-        # each model is the one fit builds from its own factorisation
-        for y, built in zip(ds.Y, model.models):
-            expected = fit(X, y, built.params, 1e-4)
-            np.testing.assert_array_equal(np.tril(built.factor[0]), np.tril(expected.factor[0]))
-            np.testing.assert_array_equal(built.alpha, expected.alpha)
+        # each output is the one fit builds from its own factorisation
+        for p, y in enumerate(ds.Y):
+            alpha, (factor,) = fit(X, y[np.newaxis, :], [model.bandwidths[p]], [1e-4], [None])
+            np.testing.assert_array_equal(np.tril(model.factors[p][0]), np.tril(factor[0]))
+            np.testing.assert_array_equal(model.alpha[p], alpha[0])
 
     def test_maximum_at_the_grid_edge(self, rng):
         # a constant output prefers the flattest kernel: the top of the grid
         X = separated_points(rng, 2, 20, 0.05)
         y = np.ones(20)
-        (params, _), _ = select_hyperparameters(X, y, nugget_policy=1e-4)
-        assert params.bandwidth == BANDWIDTH_GRID[-1]
-        assert _log_ml(X, y, params.bandwidth, 1e-4) >= dense_oracle(X, y, 1e-4) - 1e-3
+        [bandwidth], _, _ = select_hyperparameters(X, y, nugget_policy=1e-4)
+        assert bandwidth == BANDWIDTH_GRID[-1]
+        assert _log_ml(X, y, bandwidth, 1e-4) >= dense_oracle(X, y, 1e-4) - 1e-3
 
     def test_no_grid_bandwidth_factorises(self):
         # nodes 1e-11 apart are distinct, but without a nugget their kernel
@@ -513,12 +514,13 @@ class TestNoiseFreeFactor:
     def test_built_on_first_strict_use(self, rng):
         X = separated_points(rng, 2, 12, 0.1)
         y = rng.normal(size=12)
-        model = fit(X, y, KernelParams(0.4), nugget=1e-4)
-        assert model.noise_free_factor is gp._UNBUILT  # fit and non-strict variances skip it
-        gp.evaluate([model], rng.random((1, 2)), strict=False, derivatives=True)
-        assert model.noise_free_factor is gp._UNBUILT
-        gp.evaluate([model], rng.random((1, 2)), strict=True)
+        model = fit_one(X, y, KernelParams(0.4), nugget=1e-4)
+        assert model.noise_free_factors == []  # fit and non-strict variances skip it
+        gp.evaluate(model, rng.random((1, 2)), strict=False, derivatives=True)
+        assert model.noise_free_factors == []
+        gp.evaluate(model, rng.random((1, 2)), strict=True)
         expected = gp._noise_free_factor(X, KernelParams(0.4))
-        np.testing.assert_array_equal(model.noise_free_factor[0], expected[0])
-        exact = fit(X, y, KernelParams(0.4), nugget=0.0)
-        assert exact.noise_free_factor is exact.factor
+        np.testing.assert_array_equal(model.noise_free_factors[0][0], expected[0])
+        exact = fit_one(X, y, KernelParams(0.4), nugget=0.0)
+        gp.evaluate(exact, rng.random((1, 2)), strict=True)
+        assert exact.noise_free_factors[0] is exact.factors[0]

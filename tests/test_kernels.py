@@ -1,19 +1,19 @@
-"""Kernel values, matrices, and analytic derivatives."""
+"""Kernel matrices, and the pointwise kernel oracles (values and analytic derivatives) of conftest."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from active_emu.kernels import (
-    KernelParams,
+from active_emu.kernels import KernelParams, kernel_matrix
+
+from conftest import (
+    central_difference_gradient,
     kernel_eval,
     kernel_gradient,
     kernel_hessian,
-    kernel_matrix,
+    relative_gradient_error,
 )
-
-from conftest import central_difference_gradient, relative_gradient_error
 
 
 class TestKernelEval:

@@ -6,7 +6,7 @@ import pytest
 from active_emu import gp
 from active_emu.gp import Dataset, IllConditionedError
 from active_emu.kernels import KernelParams, cross_kernel
-from active_emu.multi_output import MultiGpModel, fit_all, predict_all, predict_mean_matrix
+from active_emu.multi_output import fit_all, predict_all, predict_mean_matrix
 from active_emu.samplers import lhs_design
 from active_emu.simulators import FixtureNineBand
 
@@ -23,21 +23,22 @@ class TestFitAll:
     def test_single_output_matches_gp_fit(self, rng):
         ds = Dataset(X=[[0.2, 0.5, 0.9]], Y=[[1.0, -1.0, 2.0]], input_bounds=[[0.0, 1.0]])
         multi = fit_all(ds, bandwidths=[KernelParams(0.3)], nugget_policy=0.01)
-        single = gp.fit(ds.normalize(ds.X), ds.Y[0], KernelParams(0.3), 0.01)
-        np.testing.assert_array_equal(multi.models[0].alpha, single.alpha)
+        alpha, _ = gp.fit(ds.normalize(ds.X), ds.Y[:1], [0.3], [0.01], [None])
+        np.testing.assert_array_equal(multi.alpha[0], alpha[0])
 
     def test_each_output_gets_own_bandwidth(self):
         ds = toy_log_dataset(8)
         model = fit_all(ds, nugget_policy=0.02, seed=3)
-        assert len(model.models) == 2
-        assert model.models[0].params.bandwidth != model.models[1].params.bandwidth
+        assert model.n_outputs == 2
+        assert model.bandwidths[0] != model.bandwidths[1]
 
     def test_identical_rows_same_bandwidth_deterministic_strategy(self):
         x = np.linspace(0.1, 10.0, 7)
         row = np.log(x)
         ds = Dataset(X=x[np.newaxis, :], Y=np.vstack([row, row]), input_bounds=[[0.1, 10.0]])
         model = fit_all(ds, hyper_strategy="max-stable-bandwidth", nugget_policy=0.0)
-        assert model.models[0].params == model.models[1].params
+        assert model.bandwidths[0] == model.bandwidths[1]
+        assert model.nuggets[0] == model.nuggets[1]
         probe = np.array([4.321])
         means, variances, grads = predict_all(model, probe)
         assert means[0] == means[1]
@@ -57,8 +58,19 @@ class TestFitAll:
         Y2 = ds.Y.copy()
         Y2[1] += 1.0  # perturb only the second output row
         perturbed = fit_all(Dataset(ds.X, Y2, ds.input_bounds), bandwidths=[0.3, 0.4], nugget_policy=0.0)
-        np.testing.assert_array_equal(base.models[0].alpha, perturbed.models[0].alpha)
-        assert not np.array_equal(base.models[1].alpha, perturbed.models[1].alpha)
+        np.testing.assert_array_equal(base.alpha[0], perturbed.alpha[0])
+        assert not np.array_equal(base.alpha[1], perturbed.alpha[1])
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_needs_one_bandwidth_per_output(self, count):
+        with pytest.raises(ValueError, match=f"{count} bandwidths given for 2 outputs"):
+            fit_all(toy_log_dataset(6), bandwidths=[0.3] * count, nugget_policy=0.0)
+
+    def test_models_compare_by_identity(self):
+        ds = toy_log_dataset(6)
+        first, second = (fit_all(ds, bandwidths=[0.3, 0.4], nugget_policy=0.0) for _ in range(2))
+        assert first == first and first != second
+        assert len({first, second}) == 2
 
     def test_requires_two_nodes_for_selection(self):
         ds = Dataset(X=[[0.5]], Y=[[1.0]], input_bounds=[[0.0, 1.0]])
@@ -102,10 +114,10 @@ class TestPredictAll:
         x = np.array([2.2, 1.7])
         xn = model.normalize(x)
         means, variances, grads = predict_all(model, x)
-        for p, single in enumerate(model.models):
+        for p, bandwidth in enumerate(model.bandwidths):
             ds = Dataset(model.dataset.X, model.dataset.Y[p : p + 1], model.dataset.input_bounds)
-            alone = MultiGpModel(ds, (single,))
-            terms = gp.evaluate([single], xn[np.newaxis, :], strict=False)
+            alone = fit_all(ds, bandwidths=[bandwidth], nugget_policy=model.nuggets[p])
+            terms = gp.evaluate(alone, xn[np.newaxis, :], strict=False)
             assert means[p] == predict_mean_matrix(alone, x[:, np.newaxis])[0, 0]
             assert variances[p] == terms.variances[0, 0]
             assert grads[p] == terms.gradient_norms[0, 0]
@@ -119,8 +131,8 @@ class TestPredictAll:
         means = predict_mean_matrix(model, Xq)
         Xn = model.normalize(Xq)
         assert means.shape == (9, 500)
-        for row, single in zip(means, model.models):
-            np.testing.assert_array_equal(row, cross_kernel(single.train_inputs, Xn, single.params).T @ single.alpha)
+        for row, bandwidth, alpha in zip(means, model.bandwidths, model.alpha):
+            np.testing.assert_array_equal(row, cross_kernel(model.nodes, Xn, KernelParams(bandwidth)).T @ alpha)
 
     def test_mean_matrix_matches_point_calls(self, rng):
         model = random_multi_model(rng, dimension=1, n_outputs=2, n_nodes=6,
