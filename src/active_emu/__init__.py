@@ -9,7 +9,7 @@ from .acquisition import AcquisitionSpec, InputPrior, TemperingSchedule
 from .gp import Dataset, IllConditionedError
 from .kernels import KernelParams
 from .loop import EmulationResult, LoopConfig, baseline_run, run
-from .multi_output import MultiGpModel, fit_all, predict_all
+from .multi_output import MultiGpModel, fit_all
 from .optimize import AnnealingConfig, AscentConfig, OptimizerConfig, maximize
 from .simulators import Simulator, SimulatorError, make_simulator
 
@@ -34,7 +34,6 @@ __all__ = [
     "fit_all",
     "make_simulator",
     "maximize",
-    "predict_all",
     "run",
     "__version__",
 ]

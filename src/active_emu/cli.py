@@ -4,7 +4,9 @@
   active-emu experiment --config cfg.json --out DIR [--seed N]
   active-emu oracle     --function log --interval 1,7.389 --nodes 5 --out nodes.csv
 
-Exit codes: 0 success, 2 config error, 3 simulator failure.
+Exit codes: 0 success, 2 config error, 3 simulator failure.  Exit 2 covers
+every malformed config, the simulator block included: `run` and
+`experiment` parse the whole file before they start a simulator.
 """
 
 from __future__ import annotations

@@ -1,11 +1,14 @@
 """JSON config files for the CLI.
 
 Unknown fields are rejected everywhere so that a typo cannot silently
-change an experiment.
+change an experiment.  Every malformed config, the simulator block
+included, raises a `ConfigError` before anything runs; the CLI reports it
+with exit code 2.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
@@ -14,18 +17,55 @@ from .acquisition import AcquisitionSpec, InputPrior, TemperingSchedule, VARIANT
 from .harness import ExperimentConfig, TestSetSpec
 from .loop import LoopConfig
 from .optimize import AnnealingConfig, AscentConfig, OptimizerConfig
+from .simulators import make_simulator
+
+# Optional JSON keys of the optimizer block -> (field, conversion) of its
+# annealing and ascent settings; a key left out keeps the field's default.
+_ANNEALING_KEYS = {
+    "iterations": ("iterations", int),
+    "cooling": ("cooling", float),
+    "proposal_scale": ("proposal_fraction", float),
+    "initial_temperature": ("initial_temperature", lambda value: value),
+}
+_ASCENT_KEYS = {
+    "ascent_step": ("initial_step_fraction", float),
+    "ascent_iterations": ("max_iterations", int),
+    "gradient_tolerance": ("gradient_tolerance", float),
+}
+# Top-level keys both commands read, through `_parse_shared`.
+_SHARED_KEYS = {"seed", "simulator", "initial_design", "acquisition", "optimizer", "hyperparameters"}
 
 
 class ConfigError(ValueError):
     """A config file is malformed or contains unknown fields."""
 
 
-def _require_keys(mapping: dict, allowed: set, context: str) -> None:
+def _config_errors(parse):
+    """Report every ValueError, KeyError or TypeError raised by `parse` as a ConfigError."""
+
+    @functools.wraps(parse)
+    def wrapper(*args, **kwargs):
+        try:
+            return parse(*args, **kwargs)
+        except ConfigError:
+            raise
+        except KeyError as exc:
+            raise ConfigError(f"missing field {exc}") from exc
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(str(exc)) from exc
+
+    return wrapper
+
+
+def _require_keys(mapping: dict, allowed: set, context: str, required=()) -> None:
     if not isinstance(mapping, dict):
         raise ConfigError(f"{context} must be a JSON object")
     unknown = set(mapping) - allowed
     if unknown:
         raise ConfigError(f"unknown field(s) in {context}: {', '.join(sorted(unknown))}")
+    for key in required:
+        if key not in mapping:
+            raise ConfigError(f"{context} needs '{key}'")
 
 
 def _parse_tempering(raw) -> TemperingSchedule:
@@ -33,68 +73,37 @@ def _parse_tempering(raw) -> TemperingSchedule:
         return TemperingSchedule.one_minus_inverse_t()
     _require_keys(raw, {"kind", "beta", "gamma"}, "tempering")
     kind = raw.get("kind")
-    try:
-        if kind == "constant":
-            return TemperingSchedule.constant(float(raw.get("beta", 1.0)))
-        if kind == "one-minus-inverse-t":
-            return TemperingSchedule.one_minus_inverse_t()
-        if kind == "one-minus-exp":
-            return TemperingSchedule.one_minus_exp(float(raw.get("gamma", 1.0)))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if kind == "constant":
+        return TemperingSchedule.constant(float(raw.get("beta", 1.0)))
+    if kind == "one-minus-inverse-t":
+        return TemperingSchedule.one_minus_inverse_t()
+    if kind == "one-minus-exp":
+        return TemperingSchedule.one_minus_exp(float(raw.get("gamma", 1.0)))
     raise ConfigError(f"unknown tempering kind: {kind!r}")
 
 
 def _parse_prior(raw) -> InputPrior | None:
     if raw is None:
         return None
-    _require_keys(raw, {"mu", "sigma", "min", "max"}, "prior")
-    try:
-        return InputPrior(mu=raw["mu"], sigma=raw["sigma"], low=raw["min"], high=raw["max"])
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"invalid prior: {exc}") from exc
+    _require_keys(raw, {"mu", "sigma", "min", "max"}, "prior", required=("mu", "sigma", "min", "max"))
+    return InputPrior(mu=raw["mu"], sigma=raw["sigma"], low=raw["min"], high=raw["max"])
+
+
+def _fields(raw: dict, keys: dict) -> dict:
+    return {name: convert(raw[key]) for key, (name, convert) in keys.items() if key in raw}
 
 
 def _parse_optimizer(raw, default_strategy="random-then-ascent") -> OptimizerConfig:
     if raw is None:
         return OptimizerConfig(strategy=default_strategy)
-    _require_keys(
-        raw,
-        {
-            "strategy",
-            "n_random",
-            "iterations",
-            "cooling",
-            "proposal_scale",
-            "initial_temperature",
-            "ascent_step",
-            "ascent_iterations",
-            "gradient_tolerance",
-        },
-        "optimizer",
-    )
-    strategy = raw.get("strategy", default_strategy)
-    annealing = AnnealingConfig(
-        iterations=int(raw.get("iterations", 2000)),
-        cooling=float(raw.get("cooling", 0.995)),
-        proposal_fraction=float(raw.get("proposal_scale", 0.1)),
-        initial_temperature=raw.get("initial_temperature"),
-    )
-    ascent = AscentConfig(
-        initial_step_fraction=float(raw.get("ascent_step", 0.1)),
-        max_iterations=int(raw.get("ascent_iterations", 200)),
-        gradient_tolerance=float(raw.get("gradient_tolerance", 1e-8)),
-    )
+    _require_keys(raw, {"strategy", "n_random", *_ANNEALING_KEYS, *_ASCENT_KEYS}, "optimizer")
     n_random = raw.get("n_random")
-    try:
-        return OptimizerConfig(
-            strategy=strategy,
-            n_random=None if n_random is None else int(n_random),
-            ascent=ascent,
-            annealing=annealing,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return OptimizerConfig(
+        strategy=raw.get("strategy", default_strategy),
+        n_random=None if n_random is None else int(n_random),
+        ascent=AscentConfig(**_fields(raw, _ASCENT_KEYS)),
+        annealing=AnnealingConfig(**_fields(raw, _ANNEALING_KEYS)),
+    )
 
 
 def _parse_nugget(raw) -> float | str:
@@ -109,7 +118,7 @@ def _parse_nugget(raw) -> float | str:
     raise ConfigError(f"nugget policy must be 'fixed' or 'learned', got {policy!r}")
 
 
-def _parse_hyper(raw) -> tuple[str, float | str, OptimizerConfig | None]:
+def _parse_hyper(raw) -> dict:
     """The `hyperparameters` block: strategy, nugget and optimizer.
 
     `optimizer` drives the learned nugget's 2-D search only.  A fixed
@@ -117,42 +126,44 @@ def _parse_hyper(raw) -> tuple[str, float | str, OptimizerConfig | None]:
     golden-section pass, and max-stable-bandwidth a grid walk; the key is
     still accepted, and ignored, with those.
     """
-    if raw is None:
-        return "marginal-likelihood", 0.0, None
+    raw = {} if raw is None else raw
     _require_keys(raw, {"strategy", "nugget", "optimizer"}, "hyperparameters")
-    strategy = raw.get("strategy", "marginal-likelihood")
-    nugget = _parse_nugget(raw.get("nugget"))
     optimizer = None
     if raw.get("optimizer") is not None:
         optimizer = _parse_optimizer(raw["optimizer"], default_strategy="simulated-annealing")
-    return strategy, nugget, optimizer
+    return {
+        "hyper_strategy": raw.get("strategy", "marginal-likelihood"),
+        "nugget_policy": _parse_nugget(raw.get("nugget")),
+        "hyper_optimizer": optimizer,
+    }
 
 
 def _parse_simulator_spec(raw) -> dict:
-    _require_keys(raw, {"kind", "dimension", "outputs", "bounds", "command", "timeout"}, "simulator")
-    if "kind" not in raw:
-        raise ConfigError("simulator needs a 'kind'")
+    _require_keys(
+        raw, {"kind", "dimension", "outputs", "bounds", "command", "timeout"}, "simulator", required=("kind",)
+    )
+    make_simulator(raw).close()  # checks the spec; an external child starts only on its first evaluation
     return raw
 
 
-def _parse_initial_design(raw) -> tuple[np.ndarray | None, str | None, int | None]:
+def _parse_initial_design(raw) -> dict:
     _require_keys(raw, {"points", "sampler", "size"}, "initial_design")
     if "points" in raw:
         points = np.asarray(raw["points"], dtype=float)
         if points.ndim != 2:
             raise ConfigError("initial_design.points must be a list of points")
-        return points.T.copy(), None, None  # rows in JSON, columns internally
+        # rows in JSON, columns internally
+        return {"initial_points": points.T.copy(), "initial_sampler": None, "initial_size": None}
     sampler = raw.get("sampler")
     size = raw.get("size")
     if sampler is None or size is None:
         raise ConfigError("initial_design needs either 'points' or 'sampler' plus 'size'")
-    return None, str(sampler), int(size)
+    return {"initial_points": None, "initial_sampler": str(sampler), "initial_size": int(size)}
 
 
 def _parse_acquisition(raw) -> dict:
-    """Shared acquisition settings; the variant is resolved by the caller."""
-    if raw is None:
-        return {"variant": None, "tempering": TemperingSchedule.one_minus_inverse_t(), "prior": None, "strict": True}
+    """Acquisition settings; the variant is resolved by the caller."""
+    raw = {} if raw is None else raw
     _require_keys(raw, {"variant", "tempering", "prior", "strict_zero_at_nodes"}, "acquisition")
     variant = raw.get("variant")
     if variant is not None and variant not in VARIANT_NAMES:
@@ -161,7 +172,24 @@ def _parse_acquisition(raw) -> dict:
         "variant": variant,
         "tempering": _parse_tempering(raw.get("tempering")),
         "prior": _parse_prior(raw.get("prior")),
-        "strict": bool(raw.get("strict_zero_at_nodes", True)),
+        "strict_zero_at_nodes": bool(raw.get("strict_zero_at_nodes", True)),
+    }
+
+
+def _parse_shared(raw: dict, seed_override: int | None) -> dict:
+    """The blocks both commands share, as keyword arguments.
+
+    Every key but the acquisition's `variant` is a field `ExperimentConfig`
+    takes under the same name.  For a run, the acquisition's keys make the
+    `AcquisitionSpec` and the rest, but `simulator`, are `LoopConfig` fields.
+    """
+    return {
+        "simulator": _parse_simulator_spec(raw["simulator"]),
+        **_parse_initial_design(raw["initial_design"]),
+        **_parse_acquisition(raw.get("acquisition")),
+        "optimizer": _parse_optimizer(raw.get("optimizer")),
+        **_parse_hyper(raw.get("hyperparameters")),
+        "seed": int(raw.get("seed", 0)) if seed_override is None else int(seed_override),
     }
 
 
@@ -175,120 +203,48 @@ def load_json(path) -> dict:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
 
 
+@_config_errors
 def parse_run_config(raw: dict, seed_override: int | None = None) -> tuple[dict, LoopConfig]:
     """Returns (simulator_spec, LoopConfig) for `active-emu run`."""
-    _require_keys(
-        raw,
-        {
-            "seed",
-            "simulator",
-            "initial_design",
-            "budget",
-            "acquisition",
-            "optimizer",
-            "hyperparameters",
-            "convergence",
-        },
-        "run config",
-    )
-    for required in ("simulator", "initial_design", "budget"):
-        if required not in raw:
-            raise ConfigError(f"run config needs '{required}'")
-    simulator = _parse_simulator_spec(raw["simulator"])
-    initial_points, initial_sampler, initial_size = _parse_initial_design(raw["initial_design"])
-    acq = _parse_acquisition(raw.get("acquisition"))
-    variant = acq["variant"] or "PDxPG"
+    _require_keys(raw, _SHARED_KEYS | {"budget", "convergence"}, "run config",
+                  required=("simulator", "initial_design", "budget"))
+    shared = _parse_shared(raw, seed_override)
+    simulator = shared.pop("simulator")
     spec = AcquisitionSpec.from_variant(
-        variant, tempering=acq["tempering"], prior=acq["prior"], strict_zero_at_nodes=acq["strict"]
+        shared.pop("variant") or "PDxPG",
+        **{key: shared.pop(key) for key in ("tempering", "prior", "strict_zero_at_nodes")},
     )
-    hyper_strategy, nugget, hyper_optimizer = _parse_hyper(raw.get("hyperparameters"))
-    convergence_epsilon = None
-    convergence_probes = 1000
+    convergence = {}
     if raw.get("convergence") is not None:
-        _require_keys(raw["convergence"], {"epsilon", "probe_points"}, "convergence")
-        convergence_epsilon = float(raw["convergence"]["epsilon"])
-        convergence_probes = int(raw["convergence"].get("probe_points", 1000))
-    seed = int(raw.get("seed", 0)) if seed_override is None else int(seed_override)
-    try:
-        loop_config = LoopConfig(
-            budget=int(raw["budget"]),
-            acquisition=spec,
-            optimizer=_parse_optimizer(raw.get("optimizer")),
-            hyper_strategy=hyper_strategy,
-            nugget_policy=nugget,
-            hyper_optimizer=hyper_optimizer,
-            initial_points=initial_points,
-            initial_sampler=initial_sampler,
-            initial_size=initial_size,
-            convergence_epsilon=convergence_epsilon,
-            convergence_probes=convergence_probes,
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return simulator, loop_config
+        _require_keys(raw["convergence"], {"epsilon", "probe_points"}, "convergence", required=("epsilon",))
+        convergence["convergence_epsilon"] = float(raw["convergence"]["epsilon"])
+        convergence["convergence_probes"] = int(raw["convergence"].get("probe_points", 1000))
+    return simulator, LoopConfig(budget=int(raw["budget"]), acquisition=spec, **convergence, **shared)
 
 
+@_config_errors
 def parse_experiment_config(raw: dict, seed_override: int | None = None) -> ExperimentConfig:
-    _require_keys(
-        raw,
-        {
-            "seed",
-            "simulator",
-            "strategies",
-            "initial_design",
-            "n_add",
-            "runs",
-            "test_set",
-            "acquisition",
-            "optimizer",
-            "hyperparameters",
-            "density",
-        },
-        "experiment config",
-    )
-    for required in ("simulator", "strategies", "initial_design", "n_add", "runs", "test_set"):
-        if required not in raw:
-            raise ConfigError(f"experiment config needs '{required}'")
-    simulator = _parse_simulator_spec(raw["simulator"])
+    _require_keys(raw, _SHARED_KEYS | {"strategies", "n_add", "runs", "test_set", "density"},
+                  "experiment config",
+                  required=("simulator", "strategies", "initial_design", "n_add", "runs", "test_set"))
     strategies = raw["strategies"]
     if not isinstance(strategies, list) or not strategies:
         raise ConfigError("strategies must be a non-empty list")
-    initial_points, initial_sampler, initial_size = _parse_initial_design(raw["initial_design"])
-    m0 = initial_points.shape[1] if initial_points is not None else int(initial_size)
-    test_raw = raw["test_set"]
-    _require_keys(test_raw, {"kind", "step", "size"}, "test_set")
-    test_set = TestSetSpec(
-        kind=test_raw.get("kind", "grid"),
-        step=test_raw.get("step"),
-        size=test_raw.get("size"),
+    shared = _parse_shared(raw, seed_override)
+    del shared["variant"]  # each AMOGAPE strategy names its own
+    initial_points = shared["initial_points"]
+    m0 = initial_points.shape[1] if initial_points is not None else shared["initial_size"]
+    _require_keys(raw["test_set"], {"kind", "step", "size"}, "test_set")
+    return ExperimentConfig(
+        strategies=tuple(strategies),
+        budget=m0 + int(raw["n_add"]),
+        runs=int(raw["runs"]),
+        test_set=TestSetSpec(**{"kind": "grid", **raw["test_set"]}),
+        **shared,
     )
-    acq = _parse_acquisition(raw.get("acquisition"))
-    hyper_strategy, nugget, hyper_optimizer = _parse_hyper(raw.get("hyperparameters"))
-    seed = int(raw.get("seed", 0)) if seed_override is None else int(seed_override)
-    try:
-        return ExperimentConfig(
-            simulator=simulator,
-            strategies=tuple(strategies),
-            budget=m0 + int(raw["n_add"]),
-            runs=int(raw["runs"]),
-            test_set=test_set,
-            initial_points=initial_points,
-            initial_sampler=initial_sampler,
-            initial_size=initial_size,
-            tempering=acq["tempering"],
-            prior=acq["prior"],
-            strict_zero_at_nodes=acq["strict"],
-            optimizer=_parse_optimizer(raw.get("optimizer")),
-            hyper_strategy=hyper_strategy,
-            nugget_policy=nugget,
-            hyper_optimizer=hyper_optimizer,
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
+@_config_errors
 def parse_density_options(raw: dict) -> dict | None:
     if raw.get("density") is None:
         return None

@@ -118,14 +118,6 @@ class Dataset:
             return (x - lo[:, np.newaxis]) / width[:, np.newaxis]
         return (x - lo) / width
 
-    def denormalize(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        lo = self.input_bounds[:, 0]
-        width = self.input_bounds[:, 1] - lo
-        if x.ndim == 2:
-            return lo[:, np.newaxis] + x * width[:, np.newaxis]
-        return lo + x * width
-
     def with_node(self, x, y) -> "Dataset":
         """Append one node; rejects duplicates via the Dataset invariant."""
         x = np.asarray(x, dtype=float).reshape(self.dimension, 1)
@@ -248,7 +240,7 @@ def evaluate(model, Xq, strict: bool, mean_gradients: bool = True, derivatives: 
     diffs = Xq[:, np.newaxis, :] - nodes.T[np.newaxis, :, :]  # (n, m, D), diffs[j, i] = x_j - x_i
     diffs_t = diffs.transpose(0, 2, 1)
     sq = np.einsum("nmd,nmd->nm", diffs, diffs)
-    at_node = sq.min(axis=1) <= DUPLICATE_TOLERANCE**2
+    at_node = sq.min(axis=1) <= DUPLICATE_TOLERANCE**2 if strict else None
     n, P, D = Xq.shape[0], model.n_outputs, Xq.shape[1]
     variances = np.empty((n, P))
     gradients = np.empty((n, P, D)) if mean_gradients else None

@@ -11,13 +11,12 @@ every size, quadratic cumulative cost).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .acquisition import AcquisitionSpec, InputPrior, TemperingSchedule
-from .gp import check_hyperparameters
-from .loop import NONSEQUENTIAL_BASELINES, EmulationResult, LoopConfig, baseline_run, check_design, run
+from .loop import NONSEQUENTIAL_BASELINES, EmulationResult, LoopConfig, baseline_run, run
 from .multi_output import MultiGpModel, predict_mean_matrix
 from .optimize import OptimizerConfig
 from .samplers import sample_truncated_gaussian
@@ -70,17 +69,42 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.strategies:
             raise ValueError("at least one strategy is required")
-        known = SEQUENTIAL_BASELINES + NONSEQUENTIAL_BASELINES
-        for strategy in self.strategies:
-            if strategy.startswith("amogape:"):
-                AcquisitionSpec.from_variant(strategy.split(":", 1)[1])
-            elif strategy not in known:
-                raise ValueError(f"unknown strategy: {strategy!r}")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
-        if self.initial_points is None:
-            check_design(self.initial_sampler, self.prior)
-        check_hyperparameters(self.hyper_strategy, self.nugget_policy)
+        if self.test_set.kind == "prior" and self.prior is None:
+            raise ValueError("prior test set requires an input prior")
+        for strategy in self.strategies:
+            self.loop_config(strategy, self.seed)  # the loop's own checks of every run's settings
+
+    def loop_config(self, strategy: str, run_seed: int) -> LoopConfig:
+        """The loop settings of one run of `strategy`.
+
+        A baseline gets the SD variant's spec, which it never reads.
+        """
+        if strategy.startswith("amogape:"):
+            variant = strategy.split(":", 1)[1]
+        elif strategy in SEQUENTIAL_BASELINES + NONSEQUENTIAL_BASELINES:
+            variant = "SD"
+        else:
+            raise ValueError(f"unknown strategy: {strategy!r}")
+        spec = AcquisitionSpec.from_variant(
+            variant,
+            tempering=self.tempering,
+            prior=self.prior,
+            strict_zero_at_nodes=self.strict_zero_at_nodes,
+        )
+        return LoopConfig(
+            budget=self.budget,
+            acquisition=spec,
+            optimizer=self.optimizer,
+            hyper_strategy=self.hyper_strategy,
+            nugget_policy=self.nugget_policy,
+            hyper_optimizer=self.hyper_optimizer,
+            initial_points=self.initial_points,
+            initial_sampler=self.initial_sampler,
+            initial_size=self.initial_size,
+            seed=run_seed,
+        )
 
 
 @dataclass
@@ -132,35 +156,11 @@ def build_test_set(config: ExperimentConfig, sim) -> tuple[np.ndarray, np.ndarra
     if config.test_set.kind == "grid":
         inputs = grid_test_inputs(sim.bounds, config.test_set.step)
     else:
-        if config.prior is None:
-            raise ValueError("prior test set requires an input prior")
         inputs = sample_truncated_gaussian(
             config.prior, config.test_set.size, seed=derive_seed(config.seed, 90)
         )
     outputs = np.column_stack([sim.evaluate(inputs[:, i]) for i in range(inputs.shape[1])])
     return inputs, outputs
-
-
-def _loop_config(config: ExperimentConfig, strategy: str, run_seed: int) -> LoopConfig:
-    variant = strategy.split(":", 1)[1] if strategy.startswith("amogape:") else "SD"
-    spec = AcquisitionSpec.from_variant(
-        variant,
-        tempering=config.tempering,
-        prior=config.prior,
-        strict_zero_at_nodes=config.strict_zero_at_nodes,
-    )
-    return LoopConfig(
-        budget=config.budget,
-        acquisition=spec,
-        optimizer=config.optimizer,
-        hyper_strategy=config.hyper_strategy,
-        nugget_policy=config.nugget_policy,
-        hyper_optimizer=config.hyper_optimizer,
-        initial_points=config.initial_points,
-        initial_sampler=config.initial_sampler,
-        initial_size=config.initial_size,
-        seed=run_seed,
-    )
 
 
 def _execute(strategy: str, loop_config: LoopConfig, sim, hook) -> EmulationResult:
@@ -186,7 +186,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResults:
         curves: dict[int, list[float]] = {}
         for run_index in range(config.runs):
             run_seed = derive_seed(config.seed, strategy_index, run_index)
-            loop_config = _loop_config(config, strategy, run_seed)
+            loop_config = config.loop_config(strategy, run_seed)
             trajectory: dict[int, float] = {}
 
             def hook(m, model, _trajectory=trajectory):

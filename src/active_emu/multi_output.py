@@ -95,17 +95,6 @@ def fit_single_node(dataset: Dataset, nugget: float = 0.0) -> MultiGpModel:
     return fit_all(dataset, nugget_policy=nugget, bandwidths=[_SINGLE_NODE_BANDWIDTH] * dataset.n_outputs)
 
 
-def predict_all(model: MultiGpModel, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-output (means, variances, gradient norms) at one raw input point.
-
-    The one-point slice of `gp.evaluate` (predictive variances), with the
-    means of `predict_mean_matrix`.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1, 1)
-    terms = gp.evaluate(model, model.normalize(x).T, strict=False)
-    return predict_mean_matrix(model, x)[:, 0], terms.variances[0], terms.gradient_norms[0]
-
-
 def predict_mean_matrix(model: MultiGpModel, X) -> np.ndarray:
     """Predictive means k_x^T alpha for all outputs at the columns of X (raw); (P, n).
 

@@ -17,7 +17,6 @@ import numpy as np
 
 _VALIDATION_GRID = 512
 _INVERSE_TOLERANCE = 1e-9
-_BISECTION_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -28,7 +27,6 @@ class MonotoneFunction1D:
     inverse: Callable[[float], float]
     a: float
     b: float
-    negated: bool = False  # set when built from a decreasing callable
 
     def __post_init__(self) -> None:
         if not self.b > self.a:
@@ -59,39 +57,6 @@ class MonotoneFunction1D:
     def linear(cls, a: float, b: float) -> "MonotoneFunction1D":
         return cls(forward=lambda x: x, inverse=lambda y: y, a=a, b=b)
 
-    @classmethod
-    def from_callable(cls, f, a: float, b: float, inverse=None) -> "MonotoneFunction1D":
-        """Wrap an arbitrary strictly monotone callable.
-
-        Decreasing functions are negated internally (node placement only
-        depends on |df/dx|).  Missing inverses fall back to bisection.
-        """
-        negated = f(b) < f(a)
-        forward = (lambda x: -f(x)) if negated else f
-        if inverse is not None and negated:
-            raise ValueError("an explicit inverse is only supported for increasing functions")
-        if inverse is None:
-            inverse = _bisection_inverse(forward, a, b)
-        return cls(forward=forward, inverse=inverse, a=a, b=b, negated=negated)
-
-
-def _bisection_inverse(forward, a: float, b: float):
-    def inverse(y: float) -> float:
-        lo, hi = a, b
-        if y <= forward(lo):
-            return lo
-        if y >= forward(hi):
-            return hi
-        while hi - lo > _BISECTION_TOLERANCE:
-            mid = 0.5 * (lo + hi)
-            if forward(mid) < y:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    return inverse
-
 
 def _check_nodes(nodes, fn: MonotoneFunction1D) -> np.ndarray:
     nodes = np.asarray(nodes, dtype=float).ravel()
@@ -102,18 +67,6 @@ def _check_nodes(nodes, fn: MonotoneFunction1D) -> np.ndarray:
     if nodes[0] < fn.a - 1e-12 or nodes[-1] > fn.b + 1e-12:
         raise ValueError("nodes must lie within [a, b]")
     return nodes
-
-
-def pci_evaluate(nodes, fn: MonotoneFunction1D, x: float) -> float:
-    """Left-anchored piecewise-constant interpolant.
-
-    phi(x) = f(a) for x <= x_1, otherwise f(x_j) for the largest node
-    x_j < x.
-    """
-    nodes = _check_nodes(nodes, fn)
-    index = int(np.searchsorted(nodes, x, side="left"))
-    value = fn.forward(fn.a) if index == 0 else fn.forward(float(nodes[index - 1]))
-    return -value if fn.negated else value
 
 
 def cinf_cost(nodes, fn: MonotoneFunction1D) -> float:

@@ -1,5 +1,7 @@
 """Shared fixtures and numerical helpers for the test suite."""
 
+from dataclasses import dataclass
+
 import mpmath
 import numpy as np
 import pytest
@@ -9,6 +11,10 @@ from active_emu import gp
 from active_emu.gp import Dataset
 from active_emu.kernels import KernelParams, kernel_matrix
 from active_emu.multi_output import fit_all, predict_mean_matrix
+from active_emu.pci import MonotoneFunction1D, _check_nodes
+
+# Width of the bracket at which `CallableMonotone`'s bisection inverse stops.
+BISECTION_TOLERANCE = 1e-12
 
 
 def log_marginal_likelihood(inputs, outputs, params, nugget=0.0):
@@ -182,6 +188,79 @@ def random_multi_model(rng, dimension=1, n_outputs=2, n_nodes=6, bandwidths=None
     if bandwidths is None:
         bandwidths = [0.25 + 0.1 * p for p in range(n_outputs)]
     return fit_all(dataset, nugget_policy=nugget, bandwidths=bandwidths)
+
+
+def denormalize(dataset, x) -> np.ndarray:
+    """The inverse of `dataset.normalize`: unit-cube coordinates back to raw ones."""
+    x = np.asarray(x, dtype=float)
+    lo = dataset.input_bounds[:, 0]
+    width = dataset.input_bounds[:, 1] - lo
+    if x.ndim == 2:
+        return lo[:, np.newaxis] + x * width[:, np.newaxis]
+    return lo + x * width
+
+
+def predict_all(model, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-output (means, variances, gradient norms) at one raw input point.
+
+    The one-point slice of `gp.evaluate` (predictive variances), with the
+    means of `predict_mean_matrix`.
+    """
+    x = np.asarray(x, dtype=float).reshape(-1, 1)
+    terms = gp.evaluate(model, model.normalize(x).T, strict=False)
+    return predict_mean_matrix(model, x)[:, 0], terms.variances[0], terms.gradient_norms[0]
+
+
+@dataclass(frozen=True)
+class CallableMonotone(MonotoneFunction1D):
+    """A `MonotoneFunction1D` built from any strictly monotone callable."""
+
+    negated: bool = False  # set when built from a decreasing callable
+
+    @classmethod
+    def from_callable(cls, f, a: float, b: float, inverse=None) -> "CallableMonotone":
+        """Wrap an arbitrary strictly monotone callable.
+
+        Decreasing functions are negated internally (node placement only
+        depends on |df/dx|).  Missing inverses fall back to bisection.
+        """
+        negated = f(b) < f(a)
+        forward = (lambda x: -f(x)) if negated else f
+        if inverse is not None and negated:
+            raise ValueError("an explicit inverse is only supported for increasing functions")
+        if inverse is None:
+            inverse = _bisection_inverse(forward, a, b)
+        return cls(forward=forward, inverse=inverse, a=a, b=b, negated=negated)
+
+
+def _bisection_inverse(forward, a: float, b: float):
+    def inverse(y: float) -> float:
+        lo, hi = a, b
+        if y <= forward(lo):
+            return lo
+        if y >= forward(hi):
+            return hi
+        while hi - lo > BISECTION_TOLERANCE:
+            mid = 0.5 * (lo + hi)
+            if forward(mid) < y:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    return inverse
+
+
+def pci_evaluate(nodes, fn: MonotoneFunction1D, x: float) -> float:
+    """Left-anchored piecewise-constant interpolant.
+
+    phi(x) = f(a) for x <= x_1, otherwise f(x_j) for the largest node
+    x_j < x; a negated `CallableMonotone` gives the value of its callable.
+    """
+    nodes = _check_nodes(nodes, fn)
+    index = int(np.searchsorted(nodes, x, side="left"))
+    value = fn.forward(fn.a) if index == 0 else fn.forward(float(nodes[index - 1]))
+    return -value if getattr(fn, "negated", False) else value
 
 
 @pytest.fixture

@@ -20,10 +20,10 @@ from active_emu.acquisition import (
 )
 from active_emu.gp import Dataset, IllConditionedError
 from active_emu.kernels import KernelParams, kernel_matrix
-from active_emu.multi_output import fit_all, predict_all
+from active_emu.multi_output import fit_all
 from active_emu.optimize import OptimizerConfig, maximize
 
-from conftest import central_difference_gradient, random_multi_model, relative_gradient_error
+from conftest import central_difference_gradient, predict_all, random_multi_model, relative_gradient_error
 
 
 class TestTempering:

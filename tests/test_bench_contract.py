@@ -9,6 +9,7 @@ a rename there would show up only as a crash at the end of a benchmark run.
 Both files are imported read-only.
 """
 
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ import numpy as np
 
 from active_emu import acquisition, gp, kernels
 from active_emu.acquisition import InputPrior
-from active_emu.config import parse_run_config
+from active_emu.config import parse_experiment_config, parse_run_config
 from active_emu.harness import ExperimentConfig, TestSetSpec, run_experiment
 from active_emu.multi_output import fit_all
 from active_emu.optimize import AnnealingConfig, OptimizerConfig
@@ -88,6 +89,24 @@ def test_layer_probes_run_on_a_fitted_fixture_model(monkeypatch):
     metrics.update(
         workloads._gram_chol(gp, kernels, dataset.normalize(X), model.bandwidths[0], config.nugget_policy)
     )
+    assert sorted(metrics) == [
+        "acquisition.gradient.us",
+        "acquisition.value.us",
+        "kernels.gram_chol_us.m130",
+        "kernels.gram_chol_us.m30",
+        "kernels.gram_chol_us.m60",
+    ]
+    assert all(np.isfinite(value) and value > 0.0 for value in metrics.values())
+
+
+def test_layer_probes_run_on_a_small_toy_comparison(monkeypatch):
+    """`ToyCompare.probe` reads `ExperimentConfig` fields by name; a short comparison runs it."""
+    monkeypatch.syspath_prepend(str(BENCH_DIR))  # workloads imports its siblings by name
+    workloads = load_bench("workloads")
+    toy = workloads.ToyCompare(BENCH_DIR, seed=0)
+    config = parse_experiment_config(dict(workloads.TOY_EXPERIMENT, seed=0))
+    toy.config = dataclasses.replace(config, budget=6, runs=1)
+    metrics = toy.probe({"experiments": [run_experiment(toy.config)]})
     assert sorted(metrics) == [
         "acquisition.gradient.us",
         "acquisition.value.us",

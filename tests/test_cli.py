@@ -51,6 +51,28 @@ BAD_INITIAL_DESIGNS = [
     {"sampler": "prior-random", "size": 4},
 ]
 
+# Malformed configs, as (command, top-level key, replacement block).  Each
+# must stop at parsing; none may reach a run.
+BAD_SIMULATORS = [
+    {"kind": "nope"},
+    {"kind": "external", "dimension": 1},  # no command
+    {"kind": "fixture-9band", "dimension": 5},
+]
+MALFORMED_CONFIGS = [
+    ("run", "initial_design", {"sampler": "sobol", "size": "x"}),
+    ("run", "hyperparameters", {"nugget": {"policy": "fixed", "value": "x"}}),
+    ("run", "hyperparameters", {"nugget": {"policy": "fixed", "value": 0.02},
+                                "optimizer": {"iterations": 0}}),
+    ("run", "convergence", {"epsilon": "x"}),
+    ("run", "convergence", {"epsilon": 0.01, "probe_points": "many"}),
+    ("run", "convergence", {"probe_points": 50}),
+    *(("run", "simulator", simulator) for simulator in BAD_SIMULATORS),
+    *(("experiment", "simulator", simulator) for simulator in BAD_SIMULATORS),
+    ("experiment", "test_set", {"kind": "grid"}),
+    ("experiment", "test_set", {"kind": "prior", "size": 10}),  # no prior to draw from
+    ("experiment", "density", {"bandwidth": "x"}),
+]
+
 
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
@@ -216,6 +238,18 @@ class TestExperimentCommand:
         payload["strategies"] = ["sobol", "dragonfly"]
         config = write_config(tmp_path, payload)
         assert main(["experiment", "--config", config, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("command, key, block", MALFORMED_CONFIGS)
+def test_malformed_config_exits_2_before_running(tmp_path, capsys, command, key, block):
+    """`main` runs in this process, so an exception it lets out fails the test."""
+    payload = json.loads(json.dumps(RUN_CONFIG if command == "run" else EXPERIMENT_CONFIG))
+    payload[key] = block
+    config = write_config(tmp_path, payload)
+    out = tmp_path / "o"
+    assert main([command, "--config", config, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
 
 
 class TestOracleCommand:

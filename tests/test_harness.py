@@ -157,6 +157,17 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             tiny_experiment(strategies=("amogape:XX",), runs=1)
 
+    def test_initial_sampler_without_size_rejected(self):
+        with pytest.raises(ValueError, match="size"):
+            ExperimentConfig(
+                simulator={"kind": "toy-log-1d"},
+                strategies=("sobol",),
+                budget=6,
+                runs=1,
+                test_set=TestSetSpec(kind="grid", step=0.5),
+                initial_sampler="sobol",
+            )
+
     def test_csv_output(self, tmp_path):
         results = run_experiment(tiny_experiment(runs=1))
         path = tmp_path / "results.csv"

@@ -6,11 +6,11 @@ import pytest
 from active_emu import gp
 from active_emu.gp import Dataset, IllConditionedError
 from active_emu.kernels import KernelParams, cross_kernel
-from active_emu.multi_output import fit_all, predict_all, predict_mean_matrix
+from active_emu.multi_output import fit_all, predict_mean_matrix
 from active_emu.samplers import lhs_design
 from active_emu.simulators import FixtureNineBand
 
-from conftest import random_multi_model
+from conftest import predict_all, random_multi_model
 
 
 def toy_log_dataset(n=6):

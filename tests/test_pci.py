@@ -8,8 +8,9 @@ from active_emu.pci import (
     cinf_cost,
     node_density_check,
     optimal_nodes,
-    pci_evaluate,
 )
+
+from conftest import CallableMonotone, pci_evaluate
 
 E = np.e
 E2 = np.e**2
@@ -66,12 +67,12 @@ class TestMonotoneFunction:
             MonotoneFunction1D(forward=lambda x: x, inverse=lambda y: y + 0.1, a=0.0, b=1.0)
 
     def test_from_callable_bisection_inverse(self):
-        fn = MonotoneFunction1D.from_callable(lambda x: x**3 + x, 0.0, 2.0)
+        fn = CallableMonotone.from_callable(lambda x: x**3 + x, 0.0, 2.0)
         for x in (0.2, 0.9, 1.7):
             assert fn.inverse(fn.forward(x)) == pytest.approx(x, abs=1e-9)
 
     def test_from_callable_decreasing_negated(self):
-        fn = MonotoneFunction1D.from_callable(lambda x: -x, 0.0, 1.0)
+        fn = CallableMonotone.from_callable(lambda x: -x, 0.0, 1.0)
         assert fn.negated
         nodes = optimal_nodes(fn, 3)
         np.testing.assert_allclose(nodes, [0.25, 0.5, 0.75], atol=1e-9)
