@@ -3,7 +3,8 @@
 Unknown fields are rejected everywhere so that a typo cannot silently
 change an experiment.  Every malformed config, the simulator block
 included, raises a `ConfigError` before anything runs; the CLI reports it
-with exit code 2.
+with exit code 2.  An error inside a block names the block by its keys,
+as in `hyperparameters.optimizer: iterations must be >= 1`.
 """
 
 from __future__ import annotations
@@ -37,7 +38,28 @@ _SHARED_KEYS = {"seed", "simulator", "initial_design", "acquisition", "optimizer
 
 
 class ConfigError(ValueError):
-    """A config file is malformed or contains unknown fields."""
+    """A config file is malformed or contains unknown fields.
+
+    `block` is the dotted key path of the block at fault, where known; the
+    message then starts with it.
+    """
+
+    def __init__(self, message: str, block: str | None = None):
+        super().__init__(message if block is None else f"{block}: {message}")
+        self.block = block
+        self.detail = message
+
+
+def _as_config_error(exc: Exception, block: str | None = None) -> ConfigError:
+    """A ValueError, KeyError or TypeError of a parse as a ConfigError, inside `block` if given.
+
+    A ConfigError of a block inside `block` keeps its message under the joined key path.
+    """
+    if isinstance(exc, ConfigError):
+        return ConfigError(exc.detail, block if exc.block is None else f"{block}.{exc.block}")
+    if isinstance(exc, KeyError):
+        return ConfigError(f"missing field {exc}", block)
+    return ConfigError(str(exc), block)
 
 
 def _config_errors(parse):
@@ -49,29 +71,36 @@ def _config_errors(parse):
             return parse(*args, **kwargs)
         except ConfigError:
             raise
-        except KeyError as exc:
-            raise ConfigError(f"missing field {exc}") from exc
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(str(exc)) from exc
+        except (ValueError, KeyError, TypeError) as exc:
+            raise _as_config_error(exc) from exc
 
     return wrapper
 
 
-def _require_keys(mapping: dict, allowed: set, context: str, required=()) -> None:
+def _parse_block(raw: dict, key: str, parse, *args):
+    """`parse(raw[key], *args)`, with None for a missing key; an error it raises names the block."""
+    try:
+        return parse(raw.get(key), *args)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise _as_config_error(exc, key) from exc
+
+
+def _require_keys(mapping: dict, allowed: set, required=(), block: str | None = None) -> None:
+    """Check a block's keys; inside `_parse_block` the block is named by the caller."""
     if not isinstance(mapping, dict):
-        raise ConfigError(f"{context} must be a JSON object")
+        raise ConfigError("must be a JSON object", block)
     unknown = set(mapping) - allowed
     if unknown:
-        raise ConfigError(f"unknown field(s) in {context}: {', '.join(sorted(unknown))}")
+        raise ConfigError(f"unknown field(s): {', '.join(sorted(unknown))}", block)
     for key in required:
         if key not in mapping:
-            raise ConfigError(f"{context} needs '{key}'")
+            raise ConfigError(f"missing field '{key}'", block)
 
 
 def _parse_tempering(raw) -> TemperingSchedule:
     if raw is None:
         return TemperingSchedule.one_minus_inverse_t()
-    _require_keys(raw, {"kind", "beta", "gamma"}, "tempering")
+    _require_keys(raw, {"kind", "beta", "gamma"})
     kind = raw.get("kind")
     if kind == "constant":
         return TemperingSchedule.constant(float(raw.get("beta", 1.0)))
@@ -79,13 +108,13 @@ def _parse_tempering(raw) -> TemperingSchedule:
         return TemperingSchedule.one_minus_inverse_t()
     if kind == "one-minus-exp":
         return TemperingSchedule.one_minus_exp(float(raw.get("gamma", 1.0)))
-    raise ConfigError(f"unknown tempering kind: {kind!r}")
+    raise ConfigError(f"unknown kind: {kind!r}")
 
 
 def _parse_prior(raw) -> InputPrior | None:
     if raw is None:
         return None
-    _require_keys(raw, {"mu", "sigma", "min", "max"}, "prior", required=("mu", "sigma", "min", "max"))
+    _require_keys(raw, {"mu", "sigma", "min", "max"}, required=("mu", "sigma", "min", "max"))
     return InputPrior(mu=raw["mu"], sigma=raw["sigma"], low=raw["min"], high=raw["max"])
 
 
@@ -96,7 +125,7 @@ def _fields(raw: dict, keys: dict) -> dict:
 def _parse_optimizer(raw, default_strategy="random-then-ascent") -> OptimizerConfig:
     if raw is None:
         return OptimizerConfig(strategy=default_strategy)
-    _require_keys(raw, {"strategy", "n_random", *_ANNEALING_KEYS, *_ASCENT_KEYS}, "optimizer")
+    _require_keys(raw, {"strategy", "n_random", *_ANNEALING_KEYS, *_ASCENT_KEYS})
     n_random = raw.get("n_random")
     return OptimizerConfig(
         strategy=raw.get("strategy", default_strategy),
@@ -109,13 +138,13 @@ def _parse_optimizer(raw, default_strategy="random-then-ascent") -> OptimizerCon
 def _parse_nugget(raw) -> float | str:
     if raw is None:
         return 0.0
-    _require_keys(raw, {"policy", "value"}, "nugget")
+    _require_keys(raw, {"policy", "value"})
     policy = raw.get("policy")
     if policy == "learned":
         return "learned"
     if policy == "fixed":
         return float(raw.get("value", 0.0))
-    raise ConfigError(f"nugget policy must be 'fixed' or 'learned', got {policy!r}")
+    raise ConfigError(f"policy must be 'fixed' or 'learned', got {policy!r}")
 
 
 def _parse_hyper(raw) -> dict:
@@ -127,51 +156,50 @@ def _parse_hyper(raw) -> dict:
     still accepted, and ignored, with those.
     """
     raw = {} if raw is None else raw
-    _require_keys(raw, {"strategy", "nugget", "optimizer"}, "hyperparameters")
-    optimizer = None
-    if raw.get("optimizer") is not None:
-        optimizer = _parse_optimizer(raw["optimizer"], default_strategy="simulated-annealing")
+    _require_keys(raw, {"strategy", "nugget", "optimizer"})
     return {
         "hyper_strategy": raw.get("strategy", "marginal-likelihood"),
-        "nugget_policy": _parse_nugget(raw.get("nugget")),
-        "hyper_optimizer": optimizer,
+        "nugget_policy": _parse_block(raw, "nugget", _parse_nugget),
+        "hyper_optimizer": _parse_block(raw, "optimizer", _parse_hyper_optimizer),
     }
 
 
+def _parse_hyper_optimizer(raw) -> OptimizerConfig | None:
+    return None if raw is None else _parse_optimizer(raw, default_strategy="simulated-annealing")
+
+
 def _parse_simulator_spec(raw) -> dict:
-    _require_keys(
-        raw, {"kind", "dimension", "outputs", "bounds", "command", "timeout"}, "simulator", required=("kind",)
-    )
+    _require_keys(raw, {"kind", "dimension", "outputs", "bounds", "command", "timeout"}, required=("kind",))
     make_simulator(raw).close()  # checks the spec; an external child starts only on its first evaluation
     return raw
 
 
 def _parse_initial_design(raw) -> dict:
-    _require_keys(raw, {"points", "sampler", "size"}, "initial_design")
+    _require_keys(raw, {"points", "sampler", "size"})
     if "points" in raw:
         points = np.asarray(raw["points"], dtype=float)
         if points.ndim != 2:
-            raise ConfigError("initial_design.points must be a list of points")
+            raise ConfigError("points must be a list of points")
         # rows in JSON, columns internally
         return {"initial_points": points.T.copy(), "initial_sampler": None, "initial_size": None}
     sampler = raw.get("sampler")
     size = raw.get("size")
     if sampler is None or size is None:
-        raise ConfigError("initial_design needs either 'points' or 'sampler' plus 'size'")
+        raise ConfigError("needs either 'points' or 'sampler' plus 'size'")
     return {"initial_points": None, "initial_sampler": str(sampler), "initial_size": int(size)}
 
 
 def _parse_acquisition(raw) -> dict:
     """Acquisition settings; the variant is resolved by the caller."""
     raw = {} if raw is None else raw
-    _require_keys(raw, {"variant", "tempering", "prior", "strict_zero_at_nodes"}, "acquisition")
+    _require_keys(raw, {"variant", "tempering", "prior", "strict_zero_at_nodes"})
     variant = raw.get("variant")
     if variant is not None and variant not in VARIANT_NAMES:
-        raise ConfigError(f"unknown acquisition variant {variant!r}; expected one of {VARIANT_NAMES}")
+        raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANT_NAMES}")
     return {
         "variant": variant,
-        "tempering": _parse_tempering(raw.get("tempering")),
-        "prior": _parse_prior(raw.get("prior")),
+        "tempering": _parse_block(raw, "tempering", _parse_tempering),
+        "prior": _parse_block(raw, "prior", _parse_prior),
         "strict_zero_at_nodes": bool(raw.get("strict_zero_at_nodes", True)),
     }
 
@@ -182,15 +210,20 @@ def _parse_shared(raw: dict, seed_override: int | None) -> dict:
     Every key but the acquisition's `variant` is a field `ExperimentConfig`
     takes under the same name.  For a run, the acquisition's keys make the
     `AcquisitionSpec` and the rest, but `simulator`, are `LoopConfig` fields.
+    Each block is parsed by `_parse_block`, so an error names its block.
     """
     return {
-        "simulator": _parse_simulator_spec(raw["simulator"]),
-        **_parse_initial_design(raw["initial_design"]),
-        **_parse_acquisition(raw.get("acquisition")),
-        "optimizer": _parse_optimizer(raw.get("optimizer")),
-        **_parse_hyper(raw.get("hyperparameters")),
-        "seed": int(raw.get("seed", 0)) if seed_override is None else int(seed_override),
+        "simulator": _parse_block(raw, "simulator", _parse_simulator_spec),
+        **_parse_block(raw, "initial_design", _parse_initial_design),
+        **_parse_block(raw, "acquisition", _parse_acquisition),
+        "optimizer": _parse_block(raw, "optimizer", _parse_optimizer),
+        **_parse_block(raw, "hyperparameters", _parse_hyper),
+        "seed": _parse_block(raw, "seed", _parse_seed, seed_override),
     }
+
+
+def _parse_seed(raw, seed_override: int | None) -> int:
+    return int(0 if raw is None else raw) if seed_override is None else int(seed_override)
 
 
 def load_json(path) -> dict:
@@ -206,50 +239,62 @@ def load_json(path) -> dict:
 @_config_errors
 def parse_run_config(raw: dict, seed_override: int | None = None) -> tuple[dict, LoopConfig]:
     """Returns (simulator_spec, LoopConfig) for `active-emu run`."""
-    _require_keys(raw, _SHARED_KEYS | {"budget", "convergence"}, "run config",
-                  required=("simulator", "initial_design", "budget"))
+    _require_keys(raw, _SHARED_KEYS | {"budget", "convergence"},
+                  required=("simulator", "initial_design", "budget"), block="run config")
     shared = _parse_shared(raw, seed_override)
     simulator = shared.pop("simulator")
     spec = AcquisitionSpec.from_variant(
         shared.pop("variant") or "PDxPG",
         **{key: shared.pop(key) for key in ("tempering", "prior", "strict_zero_at_nodes")},
     )
-    convergence = {}
-    if raw.get("convergence") is not None:
-        _require_keys(raw["convergence"], {"epsilon", "probe_points"}, "convergence", required=("epsilon",))
-        convergence["convergence_epsilon"] = float(raw["convergence"]["epsilon"])
-        convergence["convergence_probes"] = int(raw["convergence"].get("probe_points", 1000))
-    return simulator, LoopConfig(budget=int(raw["budget"]), acquisition=spec, **convergence, **shared)
+    convergence = _parse_block(raw, "convergence", _parse_convergence)
+    budget = _parse_block(raw, "budget", int)
+    return simulator, LoopConfig(budget=budget, acquisition=spec, **convergence, **shared)
+
+
+def _parse_convergence(raw) -> dict:
+    if raw is None:
+        return {}
+    _require_keys(raw, {"epsilon", "probe_points"}, required=("epsilon",))
+    return {
+        "convergence_epsilon": float(raw["epsilon"]),
+        "convergence_probes": int(raw.get("probe_points", 1000)),
+    }
 
 
 @_config_errors
 def parse_experiment_config(raw: dict, seed_override: int | None = None) -> ExperimentConfig:
     _require_keys(raw, _SHARED_KEYS | {"strategies", "n_add", "runs", "test_set", "density"},
-                  "experiment config",
-                  required=("simulator", "strategies", "initial_design", "n_add", "runs", "test_set"))
+                  required=("simulator", "strategies", "initial_design", "n_add", "runs", "test_set"),
+                  block="experiment config")
     strategies = raw["strategies"]
     if not isinstance(strategies, list) or not strategies:
-        raise ConfigError("strategies must be a non-empty list")
+        raise ConfigError("must be a non-empty list", "strategies")
     shared = _parse_shared(raw, seed_override)
     del shared["variant"]  # each AMOGAPE strategy names its own
     initial_points = shared["initial_points"]
     m0 = initial_points.shape[1] if initial_points is not None else shared["initial_size"]
-    _require_keys(raw["test_set"], {"kind", "step", "size"}, "test_set")
     return ExperimentConfig(
         strategies=tuple(strategies),
-        budget=m0 + int(raw["n_add"]),
-        runs=int(raw["runs"]),
-        test_set=TestSetSpec(**{"kind": "grid", **raw["test_set"]}),
+        budget=m0 + _parse_block(raw, "n_add", int),
+        runs=_parse_block(raw, "runs", int),
+        test_set=_parse_block(raw, "test_set", _parse_test_set),
         **shared,
     )
 
 
+def _parse_test_set(raw) -> TestSetSpec:
+    _require_keys(raw, {"kind", "step", "size"})
+    return TestSetSpec(**{"kind": "grid", **raw})
+
+
 @_config_errors
 def parse_density_options(raw: dict) -> dict | None:
-    if raw.get("density") is None:
+    return _parse_block(raw, "density", _parse_density)
+
+
+def _parse_density(raw) -> dict | None:
+    if raw is None:
         return None
-    _require_keys(raw["density"], {"bandwidth", "grid"}, "density")
-    return {
-        "bandwidth": float(raw["density"]["bandwidth"]),
-        "grid": int(raw["density"].get("grid", 40)),
-    }
+    _require_keys(raw, {"bandwidth", "grid"})
+    return {"bandwidth": float(raw["bandwidth"]), "grid": int(raw.get("grid", 40))}

@@ -9,9 +9,12 @@ largest bandwidth that keeps the kernel matrix numerically invertible.
 `evaluate` is the one evaluation of a fitted `multi_output.MultiGpModel`
 away from its nodes: every output's variances (predictive or noise-free),
 mean gradients and, on request, their derivatives at a block of points.
-The predictive means are `multi_output.predict_mean_matrix`.  Every
-Cholesky factorisation is `cho_factor` and every solve with its factor is
-`_solve`, both thin LAPACK calls.
+It stacks the outputs: one (P, n, m) kernel block, P solves with the
+outputs' factors, and every other term one array operation over the stack,
+returned per point as C-contiguous (n, P[, D]) arrays.  The predictive
+means are `multi_output.predict_mean_matrix`.  Every Cholesky
+factorisation is `cho_factor` and every solve with its factor is `_solve`,
+both thin LAPACK calls.
 """
 
 from __future__ import annotations
@@ -190,25 +193,43 @@ def _strict_factors(model) -> list:
 
 
 def _clamped(values: np.ndarray, strict: bool) -> np.ndarray:
-    """Round-off clamp of variances: tiny negatives become 0, larger ones raise."""
+    """Round-off clamp of (n, P) variances: tiny negatives become 0, larger ones raise.
+
+    The error names the output that holds the most negative value.
+    """
     clamp = _NOISE_FREE_CLAMP if strict else _VARIANCE_CLAMP
     if (values >= -clamp).all():
         return np.maximum(values, 0.0)
     what = "noise-free variance" if strict else "predictive variance"
-    raise IllConditionedError(f"{what} {float(np.min(values))} is more negative than round-off allows")
+    j, p = np.unravel_index(np.argmin(values), values.shape)
+    raise IllConditionedError(f"output {p}: {what} {float(values[j, p])} is more negative than round-off allows")
 
 
 def rowwise_dot(A, B) -> np.ndarray:
-    """Dot product of each row of A (n x k) with the same row of B, or with B if it is one k-vector.
+    """Dot product of each last-axis row of A (..., k) with the same row of B, broadcast.
 
     Stacked 1 x k by k x 1 products, so each row is reduced as `a @ b`
-    reduces a single pair.
+    reduces a single pair, provided both rows are contiguous.
     """
-    return np.matmul(A[:, np.newaxis, :], B[..., np.newaxis])[:, 0, 0]
+    return np.matmul(A[..., np.newaxis, :], B[..., np.newaxis])[..., 0, 0]
+
+
+def _by_rows(A, V) -> np.ndarray:
+    """A[j] @ V[p, j] for every output p and point j: (n, r, k) matrices times the rows of V (P, n, k)."""
+    return np.matmul(A, V[..., np.newaxis])[..., 0]
+
+
+def _by_points(A) -> np.ndarray:
+    """A (P, n, ...) per output as a C-contiguous (n, P, ...) array per point."""
+    return np.ascontiguousarray(A.swapaxes(0, 1))
 
 
 class Evaluation(NamedTuple):
-    """Per-output terms at n points: (n, P) values, (n, P, D) gradients; None where not asked for."""
+    """Per-output terms at n points: (n, P) values, (n, P, D) gradients; None where not asked for.
+
+    Every array is C-contiguous, so a row's P values are adjacent, as in a
+    one-row evaluation (see `evaluate`).
+    """
 
     variances: np.ndarray
     mean_gradients: np.ndarray | None
@@ -220,18 +241,32 @@ class Evaluation(NamedTuple):
 def evaluate(model, Xq, strict: bool, mean_gradients: bool = True, derivatives: bool = False) -> Evaluation:
     """Variances and mean gradients of a fitted `MultiGpModel`, at the rows of Xq (n x D, unit cube).
 
-    The (n, m, D) differences to the model's nodes and their squared
-    distances are built once for all outputs.  Each output then takes one
-    n x m kernel block, one solve with n right-hand sides and stacked
-    products (the triangular-solve form of GPML Alg. 2.1).  strict selects
-    the noise-free variance, exactly zero at a node; both variances pass
-    the round-off clamps.  `derivatives` adds the variance gradients and,
-    with `mean_gradients`, the gradients of the mean-gradient norms (a
-    Hessian-vector product, zero where the norm is below 1e-12).
+    All P outputs are one stacked computation, in the batched layout of
+    GPyTorch (Gardner et al., arXiv:1809.11165).  The (n, m, D)
+    differences to the model's nodes and their squared distances are built
+    once; one `exp` of them over the outputs' b^2 gives the kernel block K
+    of shape (P, n, m).  The only per-output step is the solve: P `_solve`
+    calls, each with n right-hand sides, turn a copy of K into W, whose
+    row W[p, j] is (K_p + nugget_p I)^-1 k_x of point j (the
+    triangular-solve form of GPML Alg. 2.1).  Every other term is one
+    broadcast `matmul`, elementwise operation or clamp over the whole
+    (P, n, .) stack.  strict selects the noise-free variance, exactly zero
+    at a node; both variances pass the round-off clamps.  `derivatives`
+    adds the variance gradients and, with `mean_gradients`, the gradients
+    of the mean-gradient norms (a Hessian-vector product, zero where the
+    norm is below 1e-12).
 
-    Every reduction is one dot product or matrix-vector product per point,
-    as for a single point, so a row depends on the rest of the block only
-    through the solve: a one-row block is the evaluation of that point.
+    Every reduction is one dot product or matrix-vector product per
+    (output, point) pair over contiguous rows, as for a single point, so a
+    row depends on the rest of the block only through the solve: a one-row
+    block is the evaluation of that point, bit for bit.  The returned
+    arrays are C-contiguous (n, P[, D]) copies.  That matters to callers
+    that reduce a row's P values (`acquisition._combine_rows` sums them):
+    numpy adds a contiguous row in another order than a strided one, so a
+    transposed view of the (P, n) stack would round some block values 1
+    ULP away from the one-row values.  K and W share one allocation, and
+    later stacks overwrite them: a fresh multi-megabyte temporary per call
+    costs hundreds of page faults.
     """
     Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
     nodes = model.nodes
@@ -240,47 +275,42 @@ def evaluate(model, Xq, strict: bool, mean_gradients: bool = True, derivatives: 
     diffs = Xq[:, np.newaxis, :] - nodes.T[np.newaxis, :, :]  # (n, m, D), diffs[j, i] = x_j - x_i
     diffs_t = diffs.transpose(0, 2, 1)
     sq = np.einsum("nmd,nmd->nm", diffs, diffs)
-    at_node = sq.min(axis=1) <= DUPLICATE_TOLERANCE**2 if strict else None
-    n, P, D = Xq.shape[0], model.n_outputs, Xq.shape[1]
-    variances = np.empty((n, P))
-    gradients = np.empty((n, P, D)) if mean_gradients else None
-    norms = np.empty((n, P)) if mean_gradients else None
-    variance_gradients = np.empty((n, P, D)) if derivatives else None
-    norm_gradients = np.empty((n, P, D)) if derivatives and mean_gradients else None
-    factors = _strict_factors(model) if strict else model.factors
-    for p, (bandwidth, nugget, alpha, factor) in enumerate(zip(model.bandwidths, model.nuggets, model.alpha, factors)):
-        b2 = bandwidth**2
-        K = np.exp(-sq / (2.0 * b2))  # row j is k_x of point j
-        W = _solve(factor, K.T)  # (m, n)
-        quad = rowwise_dot(K, W.T)
-        if strict:
-            values = 1.0 - quad
-            values[at_node] = 0.0
-        else:
-            values = nugget + 1.0 - quad
-        variances[:, p] = _clamped(values, strict)
-        if derivatives:
-            variance_gradients[:, p] = (2.0 / b2) * _stacked(diffs_t, K * W.T)
-        if not mean_gradients:
-            continue
-        weighted = K * alpha
-        g = -_stacked(diffs_t, weighted) / b2
-        gradients[:, p] = g
-        norms[:, p] = norm = np.sqrt(rowwise_dot(g, g))
-        if derivatives:
-            # Hessian-vector product of the mean without forming the D x D Hessian:
-            # H g = (1/b2^2) sum_i alpha_i k_i d_i (d_i . g) - (1/b2) (alpha . k) g.
-            t = _stacked(diffs, g)
-            Hg = _stacked(diffs_t, weighted * t) / b2**2 - (rowwise_dot(K, alpha) / b2)[:, np.newaxis] * g
-            flat = norm < 1e-12
-            norm_gradients[:, p] = Hg / np.where(flat, 1.0, norm)[:, np.newaxis]
-            norm_gradients[flat, p] = 0.0
+    b2 = model.squared_bandwidths[:, np.newaxis, np.newaxis]  # (P, 1, 1), broadcast over (P, n, .)
+    alpha = model.alpha[:, np.newaxis, :]
+    K, W = np.empty((2, model.n_outputs) + sq.shape)
+    np.divide(sq, -2.0 * b2, out=K)  # bitwise (-sq) / (2 b2)
+    np.exp(K, out=K)  # K[p, j] is k_x of point j under output p
+    np.copyto(W, K)
+    for p, factor in enumerate(_strict_factors(model) if strict else model.factors):
+        _solve(factor, W[p].T, overwrite=True)  # W[p] = K[p] (K + nugget I)^-1, in place
+    quad = _by_points(rowwise_dot(K, W))
+    if strict:
+        values = 1.0 - quad
+        values[sq.min(axis=1) <= DUPLICATE_TOLERANCE**2] = 0.0  # at a node
+    else:
+        values = np.add(model.nuggets, 1.0) - quad
+    variances = _clamped(values, strict)
+    variance_gradients = gradients = norms = norm_gradients = None
+    if derivatives:
+        variance_gradients = _by_points((2.0 / b2) * _by_rows(diffs_t, np.multiply(K, W, out=W)))
+    if not mean_gradients:
+        return Evaluation(variances, gradients, norms, variance_gradients, norm_gradients)
+    k_alpha = rowwise_dot(K, alpha) if derivatives else None
+    weighted = np.multiply(K, alpha, out=K)
+    g = -_by_rows(diffs_t, weighted) / b2
+    norm = np.sqrt(rowwise_dot(g, g))
+    gradients, norms = _by_points(g), _by_points(norm)
+    if derivatives:
+        # Hessian-vector product of the mean without forming the D x D Hessian:
+        # H g = (1/b2^2) sum_i alpha_i k_i d_i (d_i . g) - (1/b2) (alpha . k) g.
+        t = np.matmul(diffs, g[..., np.newaxis], out=W[..., np.newaxis])[..., 0]  # (P, n, m)
+        Hg = _by_rows(diffs_t, np.multiply(weighted, t, out=t)) / model.fourth_powers[:, np.newaxis, np.newaxis]
+        Hg -= (k_alpha / b2[..., 0])[..., np.newaxis] * g
+        flat = norm < 1e-12
+        Hg /= np.where(flat, 1.0, norm)[..., np.newaxis]
+        Hg[flat] = 0.0
+        norm_gradients = _by_points(Hg)
     return Evaluation(variances, gradients, norms, variance_gradients, norm_gradients)
-
-
-def _stacked(A, V) -> np.ndarray:
-    """A[j] @ V[j] for every j: (n, r, k) matrices times the rows of V (n x k)."""
-    return np.matmul(A, V[:, :, np.newaxis])[:, :, 0]
 
 
 def cho_factor(K, lower: bool = True) -> tuple:
@@ -301,13 +331,14 @@ def cho_factor(K, lower: bool = True) -> tuple:
     return L, True
 
 
-def _solve(factor, B) -> np.ndarray:
+def _solve(factor, B, overwrite: bool = False) -> np.ndarray:
     """Solve (L L^T) X = B from a `cho_factor` factor.
 
     LAPACK dpotrs, bitwise `scipy.linalg.cho_solve` without its finiteness
-    checks.
+    checks.  With `overwrite`, a Fortran-contiguous float B is overwritten
+    by X in place.
     """
-    X, info = dpotrs(factor[0], B, lower=factor[1])
+    X, info = dpotrs(factor[0], B, lower=factor[1], overwrite_b=overwrite)
     if info != 0:
         raise ValueError(f"dpotrs: illegal value in argument {-info}")
     return X

@@ -72,7 +72,7 @@ class ExperimentConfig:
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if self.test_set.kind == "prior" and self.prior is None:
-            raise ValueError("prior test set requires an input prior")
+            raise ValueError("a test_set of kind 'prior' requires an input prior")
         for strategy in self.strategies:
             self.loop_config(strategy, self.seed)  # the loop's own checks of every run's settings
 

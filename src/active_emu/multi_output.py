@@ -34,6 +34,12 @@ class MultiGpModel:
     K alone and keeps it in `noise_free_factors[p]`: models that never serve
     a strict acquisition (baselines, RMSE fits, a run's final model) skip
     that Cholesky and do not hold a second m x m array.
+
+    `squared_bandwidths` (b^2) and `fourth_powers` (b^4), one entry per
+    output, are the scalars `gp.evaluate` broadcasts over its stacked
+    blocks.  Each is Python's float power of the one before, as a scalar
+    per-output evaluation takes it: numpy's square rounds about 1 in 1,000
+    of them differently.
     """
 
     dataset: Dataset
@@ -43,6 +49,13 @@ class MultiGpModel:
     alpha: np.ndarray  # P x m
     factors: tuple
     noise_free_factors: list = field(default_factory=list)
+    squared_bandwidths: np.ndarray = field(init=False, repr=False)
+    fourth_powers: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        squares = [b**2 for b in self.bandwidths]
+        object.__setattr__(self, "squared_bandwidths", np.array(squares))
+        object.__setattr__(self, "fourth_powers", np.array([s**2 for s in squares]))
 
     @property
     def n_outputs(self) -> int:

@@ -367,6 +367,52 @@ def _batch_points(model, rng):
     return np.vstack([lo + rng.random((40, 2)) * (hi - lo), model.dataset.X.T])
 
 
+class TestNineOutputBlocks:
+    """Bit for bit, a block evaluation of 9 outputs is its one-row evaluations.
+
+    The per-output terms are summed across outputs row by row; numpy adds a
+    strided row of 9 in another order than a contiguous one, so a block
+    whose (n, P) arrays were transposed views would round about a third of
+    its sums 1 ULP away from the one-row values.
+    """
+
+    @staticmethod
+    def _model(rng):
+        bandwidths = list(np.linspace(0.1, 0.2, 9))
+        return random_multi_model(
+            rng, dimension=2, n_outputs=9, n_nodes=40, bandwidths=bandwidths, nugget=1e-4, bounds=BATCH_BOUNDS
+        )
+
+    @staticmethod
+    def _points(model, rng):
+        lo, hi = BATCH_BOUNDS[:, 0], BATCH_BOUNDS[:, 1]
+        return np.vstack([lo + rng.random((120, 2)) * (hi - lo), model.dataset.X.T])
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_evaluate_rows_equal_one_row_evaluations(self, rng, strict):
+        model = self._model(rng)
+        points = self._points(model, rng)
+        as_passed = model.normalize(points.T).T  # Fortran-ordered, as `acquisition_values` passes it
+        rows = [gp.evaluate(model, x[np.newaxis, :], strict, derivatives=True) for x in as_passed]
+        for block_points in (as_passed, np.ascontiguousarray(as_passed)):
+            block = gp.evaluate(model, block_points, strict, derivatives=True)
+            for name, field in zip(gp.Evaluation._fields, block):
+                assert field.shape[:2] == (points.shape[0], 9)
+                assert field.flags.c_contiguous, name
+                np.testing.assert_array_equal(field, np.concatenate([getattr(row, name) for row in rows]), name)
+
+    @pytest.mark.parametrize("variant", ["SDxSG", "PDxPG"])
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_values_equal_per_point_values(self, rng, variant, strict):
+        model = self._model(rng)
+        points = self._points(model, rng)
+        spec = AcquisitionSpec.from_variant(
+            variant, tempering=TemperingSchedule.constant(0.5), strict_zero_at_nodes=strict
+        )
+        single = np.array([acquisition_value(spec, model, x, t=3) for x in points])
+        np.testing.assert_array_equal(acquisition_values(spec, model, points, t=3), single)
+
+
 class TestAcquisitionValues:
     """The batch form against the per-point form it replaces in the search."""
 
@@ -413,9 +459,9 @@ class TestAcquisitionValues:
         model.noise_free_factors[0] = broken
         spec = AcquisitionSpec.from_variant("SD")
         near_node = model.dataset.X[:, 0] + 0.01
-        with pytest.raises(IllConditionedError):
+        with pytest.raises(IllConditionedError, match="^output 0: noise-free variance -"):
             acquisition_value(spec, model, near_node, t=1)
-        with pytest.raises(IllConditionedError):
+        with pytest.raises(IllConditionedError, match="^output 0: .* more negative than round-off allows"):
             acquisition_values(spec, model, np.vstack([near_node, near_node + 0.5]), t=1)
 
     def test_pickled_model_scores_the_same(self, rng):

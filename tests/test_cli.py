@@ -248,8 +248,23 @@ def test_malformed_config_exits_2_before_running(tmp_path, capsys, command, key,
     config = write_config(tmp_path, payload)
     out = tmp_path / "o"
     assert main([command, "--config", config, "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert key in err  # the block at fault is named
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, block, message", [
+    ("hyperparameters", {"optimizer": {"iterations": 0}}, "hyperparameters.optimizer: iterations must be >= 1"),
+    ("hyperparameters", {"nugget": {"policy": "both"}}, "hyperparameters.nugget: policy must be"),
+    ("acquisition", {"tempering": {"kind": "warm"}}, "acquisition.tempering: unknown kind: 'warm'"),
+    ("initial_design", {"sampler": "sobol", "size": "x"}, "initial_design: invalid literal for int()"),
+])
+def test_nested_block_is_named_by_its_key_path(tmp_path, capsys, key, block, message):
+    payload = json.loads(json.dumps(RUN_CONFIG))
+    payload[key] = block
+    assert main(["run", "--config", write_config(tmp_path, payload), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
 
 
 class TestOracleCommand:
