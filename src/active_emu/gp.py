@@ -261,12 +261,12 @@ def evaluate(model, Xq, strict: bool, mean_gradients: bool = True, derivatives: 
     row depends on the rest of the block only through the solve: a one-row
     block is the evaluation of that point, bit for bit.  The returned
     arrays are C-contiguous (n, P[, D]) copies.  That matters to callers
-    that reduce a row's P values (`acquisition._combine_rows` sums them):
-    numpy adds a contiguous row in another order than a strided one, so a
-    transposed view of the (P, n) stack would round some block values 1
-    ULP away from the one-row values.  K and W share one allocation, and
-    later stacks overwrite them: a fresh multi-megabyte temporary per call
-    costs hundreds of page faults.
+    that reduce a row's P values (`acquisition._combine_rows` sums the
+    values and their gradients): numpy adds a contiguous row in another
+    order than a strided one, so a transposed view of the (P, n) stack
+    would round some block values 1 ULP away from the one-row values.  K
+    and W share one allocation, and later stacks overwrite them: a fresh
+    multi-megabyte temporary per call costs hundreds of page faults.
     """
     Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
     nodes = model.nodes

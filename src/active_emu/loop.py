@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import itertools
 import json
 import time
@@ -83,10 +84,14 @@ class LoopConfig:
         if self.initial_points is None:
             if self.initial_sampler is None or self.initial_size is None:
                 raise ValueError("either initial_points or an initial sampler with a size is required")
+            if self.initial_size < 1:
+                raise ValueError(f"initial_design size must be >= 1, got {self.initial_size}")
             check_design(self.initial_sampler, self.acquisition.prior)
         check_hyperparameters(self.hyper_strategy, self.nugget_policy)
         if self.convergence_epsilon is not None and not self.convergence_epsilon > 0.0:
             raise ValueError("convergence threshold must be positive")
+        if self.convergence_probes < 1:
+            raise ValueError(f"convergence probe_points must be >= 1, got {self.convergence_probes}")
 
 
 @dataclass(frozen=True)
@@ -164,24 +169,15 @@ def _choose_next_point(
 
     The search ranks its random probes with one call of the block form
     `acquisition_values` and re-scores the winner alone with
-    `acquisition_value`, its one-row block, so the ascent starts from the
-    winner's own value.  The re-score stays although both are one block
-    evaluation: an n-column solve may round differently from a 1-column
-    solve on other BLAS builds.  The chosen point and the recorded value
-    are those of a search that scores every probe point by point, and a
-    seeded run writes the same LUT either way.
+    `acquisition_value`, its one-row block (see `optimize.maximize`), so a
+    seeded run writes the same LUT as a search that scores every probe
+    point by point.  The three callables are bound here, to the names this
+    module holds, so that a wrapper put in their place sees every call.
     """
     spec = config.acquisition
-
-    def objective(x):
-        return acquisition_value(spec, model, x, t)
-
-    def gradient(x):
-        return acquisition_gradient(spec, model, x, t)
-
-    def batch_objective(X):
-        return acquisition_values(spec, model, X, t)
-
+    objective = functools.partial(acquisition_value, spec, model, t=t)
+    gradient = functools.partial(acquisition_gradient, spec, model, t=t)
+    batch_objective = functools.partial(acquisition_values, spec, model, t=t)
     for attempt in range(MAX_DUPLICATE_RETRIES):
         opt_config = config.optimizer.with_seed(derive_seed(config.seed, 2, t, attempt))
         x_star, value = maximize(

@@ -1,8 +1,10 @@
 """Global maximization over a box: random search + gradient ascent, and
 simulated annealing.
 
-Used both for acquisition maximization and for marginal-likelihood
-hyperparameter search.  Both strategies are deterministic given the seed.
+The loop maximizes the acquisition with it.  The hyperparameter search
+calls it only for the learned nugget's 2-D marginal-likelihood search; a
+fixed nugget is searched on a grid without it.  Both strategies are
+deterministic given the seed.
 """
 
 from __future__ import annotations

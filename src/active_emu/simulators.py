@@ -180,12 +180,16 @@ class ExternalSimulator(Simulator):
             return
         self.close()
         self._stderr = tempfile.TemporaryFile()
-        self._proc = subprocess.Popen(
-            self.command,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=self._stderr,
-        )
+        try:
+            self._proc = subprocess.Popen(
+                self.command,
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=self._stderr,
+            )
+        except OSError as exc:  # a missing or non-executable command
+            self._stderr.close()
+            raise SimulatorProtocolError(f"could not start simulator command {self.command}: {exc}") from exc
         self._buffer = bytearray()
 
     def _read_line(self, deadline: float) -> str:

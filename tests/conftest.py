@@ -211,6 +211,17 @@ def predict_all(model, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return predict_mean_matrix(model, x)[:, 0], terms.variances[0], terms.gradient_norms[0]
 
 
+def prior_density(prior, x) -> float:
+    """An `InputPrior`'s joint density at one raw point; zero outside its box."""
+    return float(prior.densities(np.asarray(x, dtype=float).ravel()[np.newaxis, :])[0])
+
+
+def prior_contains(prior, x) -> bool:
+    """Whether one raw point lies inside an `InputPrior`'s box."""
+    x = np.asarray(x, dtype=float).ravel()
+    return bool(np.all(x >= prior.low) and np.all(x <= prior.high))
+
+
 @dataclass(frozen=True)
 class CallableMonotone(MonotoneFunction1D):
     """A `MonotoneFunction1D` built from any strictly monotone callable."""

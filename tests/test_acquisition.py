@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import cho_factor
 from scipy.stats import truncnorm
 
-from active_emu import gp
+from active_emu import acquisition, gp
 from active_emu.acquisition import (
     VARIANT_NAMES,
     AcquisitionSpec,
@@ -23,7 +23,14 @@ from active_emu.kernels import KernelParams, kernel_matrix
 from active_emu.multi_output import fit_all
 from active_emu.optimize import OptimizerConfig, maximize
 
-from conftest import central_difference_gradient, predict_all, random_multi_model, relative_gradient_error
+from conftest import (
+    central_difference_gradient,
+    predict_all,
+    prior_contains,
+    prior_density,
+    random_multi_model,
+    relative_gradient_error,
+)
 
 
 class TestTempering:
@@ -85,17 +92,17 @@ class TestInputPrior:
             for mu, sigma, lo, hi, v in zip([45, 3.5], [30, 4.5], [20, 0], [90, 10], x):
                 a, b = (lo - mu) / sigma, (hi - mu) / sigma
                 expected *= truncnorm.pdf(v, a, b, loc=mu, scale=sigma)
-            assert prior.density(x) == pytest.approx(expected, rel=1e-10)
+            assert prior_density(prior, x) == pytest.approx(expected, rel=1e-10)
 
     def test_zero_outside_box(self):
         prior = InputPrior(mu=[0.0], sigma=[1.0], low=[-1.0], high=[1.0])
-        assert prior.density([1.5]) == 0.0
-        assert prior.density([-2.0]) == 0.0
+        assert prior_density(prior, [1.5]) == 0.0
+        assert prior_density(prior, [-2.0]) == 0.0
 
     def test_integrates_to_one_per_dimension(self):
         prior = InputPrior(mu=[45.0], sigma=[30.0], low=[20.0], high=[90.0])
         grid = np.linspace(20.0, 90.0, 20_001)
-        densities = [prior.density([g]) for g in grid]
+        densities = [prior_density(prior, [g]) for g in grid]
         assert np.trapezoid(densities, grid) == pytest.approx(1.0, abs=1e-6)
 
     def test_validation(self):
@@ -223,7 +230,7 @@ class TestAcquisitionValue:
         )
         x = [6.0]
         assert acquisition_value(weighted, model, x, t=2) == pytest.approx(
-            acquisition_value(bare, model, x, t=2) * prior.density(x), rel=1e-12
+            acquisition_value(bare, model, x, t=2) * prior_density(prior, x), rel=1e-12
         )
 
     def test_output_scaling_leaves_argmax_unchanged(self, rng):
@@ -351,10 +358,9 @@ class TestVariantTable:
             AcquisitionSpec.from_variant("XD")
 
     def test_invalid_ops_rejected(self):
-        with pytest.raises(ValueError):
-            AcquisitionSpec(diversity_op="max")
-        with pytest.raises(ValueError):
-            AcquisitionSpec(geometry_op="min")
+        with pytest.raises(ValueError, match="unknown acquisition variant 'SDxMG'"):
+            AcquisitionSpec(variant="SDxMG")
+        assert AcquisitionSpec().variant == "SD"
 
 
 BATCH_BOUNDS = np.array([[-1.0, 2.0], [0.0, 4.0]])
@@ -446,7 +452,7 @@ class TestAcquisitionValues:
             "SDxSG", tempering=TemperingSchedule.constant(1.0), prior=BATCH_PRIOR
         )
         outside = np.array([[-0.9, 2.0], [1.9, 2.0], [0.5, 0.2], [0.5, 3.9]])
-        nodes = model.dataset.X.T[[BATCH_PRIOR.contains(x) for x in model.dataset.X.T]]
+        nodes = model.dataset.X.T[[prior_contains(BATCH_PRIOR, x) for x in model.dataset.X.T]]
         assert np.all(acquisition_values(spec, model, outside, t=2) == 0.0)
         assert np.all(acquisition_values(spec, model, nodes, t=2) == 0.0)
 
@@ -492,3 +498,34 @@ class TestAcquisitionValues:
             )
             np.testing.assert_array_equal(batched[0], plain[0])
             assert batched[1] == plain[1]
+
+
+class TestBlockGradients:
+    """Bit for bit, the block gradients are the one-row `acquisition_gradient`s."""
+
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("prior", [None, BATCH_PRIOR])
+    def test_equal_one_row_gradients(self, rng, variant, strict, prior):
+        for n_outputs, nugget in ((3, 0.0), (3, 1e-3), (9, 1e-4)) if strict else ((3, 1e-3), (9, 1e-4)):
+            bandwidths = list(np.linspace(0.15, 0.25, n_outputs))
+            model = random_multi_model(
+                rng, dimension=2, n_outputs=n_outputs, n_nodes=12, bandwidths=bandwidths,
+                nugget=nugget, bounds=BATCH_BOUNDS,
+            )
+            points = _batch_points(model, rng)
+            for beta in (0.0, 0.5, 1.0):
+                spec = AcquisitionSpec.from_variant(
+                    variant, tempering=TemperingSchedule.constant(beta), prior=prior,
+                    strict_zero_at_nodes=strict,
+                )
+                values, grads = acquisition._acquisition(spec, model, points, 4, gradients=True)
+                rows = np.array([acquisition_gradient(spec, model, x, t=4) for x in points])
+                # As bits, so that a -0.0 where the one-row gradient has 0.0 fails.
+                np.testing.assert_array_equal(grads.view(np.uint64), rows.view(np.uint64))
+                np.testing.assert_array_equal(values, acquisition_values(spec, model, points, t=4))
+                flat = (grads == 0.0).all(axis=1)
+                assert not flat.all()
+                if strict or prior is not None:
+                    assert flat.any()  # at nodes when strict, outside the prior's box
+

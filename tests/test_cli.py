@@ -71,7 +71,17 @@ MALFORMED_CONFIGS = [
     ("experiment", "test_set", {"kind": "grid"}),
     ("experiment", "test_set", {"kind": "prior", "size": 10}),  # no prior to draw from
     ("experiment", "density", {"bandwidth": "x"}),
+    ("run", "convergence", {"epsilon": 0.01, "probe_points": 0}),
+    ("run", "initial_design", {"sampler": "lhs", "size": 0}),
+    ("experiment", "initial_design", {"sampler": "random", "size": -2}),
 ]
+
+
+# An external simulator whose command does not exist.
+MISSING_SOLVER = {
+    "kind": "external", "command": ["/nonexistent/solver"], "dimension": 1, "outputs": 2,
+    "bounds": [[0.1, 10.0]],
+}
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -157,6 +167,15 @@ class TestRunCommand:
         config = write_config(tmp_path, payload)
         assert main(["run", "--config", config, "--out", str(tmp_path / "o")]) == 3
 
+    def test_simulator_that_cannot_start_exit_code(self, tmp_path, capsys):
+        payload = json.loads(json.dumps(RUN_CONFIG))
+        payload["simulator"] = dict(MISSING_SOLVER)
+        out = tmp_path / "o"
+        assert main(["run", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 3
+        assert "could not start simulator command ['/nonexistent/solver']" in capsys.readouterr().err
+        assert (out / "trace.ndjson").read_text() == ""  # the partial result: no node was evaluated
+        assert not (out / "lut.csv").exists()
+
     def test_external_simulator_round_trip(self, tmp_path):
         child = (
             "import json, math, sys\n"
@@ -232,6 +251,13 @@ class TestExperimentCommand:
         out = tmp_path / "o"
         assert main(["experiment", "--config", config, "--out", str(out)]) == 2
         assert not (out / "results.csv").exists()
+
+    def test_simulator_that_cannot_start_exit_code(self, tmp_path, capsys):
+        payload = json.loads(json.dumps(EXPERIMENT_CONFIG))
+        payload["simulator"] = dict(MISSING_SOLVER)
+        config = write_config(tmp_path, payload)
+        assert main(["experiment", "--config", config, "--out", str(tmp_path / "o")]) == 3
+        assert "could not start simulator command ['/nonexistent/solver']" in capsys.readouterr().err
 
     def test_unknown_strategy_is_config_error(self, tmp_path):
         payload = json.loads(json.dumps(EXPERIMENT_CONFIG))

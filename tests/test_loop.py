@@ -112,6 +112,8 @@ FIXTURE_RUN = {
 
 PRIOR_1D = InputPrior(mu=[5.0], sigma=[3.0], low=[0.1], high=[10.0])
 
+ASCENT = OptimizerConfig(strategy="random-then-ascent", n_random=50)
+
 
 def result_digests(result):
     """sha256 of the nodes and outputs, and sha256 of the trace without its timings."""
@@ -173,6 +175,26 @@ PINNED_RUNS = [
     ), 8, True, (
         "c6ddda26ec4addffba67fbe4a6ce135b7564ecabc7c6ee7c7a5041ea55afa39e",
         "27352f5142d469b1f6b76720eeefc86eb3bf3f58a4e147656209d229004e861a",
+    )),
+    # Searched by random probes and the analytic gradient: the pure-diversity
+    # gradient with a prior, the product-geometry gradient (beta = 0 at t = 1),
+    # and the predictive-variance gradient of a non-strict spec.
+    ("amogape-SD-ascent", None, dict(
+        budget=8, seed=31, optimizer=ASCENT, acquisition=AcquisitionSpec.from_variant("SD", prior=PRIOR_1D),
+    ), 8, False, (
+        "c062845d72ee8c4dff630759c72910aae41a52dda2f6144767a95af2a4794892",
+        "5eb6dc7b5bf88d1461628cffb3be12bfb717219dbe1721fa43dd88d05fa58877",
+    )),
+    ("amogape-PDxPG-ascent", None, dict(budget=8, seed=32, optimizer=ASCENT), 8, False, (
+        "715b1a0cbef4dbfa02047dc24a551fd2a79711e3db91027ed868a02b30cf24d8",
+        "8dfd4126ef7268583cb2d4deedd5940dd8464753be99e0073402746a457e1e28",
+    )),
+    ("amogape-nonstrict-ascent", None, dict(
+        budget=8, seed=33, optimizer=ASCENT,
+        acquisition=AcquisitionSpec.from_variant("PDxSG", strict_zero_at_nodes=False),
+    ), 8, False, (
+        "53c7d5d5c9334d3a6118e5bc87c4498d2910046b3454a48ae3d2caa4fb451061",
+        "55b64827fee2a4f5f17c3f96e1cb5b4312b53dc04cdb52337dd1870340ea1a03",
     )),
 ]
 

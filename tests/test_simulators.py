@@ -227,5 +227,17 @@ class TestExternalBridge:
                 sim.evaluate([1.0])
             assert sim.eval_count == 0
 
+    def test_command_that_cannot_start_is_a_protocol_error(self, tmp_path):
+        not_executable = tmp_path / "solver"
+        not_executable.write_text("#!/bin/sh\n")
+        for command in (["/nonexistent/solver"], [str(not_executable)]):
+            sim = ExternalSimulator(command=command, dimension=1, n_outputs=2, bounds=[[0.1, 10.0]])
+            with pytest.raises(SimulatorProtocolError, match="could not start simulator command") as excinfo:
+                sim.evaluate([1.0])
+            assert command[0] in str(excinfo.value)
+            assert sim._stderr.closed
+            assert sim.eval_count == 0
+            sim.close()
+
     def test_is_a_simulator_error(self):
         assert issubclass(SimulatorProtocolError, SimulatorError)
