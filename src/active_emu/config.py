@@ -15,6 +15,7 @@ import json
 import numpy as np
 
 from .acquisition import AcquisitionSpec, InputPrior, TemperingSchedule, VARIANT_NAMES
+from .gp import Dataset
 from .harness import ExperimentConfig, TestSetSpec
 from .loop import LoopConfig
 from .optimize import AnnealingConfig, AscentConfig, OptimizerConfig
@@ -168,20 +169,30 @@ def _parse_hyper_optimizer(raw) -> OptimizerConfig | None:
     return None if raw is None else _parse_optimizer(raw, default_strategy="simulated-annealing")
 
 
-def _parse_simulator_spec(raw) -> dict:
+def _parse_simulator_spec(raw) -> tuple[dict, np.ndarray]:
+    """The simulator spec, checked by building the simulator, and the simulator's box.
+
+    An external simulator starts its child only on its first evaluation.
+    """
     _require_keys(raw, {"kind", "dimension", "outputs", "bounds", "command", "timeout"}, required=("kind",))
-    make_simulator(raw).close()  # checks the spec; an external child starts only on its first evaluation
-    return raw
+    with make_simulator(raw) as sim:
+        return raw, sim.bounds
 
 
-def _parse_initial_design(raw) -> dict:
+def _parse_initial_design(raw, bounds: np.ndarray) -> dict:
+    """The initial design; given points must be distinct and lie in the simulator's box `bounds`."""
     _require_keys(raw, {"points", "sampler", "size"})
     if "points" in raw:
         points = np.asarray(raw["points"], dtype=float)
         if points.ndim != 2:
             raise ConfigError("points must be a list of points")
-        # rows in JSON, columns internally
-        return {"initial_points": points.T.copy(), "initial_sampler": None, "initial_size": None}
+        if points.shape[1] != len(bounds):
+            raise ConfigError(f"points have dimension {points.shape[1]}, the simulator expects {len(bounds)}")
+        points = points.T.copy()  # rows in JSON, columns internally
+        if np.any(points < bounds[:, :1]) or np.any(points > bounds[:, 1:]):
+            raise ConfigError("points must lie within the simulator bounds")
+        Dataset(points, np.empty((0, points.shape[1])), bounds)  # rejects non-finite and duplicate points
+        return {"initial_points": points, "initial_sampler": None, "initial_size": None}
     sampler = raw.get("sampler")
     size = raw.get("size")
     if sampler is None or size is None:
@@ -212,9 +223,10 @@ def _parse_shared(raw: dict, seed_override: int | None) -> dict:
     `AcquisitionSpec` and the rest, but `simulator`, are `LoopConfig` fields.
     Each block is parsed by `_parse_block`, so an error names its block.
     """
+    simulator, bounds = _parse_block(raw, "simulator", _parse_simulator_spec)
     return {
-        "simulator": _parse_block(raw, "simulator", _parse_simulator_spec),
-        **_parse_block(raw, "initial_design", _parse_initial_design),
+        "simulator": simulator,
+        **_parse_block(raw, "initial_design", _parse_initial_design, bounds),
         **_parse_block(raw, "acquisition", _parse_acquisition),
         "optimizer": _parse_block(raw, "optimizer", _parse_optimizer),
         **_parse_block(raw, "hyperparameters", _parse_hyper),
@@ -276,11 +288,18 @@ def parse_experiment_config(raw: dict, seed_override: int | None = None) -> Expe
     m0 = initial_points.shape[1] if initial_points is not None else shared["initial_size"]
     return ExperimentConfig(
         strategies=tuple(strategies),
-        budget=m0 + _parse_block(raw, "n_add", int),
+        budget=m0 + _parse_block(raw, "n_add", _parse_n_add),
         runs=_parse_block(raw, "runs", int),
         test_set=_parse_block(raw, "test_set", _parse_test_set),
         **shared,
     )
+
+
+def _parse_n_add(raw) -> int:
+    n_add = int(raw)
+    if n_add < 0:
+        raise ConfigError(f"must be >= 0, got {n_add}")
+    return n_add
 
 
 def _parse_test_set(raw) -> TestSetSpec:

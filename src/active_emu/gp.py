@@ -12,9 +12,11 @@ mean gradients and, on request, their derivatives at a block of points.
 It stacks the outputs: one (P, n, m) kernel block, P solves with the
 outputs' factors, and every other term one array operation over the stack,
 returned per point as C-contiguous (n, P[, D]) arrays.  The predictive
-means are `multi_output.predict_mean_matrix`.  Every Cholesky
-factorisation is `cho_factor` and every solve with its factor is `_solve`,
-both thin LAPACK calls.
+means are `multi_output.predict_mean_matrix`.  Kernel blocks and every
+K + nugget I come from `kernels`, over one matrix of the nodes' squared
+distances per search, fit or model.  Every Cholesky factorisation is
+`cho_factor`, through `_factor` (None where K is not positive definite),
+and every solve with its factor is `_solve`, both thin LAPACK calls.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
 
-from .kernels import KernelParams, kernel_matrix, squared_distances
+from .kernels import exp_quadratic, gram, squared_distances
 from .optimize import AnnealingConfig, OptimizerConfig, maximize
 from .seeding import derive_seed
 
@@ -138,38 +140,34 @@ def fit(nodes, Y, bandwidths, nuggets, factors) -> tuple[np.ndarray, list]:
     """
     alpha = np.empty(Y.shape)
     factors = list(factors)
+    sq = squared_distances(nodes, nodes) if any(factor is None for factor in factors) else None
     for p, y in enumerate(Y):
         if factors[p] is None:
-            K = kernel_matrix(nodes, KernelParams(bandwidths[p]), nuggets[p])
-            try:
-                factors[p] = cho_factor(K, lower=True)
-            except LinAlgError as exc:
+            K = gram(sq, bandwidths[p], nuggets[p])
+            factors[p] = _factor(K)
+            if factors[p] is None:
                 cond = float(np.linalg.cond(K))
                 raise IllConditionedError(
                     f"output {p}: kernel matrix is not positive definite (condition estimate {cond:.3e}); "
                     "distinct nodes or a nugget are required",
                     condition_estimate=cond,
-                ) from exc
+                )
         alpha[p] = _solve(factors[p], y)
     return alpha, factors
 
 
-def _noise_free_factor(X, params: KernelParams):
-    """Cholesky of the nugget-free K, escalating jitter if needed.
+def _noise_free_factor(sq, bandwidth: float):
+    """Cholesky of the nugget-free K over the nodes' squared distances sq, escalating jitter if needed.
 
-    A factor is kept only when LAPACK's condition estimate of the jittered
-    matrix stays below 1/eps: a Cholesky can succeed on a numerically
-    singular K and then give variances far more negative than round-off.
+    The jitter enters K as a nugget would.  A factor is kept only when
+    LAPACK's condition estimate of the jittered matrix stays below 1/eps: a
+    Cholesky can succeed on a numerically singular K and then give
+    variances far more negative than round-off.
     """
-    K = kernel_matrix(X, params, 0.0)
     for jitter in (0.0, 1e-12, 1e-10, 1e-8):
-        Kj = K.copy()
-        Kj.ravel()[:: K.shape[0] + 1] += jitter
-        try:
-            factor = cho_factor(Kj, lower=True)
-        except LinAlgError:
-            continue
-        if _condition_estimate(Kj, factor) * np.finfo(float).eps < 1.0:
+        K = gram(sq, bandwidth, jitter)
+        factor = _factor(K)
+        if factor is not None and _condition_estimate(K, factor) * np.finfo(float).eps < 1.0:
             return factor
     return None
 
@@ -178,17 +176,17 @@ def _strict_factors(model) -> list:
     """Cholesky factors behind the noise-free variances of a fitted model, one per output.
 
     Built on the model's first strict evaluation and kept in its
-    `noise_free_factors`.  Without a nugget an output's factor of K alone is
-    its fit's own; where even the largest jitter gives none, K + nugget I
-    stands in.
+    `noise_free_factors`, from one matrix of the nodes' squared distances.
+    Without a nugget an output's factor of K alone is its fit's own; where
+    even the largest jitter gives none, K + nugget I stands in.
     """
     cache = model.noise_free_factors
     if not cache:
-        built = [
-            None if nugget == 0.0 else _noise_free_factor(model.nodes, KernelParams(bandwidth))
-            for bandwidth, nugget in zip(model.bandwidths, model.nuggets)
-        ]
-        cache.extend(factor if own is None else own for factor, own in zip(model.factors, built))
+        sq = squared_distances(model.nodes, model.nodes) if any(model.nuggets) else None
+        cache.extend(
+            factor if nugget == 0.0 else _noise_free_factor(sq, bandwidth) or factor
+            for bandwidth, nugget, factor in zip(model.bandwidths, model.nuggets, model.factors)
+        )
     return cache
 
 
@@ -244,10 +242,10 @@ def evaluate(model, Xq, strict: bool, mean_gradients: bool = True, derivatives: 
     All P outputs are one stacked computation, in the batched layout of
     GPyTorch (Gardner et al., arXiv:1809.11165).  The (n, m, D)
     differences to the model's nodes and their squared distances are built
-    once; one `exp` of them over the outputs' b^2 gives the kernel block K
-    of shape (P, n, m).  The only per-output step is the solve: P `_solve`
-    calls, each with n right-hand sides, turn a copy of K into W, whose
-    row W[p, j] is (K_p + nugget_p I)^-1 k_x of point j (the
+    once; one `exp_quadratic` of them over the outputs' b^2 gives the kernel
+    block K of shape (P, n, m).  The only per-output step is the solve: P
+    `_solve` calls, each with n right-hand sides, turn a copy of K into W,
+    whose row W[p, j] is (K_p + nugget_p I)^-1 k_x of point j (the
     triangular-solve form of GPML Alg. 2.1).  Every other term is one
     broadcast `matmul`, elementwise operation or clamp over the whole
     (P, n, .) stack.  strict selects the noise-free variance, exactly zero
@@ -278,8 +276,7 @@ def evaluate(model, Xq, strict: bool, mean_gradients: bool = True, derivatives: 
     b2 = model.squared_bandwidths[:, np.newaxis, np.newaxis]  # (P, 1, 1), broadcast over (P, n, .)
     alpha = model.alpha[:, np.newaxis, :]
     K, W = np.empty((2, model.n_outputs) + sq.shape)
-    np.divide(sq, -2.0 * b2, out=K)  # bitwise (-sq) / (2 b2)
-    np.exp(K, out=K)  # K[p, j] is k_x of point j under output p
+    exp_quadratic(sq, b2, out=K)  # K[p, j] is k_x of point j under output p
     np.copyto(W, K)
     for p, factor in enumerate(_strict_factors(model) if strict else model.factors):
         _solve(factor, W[p].T, overwrite=True)  # W[p] = K[p] (K + nugget I)^-1, in place
@@ -331,6 +328,14 @@ def cho_factor(K, lower: bool = True) -> tuple:
     return L, True
 
 
+def _factor(K):
+    """`cho_factor(K, lower=True)`, or None where K is not positive definite."""
+    try:
+        return cho_factor(K, lower=True)
+    except LinAlgError:
+        return None
+
+
 def _solve(factor, B, overwrite: bool = False) -> np.ndarray:
     """Solve (L L^T) X = B from a `cho_factor` factor.
 
@@ -355,20 +360,12 @@ def _log_ml_rows(sq, Y, bandwidth: float, nugget: float):
 
     K + nugget I is the same for every row, so one Cholesky gives the
     log-determinant of all of them and one solve with the rows as
-    right-hand sides gives every quadratic term (GPML eq. 5.8).  `sq` holds
-    the nodes' squared distances with a zero diagonal.  The factor equals
-    that of `kernel_matrix` bit for bit while `sq` is exactly symmetric, as
-    `squared_distances(X, X)` is (numpy forms X.T @ X by a symmetric
-    rank-k update): K's lower triangle, all that `cho_factor` reads, then
-    equals `kernel_matrix`'s symmetrised one.  Returns (None, None) when the
-    matrix is not positive definite.
+    right-hand sides gives every quadratic term (GPML eq. 5.8).  K is the
+    `gram` of the nodes' squared distances sq, as in `kernel_matrix`.
+    Returns (None, None) when the matrix is not positive definite.
     """
-    K = np.divide(sq, -(2.0 * bandwidth**2))
-    np.exp(K, out=K)
-    K.ravel()[:: K.shape[0] + 1] = 1.0 + nugget
-    try:
-        factor = cho_factor(K, lower=True)
-    except LinAlgError:
+    factor = _factor(gram(sq, bandwidth, nugget))
+    if factor is None:
         return None, None
     alpha = _solve(factor, Y.T)  # (m, P)
     log_det = 2.0 * float(np.log(factor[0].diagonal()).sum())
@@ -404,23 +401,22 @@ def _golden_section_max(f, lo: float, hi: float, evaluations: int) -> tuple:
     return best
 
 
-def _shared_ml_bandwidths(X, Y, nugget: float) -> tuple[list[float], list]:
+def _shared_ml_bandwidths(sq, Y, nugget: float) -> tuple[list[float], list]:
     """Marginal-likelihood bandwidth of every row of Y under one fixed nugget, and its factor.
 
     Every BANDWIDTH_GRID value is scored for all rows at once, with one
-    factorisation each.  Each row is then refined by golden section over
-    log-bandwidth inside the grid cells either side of its grid maximum
-    (clipped at the grid ends), and keeps its grid point unless the
-    refinement beats it.  A row whose grid has no finite score (no grid
-    bandwidth factorises) gets the smallest grid bandwidth, which `fit` then
-    rejects with IllConditionedError.
+    factorisation each of the `gram` of the nodes' squared distances sq.
+    Each row is then refined by golden section over log-bandwidth inside
+    the grid cells either side of its grid maximum (clipped at the grid
+    ends), and keeps its grid point unless the refinement beats it.  A row
+    whose grid has no finite score (no grid bandwidth factorises) gets the
+    smallest grid bandwidth, which `fit` then rejects with
+    IllConditionedError.
 
     Each row's factor is the one the search built at its chosen bandwidth
     (None where that factorisation failed).  Only the factors of the rows'
     running maxima are kept, at most one per row.
     """
-    sq = squared_distances(X, X)
-    np.fill_diagonal(sq, 0.0)
 
     def scores(bandwidth, rows):
         values, factor = _log_ml_rows(sq, rows, bandwidth, nugget)
@@ -452,27 +448,22 @@ def _shared_ml_bandwidths(X, Y, nugget: float) -> tuple[list[float], list]:
     return bandwidths, factors
 
 
-def _max_stable_bandwidth(X, nugget: float) -> tuple[float, tuple | None]:
+def _max_stable_bandwidth(sq, nugget: float) -> tuple[float, tuple | None]:
     """Largest grid bandwidth whose K + nugget I factorises within CONDITION_BOUND, and its factor.
 
-    Where none does, the smallest grid bandwidth, with its factor if it has one.
+    `sq` holds the nodes' squared distances.  Where no grid bandwidth
+    qualifies, the smallest, with its factor if it has one.
     """
     for bandwidth in BANDWIDTH_GRID[::-1]:
-        K = kernel_matrix(X, KernelParams(bandwidth), nugget)
-        try:
-            factor = cho_factor(K, lower=True)
-        except LinAlgError:
-            factor = None
-            continue
-        if _condition_estimate(K, factor) <= CONDITION_BOUND:
+        K = gram(sq, bandwidth, nugget)
+        factor = _factor(K)
+        if factor is not None and _condition_estimate(K, factor) <= CONDITION_BOUND:
             return float(bandwidth), factor
     return float(BANDWIDTH_GRID[0]), factor
 
 
-def _learned_nugget_search(X, y, seed: int, optimizer: OptimizerConfig) -> tuple[float, float]:
-    """Bandwidth and nugget of one row by `optimizer` over log-space bounds."""
-    sq = squared_distances(X, X)
-    np.fill_diagonal(sq, 0.0)
+def _learned_nugget_search(sq, y, seed: int, optimizer: OptimizerConfig) -> tuple[float, float]:
+    """Bandwidth and nugget of one row by `optimizer` over log-space bounds; `sq` as for `_log_ml_rows`."""
     Y = y[np.newaxis, :]
 
     def objective(theta):
@@ -533,6 +524,7 @@ def select_hyperparameters(
         raise ValueError("hyperparameter selection needs at least two nodes")
     check_hyperparameters(strategy, nugget_policy)
     P = Y.shape[0]
+    sq = squared_distances(X, X)
     if nugget_policy == "learned":
         if optimizer is None:
             # The log-space search is 2-dimensional and smooth; a short
@@ -541,11 +533,11 @@ def select_hyperparameters(
                 strategy="simulated-annealing",
                 annealing=AnnealingConfig(iterations=200),
             )
-        chosen = [_learned_nugget_search(X, y, derive_seed(seed, p), optimizer) for p, y in enumerate(Y)]
+        chosen = [_learned_nugget_search(sq, y, derive_seed(seed, p), optimizer) for p, y in enumerate(Y)]
         return [b for b, _ in chosen], [nugget for _, nugget in chosen], [None] * P
     nugget = float(nugget_policy)
     if strategy == "max-stable-bandwidth":
-        bandwidth, factor = _max_stable_bandwidth(X, nugget)
+        bandwidth, factor = _max_stable_bandwidth(sq, nugget)
         return [bandwidth] * P, [nugget] * P, [factor] * P
-    bandwidths, factors = _shared_ml_bandwidths(X, Y, nugget)
+    bandwidths, factors = _shared_ml_bandwidths(sq, Y, nugget)
     return bandwidths, [nugget] * P, factors

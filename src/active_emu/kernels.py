@@ -1,9 +1,11 @@
-"""Exponentiated quadratic kernel: distances and kernel matrices.
+"""Exponentiated quadratic kernel: distances, kernel values and Gram matrices.
 
-All functions are pure math on the coordinates they are given.  The rest of
-the package normalizes inputs to the unit hypercube before calling in here,
-so bandwidths are always in normalized units there; nothing in this module
-depends on that convention.
+The one place that knows the kernel: `exp_quadratic` and `gram` build every
+kernel block and every K + nugget I of the package.  All functions are pure
+math on the coordinates they are given.  The rest of the package normalizes
+inputs to the unit hypercube before calling in here, so bandwidths are
+always in normalized units there; nothing in this module depends on that
+convention.
 """
 
 from __future__ import annotations
@@ -46,23 +48,29 @@ def squared_distances(X, Z) -> np.ndarray:
     return sq
 
 
-def cross_kernel(X, Z, params: KernelParams) -> np.ndarray:
-    """Kernel matrix between columns of X (D x m) and Z (D x n); shape (m, n)."""
-    return np.exp(-squared_distances(X, Z) / (2.0 * params.bandwidth**2))
+def exp_quadratic(sq, b2, out=None) -> np.ndarray:
+    """exp(-sq / 2 b2) of squared distances sq, b2 = b^2 broadcast against sq; into `out` if given."""
+    K = np.divide(sq, -2.0 * b2, out=out)  # bitwise (-sq) / (2 b2)
+    return np.exp(K, out=K)
+
+
+def gram(sq, bandwidth: float, nugget: float) -> np.ndarray:
+    """K + nugget I from the nodes' squared distances sq (m x m), its diagonal exactly 1 + nugget.
+
+    sq must be exactly symmetric, as `squared_distances(X, X)` is (numpy
+    forms X.T @ X by a symmetric rank-k update); the set diagonal keeps
+    round-off in sq out of K's.
+    """
+    K = exp_quadratic(sq, bandwidth**2)
+    K.ravel()[:: K.shape[0] + 1] = 1.0 + nugget
+    return K
 
 
 def kernel_matrix(X, params: KernelParams, nugget: float = 0.0) -> np.ndarray:
-    """Regularized Gram matrix K + nugget * I over the columns of X.
-
-    The diagonal is set to exactly 1 + nugget so that round-off in the
-    distance computation never leaks into the diagonal.
-    """
+    """Regularized Gram matrix K + nugget * I over the columns of X (see `gram`)."""
     X = _as_columns(X)
     if X.shape[1] < 1:
         raise ValueError("kernel_matrix needs at least one point")
     if nugget < 0.0:
         raise ValueError(f"nugget must be nonnegative, got {nugget}")
-    K = cross_kernel(X, X, params)
-    K = 0.5 * (K + K.T)
-    np.fill_diagonal(K, 1.0 + nugget)
-    return K
+    return gram(squared_distances(X, X), params.bandwidth, nugget)

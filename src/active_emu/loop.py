@@ -87,6 +87,9 @@ class LoopConfig:
             if self.initial_size < 1:
                 raise ValueError(f"initial_design size must be >= 1, got {self.initial_size}")
             check_design(self.initial_sampler, self.acquisition.prior)
+        m0 = self.initial_size if self.initial_points is None else np.shape(self.initial_points)[-1]
+        if m0 > self.budget:
+            raise ValueError(f"initial_design has {m0} points, more than the budget of {self.budget}")
         check_hyperparameters(self.hyper_strategy, self.nugget_policy)
         if self.convergence_epsilon is not None and not self.convergence_epsilon > 0.0:
             raise ValueError("convergence threshold must be positive")

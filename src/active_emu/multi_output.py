@@ -16,7 +16,7 @@ import numpy as np
 
 from . import gp
 from .gp import Dataset
-from .kernels import KernelParams, squared_distances
+from .kernels import KernelParams, exp_quadratic, squared_distances
 from .optimize import OptimizerConfig
 
 # Bandwidth used when a model must be built from a single node, where no
@@ -96,7 +96,8 @@ def fit_all(
     else:
         if len(bandwidths) != dataset.n_outputs:
             raise ValueError(f"{len(bandwidths)} bandwidths given for {dataset.n_outputs} outputs")
-        bandwidths = [b.bandwidth if isinstance(b, KernelParams) else float(b) for b in bandwidths]
+        gp.check_hyperparameters(hyper_strategy, nugget_policy)
+        bandwidths = [(b if isinstance(b, KernelParams) else KernelParams(float(b))).bandwidth for b in bandwidths]
         nuggets = [0.0 if nugget_policy == "learned" else float(nugget_policy)] * dataset.n_outputs
         factors = [None] * dataset.n_outputs
     alpha, factors = gp.fit(nodes, dataset.Y, bandwidths, nuggets, factors)
@@ -112,14 +113,12 @@ def predict_mean_matrix(model: MultiGpModel, X) -> np.ndarray:
     """Predictive means k_x^T alpha for all outputs at the columns of X (raw); (P, n).
 
     The (m, n) squared distances to the nodes are built once; each output's
-    kernel block then reuses one buffer, with the bits of `cross_kernel`.
+    kernel block `exp_quadratic` of them then reuses one buffer.
     """
     Xn = model.dataset.normalize(np.atleast_2d(np.asarray(X, dtype=float)))
     sq = squared_distances(model.nodes, Xn)
     K = np.empty_like(sq)
     means = np.empty((model.n_outputs, sq.shape[1]))
-    for p, bandwidth in enumerate(model.bandwidths):
-        np.divide(sq, -(2.0 * bandwidth**2), out=K)
-        np.exp(K, out=K)
-        means[p] = K.T @ model.alpha[p]
+    for p, b2 in enumerate(model.squared_bandwidths):
+        means[p] = exp_quadratic(sq, b2, out=K).T @ model.alpha[p]
     return means

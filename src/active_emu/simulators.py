@@ -52,6 +52,8 @@ class Simulator:
         self.bounds = np.asarray(bounds, dtype=float)
         if self.bounds.shape != (dimension, 2):
             raise ValueError(f"bounds must have shape ({dimension}, 2), got {self.bounds.shape}")
+        if not (np.isfinite(self.bounds).all() and (self.bounds[:, 0] < self.bounds[:, 1]).all()):
+            raise ValueError(f"bounds must be finite with low < high in every row, got {self.bounds.tolist()}")
         self.eval_count = 0
 
     def evaluate(self, x) -> np.ndarray:
@@ -168,6 +170,8 @@ class ExternalSimulator(Simulator):
 
     def __init__(self, command, dimension: int, n_outputs: int, bounds, timeout: float = 300.0):
         super().__init__(dimension=dimension, n_outputs=n_outputs, bounds=bounds)
+        if not (isinstance(command, (list, tuple)) and command and all(isinstance(a, str) for a in command)):
+            raise ValueError(f"command must be a non-empty list of strings, got {command!r}")
         self.command = list(command)
         self.timeout = timeout
         self._proc: subprocess.Popen | None = None

@@ -58,6 +58,18 @@ BAD_SIMULATORS = [
     {"kind": "external", "dimension": 1},  # no command
     {"kind": "fixture-9band", "dimension": 5},
 ]
+# Simulator blocks of a known kind that the run cannot use: a command
+# string, an empty box, and a 2-D simulator for the configs' 1-D points.
+UNUSABLE_SIMULATORS = [
+    {"kind": "external", "command": "solver", "dimension": 1, "outputs": 2, "bounds": [[0.1, 10.0]]},
+    {"kind": "external", "command": ["solver"], "dimension": 1, "outputs": 2, "bounds": [[1.0, 0.0]]},
+    {"kind": "fixture-9band"},
+]
+# Initial points the simulator cannot evaluate: outside its box, or duplicated.
+BAD_INITIAL_POINTS = [
+    {"points": [[0.0], [5.0]]},
+    {"points": [[1.0], [1.0]]},
+]
 MALFORMED_CONFIGS = [
     ("run", "initial_design", {"sampler": "sobol", "size": "x"}),
     ("run", "hyperparameters", {"nugget": {"policy": "fixed", "value": "x"}}),
@@ -74,6 +86,10 @@ MALFORMED_CONFIGS = [
     ("run", "convergence", {"epsilon": 0.01, "probe_points": 0}),
     ("run", "initial_design", {"sampler": "lhs", "size": 0}),
     ("experiment", "initial_design", {"sampler": "random", "size": -2}),
+    ("run", "initial_design", {"sampler": "lhs", "size": 8}),  # more points than the budget of 6
+    ("experiment", "n_add", -3),
+    *((command, "simulator", simulator) for command in ("run", "experiment") for simulator in UNUSABLE_SIMULATORS),
+    *((command, "initial_design", design) for command in ("run", "experiment") for design in BAD_INITIAL_POINTS),
 ]
 
 

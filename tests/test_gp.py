@@ -508,7 +508,7 @@ class TestNoiseFreeFactor:
         K = kernel_matrix(X, KernelParams(1.0), 0.0)
         raw = gp.cho_factor(K, lower=True)
         assert gp._condition_estimate(K, raw) * np.finfo(float).eps > 1.0
-        factor = gp._noise_free_factor(X, KernelParams(1.0))
+        factor = gp._noise_free_factor(squared_distances(X, X), 1.0)
         L = np.tril(factor[0])
         assert gp._condition_estimate(L @ L.T, factor) * np.finfo(float).eps < 1.0
 
@@ -520,7 +520,7 @@ class TestNoiseFreeFactor:
         gp.evaluate(model, rng.random((1, 2)), strict=False, derivatives=True)
         assert model.noise_free_factors == []
         gp.evaluate(model, rng.random((1, 2)), strict=True)
-        expected = gp._noise_free_factor(X, KernelParams(0.4))
+        expected = gp._noise_free_factor(squared_distances(X, X), 0.4)
         np.testing.assert_array_equal(model.noise_free_factors[0][0], expected[0])
         exact = fit_one(X, y, KernelParams(0.4), nugget=0.0)
         gp.evaluate(exact, rng.random((1, 2)), strict=True)

@@ -127,6 +127,15 @@ class TestKernelMatrix:
             np.testing.assert_allclose(K, K.T)
             np.linalg.cholesky(K)  # raises if not positive definite
 
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_exactly_symmetric(self, rng, layout):
+        # `gram` relies on this: K is built from the distances as they are, unsymmetrised
+        for dim, m in ((1, 2), (1, 130), (2, 57), (3, 256)):
+            X = rng.random((dim, 2 * m))
+            X = {"C": np.ascontiguousarray(X[:, :m]), "F": np.asfortranarray(X[:, :m]), "strided": X[:, ::2]}[layout]
+            K = kernel_matrix(X, KernelParams(0.05 + rng.random()), nugget=0.02 * rng.random())
+            np.testing.assert_array_equal(K, K.T)
+
     def test_negative_nugget_rejected(self):
         with pytest.raises(ValueError):
             kernel_matrix(np.array([[0.0]]), KernelParams(1.0), nugget=-0.1)

@@ -382,6 +382,63 @@ class TestRun:
         with pytest.raises(ValueError):
             toy_config(convergence_epsilon=-1.0)
 
+    def test_initial_design_larger_than_budget_is_rejected(self):
+        with pytest.raises(ValueError, match="more than the budget of 3"):
+            toy_config(budget=3)  # four initial points
+        with pytest.raises(ValueError, match="initial_design has 8 points"):
+            toy_config(budget=6, initial_points=None, initial_sampler="lhs", initial_size=8)
+        assert toy_config(budget=4).budget == 4  # an initial design may fill the budget
+
+
+class TestDuplicateSearches:
+    """`_choose_next_point` when the acquisition search lands on an existing node."""
+
+    CONFIG = toy_config(
+        budget=8, seed=3, optimizer=OptimizerConfig(strategy="random-then-ascent", n_random=50)
+    )
+
+    def test_retries_with_a_fresh_seed_until_off_the_nodes(self, monkeypatch):
+        sim = ToyLog1D()
+        dataset = loop._evaluated(X0_1D, sim)
+        fresh = np.array([5.0])
+        seeds = []
+
+        def landing(objective, bounds, config, **kwargs):
+            seeds.append(config.seed)
+            return (X0_1D[:, 1] if len(seeds) < 3 else fresh), 0.25
+
+        monkeypatch.setattr(loop, "maximize", landing)
+        x, value = loop._choose_next_point(self.CONFIG, None, dataset, sim.bounds, t=2)
+        assert x is fresh and value == 0.25
+        assert len(seeds) == len(set(seeds)) == 3
+
+    def test_fallback_takes_the_best_probe_that_is_not_a_node(self, monkeypatch):
+        sim, t = ToyLog1D(), 2
+        lo, hi = sim.bounds[:, 0], sim.bounds[:, 1]
+        rng = np.random.default_rng(loop.derive_seed(self.CONFIG.seed, 3, t))
+        probes = lo + rng.random((100, 1)) * (hi - lo)  # the fallback's uniform probes
+        target = probes[17]
+        # the probe that scores best is made a node, so the fallback must pass it over
+        dataset = loop._evaluated(np.hstack([X0_1D, target[:, np.newaxis]]), sim)
+        scored = []
+
+        def score(spec, model, x, t):
+            scored.append(x)
+            return -float(np.abs(x - target).sum())
+
+        searches = []
+        monkeypatch.setattr(loop, "maximize", lambda *args, **kwargs: searches.append(1) or (target, 0.0))
+        monkeypatch.setattr(loop, "acquisition_value", score)
+        x, value = loop._choose_next_point(self.CONFIG, None, dataset, sim.bounds, t=t)
+        assert len(searches) == loop.MAX_DUPLICATE_RETRIES
+        assert len(scored) == len(probes) - 1
+        assert not any(np.array_equal(p, target) for p in scored)
+        others = np.delete(probes, 17, axis=0)
+        best = others[np.argmin(np.abs(others - target).sum(axis=1))]
+        np.testing.assert_array_equal(x, best)
+        assert value == -float(np.abs(best - target).sum())
+        assert not loop._is_duplicate(dataset, x)
+
 
 class TestSequentialBaselines:
     @pytest.mark.parametrize("kind", ["random", "sobol", "seq-lhs"])

@@ -5,7 +5,7 @@ import pytest
 
 from active_emu import gp
 from active_emu.gp import Dataset, IllConditionedError
-from active_emu.kernels import KernelParams, cross_kernel
+from active_emu.kernels import KernelParams, squared_distances
 from active_emu.multi_output import fit_all, predict_mean_matrix
 from active_emu.samplers import lhs_design
 from active_emu.simulators import FixtureNineBand
@@ -65,6 +65,14 @@ class TestFitAll:
     def test_needs_one_bandwidth_per_output(self, count):
         with pytest.raises(ValueError, match=f"{count} bandwidths given for 2 outputs"):
             fit_all(toy_log_dataset(6), bandwidths=[0.3] * count, nugget_policy=0.0)
+
+    @pytest.mark.parametrize("bandwidths, nugget, message", [
+        ([0.3, 0.0], 0.0, "bandwidth must be positive"),
+        ([0.3, 0.4], -0.1, "nugget must be nonnegative"),
+    ])
+    def test_given_kernel_parameters_are_checked(self, bandwidths, nugget, message):
+        with pytest.raises(ValueError, match=message):
+            fit_all(toy_log_dataset(6), bandwidths=bandwidths, nugget_policy=nugget)
 
     def test_models_compare_by_identity(self):
         ds = toy_log_dataset(6)
@@ -132,7 +140,7 @@ class TestPredictAll:
         Xn = model.normalize(Xq)
         assert means.shape == (9, 500)
         for row, bandwidth, alpha in zip(means, model.bandwidths, model.alpha):
-            np.testing.assert_array_equal(row, cross_kernel(model.nodes, Xn, KernelParams(bandwidth)).T @ alpha)
+            np.testing.assert_array_equal(row, np.exp(-squared_distances(model.nodes, Xn) / (2.0 * bandwidth**2)).T @ alpha)
 
     def test_mean_matrix_matches_point_calls(self, rng):
         model = random_multi_model(rng, dimension=1, n_outputs=2, n_nodes=6,
