@@ -10,8 +10,10 @@ noise-free variance so that the same holds.
 One function, `_acquisition`, computes every value and gradient from one
 block evaluation of the GPs (`gp.evaluate`) and one combination rule
 (`_combine_rows`); the three public forms are thin calls of it.  The
-acquisition search ranks its random probes with the block form and
-re-scores the winner alone, from which the gradient ascent starts.
+acquisition search scores its random probes with the block form, which
+evaluates at most MAX_BLOCK_ENTRIES kernel entries at a time.  The
+gradient ascent then takes the value and the gradient of each point it
+visits from one evaluation of its one-row block (`acquisition_gradient`).
 """
 
 from __future__ import annotations
@@ -35,6 +37,11 @@ _VARIANT_OPS = {
 }
 
 VARIANT_NAMES = tuple(_VARIANT_OPS)
+
+# Largest P * n * m of one block evaluation, whose kernel block and solves
+# take 16 bytes per entry: 2 MB, which a 100-point block of the nine-output
+# fixture at m = 130 stays below.
+MAX_BLOCK_ENTRIES = 2**17
 
 
 @dataclass(frozen=True)
@@ -148,13 +155,23 @@ def acquisition_value(spec: AcquisitionSpec, model: MultiGpModel, x, t: int) -> 
 
 
 def acquisition_values(spec: AcquisitionSpec, model: MultiGpModel, X, t: int) -> np.ndarray:
-    """The acquisition at each row of X (n x D, raw coordinates)."""
-    return _acquisition(spec, model, X, t)[0]
+    """The acquisition at each row of X (n x D, raw coordinates).
+
+    Evaluated in blocks of rows of at most MAX_BLOCK_ENTRIES kernel
+    entries, so that the memory does not grow with n.  A row's value does
+    not depend on the rest of its block.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    rows = max(1, MAX_BLOCK_ENTRIES // model.alpha.size)
+    if X.shape[0] <= rows:
+        return _acquisition(spec, model, X, t)[0]
+    return np.concatenate([_acquisition(spec, model, X[i : i + rows], t)[0] for i in range(0, X.shape[0], rows)])
 
 
-def acquisition_gradient(spec: AcquisitionSpec, model: MultiGpModel, x, t: int) -> np.ndarray:
-    """Analytic gradient of acquisition_value with respect to the raw input: the one-row block."""
-    return _acquisition(spec, model, np.asarray(x, dtype=float).ravel()[np.newaxis], t, gradients=True)[1][0]
+def acquisition_gradient(spec: AcquisitionSpec, model: MultiGpModel, x, t: int) -> tuple[float, np.ndarray]:
+    """acquisition_value and its analytic gradient with respect to the raw input, from one one-row block."""
+    values, grads = _acquisition(spec, model, np.asarray(x, dtype=float).ravel()[np.newaxis], t, gradients=True)
+    return float(values[0]), grads[0]
 
 
 def _acquisition(spec: AcquisitionSpec, model: MultiGpModel, X, t: int, gradients: bool = False) -> tuple:

@@ -152,8 +152,8 @@ def _parse_hyper(raw) -> dict:
     """The `hyperparameters` block: strategy, nugget and optimizer.
 
     `optimizer` drives the learned nugget's 2-D search only.  A fixed
-    nugget's marginal-likelihood search is one deterministic grid and
-    golden-section pass, and max-stable-bandwidth a grid walk; the key is
+    nugget's marginal-likelihood search is one deterministic grid pass
+    refined by Brent's method, and max-stable-bandwidth a grid walk; the key is
     still accepted, and ignored, with those.
     """
     raw = {} if raw is None else raw

@@ -3,8 +3,9 @@
 Zero-mean GPs with the exponentiated quadratic kernel, one per output row,
 each with its own bandwidth and nugget.  `select_hyperparameters` chooses
 them for all rows at once, either by marginal likelihood (with a fixed
-nugget, one factorisation per grid bandwidth serves all rows) or by the
-largest bandwidth that keeps the kernel matrix numerically invertible.
+nugget, one factorisation per grid bandwidth serves all rows, and Brent's
+method refines each row's grid maximum) or by the largest bandwidth that
+keeps the kernel matrix numerically invertible.
 `fit` solves every row's weights, reusing the factors the search built.
 `evaluate` is the one evaluation of a fitted `multi_output.MultiGpModel`
 away from its nodes: every output's variances (predictive or noise-free),
@@ -47,10 +48,13 @@ LEARNED_NUGGET_BOUNDS = (1e-8, 1e-1)
 
 HYPER_STRATEGIES = ("marginal-likelihood", "max-stable-bandwidth")
 
-# Golden-section evaluations per output when the fixed-nugget
-# marginal-likelihood search refines its grid maximum.
+# Most evaluations per output when the fixed-nugget marginal-likelihood
+# search refines its grid maximum (Brent's method, whose fallback steps are
+# golden sections), and the width in log-bandwidth at which it stops.
 GOLDEN_SECTION_STEPS = 12
-_INVERSE_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+BRENT_TOLERANCE = 1e-5
+_GOLDEN_STEP = (3.0 - np.sqrt(5.0)) / 2.0
+_SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 
 # Round-off window for clamping tiny negative predictive variances.
 _VARIANCE_CLAMP = 1e-12
@@ -372,32 +376,67 @@ def _log_ml_rows(sq, Y, bandwidth: float, nugget: float):
     return -0.5 * rowwise_dot(Y, alpha.T) - 0.5 * log_det - 0.5 * Y.shape[1] * np.log(2.0 * np.pi), factor
 
 
-def _golden_section_max(f, lo: float, hi: float, evaluations: int) -> tuple:
-    """Best (value, point, payload) of `evaluations` golden-section probes of f on [lo, hi].
+def _brent_max(f, lo: float, hi: float, seeds, evaluations: int, tolerance: float):
+    """Best (value, point, payload) of at most `evaluations` probes of f on [lo, hi], by Brent's method.
 
+    Parabolic interpolation with a golden-section fallback (Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 5, as in
+    scipy's `fminbound`), maximizing.  `seeds` are up to three (value,
+    point) pairs in [lo, hi] whose values are already known, the best
+    first: the first parabola goes through them, so they cost no
+    evaluation.  The search stops once the best point's bracket is within
+    `tolerance` (plus a relative sqrt(eps)), or after `evaluations` probes.
     f returns (value, payload).  Probes rank by (value, point); only the
-    two live probes and the best keep their payloads.
+    best keeps its payload.  None if no probe was made.
     """
-
-    def probe(t):
-        value, payload = f(t)
-        return value, t, payload
-
-    def rank(entry):
-        return entry[:2]
-
-    C = probe(hi - _INVERSE_GOLDEN * (hi - lo))
-    D = probe(lo + _INVERSE_GOLDEN * (hi - lo))
-    best = max(C, D, key=rank)
-    for _ in range(evaluations - 2):
-        if C[0] >= D[0]:
-            hi, D = D[1], C
-            C = probe(hi - _INVERSE_GOLDEN * (hi - lo))
-            best = max(best, C, key=rank)
+    (fx, x), *rest = seeds
+    (fw, w), (fv, v) = (list(rest) + [(fx, x)] * 2)[:2]
+    a, b = lo, hi
+    d = e = b - a  # the seeds' spacing stands in for the steps before them
+    best = None
+    for _ in range(evaluations):
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + tolerance / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - xm) <= tol2 - 0.5 * (b - a):
+            break
+        parabolic = False
+        if abs(e) > tol1:  # the vertex of the parabola through x, w and v
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                d = p / q
+                if x + d - a < tol2 or b - (x + d) < tol2:
+                    d = tol1 if xm >= x else -tol1
+                parabolic = True
+        if not parabolic:
+            e = a - x if x >= xm else b - x
+            d = _GOLDEN_STEP * e
+        u = x + (d if abs(d) >= tol1 else (tol1 if d > 0.0 else -tol1))
+        fu, payload = f(u)
+        if best is None or (fu, u) > best[:2]:
+            best = (fu, u, payload)
+        if fu >= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            lo, C = C[1], D
-            D = probe(lo + _INVERSE_GOLDEN * (hi - lo))
-            best = max(best, D, key=rank)
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
     return best
 
 
@@ -406,9 +445,11 @@ def _shared_ml_bandwidths(sq, Y, nugget: float) -> tuple[list[float], list]:
 
     Every BANDWIDTH_GRID value is scored for all rows at once, with one
     factorisation each of the `gram` of the nodes' squared distances sq.
-    Each row is then refined by golden section over log-bandwidth inside
-    the grid cells either side of its grid maximum (clipped at the grid
-    ends), and keeps its grid point unless the refinement beats it.  A row
+    Each row is then refined by `_brent_max` over log-bandwidth inside the
+    grid cells either side of its grid maximum (clipped at the grid ends),
+    seeded with the grid maximum and its neighbours with finite scores, so
+    that its first step is the parabola through their known scores.  A row
+    keeps its grid point unless the refinement beats it.  A row
     whose grid has no finite score (no grid bandwidth factorises) gets the
     smallest grid bandwidth, which `fit` then rejects with
     IllConditionedError.
@@ -434,16 +475,19 @@ def _shared_ml_bandwidths(sq, Y, nugget: float) -> tuple[list[float], list]:
         k = int(np.argmax(grid_scores[:, p]))
         bandwidth = float(BANDWIDTH_GRID[k])
         if np.isfinite(grid_scores[k, p]):
-            lo, hi = log_grid[max(k - 1, 0)], log_grid[min(k + 1, log_grid.size - 1)]
+            neighbours = [j for j in (k - 1, k + 1) if 0 <= j < log_grid.size and np.isfinite(grid_scores[j, p])]
+            seeds = [(float(grid_scores[j, p]), float(log_grid[j])) for j in neighbours]
+            seeds = [(float(grid_scores[k, p]), float(log_grid[k]))] + sorted(seeds, reverse=True)
 
             def refined(t):
                 values, factor = scores(np.exp(t), row[np.newaxis, :])
-                return values[0], factor
+                return float(values[0]), factor
 
-            value, log_b, factor = _golden_section_max(refined, lo, hi, GOLDEN_SECTION_STEPS)
-            if value > grid_scores[k, p]:
-                bandwidth = float(np.exp(log_b))
-                factors[p] = factor
+            lo, hi = log_grid[max(k - 1, 0)], log_grid[min(k + 1, log_grid.size - 1)]
+            best = _brent_max(refined, float(lo), float(hi), seeds, GOLDEN_SECTION_STEPS, BRENT_TOLERANCE)
+            if best is not None and best[0] > grid_scores[k, p]:
+                bandwidth = float(np.exp(best[1]))
+                factors[p] = best[2]
         bandwidths.append(bandwidth)
     return bandwidths, factors
 

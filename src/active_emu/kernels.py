@@ -35,15 +35,16 @@ def _as_columns(X) -> np.ndarray:
     return X
 
 
-def squared_distances(X, Z) -> np.ndarray:
-    """Pairwise squared Euclidean distances between columns of X and Z."""
+def squared_distances(X, Z, out=None) -> np.ndarray:
+    """Pairwise squared Euclidean distances between columns of X and Z; into `out` if given."""
     X = _as_columns(X)
     Z = _as_columns(Z)
     if X.shape[0] != Z.shape[0]:
         raise ValueError(f"dimension mismatch: {X.shape[0]} vs {Z.shape[0]}")
     xx = np.sum(X * X, axis=0)
     zz = np.sum(Z * Z, axis=0)
-    sq = xx[:, np.newaxis] + zz[np.newaxis, :] - 2.0 * (X.T @ Z)
+    sq = np.add(xx[:, np.newaxis], zz[np.newaxis, :], out=out)
+    sq -= 2.0 * (X.T @ Z)
     np.maximum(sq, 0.0, out=sq)
     return sq
 

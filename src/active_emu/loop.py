@@ -159,10 +159,14 @@ def _fit(dataset: Dataset, config: LoopConfig, iteration: int) -> MultiGpModel:
     )
 
 
+def _duplicates(dataset: Dataset, points: np.ndarray) -> np.ndarray:
+    """Whether each row of points (n x D, raw) lies within DUPLICATE_TOLERANCE of a node."""
+    sq = squared_distances(dataset.normalize(dataset.X), dataset.normalize(points.T))
+    return sq.min(axis=0) < DUPLICATE_TOLERANCE**2
+
+
 def _is_duplicate(dataset: Dataset, x: np.ndarray) -> bool:
-    xn = dataset.normalize(x)[:, np.newaxis]
-    sq = squared_distances(dataset.normalize(dataset.X), xn)
-    return bool(np.min(sq) < DUPLICATE_TOLERANCE**2)
+    return bool(_duplicates(dataset, np.asarray(x, dtype=float).reshape(1, -1))[0])
 
 
 def _choose_next_point(
@@ -170,21 +174,24 @@ def _choose_next_point(
 ) -> tuple[np.ndarray, float]:
     """Maximize the acquisition at iteration t; returns the point and its value.
 
-    The search ranks its random probes with one call of the block form
-    `acquisition_values` and re-scores the winner alone with
-    `acquisition_value`, its one-row block (see `optimize.maximize`), so a
-    seeded run writes the same LUT as a search that scores every probe
-    point by point.  The three callables are bound here, to the names this
-    module holds, so that a wrapper put in their place sees every call.
+    The search scores blocks of points (its random probes, or annealing's
+    start and temperature probes) with the block form `acquisition_values`,
+    whose rows equal the one-row `acquisition_value` bit for bit.  The
+    gradient ascent takes each point's value and gradient from one call of
+    `acquisition_gradient` (see `optimize.maximize`).  The callables are
+    bound here, to the names this module holds, so that a wrapper put in
+    their place sees every call.  When every search lands on a node, the
+    fallback scores its uniform probes that are not nodes in one block and
+    keeps the first best.
     """
     spec = config.acquisition
     objective = functools.partial(acquisition_value, spec, model, t=t)
-    gradient = functools.partial(acquisition_gradient, spec, model, t=t)
+    value_and_gradient = functools.partial(acquisition_gradient, spec, model, t=t)
     batch_objective = functools.partial(acquisition_values, spec, model, t=t)
     for attempt in range(MAX_DUPLICATE_RETRIES):
         opt_config = config.optimizer.with_seed(derive_seed(config.seed, 2, t, attempt))
         x_star, value = maximize(
-            objective, bounds, opt_config, gradient=gradient, batch_objective=batch_objective
+            objective, bounds, opt_config, value_and_gradient=value_and_gradient, batch_objective=batch_objective
         )
         if not _is_duplicate(dataset, x_star):
             return x_star, value
@@ -193,11 +200,12 @@ def _choose_next_point(
     rng = np.random.default_rng(derive_seed(config.seed, 3, t))
     lo, hi = bounds[:, 0], bounds[:, 1]
     probes = lo + rng.random((max(config.optimizer.n_random or 0, 100), lo.size)) * (hi - lo)
-    candidates = [(objective(p), p) for p in probes if not _is_duplicate(dataset, p)]
-    if not candidates:
+    probes = probes[~_duplicates(dataset, probes)]
+    if not probes.size:
         raise RuntimeError("could not find a non-duplicate candidate point")
-    value, x_star = max(candidates, key=lambda pair: pair[0])
-    return x_star, value
+    values = batch_objective(probes)
+    best = int(np.argmax(values))
+    return probes[best], float(values[best])
 
 
 def _drive(config: LoopConfig, sim: Simulator, start, step, iteration_hook) -> EmulationResult:

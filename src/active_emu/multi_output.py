@@ -23,6 +23,14 @@ from .optimize import OptimizerConfig
 # selection strategy applies.
 _SINGLE_NODE_BANDWIDTH = 1.0
 
+# Largest m * n_block of one block of `predict_mean_matrix`: 256 KB per
+# buffer, one block for the toy's 991 test points at m = 24.  Blocks hold a
+# multiple of PREDICT_BLOCK_ALIGN points: BLAS treats the last few rows of
+# a product in their own code path, which can round differently, so every
+# point keeps its position modulo the unroll of a single-block product.
+PREDICT_BLOCK_ENTRIES = 2**15
+PREDICT_BLOCK_ALIGN = 64
+
 
 @dataclass(frozen=True, eq=False)
 class MultiGpModel:
@@ -112,13 +120,25 @@ def fit_single_node(dataset: Dataset, nugget: float = 0.0) -> MultiGpModel:
 def predict_mean_matrix(model: MultiGpModel, X) -> np.ndarray:
     """Predictive means k_x^T alpha for all outputs at the columns of X (raw); (P, n).
 
-    The (m, n) squared distances to the nodes are built once; each output's
-    kernel block `exp_quadratic` of them then reuses one buffer.
+    The points are taken in blocks of at most PREDICT_BLOCK_ENTRIES kernel
+    entries (but at least PREDICT_BLOCK_ALIGN points).  Each block's
+    (m, n_block) squared distances to the nodes are built once, and each
+    output's kernel block `exp_quadratic` of them; both reuse one pair of
+    buffers for the whole call.  A point's means do not depend on its
+    block: they equal those of one block of all the points, bit for bit.
     """
     Xn = model.dataset.normalize(np.atleast_2d(np.asarray(X, dtype=float)))
-    sq = squared_distances(model.nodes, Xn)
-    K = np.empty_like(sq)
-    means = np.empty((model.n_outputs, sq.shape[1]))
-    for p, b2 in enumerate(model.squared_bandwidths):
-        means[p] = exp_quadratic(sq, b2, out=K).T @ model.alpha[p]
+    m, n = model.alpha.shape[1], Xn.shape[1]
+    rows = PREDICT_BLOCK_ENTRIES // m // PREDICT_BLOCK_ALIGN * PREDICT_BLOCK_ALIGN
+    block = min(n, max(PREDICT_BLOCK_ALIGN, rows))
+    # Two allocations, not one of twice the size: glibc then keeps reusing
+    # the same heap memory call after call instead of mapping it afresh.
+    sq_buffer, K_buffer = np.empty(m * block), np.empty(m * block)
+    means = np.empty((model.n_outputs, n))
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        sq = squared_distances(model.nodes, Xn[:, start:stop], out=sq_buffer[: m * (stop - start)].reshape(m, -1))
+        K = K_buffer[: sq.size].reshape(sq.shape)
+        for p, b2 in enumerate(model.squared_bandwidths):
+            means[p, start:stop] = exp_quadratic(sq, b2, out=K).T @ model.alpha[p]
     return means

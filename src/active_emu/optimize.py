@@ -81,11 +81,28 @@ def _check_bounds(bounds) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _evaluate(objective, x: np.ndarray) -> float:
-    value = float(objective(x))
+def _checked(value, x: np.ndarray) -> float:
+    """The objective's value at x as a float; OptimizerFailure if it is not finite."""
+    value = float(value)
     if not np.isfinite(value):
         raise OptimizerFailure(f"objective returned non-finite value {value} at {x.tolist()}", point=x)
     return value
+
+
+def _evaluate(objective, x: np.ndarray) -> float:
+    return _checked(objective(x), x)
+
+
+def _values(objective, batch_objective, points: np.ndarray) -> np.ndarray:
+    """Values at the rows of points: one call of `batch_objective`, else one call of `objective` per row."""
+    if batch_objective is None:
+        return np.array([_evaluate(objective, p) for p in points])
+    values = np.asarray(batch_objective(points), dtype=float)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        x = points[bad[0]]
+        raise OptimizerFailure(f"batch objective returned non-finite value {values[bad[0]]} at {x.tolist()}", point=x)
+    return values
 
 
 def _finite_difference_gradient(objective, x, lo, hi, step_fraction=1e-7):
@@ -101,70 +118,59 @@ def _finite_difference_gradient(objective, x, lo, hi, step_fraction=1e-7):
     return grad
 
 
-def _ascent(objective, gradient, x0, f0, lo, hi, cfg: AscentConfig):
+def _ascent(evaluate, x0, lo, hi, cfg: AscentConfig):
+    """Projected gradient ascent from x0 with a backtracking line search; returns (x, value).
+
+    `evaluate(x)` returns the value and the gradient at x.  It is called
+    once at x0 and once per trial point, so an accepted point's gradient
+    comes from the evaluation that accepted it.
+    """
     width = hi - lo
-    x, fx = x0.copy(), f0
+    x = x0.copy()
+    fx, g = evaluate(x)
     step = cfg.initial_step_fraction
     for _ in range(cfg.max_iterations):
-        g = gradient(x) if gradient is not None else _finite_difference_gradient(objective, x, lo, hi)
-        g = np.asarray(g, dtype=float)
         gnorm = float(np.linalg.norm(g))
         if gnorm < cfg.gradient_tolerance:
             break
         direction = g / gnorm
-        improved = False
         trial = step
         while trial > 1e-12:
             cand = np.clip(x + trial * width * direction, lo, hi)
-            fc = _evaluate(objective, cand)
+            fc, gc = evaluate(cand)
             if fc > fx:
-                x, fx = cand, fc
+                x, fx, g = cand, fc, gc
                 step = trial  # keep the successful scale for the next iterate
-                improved = True
                 break
             trial *= 0.5
-        if not improved:
+        else:
             break
     return x, fx
 
 
-def _random_then_ascent(objective, gradient, batch_objective, lo, hi, cfg: OptimizerConfig):
+def _random_then_ascent(objective, evaluate, batch_objective, lo, hi, cfg: OptimizerConfig):
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_random if cfg.n_random is not None else 10 ** lo.size
     probes = lo + rng.random((n, lo.size)) * (hi - lo)
-    if batch_objective is None:
-        values = np.array([_evaluate(objective, p) for p in probes])
-        best = int(np.argmax(values))
-        x0, f0 = probes[best], float(values[best])
-    else:
-        values = np.asarray(batch_objective(probes), dtype=float)
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            x = probes[bad[0]]
-            raise OptimizerFailure(
-                f"batch objective returned non-finite value {values[bad[0]]} at {x.tolist()}", point=x
-            )
-        x0 = probes[int(np.argmax(values))]
-        f0 = _evaluate(objective, x0)  # the ascent starts from the per-point value
-    x, fx = _ascent(objective, gradient, x0, f0, lo, hi, cfg.ascent)
-    if fx > f0:
-        return x, fx
-    return x0, f0
+    x0 = probes[int(np.argmax(_values(objective, batch_objective, probes)))]
+    return _ascent(evaluate, x0, lo, hi, cfg.ascent)
 
 
-def _simulated_annealing(objective, lo, hi, cfg: OptimizerConfig):
+def _simulated_annealing(objective, batch_objective, lo, hi, cfg: OptimizerConfig):
     rng = np.random.default_rng(cfg.seed)
     ann = cfg.annealing
     width = hi - lo
 
+    # The start point, then (without a set temperature) 20 probes whose
+    # spread sets it, scored together.
     x = lo + rng.random(lo.size) * width
-    fx = _evaluate(objective, x)
-    best_x, best_f = x.copy(), fx
-
     temperature = ann.initial_temperature
+    points = x[np.newaxis] if temperature is not None else np.vstack([x, lo + rng.random((20, lo.size)) * width])
+    values = _values(objective, batch_objective, points)
+    fx = float(values[0])
+    best_x, best_f = x.copy(), fx
     if temperature is None:
-        probes = lo + rng.random((20, lo.size)) * width
-        spread = np.ptp([_evaluate(objective, p) for p in probes])
+        spread = np.ptp(values[1:])
         temperature = float(spread) if spread > 0.0 else 1.0
 
     sigma = ann.proposal_fraction * width
@@ -200,23 +206,34 @@ def _reflect(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return lo + y
 
 
-def maximize(objective, bounds, config: OptimizerConfig, gradient=None, batch_objective=None):
+def maximize(objective, bounds, config: OptimizerConfig, value_and_gradient=None, batch_objective=None):
     """Maximize `objective` over the box; returns (argmax, value).
 
-    `gradient` is an optional callable returning the analytic gradient; when
-    absent, the ascent phase falls back to central finite differences.
+    `value_and_gradient` is an optional callable returning the value and
+    the analytic gradient at a point, from one evaluation; the ascent calls
+    it once at its start and once per trial point.  Without it the ascent
+    pairs `objective` with central finite differences.
 
     `batch_objective` is an optional callable mapping an n x D block of
     points to their n values.  `random-then-ascent` then ranks its random
-    probes with one batch call instead of n calls of `objective`.  A batch
-    form may round differently from `objective` (the acquisition's n-column
-    solve may round differently from a 1-column solve on other BLAS builds),
-    so the winning probe is re-scored with `objective` and the ascent starts
-    from exactly the value it would start from without the batch form: the
-    result is the same unless two probes tie within that rounding.
-    Simulated annealing ignores it.
+    probes with one batch call instead of n calls of `objective`, and
+    simulated annealing scores its start point and its temperature probes
+    with one.  A batch form may round differently from `objective` (the
+    acquisition's n-column solve may round differently from a 1-column
+    solve on other BLAS builds).  The ascent starts from the winning
+    probe's value as `value_and_gradient` gives it, so its result is the
+    same unless two probes tie within that rounding; annealing takes the
+    block's values as they are, so its result is the same where the block
+    form equals `objective` row for row, as the acquisition's does.
     """
     lo, hi = _check_bounds(bounds)
-    if config.strategy == "random-then-ascent":
-        return _random_then_ascent(objective, gradient, batch_objective, lo, hi, config)
-    return _simulated_annealing(objective, lo, hi, config)
+    if config.strategy == "simulated-annealing":
+        return _simulated_annealing(objective, batch_objective, lo, hi, config)
+
+    def evaluate(x):
+        if value_and_gradient is None:
+            return _evaluate(objective, x), _finite_difference_gradient(objective, x, lo, hi)
+        value, gradient = value_and_gradient(x)
+        return _checked(value, x), np.asarray(gradient, dtype=float)
+
+    return _random_then_ascent(objective, evaluate, batch_objective, lo, hi, config)

@@ -9,7 +9,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from active_emu import gp
 from active_emu.gp import Dataset
-from active_emu.kernels import KernelParams, kernel_matrix
+from active_emu.kernels import KernelParams, exp_quadratic, kernel_matrix, squared_distances
 from active_emu.multi_output import fit_all, predict_mean_matrix
 from active_emu.pci import MonotoneFunction1D, _check_nodes
 
@@ -29,6 +29,126 @@ def log_marginal_likelihood(inputs, outputs, params, nugget=0.0):
     alpha = cho_solve(factor, y)
     log_det = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
     return -0.5 * float(y @ alpha) - 0.5 * log_det - 0.5 * y.size * np.log(2.0 * np.pi)
+
+
+_INVERSE_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_section_max(f, lo: float, hi: float, evaluations: int) -> tuple:
+    """Best (value, point, payload) of `evaluations` golden-section probes of f on [lo, hi].
+
+    The refinement the shared marginal-likelihood search used before
+    Brent's method, kept as an oracle.  f returns (value, payload).  Probes
+    rank by (value, point); only the two live probes and the best keep
+    their payloads.
+    """
+
+    def probe(t):
+        value, payload = f(t)
+        return value, t, payload
+
+    def rank(entry):
+        return entry[:2]
+
+    C = probe(hi - _INVERSE_GOLDEN * (hi - lo))
+    D = probe(lo + _INVERSE_GOLDEN * (hi - lo))
+    best = max(C, D, key=rank)
+    for _ in range(evaluations - 2):
+        if C[0] >= D[0]:
+            hi, D = D[1], C
+            C = probe(hi - _INVERSE_GOLDEN * (hi - lo))
+            best = max(best, C, key=rank)
+        else:
+            lo, C = C[1], D
+            D = probe(lo + _INVERSE_GOLDEN * (hi - lo))
+            best = max(best, D, key=rank)
+    return best
+
+
+def golden_ml_bandwidths(X, Y, nugget: float, steps: int = 12) -> list[float]:
+    """Every row's marginal-likelihood bandwidth by the grid and `golden_section_max`, scored by `gp._log_ml_rows`.
+
+    The fixed-nugget search as it was before Brent's method: each row's grid
+    maximum refined by `steps` golden-section probes over log-bandwidth in
+    the grid cells either side, kept only if the refinement beats it.
+    """
+    sq = squared_distances(X, X)
+
+    def scores(bandwidth, rows):
+        values, _ = gp._log_ml_rows(sq, rows, bandwidth, nugget)
+        return np.full(rows.shape[0], -np.inf) if values is None else values
+
+    grid = np.array([scores(b, Y) for b in gp.BANDWIDTH_GRID])
+    log_grid = np.log(gp.BANDWIDTH_GRID)
+    bandwidths = []
+    for p, row in enumerate(Y):
+        k = int(np.argmax(grid[:, p]))
+        bandwidth = float(gp.BANDWIDTH_GRID[k])
+        if np.isfinite(grid[k, p]):
+            lo, hi = log_grid[max(k - 1, 0)], log_grid[min(k + 1, log_grid.size - 1)]
+            value, log_b, _ = golden_section_max(
+                lambda t: (scores(np.exp(t), row[np.newaxis, :])[0], None), lo, hi, steps
+            )
+            if value > grid[k, p]:
+                bandwidth = float(np.exp(log_b))
+        bandwidths.append(bandwidth)
+    return bandwidths
+
+
+def separate_random_then_ascent(objective, gradient, batch_objective, bounds, config):
+    """`optimize.maximize`'s random-then-ascent as it was with separate value and gradient callables.
+
+    An oracle: the probes are ranked as the program ranks them, the winner
+    is re-scored with `objective`, and the ascent calls `objective` at every
+    trial point and `gradient` again at every accepted one.
+    """
+    bounds = np.asarray(bounds, dtype=float)
+    lo, hi = bounds[:, 0], bounds[:, 1]
+    rng = np.random.default_rng(config.seed)
+    n = config.n_random if config.n_random is not None else 10**lo.size
+    probes = lo + rng.random((n, lo.size)) * (hi - lo)
+    if batch_objective is None:
+        values = np.array([float(objective(p)) for p in probes])
+        best = int(np.argmax(values))
+        x0, f0 = probes[best], float(values[best])
+    else:
+        x0 = probes[int(np.argmax(batch_objective(probes)))]
+        f0 = float(objective(x0))
+    cfg = config.ascent
+    width = hi - lo
+    x, fx = x0.copy(), f0
+    step = cfg.initial_step_fraction
+    for _ in range(cfg.max_iterations):
+        g = np.asarray(gradient(x), dtype=float)
+        gnorm = float(np.linalg.norm(g))
+        if gnorm < cfg.gradient_tolerance:
+            break
+        direction = g / gnorm
+        improved = False
+        trial = step
+        while trial > 1e-12:
+            cand = np.clip(x + trial * width * direction, lo, hi)
+            fc = float(objective(cand))
+            if fc > fx:
+                x, fx = cand, fc
+                step = trial
+                improved = True
+                break
+            trial *= 0.5
+        if not improved:
+            break
+    return (x, fx) if fx > f0 else (x0, f0)
+
+
+def single_block_means(model, X) -> np.ndarray:
+    """`predict_mean_matrix` as one block of all the points: an oracle of its blocked form."""
+    Xn = model.dataset.normalize(np.atleast_2d(np.asarray(X, dtype=float)))
+    sq = squared_distances(model.nodes, Xn)
+    K = np.empty_like(sq)
+    means = np.empty((model.n_outputs, sq.shape[1]))
+    for p, b2 in enumerate(model.squared_bandwidths):
+        means[p] = exp_quadratic(sq, b2, out=K).T @ model.alpha[p]
+    return means
 
 
 def _paired(x, z) -> tuple[np.ndarray, np.ndarray]:

@@ -21,7 +21,7 @@ from active_emu.acquisition import (
 from active_emu.gp import Dataset, IllConditionedError
 from active_emu.kernels import KernelParams, kernel_matrix
 from active_emu.multi_output import fit_all
-from active_emu.optimize import OptimizerConfig, maximize
+from active_emu.optimize import AnnealingConfig, OptimizerConfig, maximize
 
 from conftest import (
     central_difference_gradient,
@@ -30,6 +30,7 @@ from conftest import (
     prior_density,
     random_multi_model,
     relative_gradient_error,
+    separate_random_then_ascent,
 )
 
 
@@ -282,7 +283,7 @@ class TestAcquisitionGradient:
             value = acquisition_value(spec, model, x, t=3)
             if value < 1e-10:
                 continue
-            analytic = acquisition_gradient(spec, model, x, t=3)
+            _, analytic = acquisition_gradient(spec, model, x, t=3)
             numeric = central_difference_gradient(
                 lambda q: acquisition_value(spec, model, q, t=3), x, step=1e-6
             )
@@ -301,7 +302,7 @@ class TestAcquisitionGradient:
             x = np.array([rng.uniform(25, 85), rng.uniform(0.5, 9.5)])
             if acquisition_value(spec, model, x, t=2) < 1e-12:
                 continue
-            analytic = acquisition_gradient(spec, model, x, t=2)
+            _, analytic = acquisition_gradient(spec, model, x, t=2)
             numeric = central_difference_gradient(
                 lambda q: acquisition_value(spec, model, q, 2), x, step=1e-5
             )
@@ -312,21 +313,21 @@ class TestAcquisitionGradient:
         ds = Dataset(X=[[0.5]], Y=[[1.0]], input_bounds=[[0.0, 1.0]])
         model = fit_all(ds, bandwidths=[0.3], nugget_policy=0.0)
         spec = AcquisitionSpec.from_variant("SD")
-        left = acquisition_gradient(spec, model, [0.4], t=1)
-        right = acquisition_gradient(spec, model, [0.6], t=1)
+        _, left = acquisition_gradient(spec, model, [0.4], t=1)
+        _, right = acquisition_gradient(spec, model, [0.6], t=1)
         np.testing.assert_allclose(left, -right, rtol=1e-9)
 
     def test_zero_vector_at_nodes(self, rng):
         model = random_multi_model(rng, dimension=2, n_outputs=2, n_nodes=5)
         spec = AcquisitionSpec.from_variant("PDxPG", tempering=TemperingSchedule.constant(1.0))
         node = model.dataset.X[:, 1]
-        np.testing.assert_array_equal(acquisition_gradient(spec, model, node, t=2), np.zeros(2))
+        np.testing.assert_array_equal(acquisition_gradient(spec, model, node, t=2)[1], np.zeros(2))
 
     def test_zero_outside_prior_box(self, rng):
         model = random_multi_model(rng, dimension=1, n_outputs=2, n_nodes=5, bounds=[[0.0, 10.0]])
         prior = InputPrior(mu=[5.0], sigma=[2.0], low=[3.0], high=[7.0])
         spec = AcquisitionSpec.from_variant("SD", prior=prior)
-        np.testing.assert_array_equal(acquisition_gradient(spec, model, [1.0], t=1), np.zeros(1))
+        np.testing.assert_array_equal(acquisition_gradient(spec, model, [1.0], t=1)[1], np.zeros(1))
 
     def test_near_zero_gradient_at_interior_maximum(self, rng):
         from active_emu.optimize import AscentConfig, OptimizerConfig, maximize
@@ -341,11 +342,11 @@ class TestAcquisitionGradient:
             lambda x: acquisition_value(spec, model, x, 1),
             [[0.0, 1.0]],
             config,
-            gradient=lambda x: acquisition_gradient(spec, model, x, 1),
+            value_and_gradient=lambda x: acquisition_gradient(spec, model, x, 1),
         )
         interior = 1e-3 < x_star[0] < 1.0 - 1e-3
         if interior:
-            assert np.linalg.norm(acquisition_gradient(spec, model, x_star, 1)) < 1e-6
+            assert np.linalg.norm(acquisition_gradient(spec, model, x_star, 1)[1]) < 1e-6
 
 
 class TestVariantTable:
@@ -490,14 +491,67 @@ class TestAcquisitionValues:
         for seed in range(5):
             config = OptimizerConfig(strategy="random-then-ascent", n_random=100, seed=seed)
             objective = lambda x: acquisition_value(spec, model, x, 3)
-            gradient = lambda x: acquisition_gradient(spec, model, x, 3)
-            plain = maximize(objective, BATCH_BOUNDS, config, gradient=gradient)
+            value_and_gradient = lambda x: acquisition_gradient(spec, model, x, 3)
+            plain = maximize(objective, BATCH_BOUNDS, config, value_and_gradient=value_and_gradient)
             batched = maximize(
-                objective, BATCH_BOUNDS, config, gradient=gradient,
+                objective, BATCH_BOUNDS, config, value_and_gradient=value_and_gradient,
                 batch_objective=lambda X: acquisition_values(spec, model, X, 3),
             )
             np.testing.assert_array_equal(batched[0], plain[0])
             assert batched[1] == plain[1]
+
+
+    @pytest.mark.parametrize("variant", ["SDxSG", "PDxPG", "PD"])
+    def test_annealing_with_batch_matches_per_point_annealing(self, rng, variant):
+        model = random_multi_model(rng, dimension=2, n_outputs=3, n_nodes=8, nugget=1e-4, bounds=BATCH_BOUNDS)
+        spec = AcquisitionSpec.from_variant(variant, tempering=TemperingSchedule.constant(1.0), prior=BATCH_PRIOR)
+        for seed in range(5):
+            config = OptimizerConfig(strategy="simulated-annealing", seed=seed,
+                                     annealing=AnnealingConfig(iterations=150))
+            objective = lambda x: acquisition_value(spec, model, x, 3)
+            plain = maximize(objective, BATCH_BOUNDS, config)
+            batched = maximize(objective, BATCH_BOUNDS, config,
+                               batch_objective=lambda X: acquisition_values(spec, model, X, 3))
+            np.testing.assert_array_equal(batched[0], plain[0])
+            assert batched[1] == plain[1]
+
+
+    @pytest.mark.parametrize("variant", ["SDxSG", "PDxPG", "SD"])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_search_matches_separate_value_and_gradient(self, rng, variant, batched):
+        """The one-evaluation ascent visits the points and returns the value of the separate-callable one."""
+        model = random_multi_model(rng, dimension=2, n_outputs=3, n_nodes=8, nugget=1e-4, bounds=BATCH_BOUNDS)
+        spec = AcquisitionSpec.from_variant(variant, tempering=TemperingSchedule.constant(1.0), prior=BATCH_PRIOR)
+        objective = lambda x: acquisition_value(spec, model, x, 3)
+        batch_objective = (lambda X: acquisition_values(spec, model, X, 3)) if batched else None
+        for seed in range(5):
+            config = OptimizerConfig(strategy="random-then-ascent", n_random=100, seed=seed)
+            expected = separate_random_then_ascent(
+                objective, lambda x: acquisition_gradient(spec, model, x, 3)[1], batch_objective, BATCH_BOUNDS, config
+            )
+            x, value = maximize(objective, BATCH_BOUNDS, config, batch_objective=batch_objective,
+                                value_and_gradient=lambda x: acquisition_gradient(spec, model, x, 3))
+            np.testing.assert_array_equal(x, expected[0])
+            assert value == expected[1]
+
+    def test_large_blocks_are_split_with_the_same_values(self, rng, monkeypatch):
+        model = random_multi_model(rng, dimension=2, n_outputs=3, n_nodes=8, nugget=1e-4, bounds=BATCH_BOUNDS)
+        spec = AcquisitionSpec.from_variant("SDxSG", tempering=TemperingSchedule.constant(1.0), prior=BATCH_PRIOR)
+        points = _batch_points(model, rng)  # 48 rows
+        whole = acquisition_values(spec, model, points, t=3)
+        blocks = []
+        original = gp.evaluate
+        monkeypatch.setattr(
+            gp, "evaluate", lambda model, Xq, *args: blocks.append(len(Xq)) or original(model, Xq, *args)
+        )
+        monkeypatch.setattr(acquisition, "MAX_BLOCK_ENTRIES", 3 * 8 * 10)  # ten rows of 3 outputs at m = 8
+        split = acquisition_values(spec, model, points, t=3)
+        np.testing.assert_array_equal(split.view(np.uint64), whole.view(np.uint64))
+        assert len(blocks) == 5 and sum(blocks) <= len(points)  # rows outside the prior's box are not evaluated
+
+    def test_fixture_probe_block_is_one_evaluation(self):
+        # 100 probes of the nine-output fixture at m = 130
+        assert 9 * 100 * 130 <= acquisition.MAX_BLOCK_ENTRIES
 
 
 class TestBlockGradients:
@@ -520,7 +574,7 @@ class TestBlockGradients:
                     strict_zero_at_nodes=strict,
                 )
                 values, grads = acquisition._acquisition(spec, model, points, 4, gradients=True)
-                rows = np.array([acquisition_gradient(spec, model, x, t=4) for x in points])
+                rows = np.array([acquisition_gradient(spec, model, x, t=4)[1] for x in points])
                 # As bits, so that a -0.0 where the one-row gradient has 0.0 fails.
                 np.testing.assert_array_equal(grads.view(np.uint64), rows.view(np.uint64))
                 np.testing.assert_array_equal(values, acquisition_values(spec, model, points, t=4))

@@ -20,6 +20,7 @@ from active_emu import acquisition, gp, kernels
 from active_emu.acquisition import InputPrior
 from active_emu.config import parse_experiment_config, parse_run_config
 from active_emu.harness import ExperimentConfig, TestSetSpec, run_experiment
+from active_emu.loop import run
 from active_emu.multi_output import fit_all
 from active_emu.optimize import AnnealingConfig, OptimizerConfig
 from active_emu.simulators import make_simulator
@@ -72,6 +73,21 @@ def test_every_run_span_has_a_fit_child():
     fits = [i for i, span in enumerate(tracer.spans) if span.name == "multi_output.fit_all"]
     gp_fit_parents = [span.parent for span in tracer.spans if span.name == "gp.fit"]
     assert all(gp_fit_parents.count(index) == 1 for index in fits)
+
+
+def test_ascent_takes_value_and_gradient_from_one_call(monkeypatch):
+    """A traced fixture search calls the acquisition one point at a time only through its value-and-gradient form."""
+    monkeypatch.syspath_prepend(str(BENCH_DIR))  # workloads imports its siblings by name
+    workloads = load_bench("workloads")
+    sim_spec, config = parse_run_config(dict(workloads.FIXTURE_RUN, budget=33, seed=20240819))
+    with make_simulator(sim_spec) as sim, load_tracing().Tracer() as tracer:
+        result = run(config, sim)
+    assert result.failure is None and result.dataset.n_nodes == 33
+    searches = {i for i, span in enumerate(tracer.spans) if span.name == "optimize.maximize_acq"}
+    gradients = [span for span in tracer.spans if span.name == "acquisition.gradient"]
+    assert len(searches) == 3
+    assert gradients and all(span.parent in searches for span in gradients)
+    assert not any(span.name == "acquisition.value" for span in tracer.spans)
 
 
 def test_layer_probes_run_on_a_fitted_fixture_model(monkeypatch):

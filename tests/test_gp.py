@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from active_emu import gp
+from active_emu import gp, loop
+from active_emu.acquisition import InputPrior
+from active_emu.config import parse_experiment_config
 from active_emu.gp import (
     BANDWIDTH_GRID,
     CONDITION_BOUND,
@@ -15,12 +17,15 @@ from active_emu.gp import (
 )
 from active_emu.kernels import KernelParams, kernel_matrix, squared_distances
 from active_emu.multi_output import fit_all, predict_mean_matrix
+from active_emu.harness import run_experiment
 from active_emu.optimize import AnnealingConfig, OptimizerConfig
+from active_emu.simulators import make_simulator
 
 from conftest import (
     central_difference_gradient,
     denormalize,
     fit_one,
+    golden_ml_bandwidths,
     log_marginal_likelihood,
     mean_at,
     random_gp_model,
@@ -498,6 +503,99 @@ class TestSharedSearch:
                      input_bounds=[[0.0, 1.0]])
         with pytest.raises(IllConditionedError, match="output 0"):
             fit_all(ds, nugget_policy=0.0)
+
+
+@pytest.fixture(scope="module")
+def refinement_designs():
+    """(name, nodes in the unit cube, outputs, nugget) of the designs the refinement is compared on.
+
+    The nine-output fixture's prior-random design at seed 20240819 at
+    m = 30 to 130 (nugget 1e-4, 54 rows), and the six final designs of the
+    first comparison of the benchmark's toy-1D workload at its default seed,
+    at m = 8, 16 and 24 (nugget 0.02, 36 rows).
+    """
+    designs = []
+    prior = InputPrior(mu=[45.0, 3.5], sigma=[30.0, 4.5], low=[20.0, 0.0], high=[90.0, 10.0])
+    with make_simulator({"kind": "fixture-9band", "dimension": 2}) as sim:
+        fixture = loop._evaluated(loop._design("prior-random", 130, sim, 20240819, prior), sim)
+    for m in (30, 45, 60, 80, 100, 130):
+        designs.append((f"fixture m={m}", fixture.normalize(fixture.X[:, :m]), fixture.Y[:, :m], 1e-4))
+    config = parse_experiment_config({
+        "simulator": {"kind": "toy-log-1d"},
+        "strategies": ["amogape:PDxPG", "random", "sobol", "seq-lhs", "grid", "lhs"],
+        "initial_design": {"points": [[0.1], [3.4], [6.7], [10.0]]},
+        "n_add": 20,
+        "runs": 1,
+        "test_set": {"kind": "grid", "step": 0.5},
+        "acquisition": {"tempering": {"kind": "one-minus-inverse-t"}},
+        "optimizer": {"strategy": "simulated-annealing", "iterations": 400},
+        "hyperparameters": {
+            "strategy": "marginal-likelihood",
+            "nugget": {"policy": "fixed", "value": 0.02},
+            "optimizer": {"strategy": "simulated-annealing", "iterations": 120},
+        },
+        "seed": int(np.random.SeedSequence([20240817, 0]).generate_state(1)[0]),
+    })
+    results = run_experiment(config)
+    for strategy in config.strategies:
+        dataset = results.final_results[strategy].dataset
+        for m in (8, 16, 24):
+            designs.append((f"toy {strategy} m={m}", dataset.normalize(dataset.X[:, :m]), dataset.Y[:, :m], 0.02))
+    return designs
+
+
+class TestBrentRefinement:
+    """Brent's method refines each row's grid maximum in fewer evaluations than golden section, no worse."""
+
+    def test_parabola_vertex_in_one_step(self):
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return -((t - 0.37) ** 2), t
+
+        seeds = [(f(0.3)[0], 0.3), (f(0.4)[0], 0.4), (f(0.2)[0], 0.2)]
+        calls.clear()
+        value, point, payload = gp._brent_max(f, 0.2, 0.4, seeds, GOLDEN_SECTION_STEPS, gp.BRENT_TOLERANCE)
+        assert calls[0] == pytest.approx(0.37, abs=1e-12)  # no evaluation spent on the seeds
+        assert point == payload and abs(point - 0.37) < 1e-5
+        assert len(calls) <= 6
+
+    def test_golden_fallback_without_neighbours(self):
+        # a single seed at the bracket's end gives no parabola: golden steps find the interior maximum
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return -abs(t - 0.61), None
+
+        value, point, _ = gp._brent_max(f, 0.0, 1.0, [(-0.61, 0.0)], GOLDEN_SECTION_STEPS, gp.BRENT_TOLERANCE)
+        assert len(calls) == GOLDEN_SECTION_STEPS
+        assert abs(point - 0.61) < 0.01 and value == max(-abs(t - 0.61) for t in calls)
+
+    def test_at_least_the_golden_section_oracle_in_fewer_evaluations(self, refinement_designs, monkeypatch):
+        counts = []
+        original = gp._brent_max
+
+        def counting(f, *args):
+            calls = []
+            result = original(lambda t: calls.append(t) or f(t), *args)
+            counts.append(len(calls))
+            return result
+
+        monkeypatch.setattr(gp, "_brent_max", counting)
+        for name, X, Y, nugget in refinement_designs:
+            bandwidths, _, _ = select_hyperparameters(X, Y, nugget_policy=nugget)
+            oracle = golden_ml_bandwidths(X, Y, nugget, GOLDEN_SECTION_STEPS)
+            sq = squared_distances(X, X)
+            for p, row in enumerate(Y):
+                chosen, golden = (
+                    gp._log_ml_rows(sq, row[np.newaxis], b, nugget)[0][0] for b in (bandwidths[p], oracle[p])
+                )
+                assert chosen >= golden - 1e-8, f"{name}, output {p}: {chosen} < {golden}"
+        assert len(counts) == 90
+        assert max(counts) <= GOLDEN_SECTION_STEPS
+        assert sum(counts) <= 0.6 * GOLDEN_SECTION_STEPS * len(counts)
 
 
 class TestNoiseFreeFactor:

@@ -133,48 +133,49 @@ def result_digests(result):
 # nodes, outputs and trace bit for bit.  The baselines' nodes and outputs
 # do not depend on the fitted bandwidths: their digests were recorded
 # before the fixed-nugget search became one shared grid-and-golden-section
-# pass, and that change left them as they were.  The traces (which carry
-# the bandwidths) and both AMOGAPE runs were pinned after it.  Toy-1D
+# pass, and neither that change nor the move from golden section to Brent's
+# method moved them.  The traces (which carry the bandwidths) and the
+# AMOGAPE runs were pinned after Brent's method.  Toy-1D
 # matrices stay far below OpenBLAS's threading size, so the BLAS thread
 # count cannot change these bits.
 PINNED_RUNS = [
     ("amogape", None, dict(budget=8, seed=21), 8, False, (
         "8735084f0b047d82a407f2fbbd5cbba3b3737282c2d0c17b266baccf4cafeb5d",
-        "83c8823528e22070e988e85c0ebfb0422c4df6430909ddb2c4782a26ec49f41c",
+        "173f6922959e5518f5000894e514643f4225b651fc50d719f7c14ed1739f0326",
     )),
     ("random", True, dict(budget=8, seed=22), 8, False, (
         "a6f4233626abd8ca2459cabbc37aea50e7bf43e3e4d68d22650c01717387ef12",
-        "d94a24cdff312bf3a1f6a3543c25b634ff1632f8e5b02e56fdea75e6ba23b616",
+        "c71d070d2a721a91bfbfc0e4728ed451e415cc7bb7fcd5460db2ed2704579f37",
     )),
     ("sobol", True, dict(budget=8, seed=23), 8, False, (
         "8133f7c882934b85f72a13b63e47b3474853c9550d6cfbdd03b1c782b2c265fa",
-        "eb452ab64c2e3b42b514f754cc8dae86fe6e56a045e9f9cedb17886455919cbb",
+        "51b5bf12a34c9288509acdcfdba1e3664d4c3503d308fbd70a09c5ad3c774c9e",
     )),
     ("seq-lhs", True, dict(budget=8, seed=24), 8, False, (
         "801fc5c7852ea3ad9b87342c3a9cd4bcaca43c43c130b06cd52b61764aa3741e",
-        "184e41002a1bf0a7f59cd99a4ee692855055de220622af732e76aea1ff32fdd7",
+        "562af698014a905c631acd622f218fdbc1be160b0756849d4dae71dbf3e0cb87",
     )),
     ("prior-random", True, dict(
         budget=8, seed=25,
         acquisition=AcquisitionSpec.from_variant("PDxPG", prior=PRIOR_1D),
     ), 8, False, (
         "dcbf5e7d0372eacf9fb99599a817efc62bbd371a9f8ed60953ebadac4dfc2a87",
-        "75cef9503f701e108924ee30e32ea6c136cbf963cc45664841aae3de49b7ad91",
+        "0122cfd95cdb8cbba8ffa7098e32af77e22e9b315fd7eed9ab5999cbf821165f",
     )),
     ("grid", False, dict(budget=6, seed=26), 21, False, (
         "0eb0825cd138a59c79f189ba745813d71242a6600a49c562a8a8cd3575fbc61c",
-        "f196b1512386ad6d154b94d6808f3a9e67bbd8e4ee649a7040c0cc5c35fed24c",
+        "78e4370767ff96facdc5bf59aac3a23d9493618f989cfb1efdb5d53607deca11",
     )),
     ("lhs", False, dict(budget=6, seed=27), 21, False, (
         "7174b1cfdca19cde7574d78e23de1037c604d82424b5061cefb4c79406abb303",
-        "45f3d3ab68ee673367f29d4848413510e82133851821758570378d6bc878a5d5",
+        "a87355943c915dcebb2e1837afc81131f516cfb24fe420ea46d9d44390edb68a",
     )),
     ("amogape-converging", None, dict(
         budget=12, seed=9, initial_points=None, initial_sampler="sobol", initial_size=3,
         convergence_epsilon=0.1, convergence_probes=200,
     ), 8, True, (
         "c6ddda26ec4addffba67fbe4a6ce135b7564ecabc7c6ee7c7a5041ea55afa39e",
-        "27352f5142d469b1f6b76720eeefc86eb3bf3f58a4e147656209d229004e861a",
+        "dc39fd5ac4d8ebae3f8c7b376f5899f22ab4214aeaf33480940a51d7b6f2b762",
     )),
     # Searched by random probes and the analytic gradient: the pure-diversity
     # gradient with a prior, the product-geometry gradient (beta = 0 at t = 1),
@@ -182,19 +183,19 @@ PINNED_RUNS = [
     ("amogape-SD-ascent", None, dict(
         budget=8, seed=31, optimizer=ASCENT, acquisition=AcquisitionSpec.from_variant("SD", prior=PRIOR_1D),
     ), 8, False, (
-        "c062845d72ee8c4dff630759c72910aae41a52dda2f6144767a95af2a4794892",
-        "5eb6dc7b5bf88d1461628cffb3be12bfb717219dbe1721fa43dd88d05fa58877",
+        "f03480a752afcf94f3a29157a9e1e2b9445b53b09ad85f7895cf611adca58e09",
+        "670ac1b17d6f47a49d45d6095111b277c9d022c10731b8d8bd2f4d75371e86cb",
     )),
     ("amogape-PDxPG-ascent", None, dict(budget=8, seed=32, optimizer=ASCENT), 8, False, (
-        "715b1a0cbef4dbfa02047dc24a551fd2a79711e3db91027ed868a02b30cf24d8",
-        "8dfd4126ef7268583cb2d4deedd5940dd8464753be99e0073402746a457e1e28",
+        "e3942a7055e48ad6e299e8ead96692b2c297af4ec50cee46f7e5ee5adad12c3f",
+        "7dbf92cac1561b31b7a07acd62e821433afaec2075bc9bc18f31a2c0b98a2d9b",
     )),
     ("amogape-nonstrict-ascent", None, dict(
         budget=8, seed=33, optimizer=ASCENT,
         acquisition=AcquisitionSpec.from_variant("PDxSG", strict_zero_at_nodes=False),
     ), 8, False, (
-        "53c7d5d5c9334d3a6118e5bc87c4498d2910046b3454a48ae3d2caa4fb451061",
-        "55b64827fee2a4f5f17c3f96e1cb5b4312b53dc04cdb52337dd1870340ea1a03",
+        "73164771986818652be13a9725cfe75b53ca7ec31df66a2607f508b5a52f4eaa",
+        "17a059df2eef1fcc616e02a9287bc4288ce507214c77e7da81a76eb4a65e5d88",
     )),
 ]
 
@@ -231,8 +232,8 @@ class TestPinnedOutputs:
         assert result.evaluations == 40
         assert result.converged is False
         nodes, trace = result_digests(result)
-        assert nodes == "a5c31fc330489f4d09ee254b1c3dcb30274328434ca3e861f1a43ef76263274e", "nodes or outputs moved"
-        assert trace == "712a0ebccde523f74fb05bab845ea701b89ed3ee58c41b870896c2c576a266a9", "trace moved"
+        assert nodes == "237b221c8eb2f74dde189cde97e44ea5e0657f03a366b2a69bef4406e8414515", "nodes or outputs moved"
+        assert trace == "3e1fba22abd9f5432c69ce476053cce2b7cce76bae5f4d584e57ac71969e4a35", "trace moved"
 
 
 class TestRun:
@@ -422,13 +423,13 @@ class TestDuplicateSearches:
         dataset = loop._evaluated(np.hstack([X0_1D, target[:, np.newaxis]]), sim)
         scored = []
 
-        def score(spec, model, x, t):
-            scored.append(x)
-            return -float(np.abs(x - target).sum())
+        def score(spec, model, X, t):
+            scored.extend(X)
+            return -np.abs(X - target).sum(axis=1)
 
         searches = []
         monkeypatch.setattr(loop, "maximize", lambda *args, **kwargs: searches.append(1) or (target, 0.0))
-        monkeypatch.setattr(loop, "acquisition_value", score)
+        monkeypatch.setattr(loop, "acquisition_values", score)
         x, value = loop._choose_next_point(self.CONFIG, None, dataset, sim.bounds, t=t)
         assert len(searches) == loop.MAX_DUPLICATE_RETRIES
         assert len(scored) == len(probes) - 1
@@ -562,9 +563,9 @@ class TestWriters:
         sim_spec, config = run_config.parse_run_config(raw)
         batched = run(config, make_simulator(sim_spec))
 
-        def per_point_maximize(objective, bounds, opt_config, gradient=None, batch_objective=None):
+        def per_point_maximize(objective, bounds, opt_config, value_and_gradient=None, batch_objective=None):
             assert batch_objective is not None
-            return maximize(objective, bounds, opt_config, gradient=gradient)
+            return maximize(objective, bounds, opt_config, value_and_gradient=value_and_gradient)
 
         monkeypatch.setattr(loop, "maximize", per_point_maximize)
         per_point = run(config, make_simulator(sim_spec))

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from active_emu import gp
+from active_emu import gp, multi_output
 from active_emu.gp import Dataset, IllConditionedError
 from active_emu.kernels import KernelParams, squared_distances
 from active_emu.multi_output import fit_all, predict_mean_matrix
 from active_emu.samplers import lhs_design
 from active_emu.simulators import FixtureNineBand
 
-from conftest import predict_all, random_multi_model
+from conftest import predict_all, random_multi_model, single_block_means
 
 
 def toy_log_dataset(n=6):
@@ -151,3 +151,33 @@ class TestPredictAll:
         for j in range(11):
             means, _, _ = predict_all(model, X[:, j])
             np.testing.assert_allclose(matrix[:, j], means, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("n_points", [2000, 1001])
+    @pytest.mark.parametrize("block_points", [None, 128, 256, 512])
+    def test_mean_matrix_in_blocks_equals_one_block(self, monkeypatch, block_points, n_points):
+        # the fixture at m = 130 (192 points per block by default); neither
+        # point count is a multiple of any of these blocks
+        sim = FixtureNineBand(2)
+        X = lhs_design(2, 130, seed=5, bounds=sim.bounds)
+        Y = np.column_stack([sim.evaluate(x) for x in X.T])
+        model = fit_all(Dataset(X, Y, sim.bounds), nugget_policy=1e-4)
+        Xq = lhs_design(2, n_points, seed=6, bounds=sim.bounds)
+        if block_points is not None:
+            monkeypatch.setattr(multi_output, "PREDICT_BLOCK_ENTRIES", 130 * block_points)
+        means = predict_mean_matrix(model, Xq)
+        assert means.tobytes() == single_block_means(model, Xq).tobytes()
+
+    def test_toy_test_set_is_one_block(self, monkeypatch):
+        # 991 test points at m = 24
+        x = np.linspace(0.1, 10.0, 24)
+        ds = Dataset(X=x[np.newaxis, :], Y=np.vstack([np.log(x), np.sin(x)]), input_bounds=[[0.1, 10.0]])
+        model = fit_all(ds, nugget_policy=0.02)
+        buffers = []
+        original = multi_output.squared_distances
+        monkeypatch.setattr(multi_output, "squared_distances",
+                            lambda X, Z, out=None: buffers.append(Z.shape[1]) or original(X, Z, out=out))
+        X = np.arange(0.1, 10.0 + 1e-9, 0.01)[np.newaxis, :]
+        assert X.shape == (1, 991)
+        means = predict_mean_matrix(model, X)
+        assert buffers == [991]
+        assert means.tobytes() == single_block_means(model, X).tobytes()

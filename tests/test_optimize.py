@@ -11,6 +11,7 @@ from active_emu.optimize import (
     maximize,
     _reflect,
 )
+from conftest import separate_random_then_ascent
 
 BOUNDS_2D = np.array([[0.0, 1.0], [0.0, 2.0]])
 
@@ -25,12 +26,17 @@ def quadratic_gradient(center):
     return lambda x: -2.0 * (np.asarray(x) - center)
 
 
+def paired(objective, gradient):
+    """One callable giving the value and the gradient at a point, as `maximize` takes them."""
+    return lambda x: (objective(x), gradient(x))
+
+
 class TestRandomThenAscent:
     def test_finds_interior_maximum(self):
         center = np.array([0.4, 1.3])
         config = OptimizerConfig(strategy="random-then-ascent", n_random=50, seed=5)
         x, value = maximize(quadratic_peak(center), BOUNDS_2D, config,
-                            gradient=quadratic_gradient(center))
+                            value_and_gradient=paired(quadratic_peak(center), quadratic_gradient(center)))
         assert np.linalg.norm(x - center) < 1e-3
         assert value == pytest.approx(0.0, abs=1e-6)
 
@@ -88,8 +94,10 @@ class TestBatchObjective:
     @pytest.mark.parametrize("seed", range(8))
     def test_same_result_as_per_point_search(self, seed):
         config = OptimizerConfig(strategy="random-then-ascent", n_random=60, seed=seed)
-        plain = maximize(wavy, BOUNDS_2D, config, gradient=wavy_gradient)
-        batched = maximize(wavy, BOUNDS_2D, config, gradient=wavy_gradient, batch_objective=wavy_batch)
+        plain = maximize(wavy, BOUNDS_2D, config, value_and_gradient=paired(wavy, wavy_gradient))
+        batched = maximize(
+            wavy, BOUNDS_2D, config, value_and_gradient=paired(wavy, wavy_gradient), batch_objective=wavy_batch
+        )
         np.testing.assert_array_equal(batched[0], plain[0])
         assert batched[1] == plain[1]
 
@@ -106,7 +114,9 @@ class TestBatchObjective:
 
         config = OptimizerConfig(strategy="random-then-ascent", n_random=40, seed=2,
                                  ascent=AscentConfig(max_iterations=0))
-        x, value = maximize(counting, BOUNDS_2D, config, batch_objective=batch)
+        x, value = maximize(
+            counting, BOUNDS_2D, config, value_and_gradient=paired(counting, wavy_gradient), batch_objective=batch
+        )
         assert batches == [(40, 2)]
         assert len(points) == 1  # only the winning probe, re-scored per point
         np.testing.assert_array_equal(points[0], x)
@@ -123,16 +133,83 @@ class TestBatchObjective:
             maximize(wavy, BOUNDS_2D, config, batch_objective=batch)
         assert excinfo.value.point[0] > 0.5
 
-    def test_annealing_ignores_batch_objective(self):
-        def batch(X):
-            raise AssertionError("annealing must score point by point")
+    @pytest.mark.parametrize("initial_temperature, rows", [(None, 21), (0.5, 1)])
+    def test_annealing_scores_its_start_and_probes_in_one_block(self, initial_temperature, rows):
+        points, batches = [], []
 
-        config = OptimizerConfig(strategy="simulated-annealing", seed=4,
-                                 annealing=AnnealingConfig(iterations=200))
-        plain = maximize(wavy, BOUNDS_2D, config)
-        batched = maximize(wavy, BOUNDS_2D, config, batch_objective=batch)
+        def counting(x):
+            points.append(np.array(x))
+            return wavy(x)
+
+        def batch(X):
+            batches.append(X.copy())
+            return np.array([wavy(x) for x in X])
+
+        config = OptimizerConfig(strategy="simulated-annealing", seed=4, annealing=AnnealingConfig(
+            iterations=200, initial_temperature=initial_temperature))
+        plain = maximize(counting, BOUNDS_2D, config)
+        per_point = points[:rows]
+        points.clear()
+        batched = maximize(counting, BOUNDS_2D, config, batch_objective=batch)
+        assert len(batches) == 1
+        # the start point and the temperature probes, drawn as the per-point search draws them
+        np.testing.assert_array_equal(batches[0], per_point)
+        assert len(points) == 200  # one per chain step
         np.testing.assert_array_equal(batched[0], plain[0])
         assert batched[1] == plain[1]
+
+
+def bumps(x):
+    """A seeded sum of Gaussian bumps: many local maxima, some on the box's walls."""
+    centers = np.random.default_rng(41).random((12, 2)) * np.array([1.0, 2.0])
+    d = np.asarray(x) - centers
+    return float(np.exp(-np.sum(d * d, axis=1) / 0.05).sum())
+
+
+def bumps_gradient(x):
+    centers = np.random.default_rng(41).random((12, 2)) * np.array([1.0, 2.0])
+    d = np.asarray(x) - centers
+    k = np.exp(-np.sum(d * d, axis=1) / 0.05)
+    return -(2.0 / 0.05) * (k[:, np.newaxis] * d).sum(axis=0)
+
+
+class TestCombinedAscent:
+    """One (value, gradient) evaluation per visited point, against the separate-callable ascent."""
+
+    @pytest.mark.parametrize("objective, gradient", [(wavy, wavy_gradient), (bumps, bumps_gradient)],
+                             ids=["wavy", "bumps"])
+    @pytest.mark.parametrize("batch", [None, "exact", "rounded"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_point_and_value_as_separate_callables(self, objective, gradient, batch, seed):
+        batch_objective = {
+            None: None,
+            "exact": lambda X: np.array([objective(x) for x in X]),
+            "rounded": lambda X: np.array([objective(x) for x in X]) * (1.0 + 1e-15),
+        }[batch]
+        config = OptimizerConfig(strategy="random-then-ascent", n_random=40, seed=seed,
+                                 ascent=AscentConfig(max_iterations=80))
+        trials = []
+
+        def counted(x):
+            trials.append(np.array(x))
+            return objective(x)
+
+        expected = separate_random_then_ascent(counted, gradient, batch_objective, BOUNDS_2D, config)
+        ranked = 40 if batch is None else 0
+        trials = trials[ranked + (batch is not None):]  # the ascent's trial points
+        visited = []
+
+        def value_and_gradient(x):
+            visited.append(np.array(x))
+            return objective(x), gradient(x)
+
+        x, value = maximize(objective, BOUNDS_2D, config, value_and_gradient=value_and_gradient,
+                            batch_objective=batch_objective)
+        np.testing.assert_array_equal(x, expected[0])
+        assert value == expected[1]
+        # the start point once, then each trial point exactly once, in the same order
+        assert len(visited) == 1 + len(trials)
+        np.testing.assert_array_equal(np.array(visited[1:]).reshape(-1, 2), np.array(trials).reshape(-1, 2))
 
 
 class TestSimulatedAnnealing:
