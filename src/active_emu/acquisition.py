@@ -199,7 +199,7 @@ def _acquisition(spec: AcquisitionSpec, model: MultiGpModel, X, t: int, gradient
     geometric = geometry_op != "none" and beta != 0.0
     live = _rows(live)
     X, weights = X[live], weights[live]
-    terms = gp.evaluate(model, model.normalize(X.T).T, spec.strict_zero_at_nodes, geometric, gradients)
+    terms = gp.evaluate(model, model.dataset.normalize(X.T).T, spec.strict_zero_at_nodes, geometric, gradients)
     d, d_grad = _combine_rows(terms.variances, terms.variance_gradients, diversity_op)
     combined = d
     if geometric:

@@ -7,12 +7,17 @@
 Exit codes: 0 success, 2 config error, 3 simulator failure.  Exit 2 covers
 every malformed config, the simulator block included: `run` and
 `experiment` parse the whole file before they start a simulator.
+Every command runs with one BLAS thread, so a seeded `run` writes the same
+LUT bit for bit whatever thread count the environment asks for.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import ctypes
+import importlib
 import sys
 from pathlib import Path
 
@@ -30,6 +35,42 @@ from .simulators import SimulatorError, make_simulator
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SIMULATOR = 3
+
+# The OpenBLAS builds bundled in <package>.libs, as (package, library glob,
+# symbol suffix): numpy's ILP64 build runs the matrix products, scipy's
+# LP64 build the Cholesky factorisations and solves.
+_OPENBLAS = (("numpy", "libscipy_openblas64_*", "64_"), ("scipy", "libscipy_openblas*", ""))
+
+
+def _openblas_thread_controls() -> list:
+    """The (get, set) thread-count functions of each bundled OpenBLAS that is found."""
+    controls = []
+    for package, pattern, suffix in _OPENBLAS:
+        for path in (Path(importlib.import_module(package).__file__).parents[1] / f"{package}.libs").glob(pattern):
+            library = ctypes.CDLL(str(path))  # the handle of the library already loaded
+            get, set_ = (getattr(library, f"scipy_openblas_{op}_num_threads{suffix}", None) for op in ("get", "set"))
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes, set_.restype, set_.argtypes = ctypes.c_int, [], None, [ctypes.c_int]
+                controls.append((get, set_))
+    return controls
+
+
+@contextlib.contextmanager
+def single_blas_thread():
+    """Pin each bundled OpenBLAS to one thread inside the block, and restore its count after.
+
+    From m = 128 on OpenBLAS threads its Cholesky, which rounds differently,
+    so a seeded run is the same bit for bit only at a fixed thread count.
+    """
+    controls = _openblas_thread_controls()
+    previous = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(controls, previous):
+            set_(count)
 
 
 def _cmd_run(args) -> int:
@@ -150,16 +191,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command at one BLAS thread, restoring the counts after; a library caller of `loop.run` keeps its own."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SimulatorError as exc:
-        print(f"simulator failure: {exc}", file=sys.stderr)
-        return EXIT_SIMULATOR
+    with single_blas_thread():
+        try:
+            return args.func(args)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except SimulatorError as exc:
+            print(f"simulator failure: {exc}", file=sys.stderr)
+            return EXIT_SIMULATOR
 
 
 if __name__ == "__main__":

@@ -13,16 +13,18 @@ mean gradients and, on request, their derivatives at a block of points.
 It stacks the outputs: one (P, n, m) kernel block, P solves with the
 outputs' factors, and every other term one array operation over the stack,
 returned per point as C-contiguous (n, P[, D]) arrays.  The predictive
-means are `multi_output.predict_mean_matrix`.  Kernel blocks and every
-K + nugget I come from `kernels`, over one matrix of the nodes' squared
-distances per search, fit or model.  Every Cholesky factorisation is
+means are `multi_output.predict_mean_matrix`.  A `Dataset` builds its
+nodes' geometry once: their unit-cube coordinates, which every evaluation
+reads, and their one matrix of squared distances, which the search and
+the fit take in place of the nodes.  Kernel blocks and every
+K + nugget I come from `kernels`.  Every Cholesky factorisation is
 `cho_factor`, through `_factor` (None where K is not positive definite),
 and every solve with its factor is `_solve`, both thin LAPACK calls.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -51,7 +53,7 @@ HYPER_STRATEGIES = ("marginal-likelihood", "max-stable-bandwidth")
 # Most evaluations per output when the fixed-nugget marginal-likelihood
 # search refines its grid maximum (Brent's method, whose fallback steps are
 # golden sections), and the width in log-bandwidth at which it stops.
-GOLDEN_SECTION_STEPS = 12
+BRENT_EVALUATIONS = 12
 BRENT_TOLERANCE = 1e-5
 _GOLDEN_STEP = (3.0 - np.sqrt(5.0)) / 2.0
 _SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
@@ -71,13 +73,19 @@ class IllConditionedError(ValueError):
         self.condition_estimate = condition_estimate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Evaluated nodes: inputs X (D x m), outputs Y (P x m), and the input box."""
+    """Evaluated nodes: inputs X (D x m), outputs Y (P x m), and the input box; compared by identity.
+
+    It owns the nodes' geometry, built once and read-only: `unit_nodes`, X
+    in the unit hypercube, and `node_distances`, their squared distances.
+    """
 
     X: np.ndarray
     Y: np.ndarray
     input_bounds: np.ndarray  # (D, 2) rows of [low, high]
+    unit_nodes: np.ndarray = field(init=False, repr=False)  # D x m
+    node_distances: np.ndarray = field(init=False, repr=False)  # m x m
 
     def __post_init__(self) -> None:
         X = np.atleast_2d(np.asarray(self.X, dtype=float))
@@ -99,12 +107,13 @@ class Dataset:
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "input_bounds", bounds)
-        Xn = self.normalize(X)
-        if X.shape[1] > 1:
-            sq = squared_distances(Xn, Xn)
-            np.fill_diagonal(sq, np.inf)
-            if np.min(sq) < DUPLICATE_TOLERANCE**2:
-                raise ValueError("duplicate nodes (normalized distance < 1e-12)")
+        unit = self.normalize(X)
+        sq = squared_distances(unit, unit)
+        if np.min(sq, where=~np.eye(X.shape[1], dtype=bool), initial=np.inf) < DUPLICATE_TOLERANCE**2:
+            raise ValueError("duplicate nodes (normalized distance < 1e-12)")
+        for name, value in (("unit_nodes", unit), ("node_distances", sq)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def dimension(self) -> int:
@@ -127,6 +136,11 @@ class Dataset:
             return (x - lo[:, np.newaxis]) / width[:, np.newaxis]
         return (x - lo) / width
 
+    def duplicates(self, points) -> np.ndarray:
+        """Whether each of the points (D x n columns, or one point, raw) lies within DUPLICATE_TOLERANCE of a node."""
+        points = np.reshape(np.asarray(points, dtype=float), (self.dimension, -1))
+        return squared_distances(self.unit_nodes, self.normalize(points)).min(axis=0) < DUPLICATE_TOLERANCE**2
+
     def with_node(self, x, y) -> "Dataset":
         """Append one node; rejects duplicates via the Dataset invariant."""
         x = np.asarray(x, dtype=float).reshape(self.dimension, 1)
@@ -134,8 +148,8 @@ class Dataset:
         return Dataset(np.hstack([self.X, x]), np.hstack([self.Y, y]), self.input_bounds)
 
 
-def fit(nodes, Y, bandwidths, nuggets, factors) -> tuple[np.ndarray, list]:
-    """Weights alpha (P x m) of every output row of Y at the nodes (D x m), and the P factors.
+def fit(sq, Y, bandwidths, nuggets, factors) -> tuple[np.ndarray, list]:
+    """Weights alpha (P x m) of every output row of Y, and the P factors, from the nodes' `Dataset.node_distances` sq.
 
     Row p solves (K + nuggets[p] I) alpha[p] = Y[p] at bandwidths[p] with
     factors[p], the `cho_factor` the search handed out, or a new one where
@@ -144,7 +158,6 @@ def fit(nodes, Y, bandwidths, nuggets, factors) -> tuple[np.ndarray, list]:
     """
     alpha = np.empty(Y.shape)
     factors = list(factors)
-    sq = squared_distances(nodes, nodes) if any(factor is None for factor in factors) else None
     for p, y in enumerate(Y):
         if factors[p] is None:
             K = gram(sq, bandwidths[p], nuggets[p])
@@ -179,16 +192,15 @@ def _noise_free_factor(sq, bandwidth: float):
 def _strict_factors(model) -> list:
     """Cholesky factors behind the noise-free variances of a fitted model, one per output.
 
-    Built on the model's first strict evaluation and kept in its
-    `noise_free_factors`, from one matrix of the nodes' squared distances.
-    Without a nugget an output's factor of K alone is its fit's own; where
-    even the largest jitter gives none, K + nugget I stands in.
+    Built on the model's first strict evaluation from its dataset's
+    `node_distances`, and kept in its `noise_free_factors`.  Without a
+    nugget an output's factor of K alone is its fit's own; where even the
+    largest jitter gives none, K + nugget I stands in.
     """
     cache = model.noise_free_factors
     if not cache:
-        sq = squared_distances(model.nodes, model.nodes) if any(model.nuggets) else None
         cache.extend(
-            factor if nugget == 0.0 else _noise_free_factor(sq, bandwidth) or factor
+            factor if nugget == 0.0 else _noise_free_factor(model.dataset.node_distances, bandwidth) or factor
             for bandwidth, nugget, factor in zip(model.bandwidths, model.nuggets, model.factors)
         )
     return cache
@@ -245,9 +257,9 @@ def evaluate(model, Xq, strict: bool, mean_gradients: bool = True, derivatives: 
 
     All P outputs are one stacked computation, in the batched layout of
     GPyTorch (Gardner et al., arXiv:1809.11165).  The (n, m, D)
-    differences to the model's nodes and their squared distances are built
-    once; one `exp_quadratic` of them over the outputs' b^2 gives the kernel
-    block K of shape (P, n, m).  The only per-output step is the solve: P
+    differences to the dataset's `unit_nodes` and their squared distances
+    are built once; one `exp_quadratic` of them over the outputs' b^2 gives
+    the kernel block K of shape (P, n, m).  The only per-output step is the solve: P
     `_solve` calls, each with n right-hand sides, turn a copy of K into W,
     whose row W[p, j] is (K_p + nugget_p I)^-1 k_x of point j (the
     triangular-solve form of GPML Alg. 2.1).  Every other term is one
@@ -271,7 +283,7 @@ def evaluate(model, Xq, strict: bool, mean_gradients: bool = True, derivatives: 
     multi-megabyte temporary per call costs hundreds of page faults.
     """
     Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
-    nodes = model.nodes
+    nodes = model.dataset.unit_nodes
     if Xq.shape[1] != nodes.shape[0]:
         raise ValueError(f"query points have dimension {Xq.shape[1]}, the model expects {nodes.shape[0]}")
     diffs = Xq[:, np.newaxis, :] - nodes.T[np.newaxis, :, :]  # (n, m, D), diffs[j, i] = x_j - x_i
@@ -484,7 +496,7 @@ def _shared_ml_bandwidths(sq, Y, nugget: float) -> tuple[list[float], list]:
                 return float(values[0]), factor
 
             lo, hi = log_grid[max(k - 1, 0)], log_grid[min(k + 1, log_grid.size - 1)]
-            best = _brent_max(refined, float(lo), float(hi), seeds, GOLDEN_SECTION_STEPS, BRENT_TOLERANCE)
+            best = _brent_max(refined, float(lo), float(hi), seeds, BRENT_EVALUATIONS, BRENT_TOLERANCE)
             if best is not None and best[0] > grid_scores[k, p]:
                 bandwidth = float(np.exp(best[1]))
                 factors[p] = best[2]
@@ -534,7 +546,7 @@ def check_hyperparameters(strategy: str, nugget_policy: float | str) -> None:
 
 
 def select_hyperparameters(
-    inputs,
+    sq,
     outputs,
     strategy: str = "marginal-likelihood",
     nugget_policy: float | str = 0.0,
@@ -543,6 +555,7 @@ def select_hyperparameters(
 ) -> tuple[list[float], list[float], list]:
     """Choose the kernel bandwidth (and optionally the nugget) of every output row.
 
+    The search sees the nodes only through sq, their `Dataset.node_distances`.
     `outputs` is P rows (P x m), or one row (m,).  Returns the per-row lists
     (bandwidths, nuggets, factors), where a row's factor is its
     `cho_factor` of K + nugget I at its choice if the search built one (both
@@ -560,15 +573,13 @@ def select_hyperparameters(
     gives every row the largest value whose regularized kernel matrix stays
     below the condition bound.
     """
-    X = np.atleast_2d(np.asarray(inputs, dtype=float))
     Y = np.atleast_2d(np.asarray(outputs, dtype=float))
-    if Y.shape[1] != X.shape[1]:
-        raise ValueError(f"{X.shape[1]} input nodes but {Y.shape[1]} outputs per row")
-    if X.shape[1] < 2:
+    if sq.shape != (Y.shape[1],) * 2:
+        raise ValueError(f"node distances of shape {sq.shape} for {Y.shape[1]} outputs per row")
+    if Y.shape[1] < 2:
         raise ValueError("hyperparameter selection needs at least two nodes")
     check_hyperparameters(strategy, nugget_policy)
     P = Y.shape[0]
-    sq = squared_distances(X, X)
     if nugget_policy == "learned":
         if optimizer is None:
             # The log-space search is 2-dimensional and smooth; a short

@@ -9,7 +9,9 @@ baseline adds its sampler's next point, and a non-sequential baseline
 ('grid', 'lhs') evaluates a fresh design of size t at iteration t, paying
 the full quadratic evaluation cost.  `_drive` owns the rest: evaluation
 accounting, the fits and the hook, the trace, the convergence test, and
-the partial result when a run fails.
+the partial result when a run fails.  Each dataset owns its nodes'
+geometry: the fit reads it, and a candidate point is checked against the
+nodes by `Dataset.duplicates`.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ from .acquisition import (
     acquisition_values,
     beta_at,
 )
-from .gp import DUPLICATE_TOLERANCE, Dataset, IllConditionedError, check_hyperparameters
-from .kernels import squared_distances
+from .gp import Dataset, IllConditionedError, check_hyperparameters
 from .multi_output import MultiGpModel, fit_all, fit_single_node, predict_mean_matrix
 from .optimize import OptimizerConfig, maximize
 from .samplers import grid_design, lhs_design, make_sampler, sobol_sequence
@@ -124,8 +125,6 @@ def _design(kind: str, n: int, sim: Simulator, seed: int, prior: InputPrior | No
         return grid_design(sim.dimension, n, bounds=sim.bounds)
     if kind == "lhs":
         return lhs_design(sim.dimension, n, seed=seed, bounds=sim.bounds)
-    if kind == "sobol":
-        return sobol_sequence(sim.dimension, n, bounds=sim.bounds)
     sampler = make_sampler(kind, sim.dimension, sim.bounds, seed=seed, prior=prior)
     return np.column_stack([sampler.next_point() for _ in range(n)])
 
@@ -159,16 +158,6 @@ def _fit(dataset: Dataset, config: LoopConfig, iteration: int) -> MultiGpModel:
     )
 
 
-def _duplicates(dataset: Dataset, points: np.ndarray) -> np.ndarray:
-    """Whether each row of points (n x D, raw) lies within DUPLICATE_TOLERANCE of a node."""
-    sq = squared_distances(dataset.normalize(dataset.X), dataset.normalize(points.T))
-    return sq.min(axis=0) < DUPLICATE_TOLERANCE**2
-
-
-def _is_duplicate(dataset: Dataset, x: np.ndarray) -> bool:
-    return bool(_duplicates(dataset, np.asarray(x, dtype=float).reshape(1, -1))[0])
-
-
 def _choose_next_point(
     config: LoopConfig, model: MultiGpModel, dataset: Dataset, bounds, t: int
 ) -> tuple[np.ndarray, float]:
@@ -193,14 +182,14 @@ def _choose_next_point(
         x_star, value = maximize(
             objective, bounds, opt_config, value_and_gradient=value_and_gradient, batch_objective=batch_objective
         )
-        if not _is_duplicate(dataset, x_star):
+        if not dataset.duplicates(x_star)[0]:
             return x_star, value
     # Every optimizer attempt landed on an existing node (possible in
     # regression mode); fall back to the best non-duplicate uniform probe.
     rng = np.random.default_rng(derive_seed(config.seed, 3, t))
     lo, hi = bounds[:, 0], bounds[:, 1]
     probes = lo + rng.random((max(config.optimizer.n_random or 0, 100), lo.size)) * (hi - lo)
-    probes = probes[~_duplicates(dataset, probes)]
+    probes = probes[~dataset.duplicates(probes.T)]
     if not probes.size:
         raise RuntimeError("could not find a non-duplicate candidate point")
     values = batch_objective(probes)
@@ -268,7 +257,10 @@ def run(config: LoopConfig, sim: Simulator, iteration_hook=None) -> EmulationRes
 
     `iteration_hook(n_nodes, model)` is called after every fit, letting
     callers track metrics without refitting.  See `_drive` for convergence
-    and for the partial result of a failed run.
+    and for the partial result of a failed run.  A seeded run is the same
+    bit for bit at a fixed BLAS thread count; `active-emu run` pins one
+    thread (`cli.single_blas_thread`), and a library caller keeps its own
+    settings.
     """
 
     def acquire(model, dataset, t):
@@ -322,7 +314,7 @@ def baseline_run(
                 prior=config.acquisition.prior,
             )
         x_next = sampler.next_point()
-        while _is_duplicate(dataset, x_next):
+        while dataset.duplicates(x_next)[0]:
             x_next = sampler.next_point()
         return dataset.with_node(x_next, sim.evaluate(x_next)), None
 

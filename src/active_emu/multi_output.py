@@ -1,11 +1,13 @@
 """Independent per-output GPs over a shared set of input nodes, held as arrays.
 
-A fitted `MultiGpModel` is one set of nodes, normalized to the unit
-hypercube once per fit, with one bandwidth, nugget, weight row and
-Cholesky factor per output.  All GP operations are applied in normalized
-coordinates, so gradient norms reported here are with respect to unit-cube
-units.  Variances and gradients at a block of points come from one
-`gp.evaluate` of the model; the predictive means are `predict_mean_matrix`.
+A fitted `MultiGpModel` is one dataset with one bandwidth, nugget, weight
+row and Cholesky factor per output.  The nodes' geometry is the dataset's:
+`fit_all` hands its `node_distances` to the search and the fit, and every
+evaluation reads its `unit_nodes`.  All GP operations are applied in these
+normalized coordinates, so gradient norms reported here are with respect
+to unit-cube units.  Variances and gradients at a block of points come
+from one `gp.evaluate` of the model; the predictive means are
+`predict_mean_matrix`.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ class MultiGpModel:
     """
 
     dataset: Dataset
-    nodes: np.ndarray  # D x m, the dataset's nodes in the unit hypercube
     bandwidths: tuple[float, ...]
     nuggets: tuple[float, ...]
     alpha: np.ndarray  # P x m
@@ -69,9 +70,6 @@ class MultiGpModel:
     def n_outputs(self) -> int:
         return len(self.bandwidths)
 
-    def normalize(self, x) -> np.ndarray:
-        return self.dataset.normalize(x)
-
 
 def fit_all(
     dataset: Dataset,
@@ -84,17 +82,17 @@ def fit_all(
     """Fit one GP per output row of the dataset.
 
     Hyperparameters are selected for all outputs by one call of
-    `gp.select_hyperparameters`; each output still gets its own.  With a
-    fixed nugget that search is deterministic and shares its
-    factorisations between outputs, and `gp.fit` reuses the factor the
-    search built at each output's bandwidth; `seed` and `hyper_optimizer`
-    apply to the learned nugget only.  Pass `bandwidths`, one per output,
-    to skip selection and fit with fixed kernel parameters.
+    `gp.select_hyperparameters`; each output still gets its own.  The
+    search and the fit see the nodes only through the dataset's
+    `node_distances`.  With a fixed nugget that search is deterministic
+    and shares its factorisations between outputs, and `gp.fit` reuses the
+    factor the search built at each output's bandwidth; `seed` and
+    `hyper_optimizer` apply to the learned nugget only.  Pass `bandwidths`,
+    one per output, to skip selection and fit with fixed kernel parameters.
     """
-    nodes = dataset.normalize(dataset.X)
     if bandwidths is None:
         bandwidths, nuggets, factors = gp.select_hyperparameters(
-            nodes,
+            dataset.node_distances,
             dataset.Y,
             strategy=hyper_strategy,
             nugget_policy=nugget_policy,
@@ -108,8 +106,8 @@ def fit_all(
         bandwidths = [(b if isinstance(b, KernelParams) else KernelParams(float(b))).bandwidth for b in bandwidths]
         nuggets = [0.0 if nugget_policy == "learned" else float(nugget_policy)] * dataset.n_outputs
         factors = [None] * dataset.n_outputs
-    alpha, factors = gp.fit(nodes, dataset.Y, bandwidths, nuggets, factors)
-    return MultiGpModel(dataset, nodes, tuple(bandwidths), tuple(nuggets), alpha, tuple(factors))
+    alpha, factors = gp.fit(dataset.node_distances, dataset.Y, bandwidths, nuggets, factors)
+    return MultiGpModel(dataset, tuple(bandwidths), tuple(nuggets), alpha, tuple(factors))
 
 
 def fit_single_node(dataset: Dataset, nugget: float = 0.0) -> MultiGpModel:
@@ -122,11 +120,13 @@ def predict_mean_matrix(model: MultiGpModel, X) -> np.ndarray:
 
     The points are taken in blocks of at most PREDICT_BLOCK_ENTRIES kernel
     entries (but at least PREDICT_BLOCK_ALIGN points).  Each block's
-    (m, n_block) squared distances to the nodes are built once, and each
-    output's kernel block `exp_quadratic` of them; both reuse one pair of
-    buffers for the whole call.  A point's means do not depend on its
-    block: they equal those of one block of all the points, bit for bit.
+    (m, n_block) squared distances to the dataset's `unit_nodes` are built
+    once, and each output's kernel block `exp_quadratic` of them; both
+    reuse one pair of buffers for the whole call.  A point's means do not
+    depend on its block: they equal those of one block of all the points,
+    bit for bit.
     """
+    nodes = model.dataset.unit_nodes
     Xn = model.dataset.normalize(np.atleast_2d(np.asarray(X, dtype=float)))
     m, n = model.alpha.shape[1], Xn.shape[1]
     rows = PREDICT_BLOCK_ENTRIES // m // PREDICT_BLOCK_ALIGN * PREDICT_BLOCK_ALIGN
@@ -137,7 +137,7 @@ def predict_mean_matrix(model: MultiGpModel, X) -> np.ndarray:
     means = np.empty((model.n_outputs, n))
     for start in range(0, n, block):
         stop = min(start + block, n)
-        sq = squared_distances(model.nodes, Xn[:, start:stop], out=sq_buffer[: m * (stop - start)].reshape(m, -1))
+        sq = squared_distances(nodes, Xn[:, start:stop], out=sq_buffer[: m * (stop - start)].reshape(m, -1))
         K = K_buffer[: sq.size].reshape(sq.shape)
         for p, b2 in enumerate(model.squared_bandwidths):
             means[p, start:stop] = exp_quadratic(sq, b2, out=K).T @ model.alpha[p]

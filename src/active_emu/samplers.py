@@ -3,7 +3,8 @@ Latin hypercube (one-shot and sequential), regular grids, and truncated
 Gaussian prior sampling.
 
 Point collections are D x n matrices (points as columns), matching the
-dataset layout; single points are 1-D arrays.
+dataset layout; single points are 1-D arrays.  Every sampler and design
+but the prior's takes its box, (D, 2) rows of [low, high].
 """
 
 from __future__ import annotations
@@ -61,11 +62,11 @@ class SobolSampler:
     Deterministic: the emitted stream does not depend on any seed.
     """
 
-    def __init__(self, dimension: int, bounds=None):
+    def __init__(self, dimension: int, bounds):
         if not 1 <= dimension <= MAX_SOBOL_DIMENSION:
             raise ValueError(f"Sobol dimension must be in [1, {MAX_SOBOL_DIMENSION}], got {dimension}")
         self.dimension = dimension
-        self.bounds = _check_box(bounds, dimension) if bounds is not None else None
+        self.bounds = _check_box(bounds, dimension)
         self._directions = np.vstack([_direction_integers(d) for d in range(dimension)])
         self._state = np.zeros(dimension, dtype=np.uint64)
         self._count = 0
@@ -87,9 +88,9 @@ class SobolSampler:
 class UniformSampler:
     """I.i.d. uniform points in the box."""
 
-    def __init__(self, dimension: int, bounds=None, seed: int = 0):
+    def __init__(self, dimension: int, bounds, seed: int = 0):
         self.dimension = dimension
-        self.bounds = _check_box(bounds, dimension) if bounds is not None else None
+        self.bounds = _check_box(bounds, dimension)
         self._rng = np.random.default_rng(seed)
 
     def next_point(self) -> np.ndarray:
@@ -99,7 +100,7 @@ class UniformSampler:
 class SequentialLhsSampler:
     """Pre-generates an LHS pool and emits its points one by one."""
 
-    def __init__(self, dimension: int, pool_size: int, bounds=None, seed: int = 0):
+    def __init__(self, dimension: int, pool_size: int, bounds, seed: int = 0):
         self.dimension = dimension
         self.pool_size = pool_size
         self._pool = lhs_design(dimension, pool_size, seed=seed, bounds=bounds)
@@ -134,9 +135,7 @@ def _check_box(bounds, dimension: int) -> np.ndarray:
     return bounds
 
 
-def _scale(unit_points: np.ndarray, bounds: np.ndarray | None) -> np.ndarray:
-    if bounds is None:
-        return unit_points
+def _scale(unit_points: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     lo = bounds[:, 0]
     width = bounds[:, 1] - bounds[:, 0]
     if unit_points.ndim == 2:
@@ -144,13 +143,13 @@ def _scale(unit_points: np.ndarray, bounds: np.ndarray | None) -> np.ndarray:
     return lo + unit_points * width
 
 
-def sobol_sequence(dimension: int, n: int, bounds=None) -> np.ndarray:
+def sobol_sequence(dimension: int, n: int, bounds) -> np.ndarray:
     """First n Sobol points (zero point skipped) as columns, D x n."""
     sampler = SobolSampler(dimension, bounds)
     return np.column_stack([sampler.next_point() for _ in range(n)])
 
 
-def lhs_design(dimension: int, n: int, seed: int = 0, bounds=None) -> np.ndarray:
+def lhs_design(dimension: int, n: int, seed: int = 0, *, bounds) -> np.ndarray:
     """Latin hypercube design: one point per stratum per dimension, D x n."""
     if n < 1:
         raise ValueError(f"need at least one point, got {n}")
@@ -159,11 +158,10 @@ def lhs_design(dimension: int, n: int, seed: int = 0, bounds=None) -> np.ndarray
     for d in range(dimension):
         strata = rng.permutation(n)
         unit[d] = (strata + rng.random(n)) / n
-    box = _check_box(bounds, dimension) if bounds is not None else None
-    return _scale(unit, box)
+    return _scale(unit, _check_box(bounds, dimension))
 
 
-def grid_design(dimension: int, m: int, bounds=None) -> np.ndarray:
+def grid_design(dimension: int, m: int, bounds) -> np.ndarray:
     """Equally spaced lattice of m points including the box endpoints, D x m.
 
     For dimension > 1, m must be a perfect dimension-th power.
@@ -183,8 +181,7 @@ def grid_design(dimension: int, m: int, bounds=None) -> np.ndarray:
         axis = np.linspace(0.0, 1.0, per_axis)
         mesh = np.meshgrid(*([axis] * dimension), indexing="ij")
         unit = np.vstack([g.ravel() for g in mesh])
-    box = _check_box(bounds, dimension) if bounds is not None else None
-    return _scale(unit, box)
+    return _scale(unit, _check_box(bounds, dimension))
 
 
 def _truncated_gaussian_draws(prior: InputPrior, n: int, rng: np.random.Generator) -> np.ndarray:

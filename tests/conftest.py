@@ -143,7 +143,7 @@ def separate_random_then_ascent(objective, gradient, batch_objective, bounds, co
 def single_block_means(model, X) -> np.ndarray:
     """`predict_mean_matrix` as one block of all the points: an oracle of its blocked form."""
     Xn = model.dataset.normalize(np.atleast_2d(np.asarray(X, dtype=float)))
-    sq = squared_distances(model.nodes, Xn)
+    sq = squared_distances(model.dataset.unit_nodes, Xn)
     K = np.empty_like(sq)
     means = np.empty((model.n_outputs, sq.shape[1]))
     for p, b2 in enumerate(model.squared_bandwidths):
@@ -206,7 +206,7 @@ def mp_gp_gradients(model, x, dps=50, step="1e-15"):
     checks.  Returns (mean gradient, variance gradient) as float arrays.
     """
     with mpmath.workdps(dps):
-        nodes = [[mpmath.mpf(v) for v in column] for column in model.nodes.T]
+        nodes = [[mpmath.mpf(v) for v in column] for column in model.dataset.unit_nodes.T]
         two_b2 = 2 * mpmath.mpf(model.bandwidths[0]) ** 2
         nugget = mpmath.mpf(model.nuggets[0])
 
@@ -296,6 +296,11 @@ def separated_points(rng, dimension, n, min_separation):
     raise RuntimeError("could not place separated points")
 
 
+def unit_box(dimension) -> np.ndarray:
+    """The unit hypercube as (dimension, 2) rows of [0, 1], the box a sampler scales unit points by unchanged."""
+    return np.tile([0.0, 1.0], (dimension, 1))
+
+
 def random_multi_model(rng, dimension=1, n_outputs=2, n_nodes=6, bandwidths=None, nugget=0.0, bounds=None):
     """A MultiGpModel with fixed bandwidths on random separated nodes."""
     if bounds is None:
@@ -327,7 +332,7 @@ def predict_all(model, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     means of `predict_mean_matrix`.
     """
     x = np.asarray(x, dtype=float).reshape(-1, 1)
-    terms = gp.evaluate(model, model.normalize(x).T, strict=False)
+    terms = gp.evaluate(model, model.dataset.normalize(x).T, strict=False)
     return predict_mean_matrix(model, x)[:, 0], terms.variances[0], terms.gradient_norms[0]
 
 

@@ -40,6 +40,7 @@ from conftest import (
     relative_gradient_error,
     separated_points,
     terms_at,
+    unit_box,
 )
 
 pytestmark = pytest.mark.acceptance
@@ -287,14 +288,14 @@ class TestCriterion6AppendixOracle:
 class TestCriterion7SamplerProperties:
     def test_sampler_properties(self):
         for dimension, n in ((1, 4), (2, 20), (3, 50)):
-            points = lhs_design(dimension, n, seed=71 + n)
+            points = lhs_design(dimension, n, seed=71 + n, bounds=unit_box(dimension))
             for d in range(dimension):
                 strata = np.minimum(np.floor(points[d] * n).astype(int), n - 1)
                 assert sorted(strata) == list(range(n))
 
-        np.testing.assert_allclose(sobol_sequence(1, 3).ravel(), [0.5, 0.75, 0.25])
+        np.testing.assert_allclose(sobol_sequence(1, 3, unit_box(1)).ravel(), [0.5, 0.75, 0.25])
 
-        sampler = SequentialLhsSampler(2, 20, seed=7)
+        sampler = SequentialLhsSampler(2, 20, unit_box(2), seed=7)
         pool = sampler._pool.copy()
         emitted = np.column_stack([sampler.next_point() for _ in range(20)])
         np.testing.assert_array_equal(np.sort(emitted, axis=1), np.sort(pool, axis=1))

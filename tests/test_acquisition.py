@@ -122,7 +122,7 @@ def diversity(model, x, op):
 
 def strict_variances(model, x):
     """Each output's noise-free variance at one raw point, from the block evaluation."""
-    return gp.evaluate(model, model.normalize(np.ravel(x))[np.newaxis, :], strict=True).variances[0]
+    return gp.evaluate(model, model.dataset.normalize(np.ravel(x))[np.newaxis, :], strict=True).variances[0]
 
 
 class TestDiversityGeometry:
@@ -399,7 +399,7 @@ class TestNineOutputBlocks:
     def test_evaluate_rows_equal_one_row_evaluations(self, rng, strict):
         model = self._model(rng)
         points = self._points(model, rng)
-        as_passed = model.normalize(points.T).T  # Fortran-ordered, as `acquisition_values` passes it
+        as_passed = model.dataset.normalize(points.T).T  # Fortran-ordered, as `acquisition_values` passes it
         rows = [gp.evaluate(model, x[np.newaxis, :], strict, derivatives=True) for x in as_passed]
         for block_points in (as_passed, np.ascontiguousarray(as_passed)):
             block = gp.evaluate(model, block_points, strict, derivatives=True)
@@ -461,7 +461,8 @@ class TestAcquisitionValues:
         model = random_multi_model(rng, dimension=2, n_outputs=2, n_nodes=6, nugget=1e-3, bounds=BATCH_BOUNDS)
         # A factor of K / 2 doubles k^T K^{-1} k, driving the noise-free
         # variance far below its round-off clamp near the nodes.
-        broken = cho_factor(0.5 * kernel_matrix(model.nodes, KernelParams(model.bandwidths[0])), lower=True)
+        K = kernel_matrix(model.dataset.unit_nodes, KernelParams(model.bandwidths[0]))
+        broken = cho_factor(0.5 * K, lower=True)
         strict_variances(model, model.dataset.X[:, 0])  # builds every output's noise-free factor
         model.noise_free_factors[0] = broken
         spec = AcquisitionSpec.from_variant("SD")

@@ -1,13 +1,20 @@
 """CLI subcommands, config validation, and exit codes."""
 
 import csv
+import importlib.util
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from active_emu import cli
 from active_emu.cli import main
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
 RUN_CONFIG = {
     "seed": 5,
@@ -352,3 +359,52 @@ class TestOracleCommand:
             "oracle", "--function", "log", "--interval=-1,1",
             "--nodes", "1", "--out", str(tmp_path / "n.csv"),
         ]) == 2
+
+
+class TestBlasThreads:
+    """Every command runs with both bundled OpenBLAS libraries at one thread, and restores their counts."""
+
+    def test_lut_does_not_depend_on_the_environment_thread_count(self, tmp_path, monkeypatch):
+        # the benchmark's fixture run from 126 prior-random nodes to 130: its
+        # last fits cross m = 128, where OpenBLAS starts to thread its Cholesky
+        monkeypatch.syspath_prepend(str(BENCH_DIR))  # workloads imports its siblings by name
+        spec = importlib.util.spec_from_file_location("bench_workloads", BENCH_DIR / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        payload = dict(workloads.FIXTURE_RUN, initial_design={"sampler": "prior-random", "size": 126}, budget=130)
+        config = write_config(tmp_path, payload)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        luts = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            command = [sys.executable, "-m", "active_emu.cli", "run", "--config", config, "--out", str(out),
+                       "--seed", "20240819"]
+            subprocess.run(command, env=env, check=True, capture_output=True)
+            luts.append((out / "lut.csv").read_bytes())
+        assert luts[0] == luts[1]
+
+    def test_thread_counts_restored_after_the_command(self, tmp_path, monkeypatch):
+        controls = cli._openblas_thread_controls()
+        if not controls:
+            pytest.skip("numpy and scipy bundle no OpenBLAS here")
+        during = []
+
+        def oracle(args):
+            during.extend(get() for get, _ in controls)
+            return 0
+
+        monkeypatch.setattr(cli, "_cmd_oracle", oracle)
+        previous = [get() for get, _ in controls]
+        for _, set_threads in controls:
+            set_threads(2)
+        try:
+            before = [get() for get, _ in controls]
+            main(["oracle", "--function", "log", "--interval", "1,2", "--nodes", "2", "--out", str(tmp_path / "n.csv")])
+            after = [get() for get, _ in controls]
+        finally:
+            for (_, set_threads), count in zip(controls, previous):
+                set_threads(count)
+        assert during == [1] * len(controls)
+        assert after == before

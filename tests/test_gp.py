@@ -8,8 +8,8 @@ from active_emu.acquisition import InputPrior
 from active_emu.config import parse_experiment_config
 from active_emu.gp import (
     BANDWIDTH_GRID,
+    BRENT_EVALUATIONS,
     CONDITION_BOUND,
-    GOLDEN_SECTION_STEPS,
     Dataset,
     IllConditionedError,
     fit,
@@ -32,6 +32,7 @@ from conftest import (
     relative_gradient_error,
     separated_points,
     terms_at,
+    unit_box,
 )
 
 
@@ -61,6 +62,20 @@ class TestDataset:
         x = np.array([4.0, 1.0])
         np.testing.assert_allclose(denormalize(ds, ds.normalize(x)), x)
         np.testing.assert_allclose(ds.normalize(x), [0.5, 0.5])
+
+    def test_owns_its_nodes_geometry(self, rng):
+        ds = Dataset(X=rng.uniform(2.0, 6.0, size=(2, 40)), Y=rng.normal(size=(3, 40)),
+                     input_bounds=[[2.0, 6.0], [2.0, 6.0]])
+        np.testing.assert_array_equal(ds.unit_nodes, ds.normalize(ds.X))
+        fresh = squared_distances(ds.unit_nodes, ds.unit_nodes)
+        off_diagonal = ~np.eye(40, dtype=bool)
+        assert ds.node_distances[off_diagonal].tobytes() == fresh[off_diagonal].tobytes()
+        assert not ds.unit_nodes.flags.writeable and not ds.node_distances.flags.writeable
+
+    def test_duplicates_within_tolerance_of_a_node(self):
+        ds = Dataset(X=[[2.0, 4.0], [0.0, 1.0]], Y=[[1.0, 2.0]], input_bounds=[[2.0, 6.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(ds.duplicates([[4.0, 4.001, 3.0], [1.0, 1.0, 1.0]]), [True, False, False])
+        assert ds.duplicates([2.0, 0.0])[0] and not ds.duplicates([2.0, 0.5])[0]
 
     def test_with_node_appends(self):
         ds = Dataset(X=[[0.2]], Y=[[1.0]], input_bounds=[[0.0, 1.0]])
@@ -107,12 +122,12 @@ class TestCholesky:
 
 class TestFit:
     def test_single_node_alpha(self):
-        alpha, _ = fit(np.array([[0.3]]), np.array([[5.0]]), [1.0], [0.0], [None])
+        alpha, _ = fit(squared_distances([[0.3]], [[0.3]]), np.array([[5.0]]), [1.0], [0.0], [None])
         np.testing.assert_allclose(alpha, [[5.0]])
 
     def test_two_node_alpha_closed_form(self):
         X = np.array([[0.0, np.sqrt(2.0)]])
-        alpha, _ = fit(X, np.array([[1.0, 1.0]]), [1.0], [0.0], [None])
+        alpha, _ = fit(squared_distances(X, X), np.array([[1.0, 1.0]]), [1.0], [0.0], [None])
         expected = 1.0 / (1.0 + np.exp(-1.0))
         np.testing.assert_allclose(alpha, [[expected, expected]], rtol=1e-12)
         assert expected == pytest.approx(0.731059, abs=1e-6)
@@ -120,7 +135,7 @@ class TestFit:
     def test_coincident_nodes_raise(self):
         X = np.array([[0.5, 0.5]])
         with pytest.raises(IllConditionedError) as excinfo:
-            fit(X, np.array([[1.0, 2.0]]), [1.0], [0.0], [None])
+            fit(squared_distances(X, X), np.array([[1.0, 2.0]]), [1.0], [0.0], [None])
         assert excinfo.value.condition_estimate is not None
 
     def test_alpha_solves_system(self, rng):
@@ -130,7 +145,7 @@ class TestFit:
             X = separated_points(rng, dim, m, 0.03)
             y = rng.normal(size=m)
             nugget = float(rng.choice([0.0, 0.02]))
-            alpha, _ = fit(X, y[np.newaxis, :], [0.3], [nugget], [None])
+            alpha, _ = fit(squared_distances(X, X), y[np.newaxis, :], [0.3], [nugget], [None])
             K = kernel_matrix(X, KernelParams(0.3), nugget)
             residual = np.linalg.norm(K @ alpha[0] - y)
             assert residual < 1e-8 * max(np.linalg.norm(y), 1.0)
@@ -138,7 +153,7 @@ class TestFit:
     def test_factor_reconstructs_matrix(self, rng):
         X = separated_points(rng, 2, 10, 0.05)
         y = rng.normal(size=10)
-        _, (factor,) = fit(X, y[np.newaxis, :], [0.4], [0.01], [None])
+        _, (factor,) = fit(squared_distances(X, X), y[np.newaxis, :], [0.4], [0.01], [None])
         L = np.tril(factor[0])
         K = kernel_matrix(X, KernelParams(0.4), 0.01)
         error = np.linalg.norm(L @ L.T - K) / np.linalg.norm(K)
@@ -149,7 +164,7 @@ class TestPredictMean:
     def test_interpolates_training_nodes(self, rng):
         model = random_gp_model(rng, dimension=2, n_nodes=8, bandwidth=0.4)
         for i in range(model.dataset.n_nodes):
-            x_i = model.nodes[:, i]
+            x_i = model.dataset.unit_nodes[:, i]
             assert mean_at(model, x_i) == pytest.approx(model.dataset.Y[0, i], abs=1e-8)
 
     def test_reverts_to_prior_mean_far_away(self, rng):
@@ -175,7 +190,7 @@ class TestPredictVariance:
     def test_zero_at_nodes_interpolation(self, rng):
         model = random_gp_model(rng, dimension=1, n_nodes=6, bandwidth=0.15)
         for i in range(model.dataset.n_nodes):
-            assert terms_at(model, model.nodes[:, i]).variances <= 1e-8
+            assert terms_at(model, model.dataset.unit_nodes[:, i]).variances <= 1e-8
 
     def test_single_node_with_nugget(self):
         model = fit_one(np.array([[0.5]]), [1.0], KernelParams(1.0), nugget=0.02)
@@ -195,7 +210,7 @@ class TestPredictVariance:
     def test_noise_free_variance_exact_zero_at_nodes(self, rng):
         model = random_gp_model(rng, dimension=1, n_nodes=6, bandwidth=0.2, nugget=0.02)
         for i in range(model.dataset.n_nodes):
-            assert terms_at(model, model.nodes[:, i], strict=True).variances == 0.0
+            assert terms_at(model, model.dataset.unit_nodes[:, i], strict=True).variances == 0.0
 
     def test_variance_never_increases_with_new_node(self, rng):
         # monotone information gain: refitting with one extra node cannot
@@ -240,7 +255,7 @@ class TestGradients:
 
     def test_variance_gradient_zero_at_node(self, rng):
         model = random_gp_model(rng, dimension=2, n_nodes=5, bandwidth=0.4)
-        grad = terms_at(model, model.nodes[:, 2]).variance_gradients
+        grad = terms_at(model, model.dataset.unit_nodes[:, 2]).variance_gradients
         np.testing.assert_allclose(grad, np.zeros(2), atol=1e-9)
 
     def test_variance_gradient_zero_between_symmetric_nodes(self):
@@ -278,12 +293,12 @@ class TestGradients:
 class TestHyperparameters:
     def test_requires_two_nodes(self):
         with pytest.raises(ValueError):
-            select_hyperparameters(np.array([[0.5]]), [1.0])
+            select_hyperparameters(squared_distances([[0.5]], [[0.5]]), [1.0])
 
     def test_fixed_nugget_passthrough(self, rng):
         X = separated_points(rng, 1, 6, 0.1)
         y = rng.normal(size=6)
-        _, [nugget], _ = select_hyperparameters(X, y, nugget_policy=0.02, seed=1)
+        _, [nugget], _ = select_hyperparameters(squared_distances(X, X), y, nugget_policy=0.02, seed=1)
         assert nugget == 0.02
 
     def test_max_stable_two_nodes_closed_form(self):
@@ -294,8 +309,8 @@ class TestHyperparameters:
             k = np.exp(-1.0 / (2.0 * bandwidth**2))
             if (1.0 + k) / (1.0 - k) <= CONDITION_BOUND:
                 expected = bandwidth
-        [bandwidth], [nugget], _ = select_hyperparameters(X, [0.0, 1.0], strategy="max-stable-bandwidth",
-                                                          nugget_policy=0.0)
+        [bandwidth], [nugget], _ = select_hyperparameters(squared_distances(X, X), [0.0, 1.0],
+                                                          strategy="max-stable-bandwidth", nugget_policy=0.0)
         assert bandwidth == pytest.approx(expected)
         assert nugget == 0.0
 
@@ -306,7 +321,8 @@ class TestHyperparameters:
 
         X = separated_points(rng, 2, 10, 0.1)
         y = rng.normal(size=10)
-        [bandwidth], _, _ = select_hyperparameters(X, y, strategy="max-stable-bandwidth", nugget_policy=0.0)
+        [bandwidth], _, _ = select_hyperparameters(squared_distances(X, X), y, strategy="max-stable-bandwidth",
+                                                   nugget_policy=0.0)
         params = KernelParams(bandwidth)
         # the selected bandwidth factorizes and its estimate is within bound;
         # the next-larger grid bandwidth would violate one of the two
@@ -326,9 +342,9 @@ class TestHyperparameters:
         # 2-norm condition of about 1.3e6, above the bound
         from active_emu.samplers import lhs_design
 
-        X = lhs_design(2, 130, seed=1)
+        X = lhs_design(2, 130, seed=1, bounds=unit_box(2))
         [bandwidth], [nugget], _ = select_hyperparameters(
-            X, np.zeros(130), strategy="max-stable-bandwidth", nugget_policy=1e-4
+            squared_distances(X, X), np.zeros(130), strategy="max-stable-bandwidth", nugget_policy=1e-4
         )
         assert nugget == 1e-4
         assert np.linalg.cond(kernel_matrix(X, KernelParams(bandwidth), nugget)) <= CONDITION_BOUND
@@ -344,7 +360,7 @@ class TestHyperparameters:
             K = kernel_matrix(X, KernelParams(true_bandwidth), 1e-6)
             y = np.linalg.cholesky(K) @ rng.normal(size=40)
             [bandwidth], _, _ = select_hyperparameters(
-                X, y, nugget_policy=1e-6, seed=seed,
+                squared_distances(X, X), y, nugget_policy=1e-6, seed=seed,
                 optimizer=OptimizerConfig(strategy="simulated-annealing",
                                           annealing=AnnealingConfig(iterations=150)),
             )
@@ -355,7 +371,8 @@ class TestHyperparameters:
     def test_learned_nugget_within_bounds(self, rng):
         X = separated_points(rng, 1, 20, 0.02)
         y = np.sin(6.0 * X[0]) + 0.1 * rng.normal(size=20)
-        [bandwidth], [nugget], [factor] = select_hyperparameters(X, y, nugget_policy="learned", seed=7)
+        [bandwidth], [nugget], [factor] = select_hyperparameters(squared_distances(X, X), y, nugget_policy="learned",
+                                                                 seed=7)
         assert factor is None  # the learned search keeps no factor
         assert 1e-8 <= nugget <= 1e-1
         assert BANDWIDTH_GRID[0] <= bandwidth <= BANDWIDTH_GRID[-1]
@@ -363,8 +380,8 @@ class TestHyperparameters:
     def test_deterministic_given_seed(self, rng):
         X = separated_points(rng, 1, 10, 0.05)
         y = rng.normal(size=10)
-        first = select_hyperparameters(X, y, nugget_policy=0.02, seed=42)[:2]
-        second = select_hyperparameters(X, y, nugget_policy=0.02, seed=42)[:2]
+        first = select_hyperparameters(squared_distances(X, X), y, nugget_policy=0.02, seed=42)[:2]
+        second = select_hyperparameters(squared_distances(X, X), y, nugget_policy=0.02, seed=42)[:2]
         assert first == second
 
     def test_max_stable_walks_once_for_every_row(self, rng, monkeypatch):
@@ -387,11 +404,12 @@ class TestHyperparameters:
         calls = []
         original = gp.cho_factor
         monkeypatch.setattr(gp, "cho_factor", lambda *a, **k: calls.append(1) or original(*a, **k))
-        bandwidths, nuggets, _ = select_hyperparameters(X, Y, strategy="max-stable-bandwidth", nugget_policy=1e-4)
+        bandwidths, nuggets, _ = select_hyperparameters(squared_distances(X, X), Y, strategy="max-stable-bandwidth",
+                                                        nugget_policy=1e-4)
         assert bandwidths == expected
         assert all(nugget == 1e-4 for nugget in nuggets)
         one_row = len(calls)
-        select_hyperparameters(X, Y[0], strategy="max-stable-bandwidth", nugget_policy=1e-4)
+        select_hyperparameters(squared_distances(X, X), Y[0], strategy="max-stable-bandwidth", nugget_policy=1e-4)
         assert len(calls) == 2 * one_row  # four rows cost what one row costs
 
     def test_log_marginal_likelihood_value(self):
@@ -435,7 +453,7 @@ class TestSharedSearch:
         X = separated_points(rng, 2, 40, 0.03)
         Y = self.outputs(X)
         for nugget in (1e-4, 1e-2):
-            bandwidths, nuggets, _ = select_hyperparameters(X, Y, nugget_policy=nugget)
+            bandwidths, nuggets, _ = select_hyperparameters(squared_distances(X, X), Y, nugget_policy=nugget)
             assert len(bandwidths) == Y.shape[0]
             for y, bandwidth, chosen_nugget in zip(Y, bandwidths, nuggets):
                 assert chosen_nugget == nugget
@@ -455,18 +473,18 @@ class TestSharedSearch:
             return original(K, **kwargs)
 
         monkeypatch.setattr(gp, "cho_factor", counting)
-        select_hyperparameters(X, Y, nugget_policy=1e-4)
+        select_hyperparameters(squared_distances(X, X), Y, nugget_policy=1e-4)
         seen = np.array(seen)
         for bandwidth in BANDWIDTH_GRID:
             expected = np.exp(-sq[pair] / (2.0 * bandwidth**2))
             assert np.sum(np.isclose(seen, expected, rtol=1e-12, atol=0.0)) == 1
-        assert len(seen) <= BANDWIDTH_GRID.size + Y.shape[0] * GOLDEN_SECTION_STEPS
+        assert len(seen) <= BANDWIDTH_GRID.size + Y.shape[0] * BRENT_EVALUATIONS
 
     @pytest.mark.parametrize("strategy", ["marginal-likelihood", "max-stable-bandwidth"])
     def test_fit_all_factorises_only_in_the_search(self, rng, monkeypatch, strategy):
         X = separated_points(rng, 2, 30, 0.03)
         ds = Dataset(X, self.outputs(X), [[0.0, 1.0]] * 2)
-        refinements = ds.n_outputs * GOLDEN_SECTION_STEPS if strategy == "marginal-likelihood" else 0
+        refinements = ds.n_outputs * BRENT_EVALUATIONS if strategy == "marginal-likelihood" else 0
         in_fit, calls = [], []
         original_factor, original_fit = gp.cho_factor, gp.fit
 
@@ -484,7 +502,7 @@ class TestSharedSearch:
         assert not any(calls), "fit factorised again"
         # each output is the one fit builds from its own factorisation
         for p, y in enumerate(ds.Y):
-            alpha, (factor,) = fit(X, y[np.newaxis, :], [model.bandwidths[p]], [1e-4], [None])
+            alpha, (factor,) = fit(squared_distances(X, X), y[np.newaxis, :], [model.bandwidths[p]], [1e-4], [None])
             np.testing.assert_array_equal(np.tril(model.factors[p][0]), np.tril(factor[0]))
             np.testing.assert_array_equal(model.alpha[p], alpha[0])
 
@@ -492,7 +510,7 @@ class TestSharedSearch:
         # a constant output prefers the flattest kernel: the top of the grid
         X = separated_points(rng, 2, 20, 0.05)
         y = np.ones(20)
-        [bandwidth], _, _ = select_hyperparameters(X, y, nugget_policy=1e-4)
+        [bandwidth], _, _ = select_hyperparameters(squared_distances(X, X), y, nugget_policy=1e-4)
         assert bandwidth == BANDWIDTH_GRID[-1]
         assert _log_ml(X, y, bandwidth, 1e-4) >= dense_oracle(X, y, 1e-4) - 1e-3
 
@@ -556,7 +574,7 @@ class TestBrentRefinement:
 
         seeds = [(f(0.3)[0], 0.3), (f(0.4)[0], 0.4), (f(0.2)[0], 0.2)]
         calls.clear()
-        value, point, payload = gp._brent_max(f, 0.2, 0.4, seeds, GOLDEN_SECTION_STEPS, gp.BRENT_TOLERANCE)
+        value, point, payload = gp._brent_max(f, 0.2, 0.4, seeds, BRENT_EVALUATIONS, gp.BRENT_TOLERANCE)
         assert calls[0] == pytest.approx(0.37, abs=1e-12)  # no evaluation spent on the seeds
         assert point == payload and abs(point - 0.37) < 1e-5
         assert len(calls) <= 6
@@ -569,8 +587,8 @@ class TestBrentRefinement:
             calls.append(t)
             return -abs(t - 0.61), None
 
-        value, point, _ = gp._brent_max(f, 0.0, 1.0, [(-0.61, 0.0)], GOLDEN_SECTION_STEPS, gp.BRENT_TOLERANCE)
-        assert len(calls) == GOLDEN_SECTION_STEPS
+        value, point, _ = gp._brent_max(f, 0.0, 1.0, [(-0.61, 0.0)], BRENT_EVALUATIONS, gp.BRENT_TOLERANCE)
+        assert len(calls) == BRENT_EVALUATIONS
         assert abs(point - 0.61) < 0.01 and value == max(-abs(t - 0.61) for t in calls)
 
     def test_at_least_the_golden_section_oracle_in_fewer_evaluations(self, refinement_designs, monkeypatch):
@@ -585,8 +603,8 @@ class TestBrentRefinement:
 
         monkeypatch.setattr(gp, "_brent_max", counting)
         for name, X, Y, nugget in refinement_designs:
-            bandwidths, _, _ = select_hyperparameters(X, Y, nugget_policy=nugget)
-            oracle = golden_ml_bandwidths(X, Y, nugget, GOLDEN_SECTION_STEPS)
+            bandwidths, _, _ = select_hyperparameters(squared_distances(X, X), Y, nugget_policy=nugget)
+            oracle = golden_ml_bandwidths(X, Y, nugget, BRENT_EVALUATIONS)
             sq = squared_distances(X, X)
             for p, row in enumerate(Y):
                 chosen, golden = (
@@ -594,8 +612,8 @@ class TestBrentRefinement:
                 )
                 assert chosen >= golden - 1e-8, f"{name}, output {p}: {chosen} < {golden}"
         assert len(counts) == 90
-        assert max(counts) <= GOLDEN_SECTION_STEPS
-        assert sum(counts) <= 0.6 * GOLDEN_SECTION_STEPS * len(counts)
+        assert max(counts) <= BRENT_EVALUATIONS
+        assert sum(counts) <= 0.6 * BRENT_EVALUATIONS * len(counts)
 
 
 class TestNoiseFreeFactor:

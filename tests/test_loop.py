@@ -438,7 +438,7 @@ class TestDuplicateSearches:
         best = others[np.argmin(np.abs(others - target).sum(axis=1))]
         np.testing.assert_array_equal(x, best)
         assert value == -float(np.abs(best - target).sum())
-        assert not loop._is_duplicate(dataset, x)
+        assert not dataset.duplicates(x)[0]
 
 
 class TestSequentialBaselines:

@@ -23,7 +23,7 @@ class TestFitAll:
     def test_single_output_matches_gp_fit(self, rng):
         ds = Dataset(X=[[0.2, 0.5, 0.9]], Y=[[1.0, -1.0, 2.0]], input_bounds=[[0.0, 1.0]])
         multi = fit_all(ds, bandwidths=[KernelParams(0.3)], nugget_policy=0.01)
-        alpha, _ = gp.fit(ds.normalize(ds.X), ds.Y[:1], [0.3], [0.01], [None])
+        alpha, _ = gp.fit(ds.node_distances, ds.Y[:1], [0.3], [0.01], [None])
         np.testing.assert_array_equal(multi.alpha[0], alpha[0])
 
     def test_each_output_gets_own_bandwidth(self):
@@ -80,6 +80,24 @@ class TestFitAll:
         assert first == first and first != second
         assert len({first, second}) == 2
 
+    def test_fit_and_strict_evaluation_build_no_node_distances(self, monkeypatch):
+        # the nine-output fixture with a fixed nugget: the search, the fit and
+        # the noise-free factors all read the dataset's one distance matrix
+        sim = FixtureNineBand(2)
+        X = lhs_design(2, 40, seed=5, bounds=sim.bounds)
+        dataset = Dataset(X, np.column_stack([sim.evaluate(x) for x in X.T]), sim.bounds)
+        built = []
+        for module in (gp, multi_output):
+            def counting(X, Z, out=None, original=module.squared_distances):
+                built.append(np.shape(Z))
+                return original(X, Z, out=out)
+
+            monkeypatch.setattr(module, "squared_distances", counting)
+        model = fit_all(dataset, nugget_policy=1e-4)
+        gp.evaluate(model, np.random.default_rng(0).random((5, 2)), strict=True)
+        assert len(model.noise_free_factors) == 9
+        assert (2, 40) not in built
+
     def test_requires_two_nodes_for_selection(self):
         ds = Dataset(X=[[0.5]], Y=[[1.0]], input_bounds=[[0.0, 1.0]])
         with pytest.raises(ValueError):
@@ -120,7 +138,7 @@ class TestPredictAll:
         model = random_multi_model(rng, dimension=2, n_outputs=3, n_nodes=7,
                                    bounds=[[0.0, 4.0], [1.0, 3.0]])
         x = np.array([2.2, 1.7])
-        xn = model.normalize(x)
+        xn = model.dataset.normalize(x)
         means, variances, grads = predict_all(model, x)
         for p, bandwidth in enumerate(model.bandwidths):
             ds = Dataset(model.dataset.X, model.dataset.Y[p : p + 1], model.dataset.input_bounds)
@@ -137,10 +155,11 @@ class TestPredictAll:
         model = fit_all(Dataset(X, Y, sim.bounds), nugget_policy=1e-4)
         Xq = lhs_design(2, 500, seed=6, bounds=sim.bounds)
         means = predict_mean_matrix(model, Xq)
-        Xn = model.normalize(Xq)
+        Xn = model.dataset.normalize(Xq)
         assert means.shape == (9, 500)
         for row, bandwidth, alpha in zip(means, model.bandwidths, model.alpha):
-            np.testing.assert_array_equal(row, np.exp(-squared_distances(model.nodes, Xn) / (2.0 * bandwidth**2)).T @ alpha)
+            kernel = np.exp(-squared_distances(model.dataset.unit_nodes, Xn) / (2.0 * bandwidth**2))
+            np.testing.assert_array_equal(row, kernel.T @ alpha)
 
     def test_mean_matrix_matches_point_calls(self, rng):
         model = random_multi_model(rng, dimension=1, n_outputs=2, n_nodes=6,

@@ -19,7 +19,7 @@ from active_emu.samplers import (
     sobol_sequence,
 )
 
-from conftest import prior_contains
+from conftest import prior_contains, unit_box
 
 
 def assert_stratified(points_unit: np.ndarray):
@@ -33,18 +33,18 @@ def assert_stratified(points_unit: np.ndarray):
 
 class TestSobol:
     def test_first_points_1d(self):
-        points = sobol_sequence(1, 3).ravel()
+        points = sobol_sequence(1, 3, unit_box(1)).ravel()
         np.testing.assert_allclose(points, [0.5, 0.75, 0.25])
 
     @pytest.mark.parametrize("dimension", range(1, MAX_SOBOL_DIMENSION + 1))
     def test_matches_scipy_reference(self, dimension):
-        ours = sobol_sequence(dimension, 63)
+        ours = sobol_sequence(dimension, 63, unit_box(dimension))
         reference = qmc.Sobol(d=dimension, scramble=False).random(64)[1:]  # drop the zero point
         np.testing.assert_allclose(ours, reference.T, atol=1e-12)
 
     def test_deterministic_no_seed_dependence(self):
-        a = sobol_sequence(3, 20)
-        b = sobol_sequence(3, 20)
+        a = sobol_sequence(3, 20, unit_box(3))
+        b = sobol_sequence(3, 20, unit_box(3))
         np.testing.assert_array_equal(a, b)
 
     def test_scaled_to_bounds(self):
@@ -57,7 +57,7 @@ class TestSobol:
         # empirical-CDF deviation over dyadic prefixes shrinks as the
         # sequence grows (low-discrepancy sanity)
         for dimension in (1, 2, 3):
-            points = sobol_sequence(dimension, 2**10)
+            points = sobol_sequence(dimension, 2**10, unit_box(dimension))
             deviations = []
             for k in (4, 6, 8, 10):
                 prefix = points[:, : 2**k]
@@ -71,26 +71,26 @@ class TestSobol:
 
     def test_dimension_limits(self):
         with pytest.raises(ValueError):
-            SobolSampler(0)
+            SobolSampler(0, unit_box(0))
         with pytest.raises(ValueError):
-            SobolSampler(MAX_SOBOL_DIMENSION + 1)
+            SobolSampler(MAX_SOBOL_DIMENSION + 1, unit_box(MAX_SOBOL_DIMENSION + 1))
 
 
 class TestLhs:
     @pytest.mark.parametrize("dimension,n", [(1, 4), (2, 20), (3, 50)])
     def test_stratification_exact(self, dimension, n):
-        points = lhs_design(dimension, n, seed=11)
+        points = lhs_design(dimension, n, seed=11, bounds=unit_box(dimension))
         assert_stratified(points)
 
     def test_one_point_per_quarter_1d(self):
-        points = lhs_design(1, 4, seed=3).ravel()
+        points = lhs_design(1, 4, seed=3, bounds=unit_box(1)).ravel()
         assert_stratified(points[np.newaxis, :])
         edges = np.floor(np.sort(points) * 4).astype(int)
         np.testing.assert_array_equal(np.minimum(edges, 3), [0, 1, 2, 3])
 
     def test_different_seeds_different_designs(self):
-        a = lhs_design(2, 12, seed=0)
-        b = lhs_design(2, 12, seed=1)
+        a = lhs_design(2, 12, seed=0, bounds=unit_box(2))
+        b = lhs_design(2, 12, seed=1, bounds=unit_box(2))
         assert not np.array_equal(a, b)
         assert_stratified(a)
         assert_stratified(b)
@@ -120,7 +120,7 @@ class TestGrid:
 
     def test_rejects_non_lattice_size(self):
         with pytest.raises(ValueError):
-            grid_design(2, 24)
+            grid_design(2, 24, unit_box(2))
 
     def test_single_point_is_midpoint(self):
         points = grid_design(2, 1, bounds=[[0.0, 2.0], [0.0, 4.0]])
@@ -166,7 +166,7 @@ class TestSequentialSamplers:
             assert np.all(pa >= bounds[:, 0]) and np.all(pa <= bounds[:, 1])
 
     def test_seq_lhs_emits_pool_exactly_once(self):
-        sampler = SequentialLhsSampler(2, 20, seed=6)
+        sampler = SequentialLhsSampler(2, 20, unit_box(2), seed=6)
         emitted = np.column_stack([sampler.next_point() for _ in range(20)])
         assert_stratified(emitted)
         with pytest.raises(PoolExhaustedError):
