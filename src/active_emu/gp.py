@@ -5,7 +5,11 @@ each with its own bandwidth and nugget.  `select_hyperparameters` chooses
 them for all rows at once, either by marginal likelihood (with a fixed
 nugget, one factorisation per grid bandwidth serves all rows, and Brent's
 method refines each row's grid maximum) or by the largest bandwidth that
-keeps the kernel matrix numerically invertible.
+keeps the kernel matrix numerically invertible.  A refit whose nodes grew
+by one may hint the fixed-nugget search with the previous fit's
+bandwidths; it then differs from the full search only if the log-ML has a
+higher maximum outside the hint's window while the window's best cell is
+interior.
 `fit` solves every row's weights, reusing the factors the search built.
 `evaluate` is the one evaluation of a fitted `multi_output.MultiGpModel`
 away from its nodes: every output's variances (predictive or noise-free),
@@ -55,6 +59,9 @@ HYPER_STRATEGIES = ("marginal-likelihood", "max-stable-bandwidth")
 # golden sections), and the width in log-bandwidth at which it stops.
 BRENT_EVALUATIONS = 12
 BRENT_TOLERANCE = 1e-5
+# Grid cells either side of each hinted bandwidth's nearest cell that a
+# warm-started search scores first.
+HINT_WINDOW = 2
 _GOLDEN_STEP = (3.0 - np.sqrt(5.0)) / 2.0
 _SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 
@@ -79,6 +86,9 @@ class Dataset:
 
     It owns the nodes' geometry, built once and read-only: `unit_nodes`, X
     in the unit hypercube, and `node_distances`, their squared distances.
+    Duplicates, here and in `duplicates`, are judged by `_coincident` on
+    exact coordinate differences, not on `node_distances`: its expanded
+    form rounds far above DUPLICATE_TOLERANCE^2.
     """
 
     X: np.ndarray
@@ -108,9 +118,11 @@ class Dataset:
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "input_bounds", bounds)
         unit = self.normalize(X)
-        sq = squared_distances(unit, unit)
-        if np.min(sq, where=~np.eye(X.shape[1], dtype=bool), initial=np.inf) < DUPLICATE_TOLERANCE**2:
+        coincident = _coincident(_exact_squared_distances(unit, unit))
+        np.fill_diagonal(coincident, False)
+        if coincident.any():
             raise ValueError("duplicate nodes (normalized distance < 1e-12)")
+        sq = squared_distances(unit, unit)
         for name, value in (("unit_nodes", unit), ("node_distances", sq)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -139,13 +151,24 @@ class Dataset:
     def duplicates(self, points) -> np.ndarray:
         """Whether each of the points (D x n columns, or one point, raw) lies within DUPLICATE_TOLERANCE of a node."""
         points = np.reshape(np.asarray(points, dtype=float), (self.dimension, -1))
-        return squared_distances(self.unit_nodes, self.normalize(points)).min(axis=0) < DUPLICATE_TOLERANCE**2
+        return _coincident(_exact_squared_distances(self.unit_nodes, self.normalize(points)).min(axis=0))
 
     def with_node(self, x, y) -> "Dataset":
         """Append one node; rejects duplicates via the Dataset invariant."""
         x = np.asarray(x, dtype=float).reshape(self.dimension, 1)
         y = np.asarray(y, dtype=float).reshape(self.n_outputs, 1)
         return Dataset(np.hstack([self.X, x]), np.hstack([self.Y, y]), self.input_bounds)
+
+
+def _exact_squared_distances(A, B) -> np.ndarray:
+    """Squared distances between the columns of A (D x m) and of B (D x n), summed from coordinate differences."""
+    diffs = A[:, :, np.newaxis] - B[:, np.newaxis, :]
+    return np.einsum("dmn,dmn->mn", diffs, diffs)
+
+
+def _coincident(sq) -> np.ndarray:
+    """Whether exact squared distances sq put two points within DUPLICATE_TOLERANCE: the one duplicate rule."""
+    return sq < DUPLICATE_TOLERANCE**2
 
 
 def fit(sq, Y, bandwidths, nuggets, factors) -> tuple[np.ndarray, list]:
@@ -299,7 +322,7 @@ def evaluate(model, Xq, strict: bool, mean_gradients: bool = True, derivatives: 
     quad = _by_points(rowwise_dot(K, W))
     if strict:
         values = 1.0 - quad
-        values[sq.min(axis=1) <= DUPLICATE_TOLERANCE**2] = 0.0  # at a node
+        values[_coincident(sq.min(axis=1))] = 0.0  # at a node
     else:
         values = np.add(model.nuggets, 1.0) - quad
     variances = _clamped(values, strict)
@@ -452,11 +475,20 @@ def _brent_max(f, lo: float, hi: float, seeds, evaluations: int, tolerance: floa
     return best
 
 
-def _shared_ml_bandwidths(sq, Y, nugget: float) -> tuple[list[float], list]:
+def _shared_ml_bandwidths(sq, Y, nugget: float, hint=None) -> tuple[list[float], list]:
     """Marginal-likelihood bandwidth of every row of Y under one fixed nugget, and its factor.
 
-    Every BANDWIDTH_GRID value is scored for all rows at once, with one
-    factorisation each of the `gram` of the nodes' squared distances sq.
+    BANDWIDTH_GRID values are scored for all rows at once, in ascending
+    order, with one factorisation each of the `gram` of the nodes' squared
+    distances sq.  Without a `hint` that is every grid value.  A hint is a
+    sequence of bandwidths, such as the previous fit's when the nodes only
+    grew by one: the search then scores first the union of the cells
+    within HINT_WINDOW of each hinted bandwidth's nearest cell, and scores
+    the rest of the grid only if some row's best scored cell has no finite
+    score or lacks a scored neighbour (grid ends apart).  A hinted search
+    therefore differs from the full one only if some row's full grid holds
+    a score outside the window at least as high as the window's best,
+    while that best cell is interior to the window.
     Each row is then refined by `_brent_max` over log-bandwidth inside the
     grid cells either side of its grid maximum (clipped at the grid ends),
     seeded with the grid maximum and its neighbours with finite scores, so
@@ -475,13 +507,28 @@ def _shared_ml_bandwidths(sq, Y, nugget: float) -> tuple[list[float], list]:
         values, factor = _log_ml_rows(sq, rows, bandwidth, nugget)
         return np.full(rows.shape[0], -np.inf) if values is None else values, factor
 
-    grid_scores = np.empty((BANDWIDTH_GRID.size, Y.shape[0]))
+    grid_scores = np.full((BANDWIDTH_GRID.size, Y.shape[0]), -np.inf)  # -inf until scored
+    scored = np.zeros(BANDWIDTH_GRID.size, dtype=bool)
     factors = [None] * Y.shape[0]
-    for k, bandwidth in enumerate(BANDWIDTH_GRID):
-        grid_scores[k], factor = scores(bandwidth, Y)
-        for p in (grid_scores[: k + 1].argmax(axis=0) == k).nonzero()[0]:
-            factors[p] = factor  # the row's grid maximum so far
+
+    def score_cells(cells):
+        for k in cells:
+            grid_scores[k], factor = scores(BANDWIDTH_GRID[k], Y)
+            scored[k] = True
+            for p in (grid_scores.argmax(axis=0) == k).nonzero()[0]:
+                factors[p] = factor  # the row's first grid maximum so far
+
     log_grid = np.log(BANDWIDTH_GRID)
+    cells = np.arange(log_grid.size)
+    window_holds = False
+    if hint is not None:
+        centres = np.abs(log_grid[:, np.newaxis] - np.log(hint)).argmin(axis=0)
+        score_cells(cells[np.abs(cells[:, np.newaxis] - centres).min(axis=1) <= HINT_WINDOW])
+        peaks = grid_scores.argmax(axis=0)
+        beside = np.clip([peaks - 1, peaks + 1], 0, cells[-1])
+        window_holds = np.isfinite(grid_scores.max(axis=0)).all() and scored[beside].all()
+    if not window_holds:
+        score_cells(cells[~scored])  # the full search, or the rest of the grid
     bandwidths = []
     for p, row in enumerate(Y):
         k = int(np.argmax(grid_scores[:, p]))
@@ -552,6 +599,7 @@ def select_hyperparameters(
     nugget_policy: float | str = 0.0,
     seed: int = 0,
     optimizer: OptimizerConfig | None = None,
+    hint=None,
 ) -> tuple[list[float], list[float], list]:
     """Choose the kernel bandwidth (and optionally the nugget) of every output row.
 
@@ -565,7 +613,11 @@ def select_hyperparameters(
 
     strategy 'marginal-likelihood' with a fixed nugget maximizes each row's
     log marginal likelihood by one deterministic search shared by all rows
-    (`_shared_ml_bandwidths`).  With the learned nugget each row gets its
+    (`_shared_ml_bandwidths`), the only one that reads `hint`: bandwidths
+    near which to score the grid first, the previous fit's when the nodes
+    grew by one.  A hinted search differs from the full one only if the
+    log-ML has a higher maximum outside the hint's window while the
+    window's best cell is interior.  With the learned nugget each row gets its
     own 2-D search by `optimizer` (short simulated annealing by default),
     seeded with `derive_seed(seed, p)` for row p; `optimizer` and `seed`
     apply to the learned nugget only.
@@ -594,5 +646,5 @@ def select_hyperparameters(
     if strategy == "max-stable-bandwidth":
         bandwidth, factor = _max_stable_bandwidth(sq, nugget)
         return [bandwidth] * P, [nugget] * P, [factor] * P
-    bandwidths, factors = _shared_ml_bandwidths(sq, Y, nugget)
+    bandwidths, factors = _shared_ml_bandwidths(sq, Y, nugget, hint)
     return bandwidths, [nugget] * P, factors

@@ -11,7 +11,11 @@ the full quadratic evaluation cost.  `_drive` owns the rest: evaluation
 accounting, the fits and the hook, the trace, the convergence test, and
 the partial result when a run fails.  Each dataset owns its nodes'
 geometry: the fit reads it, and a candidate point is checked against the
-nodes by `Dataset.duplicates`.
+nodes by `Dataset.duplicates`.  Where a step appends one node (AMOGAPE
+and the sequential baselines), each fit after the first searched one is
+warm-started: the previous model's bandwidths are its search's hint (see
+`multi_output.fit_all`).  The first fit, one-node fits and the
+redesigning baselines' fits search the full grid.
 """
 
 from __future__ import annotations
@@ -145,7 +149,8 @@ def _initial_dataset(config: LoopConfig, sim: Simulator) -> Dataset:
     return _evaluated(points, sim)
 
 
-def _fit(dataset: Dataset, config: LoopConfig, iteration: int) -> MultiGpModel:
+def _fit(dataset: Dataset, config: LoopConfig, iteration: int, hint=None) -> MultiGpModel:
+    """Fit every output; `hint`, bandwidths to search near first, is passed on to `fit_all`."""
     if dataset.n_nodes < 2:
         nugget = 0.0 if config.nugget_policy == "learned" else float(config.nugget_policy)
         return fit_single_node(dataset, nugget=nugget)
@@ -155,6 +160,7 @@ def _fit(dataset: Dataset, config: LoopConfig, iteration: int) -> MultiGpModel:
         nugget_policy=config.nugget_policy,
         seed=derive_seed(config.seed, 1, iteration),
         hyper_optimizer=config.hyper_optimizer,
+        hint=hint,
     )
 
 
@@ -197,14 +203,19 @@ def _choose_next_point(
     return probes[best], float(values[best])
 
 
-def _drive(config: LoopConfig, sim: Simulator, start, step, iteration_hook) -> EmulationResult:
+def _drive(
+    config: LoopConfig, sim: Simulator, start, step, iteration_hook, appends: bool = True
+) -> EmulationResult:
     """The loop every strategy shares.
 
     `start()` returns the evaluated initial dataset, or None when the first
     step builds the whole design.  `step(model, dataset, t)` returns the
     evaluated dataset of iteration t and the acquisition value of its new
     node (None when no acquisition chose it).  The loop fits after the
-    start and after every step, calls `iteration_hook(n_nodes, model)`
+    start and after every step.  When the steps append one node to the
+    dataset (`appends`), each fit after a searched one is warm-started: it
+    passes the previous model's bandwidths to `fit_all` as its hint.  It
+    calls `iteration_hook(n_nodes, model)`
     after every fit, and records one IterationRecord per step.  With
     `convergence_epsilon` set it stops once the mean predictions on a Sobol
     probe set move by at most that RMS between successive models.  A
@@ -224,7 +235,8 @@ def _drive(config: LoopConfig, sim: Simulator, start, step, iteration_hook) -> E
             dataset, value = (start(), None) if t == 0 else step(model, dataset, t)
             if dataset is None:
                 continue
-            model = _fit(dataset, config, t)
+            warm = appends and model is not None and model.dataset.n_nodes > 1
+            model = _fit(dataset, config, t, hint=model.bandwidths if warm else None)
         except RUN_FAILURES as exc:
             return EmulationResult(dataset, model, trace, sim.eval_count - evals_before, failure=str(exc))
         if t > 0:
@@ -296,7 +308,7 @@ def baseline_run(
             points = _design(sampler_kind, t, sim, derive_seed(config.seed, 5, t), None)
             return _evaluated(points, sim), None
 
-        return _drive(config, sim, lambda: None, redesign, iteration_hook)
+        return _drive(config, sim, lambda: None, redesign, iteration_hook, appends=False)
 
     sampler = None
 

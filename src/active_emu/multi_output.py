@@ -78,6 +78,7 @@ def fit_all(
     seed: int = 0,
     hyper_optimizer: OptimizerConfig | None = None,
     bandwidths=None,
+    hint=None,
 ) -> MultiGpModel:
     """Fit one GP per output row of the dataset.
 
@@ -87,8 +88,13 @@ def fit_all(
     `node_distances`.  With a fixed nugget that search is deterministic
     and shares its factorisations between outputs, and `gp.fit` reuses the
     factor the search built at each output's bandwidth; `seed` and
-    `hyper_optimizer` apply to the learned nugget only.  Pass `bandwidths`,
-    one per output, to skip selection and fit with fixed kernel parameters.
+    `hyper_optimizer` apply to the learned nugget only.  `hint`, the
+    bandwidths of a model whose dataset this one extends by a node, applies
+    to the fixed-nugget search only: it scores the grid near them first,
+    and differs from the full search only if the log-ML has a higher
+    maximum outside that window while the window's best cell is interior.
+    Pass `bandwidths`, one per output, to skip selection and fit with fixed
+    kernel parameters.
     """
     if bandwidths is None:
         bandwidths, nuggets, factors = gp.select_hyperparameters(
@@ -98,6 +104,7 @@ def fit_all(
             nugget_policy=nugget_policy,
             seed=seed,
             optimizer=hyper_optimizer,
+            hint=hint,
         )
     else:
         if len(bandwidths) != dataset.n_outputs:

@@ -16,6 +16,23 @@ from active_emu.pci import MonotoneFunction1D, _check_nodes
 # Width of the bracket at which `CallableMonotone`'s bisection inverse stops.
 BISECTION_TOLERANCE = 1e-12
 
+# Acceptance criterion 10's fixture-9band AMOGAPE settings, as a run config.
+FIXTURE_RUN = {
+    "simulator": {"kind": "fixture-9band", "dimension": 2},
+    "initial_design": {"sampler": "prior-random", "size": 30},
+    "acquisition": {
+        "variant": "SDxSG",
+        "tempering": {"kind": "constant", "beta": 1.0},
+        "prior": {"mu": [45.0, 3.5], "sigma": [30.0, 4.5], "min": [20.0, 0.0], "max": [90.0, 10.0]},
+    },
+    "optimizer": {"strategy": "random-then-ascent", "n_random": 100, "ascent_iterations": 60},
+    "hyperparameters": {
+        "strategy": "marginal-likelihood",
+        "nugget": {"policy": "fixed", "value": 1e-4},
+        "optimizer": {"strategy": "random-then-ascent", "n_random": 10, "ascent_iterations": 40},
+    },
+}
+
 
 def log_marginal_likelihood(inputs, outputs, params, nugget=0.0):
     """Zero-mean GP log marginal likelihood (GPML eq. 5.8) on scipy's own Cholesky.

@@ -90,6 +90,29 @@ def test_ascent_takes_value_and_gradient_from_one_call(monkeypatch):
     assert not any(span.name == "acquisition.value" for span in tracer.spans)
 
 
+def test_warm_started_fits_factorise_at_most_90_times(monkeypatch):
+    """After the first fit of a fixture run, each fit's search scores the grid only near the last bandwidths."""
+    monkeypatch.syspath_prepend(str(BENCH_DIR))  # workloads imports its siblings by name
+    workloads = load_bench("workloads")
+    sim_spec, config = parse_run_config(dict(workloads.FIXTURE_RUN, budget=40, seed=20240819))
+    with make_simulator(sim_spec) as sim, load_tracing().Tracer() as tracer:
+        result = run(config, sim)
+    assert result.failure is None and result.dataset.n_nodes == 40
+    spans = tracer.spans
+    factorisations = {i: 0 for i, span in enumerate(spans) if span.name == "multi_output.fit_all"}
+    for span in spans:
+        if span.name == "gp.cho_factor":
+            ancestor = span.parent
+            while ancestor >= 0 and ancestor not in factorisations:
+                ancestor = spans[ancestor].parent
+            if ancestor >= 0:
+                factorisations[ancestor] += 1
+    first, *warm = factorisations.values()
+    assert len(warm) == 10
+    assert first > 90  # the first fit scores the whole grid
+    assert max(warm) <= 90, warm
+
+
 def test_layer_probes_run_on_a_fitted_fixture_model(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH_DIR))  # workloads imports its siblings by name
     workloads = load_bench("workloads")

@@ -5,11 +5,12 @@ import pytest
 
 from active_emu import gp, loop
 from active_emu.acquisition import InputPrior
-from active_emu.config import parse_experiment_config
+from active_emu.config import parse_experiment_config, parse_run_config
 from active_emu.gp import (
     BANDWIDTH_GRID,
     BRENT_EVALUATIONS,
     CONDITION_BOUND,
+    HINT_WINDOW,
     Dataset,
     IllConditionedError,
     fit,
@@ -22,6 +23,7 @@ from active_emu.optimize import AnnealingConfig, OptimizerConfig
 from active_emu.simulators import make_simulator
 
 from conftest import (
+    FIXTURE_RUN,
     central_difference_gradient,
     denormalize,
     fit_one,
@@ -76,6 +78,23 @@ class TestDataset:
         ds = Dataset(X=[[2.0, 4.0], [0.0, 1.0]], Y=[[1.0, 2.0]], input_bounds=[[2.0, 6.0], [0.0, 1.0]])
         np.testing.assert_array_equal(ds.duplicates([[4.0, 4.001, 3.0], [1.0, 1.0, 1.0]]), [True, False, False])
         assert ds.duplicates([2.0, 0.0])[0] and not ds.duplicates([2.0, 0.5])[0]
+
+    def test_rejects_exact_duplicates(self, rng):
+        # the expanded |x|^2 + |z|^2 - 2 x.z of two equal 2-D points can round far above the tolerance^2
+        for x in rng.random((1000, 2)):
+            with pytest.raises(ValueError, match="duplicate"):
+                Dataset(np.column_stack([x, x]), [[0.0, 1.0]], [[0.0, 1.0]] * 2)
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3, 5])
+    def test_points_1e9_apart_are_distinct(self, rng, dimension):
+        nodes = rng.uniform(0.1, 0.9, size=(dimension, 200))
+        shifted = nodes.copy()
+        shifted[rng.integers(dimension)] += 1e-9
+        ds = Dataset(nodes, np.zeros((1, 200)), [[0.0, 1.0]] * dimension)
+        assert ds.duplicates(nodes).all()
+        assert not ds.duplicates(shifted).any()
+        for x, z in zip(nodes.T, shifted.T):
+            assert Dataset(np.column_stack([x, z]), [[0.0, 1.0]], [[0.0, 1.0]] * dimension).n_nodes == 2
 
     def test_with_node_appends(self):
         ds = Dataset(X=[[0.2]], Y=[[1.0]], input_bounds=[[0.0, 1.0]])
@@ -521,6 +540,104 @@ class TestSharedSearch:
                      input_bounds=[[0.0, 1.0]])
         with pytest.raises(IllConditionedError, match="output 0"):
             fit_all(ds, nugget_policy=0.0)
+
+    @staticmethod
+    def scored_bandwidths(monkeypatch):
+        """The list to which every later `_log_ml_rows` call appends its bandwidth."""
+        seen = []
+        original = gp._log_ml_rows
+
+        def spying(sq, Y, bandwidth, nugget):
+            seen.append(bandwidth)
+            return original(sq, Y, bandwidth, nugget)
+
+        monkeypatch.setattr(gp, "_log_ml_rows", spying)
+        return seen
+
+    @staticmethod
+    def grid_cells(bandwidths) -> int:
+        return int(np.isin(bandwidths, BANDWIDTH_GRID).sum())
+
+    @staticmethod
+    def assert_same_search(hinted, full):
+        assert hinted[0] == full[0] and hinted[1] == full[1]
+        for a, b in zip(hinted[2], full[2]):
+            assert a[0].tobytes() == b[0].tobytes()
+
+    def test_hinted_fits_of_the_pinned_fixture_run_equal_the_full_search(self, monkeypatch):
+        spec, config = parse_run_config(dict(FIXTURE_RUN, budget=40, seed=20240819))
+        models = []
+        with make_simulator(spec) as sim:
+            loop.run(config, sim, iteration_hook=lambda m, model: models.append(model))
+        assert len(models) == 11
+        scored = self.scored_bandwidths(monkeypatch)
+        for previous, model in zip(models, models[1:]):
+            sq, Y = model.dataset.node_distances, model.dataset.Y
+            full = select_hyperparameters(sq, Y, nugget_policy=config.nugget_policy)
+            scored.clear()
+            hinted = select_hyperparameters(sq, Y, nugget_policy=config.nugget_policy, hint=previous.bandwidths)
+            assert 0 < self.grid_cells(scored) < BANDWIDTH_GRID.size, "the window fell back to the full grid"
+            self.assert_same_search(hinted, full)
+            assert list(model.bandwidths) == full[0]  # the run's own warm-started fit
+
+    @staticmethod
+    def two_peaks(monkeypatch, low, high):
+        """Make every row's log-ML a smooth curve in log b, peaking at grid cells low (1) and high (2).
+
+        A row's factor is then its bandwidth.
+        """
+        log_grid = np.log(BANDWIDTH_GRID)
+        width = 3.0 * (log_grid[1] - log_grid[0])
+
+        def log_ml_rows(sq, Y, bandwidth, nugget):
+            t = np.log(bandwidth)
+            peaks = np.exp(-0.5 * ((t - log_grid[[low, high]]) / width) ** 2) @ [1.0, 2.0]
+            return np.full(len(Y), peaks), (np.array([bandwidth]),)
+
+        monkeypatch.setattr(gp, "_log_ml_rows", log_ml_rows)
+
+    def test_best_cell_on_the_window_edge_takes_the_full_grid(self, monkeypatch):
+        self.two_peaks(monkeypatch, 15, 30)
+        sq, Y = np.zeros((4, 4)), np.zeros((2, 4))
+        full = select_hyperparameters(sq, Y, nugget_policy=1e-4)
+        assert abs(np.log(full[0][0] / BANDWIDTH_GRID[30])) < 1e-3
+        scored = self.scored_bandwidths(monkeypatch)
+        # cells 22 to 26 rise towards the higher peak: the best is the window's top cell
+        hinted = select_hyperparameters(sq, Y, nugget_policy=1e-4, hint=[BANDWIDTH_GRID[24]])
+        assert self.grid_cells(scored) == BANDWIDTH_GRID.size
+        self.assert_same_search(hinted, full)
+        # an interior best cell keeps the lower peak: the one way a hinted search differs
+        scored.clear()
+        local = select_hyperparameters(sq, Y, nugget_policy=1e-4, hint=[BANDWIDTH_GRID[15]])
+        assert self.grid_cells(scored) == 2 * HINT_WINDOW + 1
+        assert abs(np.log(local[0][0] / BANDWIDTH_GRID[15])) < 1e-3
+
+    @pytest.mark.parametrize("end", [0, -1])
+    def test_hint_at_a_grid_end(self, rng, monkeypatch, end):
+        X = separated_points(rng, 2, 30, 0.03)
+        Y = np.vstack([self.outputs(X), np.ones(30)])  # the constant row peaks at the top end
+        sq = squared_distances(X, X)
+        full = select_hyperparameters(sq, Y, nugget_policy=1e-4)
+        self.assert_same_search(select_hyperparameters(sq, Y, nugget_policy=1e-4, hint=[BANDWIDTH_GRID[end]]), full)
+        scored = self.scored_bandwidths(monkeypatch)
+        hinted = select_hyperparameters(sq, Y[-1:], nugget_policy=1e-4, hint=[BANDWIDTH_GRID[end]])
+        assert hinted[0] == [BANDWIDTH_GRID[-1]]
+        # the top end's window holds the constant row's maximum; the bottom's falls back
+        assert self.grid_cells(scored) == (HINT_WINDOW + 1 if end == -1 else BANDWIDTH_GRID.size)
+        self.assert_same_search(hinted, select_hyperparameters(sq, Y[-1:], nugget_policy=1e-4))
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(nugget_policy="learned", optimizer=OptimizerConfig(
+            strategy="simulated-annealing", annealing=AnnealingConfig(iterations=30))),
+        dict(strategy="max-stable-bandwidth", nugget_policy=1e-4),
+    ], ids=["learned-nugget", "max-stable-bandwidth"])
+    def test_other_searches_ignore_a_hint(self, rng, monkeypatch, kwargs):
+        X = separated_points(rng, 2, 20, 0.05)
+        sq, Y = squared_distances(X, X), self.outputs(X)
+        plain = select_hyperparameters(sq, Y, **kwargs)
+        monkeypatch.setattr(gp, "_shared_ml_bandwidths", None)
+        hinted = select_hyperparameters(sq, Y, hint=[BANDWIDTH_GRID[0]] * 4, **kwargs)
+        assert hinted[:2] == plain[:2]
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from active_emu import config as run_config
-from active_emu import loop
+from active_emu import gp, loop
 from active_emu.acquisition import AcquisitionSpec, InputPrior, TemperingSchedule
 from active_emu.gp import IllConditionedError
 from active_emu.loop import (
@@ -21,6 +21,8 @@ from active_emu.loop import (
 )
 from active_emu.optimize import AnnealingConfig, OptimizerConfig, maximize
 from active_emu.simulators import Simulator, SimulatorError, ToyLog1D, make_simulator
+
+from conftest import FIXTURE_RUN
 
 X0_1D = np.array([[0.1, 3.4, 6.7, 10.0]])
 
@@ -92,23 +94,6 @@ def failing_after(fn, calls, exc):
 
     return wrapped
 
-
-# Acceptance criterion 10's fixture-9band AMOGAPE settings, as a run config.
-FIXTURE_RUN = {
-    "simulator": {"kind": "fixture-9band", "dimension": 2},
-    "initial_design": {"sampler": "prior-random", "size": 30},
-    "acquisition": {
-        "variant": "SDxSG",
-        "tempering": {"kind": "constant", "beta": 1.0},
-        "prior": {"mu": [45.0, 3.5], "sigma": [30.0, 4.5], "min": [20.0, 0.0], "max": [90.0, 10.0]},
-    },
-    "optimizer": {"strategy": "random-then-ascent", "n_random": 100, "ascent_iterations": 60},
-    "hyperparameters": {
-        "strategy": "marginal-likelihood",
-        "nugget": {"policy": "fixed", "value": 1e-4},
-        "optimizer": {"strategy": "random-then-ascent", "n_random": 10, "ascent_iterations": 40},
-    },
-}
 
 PRIOR_1D = InputPrior(mu=[5.0], sigma=[3.0], low=[0.1], high=[10.0])
 
@@ -494,6 +479,49 @@ class TestSequentialBaselines:
         result = baseline_run("random", True, toy_config(budget=8), NanSimulator(nan_at=nan_at))
         assert "non-finite" in result.failure
         assert result.evaluations == nan_at - 1
+
+
+class TestWarmStartedFits:
+    """A fit whose step appended a node hints its search with the previous model's bandwidths."""
+
+    @staticmethod
+    def searches(monkeypatch, call):
+        """(hint, chosen bandwidths) of every hyperparameter search `call()` makes."""
+        seen = []
+        original = gp.select_hyperparameters
+
+        def spying(*args, hint=None, **kwargs):
+            chosen = original(*args, hint=hint, **kwargs)
+            seen.append((hint, chosen[0]))
+            return chosen
+
+        monkeypatch.setattr(gp, "select_hyperparameters", spying)
+        call()
+        return seen
+
+    @pytest.mark.parametrize("strategy", ["amogape", "random", "sobol", "seq-lhs", "prior-random"])
+    def test_appending_steps_pass_the_previous_bandwidths(self, monkeypatch, strategy):
+        config = toy_config(budget=8, seed=3, acquisition=AcquisitionSpec.from_variant("PDxPG", prior=PRIOR_1D))
+        if strategy == "amogape":
+            seen = self.searches(monkeypatch, lambda: run(config, ToyLog1D()))
+        else:
+            seen = self.searches(monkeypatch, lambda: baseline_run(strategy, True, config, ToyLog1D()))
+        assert len(seen) == 5  # m = 4 to 8
+        assert seen[0][0] is None
+        for (_, previous), (hint, _) in zip(seen, seen[1:]):
+            assert list(hint) == previous
+
+    def test_a_one_node_model_gives_no_hint(self, monkeypatch):
+        config = toy_config(budget=4, initial_points=np.array([[5.0]]))
+        seen = self.searches(monkeypatch, lambda: baseline_run("random", True, config, ToyLog1D()))
+        assert len(seen) == 3  # m = 2 to 4; the one-node fit does not search
+        assert seen[0][0] is None and list(seen[1][0]) == seen[0][1]
+
+    @pytest.mark.parametrize("strategy", ["grid", "lhs"])
+    def test_redesigns_search_the_full_grid(self, monkeypatch, strategy):
+        seen = self.searches(monkeypatch, lambda: baseline_run(strategy, False, toy_config(budget=6), ToyLog1D()))
+        assert len(seen) == 5  # m = 2 to 6; the one-node fit does not search
+        assert all(hint is None for hint, _ in seen)
 
 
 class TestNonSequentialBaselines:
