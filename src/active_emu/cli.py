@@ -4,20 +4,19 @@
   active-emu experiment --config cfg.json --out DIR [--seed N]
   active-emu oracle     --function log --interval 1,7.389 --nodes 5 --out nodes.csv
 
-Exit codes: 0 success, 2 config error, 3 simulator failure.  Exit 2 covers
-every malformed config, the simulator block included: `run` and
-`experiment` parse the whole file before they start a simulator.
-Every command runs with one BLAS thread, so a seeded `run` writes the same
-LUT bit for bit whatever thread count the environment asks for.
+Exit codes: 0 success, 2 config error, 3 the run ended early: the simulator
+failed, or a fit or the acquisition met a matrix beyond round-off (`run`
+still writes the partial LUT and trace).  Exit 2 covers every malformed
+config, the simulator block included: `run` and `experiment` parse the
+whole file before they start a simulator.  Every run holds scipy's LAPACK
+at one thread, so a seeded `run` writes the same LUT bit for bit at any
+thread count.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
-import ctypes
-import importlib
 import sys
 from pathlib import Path
 
@@ -34,43 +33,7 @@ from .simulators import SimulatorError, make_simulator
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_SIMULATOR = 3
-
-# The OpenBLAS builds bundled in <package>.libs, as (package, library glob,
-# symbol suffix): numpy's ILP64 build runs the matrix products, scipy's
-# LP64 build the Cholesky factorisations and solves.
-_OPENBLAS = (("numpy", "libscipy_openblas64_*", "64_"), ("scipy", "libscipy_openblas*", ""))
-
-
-def _openblas_thread_controls() -> list:
-    """The (get, set) thread-count functions of each bundled OpenBLAS that is found."""
-    controls = []
-    for package, pattern, suffix in _OPENBLAS:
-        for path in (Path(importlib.import_module(package).__file__).parents[1] / f"{package}.libs").glob(pattern):
-            library = ctypes.CDLL(str(path))  # the handle of the library already loaded
-            get, set_ = (getattr(library, f"scipy_openblas_{op}_num_threads{suffix}", None) for op in ("get", "set"))
-            if get is not None and set_ is not None:
-                get.restype, get.argtypes, set_.restype, set_.argtypes = ctypes.c_int, [], None, [ctypes.c_int]
-                controls.append((get, set_))
-    return controls
-
-
-@contextlib.contextmanager
-def single_blas_thread():
-    """Pin each bundled OpenBLAS to one thread inside the block, and restore its count after.
-
-    From m = 128 on OpenBLAS threads its Cholesky, which rounds differently,
-    so a seeded run is the same bit for bit only at a fixed thread count.
-    """
-    controls = _openblas_thread_controls()
-    previous = [get() for get, _ in controls]
-    for _, set_ in controls:
-        set_(1)
-    try:
-        yield
-    finally:
-        for (_, set_), count in zip(controls, previous):
-            set_(count)
+EXIT_RUN_FAILED = 3
 
 
 def _cmd_run(args) -> int:
@@ -80,14 +43,12 @@ def _cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     with make_simulator(simulator_spec) as sim:
         result = run_loop(loop_config, sim)
-    if result.failure is not None:
-        print(f"simulator failure: {result.failure}", file=sys.stderr)
-        if result.dataset is not None:
-            write_lut_csv(result.dataset, out_dir / "lut.csv")
-        write_trace_ndjson(result.trace, out_dir / "trace.ndjson")
-        return EXIT_SIMULATOR
-    write_lut_csv(result.dataset, out_dir / "lut.csv")
+    if result.dataset is not None:  # None only when no node was evaluated
+        write_lut_csv(result.dataset, out_dir / "lut.csv")
     write_trace_ndjson(result.trace, out_dir / "trace.ndjson")
+    if result.failure is not None:
+        print(f"run failed: {result.failure}", file=sys.stderr)
+        return EXIT_RUN_FAILED
     status = "converged" if result.converged else "budget reached"
     print(
         f"{status}: {result.dataset.n_nodes} nodes, {result.evaluations} simulator evaluations; "
@@ -191,18 +152,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command at one BLAS thread, restoring the counts after; a library caller of `loop.run` keeps its own."""
+    """Run one command; its runs hold scipy's LAPACK at one thread, so a seeded `run` is bit for bit."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    with single_blas_thread():
-        try:
-            return args.func(args)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        except SimulatorError as exc:
-            print(f"simulator failure: {exc}", file=sys.stderr)
-            return EXIT_SIMULATOR
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except SimulatorError as exc:
+        print(f"simulator failure: {exc}", file=sys.stderr)
+        return EXIT_RUN_FAILED
 
 
 if __name__ == "__main__":

@@ -24,14 +24,21 @@ the fit take in place of the nodes.  Kernel blocks and every
 K + nugget I come from `kernels`.  Every Cholesky factorisation is
 `cho_factor`, through `_factor` (None where K is not positive definite),
 and every solve with its factor is `_solve`, both thin LAPACK calls.
+Every run holds scipy's LAPACK at one thread (`single_lapack_thread`, in
+`loop._drive`), so a seeded run is bit for bit at any thread count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+import scipy
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
 
@@ -347,6 +354,35 @@ def evaluate(model, Xq, strict: bool, mean_gradients: bool = True, derivatives: 
         Hg[flat] = 0.0
         norm_gradients = _by_points(Hg)
     return Evaluation(variances, gradients, norms, variance_gradients, norm_gradients)
+
+
+@functools.cache
+def _lapack_thread_control():
+    """The (get, set) thread-count functions of scipy's bundled OpenBLAS, or None where there is none."""
+    for path in (Path(scipy.__file__).parents[1] / "scipy.libs").glob("libscipy_openblas*"):
+        library = ctypes.CDLL(str(path))  # the handle of the library scipy already loaded
+        if hasattr(library, "scipy_openblas_set_num_threads"):  # LP64 symbols only
+            return library.scipy_openblas_get_num_threads, library.scipy_openblas_set_num_threads
+    return None
+
+
+@contextlib.contextmanager
+def single_lapack_thread():
+    """Hold scipy's LAPACK at one thread inside the block and restore its count after; a no-op without one.
+
+    From m = 128 on, a threaded `dpotrf` rounds differently.  numpy's BLAS changes no result and is left alone.
+    """
+    control = _lapack_thread_control()
+    if control is None:
+        yield
+        return
+    get, set_ = control
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
 
 
 def cho_factor(K, lower: bool = True) -> tuple:

@@ -173,7 +173,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResults:
     """Run every strategy `runs` times and aggregate RMSE per node count.
 
     Individual run failures are recorded, flagged, and excluded from the
-    averages.  Deterministic given the config seed.  Every simulator built
+    averages.  Deterministic given the config seed, at any thread count:
+    every run holds scipy's LAPACK at one thread.  Every simulator built
     here (the test set's and one per run) is closed when it is done with.
     """
     with make_simulator(config.simulator) as test_sim:

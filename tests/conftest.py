@@ -1,6 +1,8 @@
 """Shared fixtures and numerical helpers for the test suite."""
 
+import ctypes
 from dataclasses import dataclass
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -32,6 +34,33 @@ FIXTURE_RUN = {
         "optimizer": {"strategy": "random-then-ascent", "n_random": 10, "ascent_iterations": 40},
     },
 }
+
+
+def failing_after(fn, calls, exc):
+    """fn, except that every call after the first `calls` raises exc."""
+    count = [0]
+
+    def wrapped(*args, **kwargs):
+        count[0] += 1
+        if count[0] > calls:
+            raise exc
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
+def numpy_blas_thread_control():
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, or None where there is none.
+
+    numpy's matrix products run on their own ILP64 build, whose symbols end
+    in 64_, beside the LP64 build behind scipy's LAPACK
+    (`gp._lapack_thread_control`).
+    """
+    for path in (Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*"):
+        library = ctypes.CDLL(str(path))  # the handle of the library numpy already loaded
+        if hasattr(library, "scipy_openblas_set_num_threads64_"):
+            return library.scipy_openblas_get_num_threads64_, library.scipy_openblas_set_num_threads64_
+    return None
 
 
 def log_marginal_likelihood(inputs, outputs, params, nugget=0.0):

@@ -11,8 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from active_emu import cli
+from active_emu import cli, loop
 from active_emu.cli import main
+from active_emu.gp import IllConditionedError
+
+from conftest import failing_after
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
@@ -199,6 +202,17 @@ class TestRunCommand:
         assert (out / "trace.ndjson").read_text() == ""  # the partial result: no node was evaluated
         assert not (out / "lut.csv").exists()
 
+    def test_numerical_failure_is_reported_as_a_run_failure(self, tmp_path, capsys, monkeypatch):
+        error = IllConditionedError("output 1: kernel matrix is not positive definite", 1e17)
+        monkeypatch.setattr(loop, "fit_all", failing_after(loop.fit_all, 2, error))  # the last fit, at m = 6
+        out = tmp_path / "o"
+        assert main(["run", "--config", write_config(tmp_path, RUN_CONFIG), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "run failed: output 1: kernel matrix is not positive definite" in err
+        assert "simulator failure" not in err
+        assert len((out / "lut.csv").read_text().strip().splitlines()) == 7  # header and 6 nodes
+        assert len((out / "trace.ndjson").read_text().splitlines()) == 1
+
     def test_external_simulator_round_trip(self, tmp_path):
         child = (
             "import json, math, sys\n"
@@ -362,7 +376,7 @@ class TestOracleCommand:
 
 
 class TestBlasThreads:
-    """Every command runs with both bundled OpenBLAS libraries at one thread, and restores their counts."""
+    """A seeded `run` writes the same LUT whatever thread count the environment sets for both bundled OpenBLAS."""
 
     def test_lut_does_not_depend_on_the_environment_thread_count(self, tmp_path, monkeypatch):
         # the benchmark's fixture run from 126 prior-random nodes to 130: its
@@ -385,26 +399,16 @@ class TestBlasThreads:
             luts.append((out / "lut.csv").read_bytes())
         assert luts[0] == luts[1]
 
-    def test_thread_counts_restored_after_the_command(self, tmp_path, monkeypatch):
-        controls = cli._openblas_thread_controls()
-        if not controls:
-            pytest.skip("numpy and scipy bundle no OpenBLAS here")
-        during = []
 
-        def oracle(args):
-            during.extend(get() for get, _ in controls)
-            return 0
-
-        monkeypatch.setattr(cli, "_cmd_oracle", oracle)
-        previous = [get() for get, _ in controls]
-        for _, set_threads in controls:
-            set_threads(2)
-        try:
-            before = [get() for get, _ in controls]
-            main(["oracle", "--function", "log", "--interval", "1,2", "--nodes", "2", "--out", str(tmp_path / "n.csv")])
-            after = [get() for get, _ in controls]
-        finally:
-            for (_, set_threads), count in zip(controls, previous):
-                set_threads(count)
-        assert during == [1] * len(controls)
-        assert after == before
+def test_imports_load_neither_scipy_optimize_nor_scipy_stats():
+    # Each costs 0.14-1.01 s and 16-39 MB to import, past the benchmark's
+    # setup_s and peak_rss_mb bounds (ROADMAP, "Parked").
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = (
+        "import sys\n"
+        "import active_emu.cli, active_emu.harness, active_emu.config\n"
+        "print(sorted(name for name in ('scipy.optimize', 'scipy.stats') if name in sys.modules))\n"
+    )
+    loaded = subprocess.run([sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True)
+    assert loaded.stdout.strip() == "[]"

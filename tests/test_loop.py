@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from active_emu import config as run_config
-from active_emu import gp, loop
+from active_emu import gp, harness, loop
 from active_emu.acquisition import AcquisitionSpec, InputPrior, TemperingSchedule
 from active_emu.gp import IllConditionedError
 from active_emu.loop import (
@@ -22,7 +22,7 @@ from active_emu.loop import (
 from active_emu.optimize import AnnealingConfig, OptimizerConfig, maximize
 from active_emu.simulators import Simulator, SimulatorError, ToyLog1D, make_simulator
 
-from conftest import FIXTURE_RUN
+from conftest import FIXTURE_RUN, failing_after, numpy_blas_thread_control
 
 X0_1D = np.array([[0.1, 3.4, 6.7, 10.0]])
 
@@ -80,19 +80,6 @@ class NanSimulator(Simulator):
         if self.calls == self.nan_at:
             return np.array([np.nan, 0.0])
         return self._inner._eval(x)
-
-
-def failing_after(fn, calls, exc):
-    """fn, except that every call after the first `calls` raises exc."""
-    count = [0]
-
-    def wrapped(*args, **kwargs):
-        count[0] += 1
-        if count[0] > calls:
-            raise exc
-        return fn(*args, **kwargs)
-
-    return wrapped
 
 
 PRIOR_1D = InputPrior(mu=[5.0], sigma=[3.0], low=[0.1], high=[10.0])
@@ -219,6 +206,75 @@ class TestPinnedOutputs:
         nodes, trace = result_digests(result)
         assert nodes == "237b221c8eb2f74dde189cde97e44ea5e0657f03a366b2a69bef4406e8414515", "nodes or outputs moved"
         assert trace == "3e1fba22abd9f5432c69ce476053cce2b7cce76bae5f4d584e57ac71969e4a35", "trace moved"
+
+
+# The fixture run from 126 prior-random nodes to 130: its last fits cross
+# m = 128, where OpenBLAS starts to thread its Cholesky.
+CROSSING_RUN = dict(FIXTURE_RUN, initial_design={"sampler": "prior-random", "size": 126}, budget=130, seed=20240819)
+
+
+def crossing_lut(tmp_path) -> bytes:
+    """The LUT a library `loop.run` of CROSSING_RUN writes."""
+    spec, config = run_config.parse_run_config(CROSSING_RUN)
+    with make_simulator(spec) as sim:
+        result = run(config, sim)
+    write_lut_csv(result.dataset, tmp_path / "lut.csv")
+    return (tmp_path / "lut.csv").read_bytes()
+
+
+def crossing_rows(tmp_path) -> list:
+    """The rows of a one-strategy `harness.run_experiment` of CROSSING_RUN."""
+    raw = {key: CROSSING_RUN[key] for key in ("simulator", "initial_design", "optimizer", "hyperparameters", "seed")}
+    raw.update(
+        strategies=["amogape:SDxSG"], n_add=4, runs=1, test_set={"kind": "prior", "size": 200},
+        acquisition={key: CROSSING_RUN["acquisition"][key] for key in ("tempering", "prior")},
+    )
+    return harness.run_experiment(run_config.parse_experiment_config(raw)).rows
+
+
+@pytest.fixture
+def two_threads():
+    """scipy's LAPACK and numpy's BLAS thread controls, each set to 2 threads for the test and restored after."""
+    controls = (gp._lapack_thread_control(), numpy_blas_thread_control())
+    if None in controls:
+        pytest.skip("scipy and numpy bundle no OpenBLAS here")
+    previous = [get() for get, _ in controls]
+    for _, set_threads in controls:
+        set_threads(2)
+    yield controls
+    for (_, set_threads), count in zip(controls, previous):
+        set_threads(count)
+
+
+class TestLapackThreads:
+    """Every run holds scipy's LAPACK at one thread, leaves numpy's BLAS alone, and restores both counts."""
+
+    @pytest.mark.parametrize("output", [crossing_lut, crossing_rows], ids=["loop.run", "harness.run_experiment"])
+    def test_output_does_not_depend_on_the_lapack_thread_count(self, output, two_threads, tmp_path):
+        (_, set_lapack_threads), _ = two_threads
+        outputs = []
+        for count in (1, 2):
+            set_lapack_threads(count)
+            outputs.append(output(tmp_path))
+        assert outputs[0] == outputs[1]
+
+    def test_lapack_at_one_thread_and_numpy_untouched_during_a_run(self, two_threads):
+        during = []
+        run(toy_config(), ToyLog1D(), iteration_hook=lambda m, model: during.append([get() for get, _ in two_threads]))
+        assert during == [[1, 2]] * 3  # the initial fit and two steps
+
+    @pytest.mark.parametrize("error", [None, IllConditionedError("kernel matrix is not positive definite"),
+                                       RuntimeError("not a run failure")], ids=["returned", "partial", "raised"])
+    def test_thread_counts_restored_after_a_run(self, error, two_threads, monkeypatch):
+        if error is not None:
+            monkeypatch.setattr(loop, "fit_all", failing_after(loop.fit_all, 1, error))
+        if isinstance(error, RuntimeError):
+            with pytest.raises(RuntimeError, match="not a run failure"):
+                run(toy_config(), ToyLog1D())
+        else:
+            result = run(toy_config(), ToyLog1D())
+            assert (result.failure is None) is (error is None)
+        assert [get() for get, _ in two_threads] == [2, 2]
 
 
 class TestRun:
