@@ -26,6 +26,7 @@ from scipy.special import ndtr
 
 from . import gp
 from .multi_output import MultiGpModel
+from .optimize import check_box
 
 _VARIANT_OPS = {
     "SD": ("sum", "none"),
@@ -101,8 +102,7 @@ class InputPrior:
             raise ValueError("mu, sigma, low, high must all have the same length")
         if not np.all(self.sigma > 0.0):
             raise ValueError("sigma must be positive")
-        if not np.all(self.high > self.low):
-            raise ValueError("each dimension must satisfy min < max")
+        check_box(np.column_stack([self.low, self.high]))  # min < max in every dimension
         zl = (self.low - self.mu) / self.sigma
         zh = (self.high - self.mu) / self.sigma
         mass = ndtr(zh) - ndtr(zl)

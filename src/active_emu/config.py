@@ -17,8 +17,8 @@ import numpy as np
 from .acquisition import AcquisitionSpec, InputPrior, TemperingSchedule, VARIANT_NAMES
 from .gp import Dataset
 from .harness import ExperimentConfig, TestSetSpec
-from .loop import LoopConfig
-from .optimize import AnnealingConfig, AscentConfig, OptimizerConfig
+from .loop import LoopConfig, check_designs
+from .optimize import AnnealingConfig, AscentConfig, OptimizerConfig, in_box
 from .simulators import make_simulator
 
 # Optional JSON keys of the optimizer block -> (field, conversion) of its
@@ -112,11 +112,15 @@ def _parse_tempering(raw) -> TemperingSchedule:
     raise ConfigError(f"unknown kind: {kind!r}")
 
 
-def _parse_prior(raw) -> InputPrior | None:
+def _parse_prior(raw, bounds: np.ndarray) -> InputPrior | None:
     if raw is None:
         return None
     _require_keys(raw, {"mu", "sigma", "min", "max"}, required=("mu", "sigma", "min", "max"))
-    return InputPrior(mu=raw["mu"], sigma=raw["sigma"], low=raw["min"], high=raw["max"])
+    prior = InputPrior(mu=raw["mu"], sigma=raw["sigma"], low=raw["min"], high=raw["max"])
+    box = np.column_stack([prior.low, prior.high])  # no draw leaves the simulator's box if these corners do not
+    if prior.dimension != len(bounds) or not in_box(box, bounds):
+        raise ConfigError(f"the prior's box {box.tolist()} leaves the simulator's box {bounds.tolist()}")
+    return prior
 
 
 def _fields(raw: dict, keys: dict) -> dict:
@@ -189,9 +193,7 @@ def _parse_initial_design(raw, bounds: np.ndarray) -> dict:
         if points.shape[1] != len(bounds):
             raise ConfigError(f"points have dimension {points.shape[1]}, the simulator expects {len(bounds)}")
         points = points.T.copy()  # rows in JSON, columns internally
-        if np.any(points < bounds[:, :1]) or np.any(points > bounds[:, 1:]):
-            raise ConfigError("points must lie within the simulator bounds")
-        Dataset(points, np.empty((0, points.shape[1])), bounds)  # rejects non-finite and duplicate points
+        Dataset(points, np.empty((0, points.shape[1])), bounds)  # rejects non-finite, outside and duplicate points
         return {"initial_points": points, "initial_sampler": None, "initial_size": None}
     sampler = raw.get("sampler")
     size = raw.get("size")
@@ -200,7 +202,7 @@ def _parse_initial_design(raw, bounds: np.ndarray) -> dict:
     return {"initial_points": None, "initial_sampler": str(sampler), "initial_size": int(size)}
 
 
-def _parse_acquisition(raw) -> dict:
+def _parse_acquisition(raw, bounds: np.ndarray) -> dict:
     """Acquisition settings; the variant is resolved by the caller."""
     raw = {} if raw is None else raw
     _require_keys(raw, {"variant", "tempering", "prior", "strict_zero_at_nodes"})
@@ -210,13 +212,13 @@ def _parse_acquisition(raw) -> dict:
     return {
         "variant": variant,
         "tempering": _parse_block(raw, "tempering", _parse_tempering),
-        "prior": _parse_block(raw, "prior", _parse_prior),
+        "prior": _parse_block(raw, "prior", _parse_prior, bounds),
         "strict_zero_at_nodes": bool(raw.get("strict_zero_at_nodes", True)),
     }
 
 
-def _parse_shared(raw: dict, seed_override: int | None) -> dict:
-    """The blocks both commands share, as keyword arguments.
+def _parse_shared(raw: dict, seed_override: int | None) -> tuple[dict, np.ndarray]:
+    """The blocks both commands share, as keyword arguments, and the simulator's box.
 
     Every key but the acquisition's `variant` is a field `ExperimentConfig`
     takes under the same name.  For a run, the acquisition's keys make the
@@ -224,10 +226,10 @@ def _parse_shared(raw: dict, seed_override: int | None) -> dict:
     Each block is parsed by `_parse_block`, so an error names its block.
     """
     simulator, bounds = _parse_block(raw, "simulator", _parse_simulator_spec)
-    return {
+    return bounds, {
         "simulator": simulator,
         **_parse_block(raw, "initial_design", _parse_initial_design, bounds),
-        **_parse_block(raw, "acquisition", _parse_acquisition),
+        **_parse_block(raw, "acquisition", _parse_acquisition, bounds),
         "optimizer": _parse_block(raw, "optimizer", _parse_optimizer),
         **_parse_block(raw, "hyperparameters", _parse_hyper),
         "seed": _parse_block(raw, "seed", _parse_seed, seed_override),
@@ -253,7 +255,7 @@ def parse_run_config(raw: dict, seed_override: int | None = None) -> tuple[dict,
     """Returns (simulator_spec, LoopConfig) for `active-emu run`."""
     _require_keys(raw, _SHARED_KEYS | {"budget", "convergence"},
                   required=("simulator", "initial_design", "budget"), block="run config")
-    shared = _parse_shared(raw, seed_override)
+    bounds, shared = _parse_shared(raw, seed_override)
     simulator = shared.pop("simulator")
     spec = AcquisitionSpec.from_variant(
         shared.pop("variant") or "PDxPG",
@@ -261,7 +263,7 @@ def parse_run_config(raw: dict, seed_override: int | None = None) -> tuple[dict,
     )
     convergence = _parse_block(raw, "convergence", _parse_convergence)
     budget = _parse_block(raw, "budget", int)
-    return simulator, LoopConfig(budget=budget, acquisition=spec, **convergence, **shared)
+    return simulator, check_designs(LoopConfig(budget=budget, acquisition=spec, **convergence, **shared), bounds)
 
 
 def _parse_convergence(raw) -> dict:
@@ -282,17 +284,24 @@ def parse_experiment_config(raw: dict, seed_override: int | None = None) -> Expe
     strategies = raw["strategies"]
     if not isinstance(strategies, list) or not strategies:
         raise ConfigError("must be a non-empty list", "strategies")
-    shared = _parse_shared(raw, seed_override)
+    bounds, shared = _parse_shared(raw, seed_override)
     del shared["variant"]  # each AMOGAPE strategy names its own
     initial_points = shared["initial_points"]
     m0 = initial_points.shape[1] if initial_points is not None else shared["initial_size"]
-    return ExperimentConfig(
+    experiment = ExperimentConfig(
         strategies=tuple(strategies),
         budget=m0 + _parse_block(raw, "n_add", _parse_n_add),
         runs=_parse_block(raw, "runs", int),
         test_set=_parse_block(raw, "test_set", _parse_test_set),
         **shared,
     )
+    for strategy in experiment.strategies:
+        baseline = None if strategy.startswith("amogape:") else strategy
+        try:
+            check_designs(experiment.loop_config(strategy, experiment.seed), bounds, baseline)
+        except ValueError as exc:
+            raise ConfigError(f"{strategy!r}: {exc}", "strategies") from exc
+    return experiment
 
 
 def _parse_n_add(raw) -> int:

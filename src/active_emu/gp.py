@@ -43,7 +43,7 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
 
 from .kernels import exp_quadratic, gram, squared_distances
-from .optimize import AnnealingConfig, OptimizerConfig, maximize
+from .optimize import AnnealingConfig, OptimizerConfig, check_box, in_box, maximize
 from .seeding import derive_seed
 
 # Pairwise node distance below which two nodes count as duplicates
@@ -95,7 +95,8 @@ class Dataset:
     in the unit hypercube, and `node_distances`, their squared distances.
     Duplicates, here and in `duplicates`, are judged by `_coincident` on
     exact coordinate differences, not on `node_distances`: its expanded
-    form rounds far above DUPLICATE_TOLERANCE^2.
+    form rounds far above DUPLICATE_TOLERANCE^2.  Every node lies in the
+    box by the `optimize` box rule, with no slack.
     """
 
     X: np.ndarray
@@ -107,20 +108,13 @@ class Dataset:
     def __post_init__(self) -> None:
         X = np.atleast_2d(np.asarray(self.X, dtype=float))
         Y = np.atleast_2d(np.asarray(self.Y, dtype=float))
-        bounds = np.asarray(self.input_bounds, dtype=float)
-        if bounds.shape != (X.shape[0], 2):
-            raise ValueError(f"input_bounds must have shape ({X.shape[0]}, 2), got {bounds.shape}")
-        if not np.all(bounds[:, 1] > bounds[:, 0]):
-            raise ValueError("each input bound must satisfy low < high")
+        bounds = check_box(self.input_bounds, X.shape[0])
         if X.shape[1] != Y.shape[1]:
             raise ValueError(f"X has {X.shape[1]} nodes but Y has {Y.shape[1]} output columns")
-        if not np.isfinite(X).all():
-            raise ValueError("nodes must be finite")
+        if not in_box(X, bounds):
+            raise ValueError("nodes must be finite and lie within input_bounds")
         if not np.isfinite(Y).all():
             raise ValueError("outputs must be finite")
-        lo, hi = bounds[:, 0:1], bounds[:, 1:2]
-        if np.any(X < lo - 1e-9) or np.any(X > hi + 1e-9):
-            raise ValueError("nodes must lie within input_bounds")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "input_bounds", bounds)
@@ -147,13 +141,10 @@ class Dataset:
         return self.X.shape[1]
 
     def normalize(self, x) -> np.ndarray:
-        """Map raw coordinates into the unit hypercube."""
+        """Map raw coordinates, columns (D x n) or one point (D,), into the unit hypercube."""
         x = np.asarray(x, dtype=float)
-        lo = self.input_bounds[:, 0]
-        width = self.input_bounds[:, 1] - lo
-        if x.ndim == 2:  # column points
-            return (x - lo[:, np.newaxis]) / width[:, np.newaxis]
-        return (x - lo) / width
+        lo, hi = (self.input_bounds[:, :1], self.input_bounds[:, 1:]) if x.ndim == 2 else self.input_bounds.T
+        return (x - lo) / (hi - lo)
 
     def duplicates(self, points) -> np.ndarray:
         """Whether each of the points (D x n columns, or one point, raw) lies within DUPLICATE_TOLERANCE of a node."""

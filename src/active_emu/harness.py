@@ -18,7 +18,7 @@ import numpy as np
 from .acquisition import AcquisitionSpec, InputPrior, TemperingSchedule
 from .loop import NONSEQUENTIAL_BASELINES, EmulationResult, LoopConfig, baseline_run, run
 from .multi_output import MultiGpModel, predict_mean_matrix
-from .optimize import OptimizerConfig
+from .optimize import OptimizerConfig, check_box
 from .samplers import sample_truncated_gaussian
 from .seeding import derive_seed
 from .simulators import make_simulator
@@ -141,9 +141,8 @@ def multi_output_rmse(model: MultiGpModel, test_inputs, test_outputs) -> float:
 
 def grid_test_inputs(bounds, step: float) -> np.ndarray:
     """Regular grid over the box with the given step per dimension, D x n."""
-    bounds = np.asarray(bounds, dtype=float)
     axes = []
-    for lo, hi in bounds:
+    for lo, hi in check_box(bounds):
         count = int(np.floor((hi - lo) / step + 1e-9)) + 1
         axes.append(np.minimum(lo + step * np.arange(count), hi))
     mesh = np.meshgrid(*axes, indexing="ij")

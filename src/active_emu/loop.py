@@ -40,18 +40,18 @@ from .acquisition import (
 )
 from .gp import Dataset, IllConditionedError, check_hyperparameters, single_lapack_thread
 from .multi_output import MultiGpModel, fit_all, fit_single_node, predict_mean_matrix
-from .optimize import OptimizerConfig, maximize
+from .optimize import OptimizerConfig, OptimizerFailure, from_unit_cube, maximize
 from .samplers import grid_design, lhs_design, make_sampler, sobol_sequence
 from .seeding import derive_seed
 from .simulators import Simulator, SimulatorError
 
 # Failures that end a run with a partial result instead of an exception: the
-# simulator could not produce an output, or a fit or the acquisition met a
-# matrix beyond round-off.
-RUN_FAILURES = (SimulatorError, IllConditionedError)
+# simulator could not produce an output, a fit or the acquisition met a
+# matrix beyond round-off, or a search's objective was not finite.
+RUN_FAILURES = (SimulatorError, IllConditionedError, OptimizerFailure)
 
-# Designs `_design` builds by name.  The first two are also the baselines
-# that rebuild their whole design at every size.
+# Initial designs by name, which `_design` builds.  The first two are also
+# the baselines that rebuild their whole design at every size.
 NONSEQUENTIAL_BASELINES = ("grid", "lhs")
 DESIGNS = NONSEQUENTIAL_BASELINES + ("sobol", "random", "prior-random")
 
@@ -61,14 +61,6 @@ DESIGNS = NONSEQUENTIAL_BASELINES + ("sobol", "random", "prior-random")
 # 6 variants x seeds 0-19) one search per iteration halved the searches
 # (2,883 to 1,440) but raised the mean test RMSE from 0.115 to 0.130.
 MAX_DUPLICATE_RETRIES = 5
-
-
-def check_design(kind, prior: InputPrior | None) -> None:
-    """Raise ValueError unless `_design` can build the named design."""
-    if kind not in DESIGNS:
-        raise ValueError(f"unknown initial design {kind!r}; expected one of {DESIGNS}")
-    if kind == "prior-random" and prior is None:
-        raise ValueError("the prior-random design needs an input prior")
 
 
 @dataclass(frozen=True)
@@ -94,7 +86,8 @@ class LoopConfig:
                 raise ValueError("either initial_points or an initial sampler with a size is required")
             if self.initial_size < 1:
                 raise ValueError(f"initial_design size must be >= 1, got {self.initial_size}")
-            check_design(self.initial_sampler, self.acquisition.prior)
+            if self.initial_sampler not in DESIGNS:
+                raise ValueError(f"unknown initial design {self.initial_sampler!r}; expected one of {DESIGNS}")
         m0 = self.initial_size if self.initial_points is None else np.shape(self.initial_points)[-1]
         if m0 > self.budget:
             raise ValueError(f"initial_design has {m0} points, more than the budget of {self.budget}")
@@ -126,30 +119,39 @@ class EmulationResult:
     failure: str | None = None
 
 
-def _design(kind: str, n: int, sim: Simulator, seed: int, prior: InputPrior | None) -> np.ndarray:
-    """n design points (D x n) of the named kind over the simulator's box."""
+def _design(kind: str, n: int, box: np.ndarray, seed: int, prior: InputPrior | None) -> np.ndarray:
+    """n design points (D x n) of the named kind over the box."""
     if kind == "grid":
-        return grid_design(sim.dimension, n, bounds=sim.bounds)
+        return grid_design(len(box), n, bounds=box)
     if kind == "lhs":
-        return lhs_design(sim.dimension, n, seed=seed, bounds=sim.bounds)
-    sampler = make_sampler(kind, sim.dimension, sim.bounds, seed=seed, prior=prior)
+        return lhs_design(len(box), n, seed=seed, bounds=box)
+    sampler = make_sampler(kind, len(box), box, seed=seed, pool_size=n, prior=prior)
     return np.column_stack([sampler.next_point() for _ in range(n)])
+
+
+def _initial_nodes(config: LoopConfig, box: np.ndarray) -> np.ndarray:
+    """The initial design's nodes (D x m0): the given points, or the named design over the box."""
+    if config.initial_points is not None:
+        return np.atleast_2d(np.asarray(config.initial_points, dtype=float))
+    seed, prior = derive_seed(config.seed, 0), config.acquisition.prior
+    return _design(config.initial_sampler, int(config.initial_size), box, seed, prior)
+
+
+def check_designs(config: LoopConfig, box: np.ndarray, baseline: str | None = None) -> LoopConfig:
+    """`config`, once its run (a `baseline_run` of `baseline`, if given) has built its designs in the box.
+
+    It builds them as the run would (see `_design`), so a design that cannot be built raises its ValueError here.
+    """
+    _initial_nodes(config, box)
+    if baseline is not None:  # a sequential baseline's sampler, or a redesign at every size
+        for t in range(1, config.budget + 1) if baseline in NONSEQUENTIAL_BASELINES else [1]:
+            _design(baseline, t, box, 0, config.acquisition.prior)
+    return config
 
 
 def _evaluated(points: np.ndarray, sim: Simulator) -> Dataset:
     outputs = np.column_stack([sim.evaluate(points[:, i]) for i in range(points.shape[1])])
     return Dataset(points, outputs, sim.bounds)
-
-
-def _initial_dataset(config: LoopConfig, sim: Simulator) -> Dataset:
-    if config.initial_points is not None:
-        points = np.atleast_2d(np.asarray(config.initial_points, dtype=float))
-    else:
-        points = _design(
-            config.initial_sampler, int(config.initial_size), sim,
-            derive_seed(config.seed, 0), config.acquisition.prior,
-        )
-    return _evaluated(points, sim)
 
 
 def _fit(dataset: Dataset, config: LoopConfig, iteration: int, hint=None) -> MultiGpModel:
@@ -196,8 +198,7 @@ def _choose_next_point(
     # Every optimizer attempt landed on an existing node (possible in
     # regression mode); fall back to the best non-duplicate uniform probe.
     rng = np.random.default_rng(derive_seed(config.seed, 3, t))
-    lo, hi = bounds[:, 0], bounds[:, 1]
-    probes = lo + rng.random((max(config.optimizer.n_random or 0, 100), lo.size)) * (hi - lo)
+    probes = from_unit_cube(rng.random((max(config.optimizer.n_random or 0, 100), len(bounds))), *bounds.T)
     probes = probes[~dataset.duplicates(probes.T)]
     if not probes.size:
         raise RuntimeError("could not find a non-duplicate candidate point")
@@ -236,11 +237,12 @@ def _drive(
     for t in itertools.count():
         started = time.perf_counter()
         try:
-            dataset, value = (start(), None) if t == 0 else step(model, dataset, t)
-            if dataset is None:
-                continue
-            warm = appends and model is not None and model.dataset.n_nodes > 1
-            model = _fit(dataset, config, t, hint=model.bandwidths if warm else None)
+            with np.errstate(over="ignore"):  # an overflow's inf ends a search as an OptimizerFailure
+                dataset, value = (start(), None) if t == 0 else step(model, dataset, t)
+                if dataset is None:
+                    continue
+                warm = appends and model is not None and model.dataset.n_nodes > 1
+                model = _fit(dataset, config, t, hint=model.bandwidths if warm else None)
         except RUN_FAILURES as exc:
             return EmulationResult(dataset, model, trace, sim.eval_count - evals_before, failure=str(exc))
         if t > 0:
@@ -282,7 +284,7 @@ def run(config: LoopConfig, sim: Simulator, iteration_hook=None) -> EmulationRes
         x_star, value = _choose_next_point(config, model, dataset, sim.bounds, t)
         return dataset.with_node(x_star, sim.evaluate(x_star)), value
 
-    return _drive(config, sim, lambda: _initial_dataset(config, sim), acquire, iteration_hook)
+    return _drive(config, sim, lambda: _evaluated(_initial_nodes(config, sim.bounds), sim), acquire, iteration_hook)
 
 
 def baseline_run(
@@ -308,7 +310,7 @@ def baseline_run(
             )
 
         def redesign(model, dataset, t):
-            points = _design(sampler_kind, t, sim, derive_seed(config.seed, 5, t), None)
+            points = _design(sampler_kind, t, sim.bounds, derive_seed(config.seed, 5, t), None)
             return _evaluated(points, sim), None
 
         return _drive(config, sim, lambda: None, redesign, iteration_hook, appends=False)
@@ -333,7 +335,7 @@ def baseline_run(
             x_next = sampler.next_point()
         return dataset.with_node(x_next, sim.evaluate(x_next)), None
 
-    return _drive(config, sim, lambda: _initial_dataset(config, sim), next_sample, iteration_hook)
+    return _drive(config, sim, lambda: _evaluated(_initial_nodes(config, sim.bounds), sim), next_sample, iteration_hook)
 
 
 def write_lut_csv(dataset: Dataset, path) -> None:

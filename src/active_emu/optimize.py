@@ -5,6 +5,10 @@ The loop maximizes the acquisition with it.  The hyperparameter search
 calls it only for the learned nugget's 2-D marginal-likelihood search; a
 fixed nugget is searched on a grid without it.  Both strategies are
 deterministic given the seed.
+
+The package's box rule: a box passes `check_box`, a point is in it by
+`in_box` (bounds included, no slack), and unit-cube points reach it only
+through `from_unit_cube`, which never returns a value above the box.
 """
 
 from __future__ import annotations
@@ -71,14 +75,25 @@ class OptimizerConfig:
         return replace(self, seed=seed)
 
 
-def _check_bounds(bounds) -> tuple[np.ndarray, np.ndarray]:
-    bounds = np.asarray(bounds, dtype=float)
-    if bounds.ndim != 2 or bounds.shape[1] != 2:
-        raise ValueError(f"bounds must have shape (D, 2), got {bounds.shape}")
-    lo, hi = bounds[:, 0], bounds[:, 1]
-    if not np.all(hi > lo):
-        raise ValueError("each bound must satisfy low < high")
-    return lo, hi
+def check_box(bounds, dimension: int | None = None) -> np.ndarray:
+    """`bounds` as a (D, 2) float array of [low, high] rows, D = `dimension` if given; finite, with low < high."""
+    box = np.asarray(bounds, dtype=float)
+    if box.ndim != 2 or box.shape[1] != 2 or dimension not in (None, box.shape[0]):
+        raise ValueError(f"bounds must have shape ({'D' if dimension is None else dimension}, 2), got {box.shape}")
+    if not (np.isfinite(box).all() and (box[:, 0] < box[:, 1]).all()):
+        raise ValueError(f"bounds must be finite with low < high in every row, got {box.tolist()}")
+    return box
+
+
+def in_box(points, box: np.ndarray) -> bool:
+    """Whether every point lies in the checked box, bounds included: columns (D x n) or one point (D,)."""
+    points = np.reshape(points, (len(box), -1))
+    return bool(((box[:, :1] <= points) & (points <= box[:, 1:])).all())
+
+
+def from_unit_cube(unit, lo, hi) -> np.ndarray:
+    """lo + unit (hi - lo), clamped to hi against round-off; lo, hi are (D,) for rows, (D, 1) for columns."""
+    return np.minimum(lo + unit * (hi - lo), hi)
 
 
 def _checked(value, x: np.ndarray) -> float:
@@ -151,7 +166,7 @@ def _ascent(evaluate, x0, lo, hi, cfg: AscentConfig):
 def _random_then_ascent(objective, evaluate, batch_objective, lo, hi, cfg: OptimizerConfig):
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_random if cfg.n_random is not None else 10 ** lo.size
-    probes = lo + rng.random((n, lo.size)) * (hi - lo)
+    probes = from_unit_cube(rng.random((n, lo.size)), lo, hi)
     x0 = probes[int(np.argmax(_values(objective, batch_objective, probes)))]
     return _ascent(evaluate, x0, lo, hi, cfg.ascent)
 
@@ -162,10 +177,10 @@ def _simulated_annealing(objective, batch_objective, lo, hi, cfg: OptimizerConfi
     width = hi - lo
 
     # The start point, then (without a set temperature) 20 probes whose
-    # spread sets it, scored together.
-    x = lo + rng.random(lo.size) * width
+    # spread sets it, drawn and scored together.
     temperature = ann.initial_temperature
-    points = x[np.newaxis] if temperature is not None else np.vstack([x, lo + rng.random((20, lo.size)) * width])
+    points = from_unit_cube(rng.random((1 if temperature is not None else 21, lo.size)), lo, hi)
+    x = points[0]
     values = _values(objective, batch_objective, points)
     fx = float(values[0])
     best_x, best_f = x.copy(), fx
@@ -182,7 +197,7 @@ def _simulated_annealing(objective, batch_objective, lo, hi, cfg: OptimizerConfi
             x, fx = best_x.copy(), best_f  # refine around the best point seen
         if iteration < explore and rng.random() < 0.1:
             # occasional global jump so distant basins stay reachable
-            cand = lo + rng.random(lo.size) * width
+            cand = from_unit_cube(rng.random(lo.size), lo, hi)
         else:
             cand = x + rng.normal(size=lo.size) * sigma
             cand = _reflect(cand, lo, hi)
@@ -194,11 +209,11 @@ def _simulated_annealing(objective, batch_objective, lo, hi, cfg: OptimizerConfi
         temperature *= ann.cooling
         if iteration >= explore:
             sigma = sigma * shrink
-    return best_x, best_f
+    return np.clip(best_x, lo, hi), best_f  # a reflected step may round 1 ulp above hi
 
 
 def _reflect(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Fold a point back into the box by reflection at the walls."""
+    """Fold a point back into the box by reflection at the walls; round-off may put it 1 ulp above hi."""
     width = hi - lo
     period = 2.0 * width
     y = np.mod(x - lo, period)
@@ -226,7 +241,7 @@ def maximize(objective, bounds, config: OptimizerConfig, value_and_gradient=None
     block's values as they are, so its result is the same where the block
     form equals `objective` row for row, as the acquisition's does.
     """
-    lo, hi = _check_bounds(bounds)
+    lo, hi = check_box(bounds).T
     if config.strategy == "simulated-annealing":
         return _simulated_annealing(objective, batch_objective, lo, hi, config)
 

@@ -4,7 +4,7 @@ Gaussian prior sampling.
 
 Point collections are D x n matrices (points as columns), matching the
 dataset layout; single points are 1-D arrays.  Every sampler and design
-but the prior's takes its box, (D, 2) rows of [low, high].
+but the prior's maps the unit cube into its box by the `optimize` box rule.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .acquisition import InputPrior
+from .optimize import check_box, from_unit_cube
 
 
 class PoolExhaustedError(RuntimeError):
@@ -66,7 +67,7 @@ class SobolSampler:
         if not 1 <= dimension <= MAX_SOBOL_DIMENSION:
             raise ValueError(f"Sobol dimension must be in [1, {MAX_SOBOL_DIMENSION}], got {dimension}")
         self.dimension = dimension
-        self.bounds = _check_box(bounds, dimension)
+        self.bounds = check_box(bounds, dimension)
         self._directions = np.vstack([_direction_integers(d) for d in range(dimension)])
         self._state = np.zeros(dimension, dtype=np.uint64)
         self._count = 0
@@ -82,7 +83,7 @@ class SobolSampler:
         self._state = self._state ^ self._directions[:, c]
         self._count += 1
         point = self._state.astype(float) / float(1 << _SOBOL_BITS)
-        return _scale(point, self.bounds)
+        return from_unit_cube(point, *self.bounds.T)
 
 
 class UniformSampler:
@@ -90,11 +91,11 @@ class UniformSampler:
 
     def __init__(self, dimension: int, bounds, seed: int = 0):
         self.dimension = dimension
-        self.bounds = _check_box(bounds, dimension)
+        self.bounds = check_box(bounds, dimension)
         self._rng = np.random.default_rng(seed)
 
     def next_point(self) -> np.ndarray:
-        return _scale(self._rng.random(self.dimension), self.bounds)
+        return from_unit_cube(self._rng.random(self.dimension), *self.bounds.T)
 
 
 class SequentialLhsSampler:
@@ -126,23 +127,6 @@ class PriorSampler:
         return _truncated_gaussian_draws(self.prior, 1, self._rng)[:, 0]
 
 
-def _check_box(bounds, dimension: int) -> np.ndarray:
-    bounds = np.asarray(bounds, dtype=float)
-    if bounds.shape != (dimension, 2):
-        raise ValueError(f"bounds must have shape ({dimension}, 2), got {bounds.shape}")
-    if not np.all(bounds[:, 1] > bounds[:, 0]):
-        raise ValueError("each bound must satisfy low < high")
-    return bounds
-
-
-def _scale(unit_points: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    lo = bounds[:, 0]
-    width = bounds[:, 1] - bounds[:, 0]
-    if unit_points.ndim == 2:
-        return lo[:, np.newaxis] + unit_points * width[:, np.newaxis]
-    return lo + unit_points * width
-
-
 def sobol_sequence(dimension: int, n: int, bounds) -> np.ndarray:
     """First n Sobol points (zero point skipped) as columns, D x n."""
     sampler = SobolSampler(dimension, bounds)
@@ -158,7 +142,8 @@ def lhs_design(dimension: int, n: int, seed: int = 0, *, bounds) -> np.ndarray:
     for d in range(dimension):
         strata = rng.permutation(n)
         unit[d] = (strata + rng.random(n)) / n
-    return _scale(unit, _check_box(bounds, dimension))
+    box = check_box(bounds, dimension)
+    return from_unit_cube(unit, box[:, :1], box[:, 1:])
 
 
 def grid_design(dimension: int, m: int, bounds) -> np.ndarray:
@@ -181,7 +166,8 @@ def grid_design(dimension: int, m: int, bounds) -> np.ndarray:
         axis = np.linspace(0.0, 1.0, per_axis)
         mesh = np.meshgrid(*([axis] * dimension), indexing="ij")
         unit = np.vstack([g.ravel() for g in mesh])
-    return _scale(unit, _check_box(bounds, dimension))
+    box = check_box(bounds, dimension)
+    return from_unit_cube(unit, box[:, :1], box[:, 1:])
 
 
 def _truncated_gaussian_draws(prior: InputPrior, n: int, rng: np.random.Generator) -> np.ndarray:

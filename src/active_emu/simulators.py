@@ -2,7 +2,8 @@
 bridge to external solver processes speaking newline-delimited JSON.
 
 Every simulator is deterministic (same x gives bitwise-identical y) and
-counts its evaluations, which the loop accounting tests rely on.
+counts its evaluations, which the loop accounting tests rely on.  It
+evaluates only points in its box, by the `optimize` box rule.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import time
 from importlib import resources
 
 import numpy as np
+
+from .optimize import check_box, in_box
 
 
 class SimulatorError(RuntimeError):
@@ -49,19 +52,13 @@ class Simulator:
     def __init__(self, dimension: int, n_outputs: int, bounds):
         self.dimension = dimension
         self.n_outputs = n_outputs
-        self.bounds = np.asarray(bounds, dtype=float)
-        if self.bounds.shape != (dimension, 2):
-            raise ValueError(f"bounds must have shape ({dimension}, 2), got {self.bounds.shape}")
-        if not (np.isfinite(self.bounds).all() and (self.bounds[:, 0] < self.bounds[:, 1]).all()):
-            raise ValueError(f"bounds must be finite with low < high in every row, got {self.bounds.tolist()}")
+        self.bounds = check_box(bounds, dimension)
         self.eval_count = 0
 
     def evaluate(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float).ravel()
-        if x.size != self.dimension:
-            raise ValueError(f"input has dimension {x.size}, simulator expects {self.dimension}")
-        if np.any(x < self.bounds[:, 0]) or np.any(x > self.bounds[:, 1]):
-            raise ValueError(f"input {x.tolist()} lies outside the simulator bounds")
+        if x.size != self.dimension or not in_box(x, self.bounds):
+            raise ValueError(f"input {x.tolist()} is not a point of the simulator's box {self.bounds.tolist()}")
         y = np.asarray(self._eval(x), dtype=float).ravel()
         if y.size != self.n_outputs:
             raise SimulatorError(f"simulator returned {y.size} outputs, expected {self.n_outputs}")

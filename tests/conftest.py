@@ -7,6 +7,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy.linalg import cho_factor, cho_solve
 
 from active_emu import gp
@@ -14,6 +15,12 @@ from active_emu.gp import Dataset
 from active_emu.kernels import KernelParams, exp_quadratic, kernel_matrix, squared_distances
 from active_emu.multi_output import fit_all, predict_mean_matrix
 from active_emu.pci import MonotoneFunction1D, _check_nodes
+from active_emu.simulators import Simulator, ToyLog1D
+
+# Property tests draw the same examples on every run, as every seeded test
+# does, and write no example database into the checkout.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 # Width of the bracket at which `CallableMonotone`'s bisection inverse stops.
 BISECTION_TOLERANCE = 1e-12
@@ -47,6 +54,24 @@ def failing_after(fn, calls, exc):
         return fn(*args, **kwargs)
 
     return wrapped
+
+
+class NanSimulator(Simulator):
+    """The toy-1D simulator, except that its k-th call (1-based) returns a NaN output."""
+
+    kind = "nan"
+
+    def __init__(self, nan_at):
+        super().__init__(dimension=1, n_outputs=2, bounds=[[0.1, 10.0]])
+        self.nan_at = nan_at
+        self.calls = 0
+        self._inner = ToyLog1D()
+
+    def _eval(self, x):
+        self.calls += 1
+        if self.calls == self.nan_at:
+            return np.array([np.nan, 0.0])
+        return self._inner._eval(x)
 
 
 def numpy_blas_thread_control():

@@ -11,11 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from active_emu import cli, loop
+from active_emu import cli, harness, loop
 from active_emu.cli import main
 from active_emu.gp import IllConditionedError
+from active_emu.simulators import ToyLog1D
 
-from conftest import failing_after
+from conftest import NanSimulator, failing_after
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
@@ -101,6 +102,35 @@ MALFORMED_CONFIGS = [
     *((command, "simulator", simulator) for command in ("run", "experiment") for simulator in UNUSABLE_SIMULATORS),
     *((command, "initial_design", design) for command in ("run", "experiment") for design in BAD_INITIAL_POINTS),
 ]
+
+
+# Configs whose runs cannot build their designs, as (command, replaced
+# top-level blocks, the error's message): a baseline that draws from a missing
+# prior, 2-D grids whose sizes are no square, and a prior whose draws leave
+# the simulator's box.  Each must stop at parsing.
+UNRUNNABLE_CONFIGS = [
+    ("experiment", {"strategies": ["prior-random"]}, "strategies: 'prior-random': prior-random needs an input prior"),
+    ("run", {"simulator": {"kind": "toy-log-2d"}, "initial_design": {"sampler": "grid", "size": 5}},
+     "5 is not a perfect power for a 2-dimensional lattice"),
+    ("experiment", {"simulator": {"kind": "toy-log-2d"}, "initial_design": {"sampler": "lhs", "size": 4},
+                    "strategies": ["grid"]}, "strategies: 'grid': 2 is not a perfect power"),
+    ("run", {"initial_design": {"sampler": "prior-random", "size": 4},
+             "acquisition": {"prior": {"mu": [11.0], "sigma": [1.0], "min": [0.1], "max": [12.0]}}},
+     "acquisition.prior: the prior's box [[0.1, 12.0]] leaves the simulator's box [[0.1, 10.0]]"),
+]
+
+
+def external_simulator(outputs: str, bounds) -> dict:
+    """A 1-D, 2-output external simulator whose child answers with `outputs`, a Python list expression in x."""
+    child = (
+        "import json, math, sys\n"
+        "for line in sys.stdin:\n"
+        "    req = json.loads(line)\n"
+        "    x = req['x'][0]\n"
+        f"    print(json.dumps({{'id': req['id'], 'y': {outputs}}}), flush=True)\n"
+    )
+    command = [sys.executable, "-c", child]
+    return {"kind": "external", "command": command, "dimension": 1, "outputs": 2, "bounds": bounds, "timeout": 30}
 
 
 # An external simulator whose command does not exist.
@@ -214,27 +244,33 @@ class TestRunCommand:
         assert len((out / "trace.ndjson").read_text().splitlines()) == 1
 
     def test_external_simulator_round_trip(self, tmp_path):
-        child = (
-            "import json, math, sys\n"
-            "for line in sys.stdin:\n"
-            "    req = json.loads(line)\n"
-            "    x = req['x'][0]\n"
-            "    print(json.dumps({'id': req['id'], 'y': [math.log(x), 0.5*math.log(3*x)]}), flush=True)\n"
-        )
         payload = json.loads(json.dumps(RUN_CONFIG))
-        payload["simulator"] = {
-            "kind": "external",
-            "command": [sys.executable, "-c", child],
-            "dimension": 1,
-            "outputs": 2,
-            "bounds": [[0.1, 10.0]],
-            "timeout": 30,
-        }
+        payload["simulator"] = external_simulator("[math.log(x), 0.5*math.log(3*x)]", [[0.1, 10.0]])
         config = write_config(tmp_path, payload)
         out = tmp_path / "ext"
         assert main(["run", "--config", config, "--out", str(out)]) == 0
         lut = (out / "lut.csv").read_text().strip().splitlines()
         assert len(lut) == 7
+
+    def test_grid_reaches_the_top_of_a_box_whose_width_rounds_up(self, tmp_path):
+        # -1.3 + (2.9 - -1.3) rounds to 2.9000000000000004, one ulp above the box
+        payload = dict(RUN_CONFIG, simulator=external_simulator("[x, x*x]", [[-1.3, 2.9]]),
+                       initial_design={"sampler": "grid", "size": 5})
+        out = tmp_path / "ext"
+        assert main(["run", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+        with open(out / "lut.csv") as handle:
+            xs = [float(row["x1"]) for row in csv.DictReader(handle)]
+        assert len(xs) == 6 and max(xs) == 2.9 and min(xs) == -1.3
+
+    def test_overflowing_acquisition_is_reported_as_a_run_failure(self, tmp_path, capsys):
+        payload = dict(RUN_CONFIG, simulator=external_simulator(
+            "[1e200*math.log(x), 1e200*0.5*math.log(3*x)]", [[0.1, 10.0]]))
+        out = tmp_path / "o"
+        assert main(["run", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 3
+        assert "run failed: batch objective returned non-finite value inf at [" in capsys.readouterr().err
+        nodes = len((out / "lut.csv").read_text().strip().splitlines()) - 1
+        assert 4 <= nodes < 6
+        assert len((out / "trace.ndjson").read_text().splitlines()) == nodes - 4
 
 
 class TestExperimentCommand:
@@ -296,6 +332,29 @@ class TestExperimentCommand:
         assert main(["experiment", "--config", config, "--out", str(tmp_path / "o")]) == 3
         assert "could not start simulator command ['/nonexistent/solver']" in capsys.readouterr().err
 
+    def test_failed_run_is_written_to_failures_csv_and_left_out_of_the_rows(self, tmp_path, capsys, monkeypatch):
+        payload = dict(EXPERIMENT_CONFIG, strategies=["sobol"])
+        single = tmp_path / "single"
+        config = write_config(tmp_path, dict(payload, runs=1), name="single.json")
+        assert main(["experiment", "--config", config, "--out", str(single)]) == 0
+        built = []
+
+        def make(spec):  # the test set's simulator, then one per run: the second run's sixth output is NaN
+            built.append(spec)
+            return NanSimulator(nan_at=6) if len(built) == 3 else ToyLog1D()
+
+        monkeypatch.setattr(harness, "make_simulator", make)
+        out = tmp_path / "o"
+        assert main(["experiment", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+        assert "1 run(s) failed" in capsys.readouterr().err
+        with open(out / "failures.csv") as handle:
+            header, *failures = list(csv.reader(handle))
+        assert header == ["strategy", "run_index", "message"]
+        assert [row[:2] for row in failures] == [["sobol", "1"]]
+        assert "non-finite" in failures[0][2]
+        # the failed run's trajectory is in no row: the rows are the first run's alone
+        assert (out / "results.csv").read_bytes() == (single / "results.csv").read_bytes()
+
     def test_unknown_strategy_is_config_error(self, tmp_path):
         payload = json.loads(json.dumps(EXPERIMENT_CONFIG))
         payload["strategies"] = ["sobol", "dragonfly"]
@@ -314,6 +373,16 @@ def test_malformed_config_exits_2_before_running(tmp_path, capsys, command, key,
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert key in err  # the block at fault is named
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, blocks, message", UNRUNNABLE_CONFIGS,
+                         ids=["prior-random-without-prior", "grid-design-2d", "grid-strategy-2d", "prior-box-outside"])
+def test_config_that_cannot_run_exits_2_before_running(tmp_path, capsys, command, blocks, message):
+    payload = dict(RUN_CONFIG if command == "run" else EXPERIMENT_CONFIG, **blocks)
+    out = tmp_path / "o"
+    assert main([command, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

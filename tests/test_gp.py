@@ -652,7 +652,7 @@ def refinement_designs():
     designs = []
     prior = InputPrior(mu=[45.0, 3.5], sigma=[30.0, 4.5], low=[20.0, 0.0], high=[90.0, 10.0])
     with make_simulator({"kind": "fixture-9band", "dimension": 2}) as sim:
-        fixture = loop._evaluated(loop._design("prior-random", 130, sim, 20240819, prior), sim)
+        fixture = loop._evaluated(loop._design("prior-random", 130, sim.bounds, 20240819, prior), sim)
     for m in (30, 45, 60, 80, 100, 130):
         designs.append((f"fixture m={m}", fixture.normalize(fixture.X[:, :m]), fixture.Y[:, :m], 1e-4))
     config = parse_experiment_config({

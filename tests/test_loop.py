@@ -20,9 +20,10 @@ from active_emu.loop import (
     write_trace_ndjson,
 )
 from active_emu.optimize import AnnealingConfig, OptimizerConfig, maximize
+from active_emu.samplers import sobol_sequence
 from active_emu.simulators import Simulator, SimulatorError, ToyLog1D, make_simulator
 
-from conftest import FIXTURE_RUN, failing_after, numpy_blas_thread_control
+from conftest import FIXTURE_RUN, NanSimulator, failing_after, numpy_blas_thread_control
 
 X0_1D = np.array([[0.1, 3.4, 6.7, 10.0]])
 
@@ -48,6 +49,17 @@ def toy_config(budget=6, seed=0, **kwargs):
     return LoopConfig(**defaults)
 
 
+class ScaledToy(ToyLog1D):
+    """The toy-1D simulator with its outputs multiplied by `scale`."""
+
+    def __init__(self, scale):
+        super().__init__()
+        self.scale = scale
+
+    def _eval(self, x):
+        return super()._eval(x) * self.scale
+
+
 class FailingSimulator(Simulator):
     """Fails after a set number of evaluations."""
 
@@ -61,24 +73,6 @@ class FailingSimulator(Simulator):
     def _eval(self, x):
         if self.eval_count >= self.fail_after:
             raise SimulatorError("solver crashed")
-        return self._inner._eval(x)
-
-
-class NanSimulator(Simulator):
-    """Returns NaN outputs at its k-th call (1-based)."""
-
-    kind = "nan"
-
-    def __init__(self, nan_at):
-        super().__init__(dimension=1, n_outputs=2, bounds=[[0.1, 10.0]])
-        self.nan_at = nan_at
-        self.calls = 0
-        self._inner = ToyLog1D()
-
-    def _eval(self, x):
-        self.calls += 1
-        if self.calls == self.nan_at:
-            return np.array([np.nan, 0.0])
         return self._inner._eval(x)
 
 
@@ -352,6 +346,15 @@ class TestRun:
         assert len(result.trace) == 1
         assert result.model is not None
 
+    def test_overflowing_acquisition_returns_partial_result(self):
+        # Outputs near 1e200 overflow the log-ML and the squared mean
+        # gradients; the suite turns any RuntimeWarning into an error.
+        sim = ScaledToy(1e200)
+        result = run(toy_config(budget=10), sim)
+        assert result.failure.startswith("batch objective returned non-finite value inf at [")
+        assert result.model is not None
+        assert result.evaluations == result.dataset.n_nodes == sim.eval_count < 10
+
     def test_nan_in_initial_design_returns_partial_result(self):
         result = run(toy_config(budget=10), NanSimulator(nan_at=2))
         assert "non-finite" in result.failure
@@ -500,6 +503,16 @@ class TestSequentialBaselines:
         np.testing.assert_array_equal(result.dataset.X, X0_1D)
         assert result.evaluations == sim.eval_count == 4
         assert result.trace == []
+
+    def test_sobol_after_a_sobol_initial_design_skips_the_points_it_holds(self):
+        # the baseline's sampler re-emits the 4 initial points; each is skipped
+        sim = ToyLog1D()
+        config = toy_config(budget=9, initial_points=None, initial_sampler="sobol", initial_size=4)
+        result = baseline_run("sobol", True, config, sim)
+        assert result.failure is None
+        assert np.unique(result.dataset.X, axis=1).shape[1] == 9
+        assert result.evaluations == sim.eval_count == 9
+        np.testing.assert_array_equal(result.dataset.X, sobol_sequence(1, 9, sim.bounds))
 
     def test_seq_lhs_adds_exactly_the_pool(self):
         config = toy_config(budget=24, seed=8)

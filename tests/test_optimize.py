@@ -3,14 +3,20 @@
 import numpy as np
 import pytest
 
+from active_emu import loop
+from active_emu.gp import Dataset
+from active_emu.loop import LoopConfig
 from active_emu.optimize import (
     AnnealingConfig,
     AscentConfig,
     OptimizerConfig,
     OptimizerFailure,
+    check_box,
+    in_box,
     maximize,
     _reflect,
 )
+from active_emu.samplers import SobolSampler, UniformSampler, grid_design, lhs_design
 from conftest import separate_random_then_ascent
 
 BOUNDS_2D = np.array([[0.0, 1.0], [0.0, 2.0]])
@@ -301,3 +307,55 @@ class TestReflect:
             x = rng.normal(scale=10.0, size=2)
             y = _reflect(x, lo, hi)
             assert np.all(y >= lo) and np.all(y <= hi)
+
+
+class TestOneBox:
+    """The box rule of the `optimize` docstring, held by every producer of points."""
+
+    @pytest.mark.parametrize("bounds", [[[0.0, 1.0, 2.0]], [0.0, 1.0], [[1.0, 0.0]], [[0.0, 0.0]], [[0.0, np.inf]],
+                                        [[np.nan, 1.0]]])
+    def test_malformed_boxes_are_rejected(self, bounds):
+        with pytest.raises(ValueError, match="bounds must"):
+            check_box(bounds)
+
+    def test_box_of_the_wrong_dimension_is_rejected(self):
+        with pytest.raises(ValueError, match=r"shape \(2, 2\)"):
+            check_box([[0.0, 1.0]], 2)
+
+    def test_membership_includes_the_bounds_without_slack(self):
+        box = check_box([[-1.3, 2.9], [0.0, 1.0]])
+        assert in_box([[-1.3, 2.9], [0.0, 1.0]], box)
+        assert not in_box([2.9000000000000004, 0.5], box)
+        assert not in_box([-1.3000000000000003, 0.5], box)
+        assert not in_box([np.nan, 0.5], box)
+
+    def test_no_point_leaves_a_random_box(self, monkeypatch):
+        # On 85 of these boxes lo + (hi - lo) rounds above hi, so a grid's
+        # top point leaves the box unless the map clamps it.
+        rng = np.random.default_rng(20261020)
+        boxes = np.sort(rng.uniform(-100.0, 100.0, size=(1000, 2, 2)), axis=2)
+        fallback_probes = []
+        monkeypatch.setattr(loop, "maximize", lambda objective, bounds, *args, **kwargs: (bounds[:, 0], 0.0))
+        monkeypatch.setattr(loop, "acquisition_values",
+                            lambda spec, model, X, t: fallback_probes.append(X) or X.sum(axis=1))
+        rising = (lambda x: float(np.sum(x)), lambda X: X.sum(axis=1))  # largest at the top corner
+        searches = [
+            OptimizerConfig(strategy="simulated-annealing", annealing=AnnealingConfig(iterations=20)),
+            OptimizerConfig(strategy="random-then-ascent", n_random=5, ascent=AscentConfig(max_iterations=5)),
+        ]
+        config = LoopConfig(budget=2, initial_points=np.zeros((2, 1)))
+        outside = 0
+        for index, box in enumerate(boxes):
+            sobol, uniform = SobolSampler(2, box), UniformSampler(2, box, seed=index)
+            points = [grid_design(2, 9, box), lhs_design(2, 8, seed=index, bounds=box)]
+            points += [np.column_stack([s.next_point() for _ in range(8)]) for s in (sobol, uniform)]
+            dataset = Dataset(box[:, :1], np.zeros((1, 1)), box)  # its one node is where every search lands
+            loop._choose_next_point(config, None, dataset, box, t=1)
+            points.append(fallback_probes.pop().T)
+            for search in searches:
+                x, _ = maximize(rising[0], box, search.with_seed(index), batch_objective=rising[1],
+                                value_and_gradient=lambda x: (rising[0](x), np.ones(2)))
+                points.append(x[:, np.newaxis])
+            P = np.hstack(points)
+            outside += not np.all((box[:, :1] <= P) & (P <= box[:, 1:]))
+        assert outside == 0
