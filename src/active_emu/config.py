@@ -217,13 +217,13 @@ def _parse_acquisition(raw, bounds: np.ndarray) -> dict:
     }
 
 
-def _parse_shared(raw: dict, seed_override: int | None) -> tuple[dict, np.ndarray]:
-    """The blocks both commands share, as keyword arguments, and the simulator's box.
+def _parse_shared(raw: dict, seed_override: int | None) -> tuple[np.ndarray, dict]:
+    """The simulator's box, and the blocks both commands share as keyword arguments.
 
-    Every key but the acquisition's `variant` is a field `ExperimentConfig`
-    takes under the same name.  For a run, the acquisition's keys make the
-    `AcquisitionSpec` and the rest, but `simulator`, are `LoopConfig` fields.
-    Each block is parsed by `_parse_block`, so an error names its block.
+    The keywords are `simulator`, the acquisition's keys and the
+    `loop.RunSettings` fields but `budget`, which each command reads itself;
+    `ExperimentConfig` takes all but `variant` under the same names.  Each
+    block is parsed by `_parse_block`, so an error names its block.
     """
     simulator, bounds = _parse_block(raw, "simulator", _parse_simulator_spec)
     return bounds, {
@@ -284,24 +284,17 @@ def parse_experiment_config(raw: dict, seed_override: int | None = None) -> Expe
     strategies = raw["strategies"]
     if not isinstance(strategies, list) or not strategies:
         raise ConfigError("must be a non-empty list", "strategies")
-    bounds, shared = _parse_shared(raw, seed_override)
+    _, shared = _parse_shared(raw, seed_override)
     del shared["variant"]  # each AMOGAPE strategy names its own
     initial_points = shared["initial_points"]
     m0 = initial_points.shape[1] if initial_points is not None else shared["initial_size"]
-    experiment = ExperimentConfig(
+    return ExperimentConfig(
         strategies=tuple(strategies),
         budget=m0 + _parse_block(raw, "n_add", _parse_n_add),
         runs=_parse_block(raw, "runs", int),
         test_set=_parse_block(raw, "test_set", _parse_test_set),
         **shared,
     )
-    for strategy in experiment.strategies:
-        baseline = None if strategy.startswith("amogape:") else strategy
-        try:
-            check_designs(experiment.loop_config(strategy, experiment.seed), bounds, baseline)
-        except ValueError as exc:
-            raise ConfigError(f"{strategy!r}: {exc}", "strategies") from exc
-    return experiment
 
 
 def _parse_n_add(raw) -> int:

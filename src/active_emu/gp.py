@@ -43,7 +43,7 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
 
 from .kernels import exp_quadratic, gram, squared_distances
-from .optimize import AnnealingConfig, OptimizerConfig, check_box, in_box, maximize
+from .optimize import AnnealingConfig, OptimizerConfig, OptimizerFailure, check_box, in_box, maximize
 from .seeding import derive_seed
 
 # Pairwise node distance below which two nodes count as duplicates
@@ -521,9 +521,9 @@ def _shared_ml_bandwidths(sq, Y, nugget: float, hint=None) -> tuple[list[float],
     seeded with the grid maximum and its neighbours with finite scores, so
     that its first step is the parabola through their known scores.  A row
     keeps its grid point unless the refinement beats it.  A row
-    whose grid has no finite score (no grid bandwidth factorises) gets the
-    smallest grid bandwidth, which `fit` then rejects with
-    IllConditionedError.
+    whose grid has no finite score raises IllConditionedError naming it:
+    no grid bandwidth factorises, or the outputs are so large that the
+    log-ML overflows.
 
     Each row's factor is the one the search built at its chosen bandwidth
     (None where that factorisation failed).  Only the factors of the rows'
@@ -559,21 +559,22 @@ def _shared_ml_bandwidths(sq, Y, nugget: float, hint=None) -> tuple[list[float],
     bandwidths = []
     for p, row in enumerate(Y):
         k = int(np.argmax(grid_scores[:, p]))
+        if not np.isfinite(grid_scores[k, p]):
+            raise IllConditionedError(f"output {p}: the log marginal likelihood is not finite at any grid bandwidth")
         bandwidth = float(BANDWIDTH_GRID[k])
-        if np.isfinite(grid_scores[k, p]):
-            neighbours = [j for j in (k - 1, k + 1) if 0 <= j < log_grid.size and np.isfinite(grid_scores[j, p])]
-            seeds = [(float(grid_scores[j, p]), float(log_grid[j])) for j in neighbours]
-            seeds = [(float(grid_scores[k, p]), float(log_grid[k]))] + sorted(seeds, reverse=True)
+        neighbours = [j for j in (k - 1, k + 1) if 0 <= j < log_grid.size and np.isfinite(grid_scores[j, p])]
+        seeds = [(float(grid_scores[j, p]), float(log_grid[j])) for j in neighbours]
+        seeds = [(float(grid_scores[k, p]), float(log_grid[k]))] + sorted(seeds, reverse=True)
 
-            def refined(t):
-                values, factor = scores(np.exp(t), row[np.newaxis, :])
-                return float(values[0]), factor
+        def refined(t):
+            values, factor = scores(np.exp(t), row[np.newaxis, :])
+            return float(values[0]), factor
 
-            lo, hi = log_grid[max(k - 1, 0)], log_grid[min(k + 1, log_grid.size - 1)]
-            best = _brent_max(refined, float(lo), float(hi), seeds, BRENT_EVALUATIONS, BRENT_TOLERANCE)
-            if best is not None and best[0] > grid_scores[k, p]:
-                bandwidth = float(np.exp(best[1]))
-                factors[p] = best[2]
+        lo, hi = log_grid[max(k - 1, 0)], log_grid[min(k + 1, log_grid.size - 1)]
+        best = _brent_max(refined, float(lo), float(hi), seeds, BRENT_EVALUATIONS, BRENT_TOLERANCE)
+        if best is not None and best[0] > grid_scores[k, p]:
+            bandwidth = float(np.exp(best[1]))
+            factors[p] = best[2]
         bandwidths.append(bandwidth)
     return bandwidths, factors
 
@@ -667,7 +668,12 @@ def select_hyperparameters(
                 strategy="simulated-annealing",
                 annealing=AnnealingConfig(iterations=200),
             )
-        chosen = [_learned_nugget_search(sq, y, derive_seed(seed, p), optimizer) for p, y in enumerate(Y)]
+        chosen = []
+        for p, y in enumerate(Y):
+            try:
+                chosen.append(_learned_nugget_search(sq, y, derive_seed(seed, p), optimizer))
+            except OptimizerFailure as exc:  # its point is (log bandwidth, log nugget), not an input
+                raise IllConditionedError(f"output {p}: the learned-nugget hyperparameter search: {exc}") from exc
         return [b for b, _ in chosen], [nugget for _, nugget in chosen], [None] * P
     nugget = float(nugget_policy)
     if strategy == "max-stable-bandwidth":

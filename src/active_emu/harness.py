@@ -11,19 +11,17 @@ every size, quadratic cumulative cost).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .acquisition import AcquisitionSpec, InputPrior, TemperingSchedule
-from .loop import NONSEQUENTIAL_BASELINES, EmulationResult, LoopConfig, baseline_run, run
+from .loop import NONSEQUENTIAL_BASELINES, EmulationResult, LoopConfig, RunSettings, baseline_run, check_designs, run
 from .multi_output import MultiGpModel, predict_mean_matrix
-from .optimize import OptimizerConfig, check_box
+from .optimize import check_box
 from .samplers import sample_truncated_gaussian
 from .seeding import derive_seed
 from .simulators import make_simulator
-
-SEQUENTIAL_BASELINES = ("random", "sobol", "seq-lhs", "prior-random")
 
 
 @dataclass(frozen=True)
@@ -47,24 +45,17 @@ class TestSetSpec:
             raise ValueError(f"unknown test set kind: {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig(RunSettings):
+    """Each strategy run `runs` times under the shared `RunSettings`; an unrunnable strategy raises here."""
+
     simulator: dict
     strategies: tuple
-    budget: int
     runs: int
     test_set: TestSetSpec
-    initial_points: np.ndarray | None = None
-    initial_sampler: str | None = None
-    initial_size: int | None = None
     tempering: TemperingSchedule = field(default_factory=TemperingSchedule.one_minus_inverse_t)
     prior: InputPrior | None = None
     strict_zero_at_nodes: bool = True
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    hyper_strategy: str = "marginal-likelihood"
-    nugget_policy: float | str = 0.0
-    hyper_optimizer: OptimizerConfig | None = None  # the learned nugget's search only
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.strategies:
@@ -73,38 +64,30 @@ class ExperimentConfig:
             raise ValueError("runs must be >= 1")
         if self.test_set.kind == "prior" and self.prior is None:
             raise ValueError("a test_set of kind 'prior' requires an input prior")
+        super().__post_init__()
+        with make_simulator(self.simulator) as sim:  # an external simulator starts no child here
+            box = sim.bounds
         for strategy in self.strategies:
-            self.loop_config(strategy, self.seed)  # the loop's own checks of every run's settings
+            baseline = None if strategy.startswith("amogape:") else strategy
+            try:
+                check_designs(self.loop_config(strategy, self.seed), box, baseline)
+            except ValueError as exc:
+                raise ValueError(f"strategies: {strategy!r}: {exc}") from exc
 
     def loop_config(self, strategy: str, run_seed: int) -> LoopConfig:
         """The loop settings of one run of `strategy`.
 
         A baseline gets the SD variant's spec, which it never reads.
         """
-        if strategy.startswith("amogape:"):
-            variant = strategy.split(":", 1)[1]
-        elif strategy in SEQUENTIAL_BASELINES + NONSEQUENTIAL_BASELINES:
-            variant = "SD"
-        else:
-            raise ValueError(f"unknown strategy: {strategy!r}")
+        variant = strategy.split(":", 1)[1] if strategy.startswith("amogape:") else "SD"
         spec = AcquisitionSpec.from_variant(
             variant,
             tempering=self.tempering,
             prior=self.prior,
             strict_zero_at_nodes=self.strict_zero_at_nodes,
         )
-        return LoopConfig(
-            budget=self.budget,
-            acquisition=spec,
-            optimizer=self.optimizer,
-            hyper_strategy=self.hyper_strategy,
-            nugget_policy=self.nugget_policy,
-            hyper_optimizer=self.hyper_optimizer,
-            initial_points=self.initial_points,
-            initial_sampler=self.initial_sampler,
-            initial_size=self.initial_size,
-            seed=run_seed,
-        )
+        shared = {setting.name: getattr(self, setting.name) for setting in fields(RunSettings)}
+        return LoopConfig(**{**shared, "seed": run_seed}, acquisition=spec)
 
 
 @dataclass
@@ -165,7 +148,7 @@ def build_test_set(config: ExperimentConfig, sim) -> tuple[np.ndarray, np.ndarra
 def _execute(strategy: str, loop_config: LoopConfig, sim, hook) -> EmulationResult:
     if strategy.startswith("amogape:"):
         return run(loop_config, sim, iteration_hook=hook)
-    return baseline_run(strategy, strategy in SEQUENTIAL_BASELINES, loop_config, sim, iteration_hook=hook)
+    return baseline_run(strategy, strategy not in NONSEQUENTIAL_BASELINES, loop_config, sim, iteration_hook=hook)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResults:

@@ -16,6 +16,11 @@ and the sequential baselines), each fit after the first searched one is
 warm-started: the previous model's bandwidths are its search's hint (see
 `multi_output.fit_all`).  The first fit, one-node fits and the
 redesigning baselines' fits search the full grid.
+
+The settings every run of a comparison shares (budget, initial design,
+optimizers, GP hyperparameters and seed) are `RunSettings`.  `LoopConfig`
+adds one run's acquisition and convergence test, `harness.ExperimentConfig`
+the simulator, strategies and test set of a comparison.
 """
 
 from __future__ import annotations
@@ -63,10 +68,11 @@ DESIGNS = NONSEQUENTIAL_BASELINES + ("sobol", "random", "prior-random")
 MAX_DUPLICATE_RETRIES = 5
 
 
-@dataclass(frozen=True)
-class LoopConfig:
+@dataclass(frozen=True, kw_only=True)
+class RunSettings:
+    """The settings every run of a comparison shares, with their checks (see the module docstring)."""
+
     budget: int  # maximum number of nodes M
-    acquisition: AcquisitionSpec = field(default_factory=AcquisitionSpec)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     hyper_strategy: str = "marginal-likelihood"
     nugget_policy: float | str = 0.0
@@ -74,8 +80,6 @@ class LoopConfig:
     initial_points: np.ndarray | None = None  # D x m0, raw coordinates
     initial_sampler: str | None = None  # one of DESIGNS
     initial_size: int | None = None
-    convergence_epsilon: float | None = None
-    convergence_probes: int = 1000
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -92,6 +96,16 @@ class LoopConfig:
         if m0 > self.budget:
             raise ValueError(f"initial_design has {m0} points, more than the budget of {self.budget}")
         check_hyperparameters(self.hyper_strategy, self.nugget_policy)
+
+
+@dataclass(frozen=True, kw_only=True)
+class LoopConfig(RunSettings):
+    acquisition: AcquisitionSpec = field(default_factory=AcquisitionSpec)
+    convergence_epsilon: float | None = None
+    convergence_probes: int = 1000
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
         if self.convergence_epsilon is not None and not self.convergence_epsilon > 0.0:
             raise ValueError("convergence threshold must be positive")
         if self.convergence_probes < 1:

@@ -263,8 +263,10 @@ class TestRunCommand:
         assert len(xs) == 6 and max(xs) == 2.9 and min(xs) == -1.3
 
     def test_overflowing_acquisition_is_reported_as_a_run_failure(self, tmp_path, capsys):
+        # At 2e153 the outputs still fit, but overflow the acquisition; from
+        # about 4e153 the log-ML overflows and the first fit fails instead.
         payload = dict(RUN_CONFIG, simulator=external_simulator(
-            "[1e200*math.log(x), 1e200*0.5*math.log(3*x)]", [[0.1, 10.0]]))
+            "[2e153*math.log(x), 2e153*0.5*math.log(3*x)]", [[0.1, 10.0]]))
         out = tmp_path / "o"
         assert main(["run", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 3
         assert "run failed: batch objective returned non-finite value inf at [" in capsys.readouterr().err
@@ -339,9 +341,9 @@ class TestExperimentCommand:
         assert main(["experiment", "--config", config, "--out", str(single)]) == 0
         built = []
 
-        def make(spec):  # the test set's simulator, then one per run: the second run's sixth output is NaN
+        def make(spec):  # the config's, the test set's, then one per run: the second run's sixth output is NaN
             built.append(spec)
-            return NanSimulator(nan_at=6) if len(built) == 3 else ToyLog1D()
+            return NanSimulator(nan_at=6) if len(built) == 4 else ToyLog1D()
 
         monkeypatch.setattr(harness, "make_simulator", make)
         out = tmp_path / "o"

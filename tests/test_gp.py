@@ -20,7 +20,7 @@ from active_emu.kernels import KernelParams, kernel_matrix, squared_distances
 from active_emu.multi_output import fit_all, predict_mean_matrix
 from active_emu.harness import run_experiment
 from active_emu.optimize import AnnealingConfig, OptimizerConfig
-from active_emu.simulators import make_simulator
+from active_emu.simulators import ToyLog1D, make_simulator
 
 from conftest import (
     FIXTURE_RUN,
@@ -395,6 +395,15 @@ class TestHyperparameters:
         assert factor is None  # the learned search keeps no factor
         assert 1e-8 <= nugget <= 1e-1
         assert BANDWIDTH_GRID[0] <= bandwidth <= BANDWIDTH_GRID[-1]
+
+    @pytest.mark.parametrize("nugget_policy", [0.02, "learned"])
+    def test_overflowing_outputs_name_the_output(self, nugget_policy):
+        # outputs near 1e200 overflow every log-ML the search scores
+        sim = ToyLog1D()
+        X = np.array([[0.1, 3.4, 6.7, 10.0]])
+        Y = 1e200 * np.column_stack([sim.evaluate(x) for x in X.T])
+        with np.errstate(over="ignore"), pytest.raises(IllConditionedError, match="^output 0: "):
+            fit_all(Dataset(X, Y, sim.bounds), nugget_policy=nugget_policy)
 
     def test_deterministic_given_seed(self, rng):
         X = separated_points(rng, 1, 10, 0.05)

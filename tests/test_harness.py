@@ -21,13 +21,13 @@ from active_emu.harness import (
 from active_emu.loop import EmulationResult
 from active_emu.multi_output import fit_all
 from active_emu.optimize import AnnealingConfig, OptimizerConfig
-from active_emu.simulators import ToyLog1D
+from active_emu.simulators import ToyLog1D, make_simulator
 
 from conftest import random_multi_model
 
 
-def tiny_experiment(strategies=("amogape:PDxPG", "random"), runs=2, budget=7, seed=3):
-    return ExperimentConfig(
+def tiny_experiment(strategies=("amogape:PDxPG", "random"), runs=2, budget=7, seed=3, **overrides):
+    settings = dict(
         simulator={"kind": "toy-log-1d"},
         strategies=tuple(strategies),
         budget=budget,
@@ -42,6 +42,7 @@ def tiny_experiment(strategies=("amogape:PDxPG", "random"), runs=2, budget=7, se
                                         annealing=AnnealingConfig(iterations=60)),
         seed=seed,
     )
+    return ExperimentConfig(**{**settings, **overrides})
 
 
 class TestMultiOutputRmse:
@@ -157,6 +158,22 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             tiny_experiment(strategies=("amogape:XX",), runs=1)
 
+    @pytest.mark.parametrize("strategy, overrides", [
+        ("prior-random", {}),
+        ("grid", dict(simulator={"kind": "toy-log-2d"}, initial_points=None, initial_sampler="lhs", initial_size=4)),
+    ], ids=["prior-random-without-prior", "grid-strategy-2d"])
+    def test_unrunnable_strategy_rejected_before_any_run(self, monkeypatch, strategy, overrides):
+        built = []
+
+        def make(spec):
+            built.append(make_simulator(spec))
+            return built[-1]
+
+        monkeypatch.setattr(harness, "make_simulator", make)
+        with pytest.raises(ValueError, match=f"strategies: '{strategy}': "):
+            tiny_experiment(strategies=(strategy,), **overrides)
+        assert all(sim.eval_count == 0 for sim in built)
+
     def test_initial_sampler_without_size_rejected(self):
         with pytest.raises(ValueError, match="size"):
             ExperimentConfig(
@@ -195,7 +212,7 @@ class TestSimulatorLifetime:
 
         monkeypatch.setattr(harness, "make_simulator", make)
         run_experiment(tiny_experiment(runs=2))
-        assert len(built) == 1 + 2 * 2  # the test set's, then one per (strategy, run)
+        assert len(built) == 1 + 1 + 2 * 2  # the config's, the test set's, then one per (strategy, run)
         assert all(sim.closed for sim in built)
 
     def test_simulator_of_a_raising_run_is_closed(self, monkeypatch):
@@ -222,7 +239,7 @@ class TestSimulatorLifetime:
         results = run_experiment(tiny_experiment(strategies=("random",), runs=2))
         assert len(results.failures) == 2
         assert all("solver died" in f.message for f in results.failures)
-        assert len(built) == 3 and all(sim.closed for sim in built)
+        assert len(built) == 4 and all(sim.closed for sim in built)  # the config's, the test set's, two runs
 
 
 class TestDensityReport:

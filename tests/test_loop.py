@@ -166,6 +166,43 @@ PINNED_RUNS = [
 ]
 
 
+def pinned_experiment(**overrides) -> harness.ExperimentConfig:
+    """A short seeded toy comparison through the harness, built in Python as a library caller would."""
+    settings = dict(
+        simulator={"kind": "toy-log-1d"},
+        strategies=("amogape:PDxPG", "random", "sobol", "seq-lhs", "grid", "lhs"),
+        budget=7,
+        runs=2,
+        test_set=harness.TestSetSpec(kind="grid", step=0.05),
+        initial_points=X0_1D,
+        optimizer=OptimizerConfig(strategy="simulated-annealing", annealing=AnnealingConfig(iterations=150)),
+        nugget_policy=0.02,
+        hyper_optimizer=OptimizerConfig(strategy="simulated-annealing", annealing=AnnealingConfig(iterations=60)),
+        seed=41,
+    )
+    settings.update(overrides)
+    return harness.ExperimentConfig(**settings)
+
+
+def experiment_digest(results) -> str:
+    """sha256 of an experiment's rows and of each strategy's first-run nodes and outputs."""
+    digest = hashlib.sha256(json.dumps(results.rows).encode())
+    for strategy, result in results.final_results.items():
+        digest.update(strategy.encode())
+        digest.update(result.dataset.X.tobytes())
+        digest.update(result.dataset.Y.tobytes())
+    return digest.hexdigest()
+
+
+# (name, experiment overrides, digest): the six strategies of acceptance
+# criterion 1, and prior-random with a prior; two runs each.
+PINNED_EXPERIMENTS = [
+    ("six-strategies", {}, "827b97fa7a03ff59a5b3746e53ee1ac5ad72e7bb6213d0d71e734f7ca4191594"),
+    ("prior-random", dict(strategies=("prior-random",), prior=PRIOR_1D, seed=42),
+     "e9f48e0b34895f49212ccb30a8e1ed5ed261b8c099568e81f6ec23c5fbb26d2b"),
+]
+
+
 class TestPinnedOutputs:
     @pytest.mark.parametrize(
         "strategy, sequential, overrides, evaluations, converged, expected",
@@ -184,6 +221,13 @@ class TestPinnedOutputs:
         nodes, trace = result_digests(result)
         assert nodes == expected[0], "nodes or outputs moved"
         assert trace == expected[1], "trace moved"
+
+    @pytest.mark.parametrize("overrides, expected", [case[1:] for case in PINNED_EXPERIMENTS],
+                             ids=[case[0] for case in PINNED_EXPERIMENTS])
+    def test_seeded_experiment_is_unchanged(self, overrides, expected):
+        results = harness.run_experiment(pinned_experiment(**overrides))
+        assert results.failures == []
+        assert experiment_digest(results) == expected, "rows or first-run designs moved"
 
     def test_seeded_fixture_run_is_unchanged(self):
         # Acceptance criterion 10's settings, m = 30 to 40.  The toy runs
@@ -347,13 +391,24 @@ class TestRun:
         assert result.model is not None
 
     def test_overflowing_acquisition_returns_partial_result(self):
-        # Outputs near 1e200 overflow the log-ML and the squared mean
+        # Outputs near 1e153 still fit, but overflow the squared mean
         # gradients; the suite turns any RuntimeWarning into an error.
-        sim = ScaledToy(1e200)
+        sim = ScaledToy(1e153)
         result = run(toy_config(budget=10), sim)
         assert result.failure.startswith("batch objective returned non-finite value inf at [")
         assert result.model is not None
         assert result.evaluations == result.dataset.n_nodes == sim.eval_count < 10
+
+    @pytest.mark.parametrize("nugget_policy, search", [(0.02, "at any grid bandwidth"),
+                                                       ("learned", "learned-nugget hyperparameter search")],
+                             ids=["fixed", "learned"])
+    def test_overflowing_first_fit_returns_partial_result(self, nugget_policy, search):
+        # Outputs near 1e200 overflow the log-ML of every hyperparameter the search scores.
+        sim = ScaledToy(1e200)
+        result = run(toy_config(budget=10, nugget_policy=nugget_policy), sim)
+        assert result.failure.startswith("output 0: ") and search in result.failure
+        assert result.model is None
+        assert result.evaluations == result.dataset.n_nodes == sim.eval_count == 4
 
     def test_nan_in_initial_design_returns_partial_result(self):
         result = run(toy_config(budget=10), NanSimulator(nan_at=2))
