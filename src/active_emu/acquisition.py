@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from . import gp
 from .multi_output import MultiGpModel
@@ -55,7 +55,7 @@ class TemperingSchedule:
 
     def __post_init__(self) -> None:
         if self.kind not in ("constant", "one-minus-inverse-t", "one-minus-exp"):
-            raise ValueError(f"unknown tempering kind: {self.kind!r}")
+            raise ValueError(f"unknown kind: {self.kind!r}")
         if self.kind == "constant" and not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"constant beta must lie in [0, 1], got {self.beta}")
         if self.kind == "one-minus-exp" and self.gamma < 0.0:
@@ -124,6 +124,14 @@ class InputPrior:
     def grad_log_density(self, X) -> np.ndarray:
         """Gradient of the log density inside the box at each row of X (n x D): -(x - mu) / sigma^2."""
         return -(X - self.mu) / self.sigma**2
+
+    def draws(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n i.i.d. inverse-CDF draws with `rng`, D x n."""
+        u = rng.random((self.dimension, n))
+        quantiles = self._cdf_low[:, np.newaxis] + u * (self._cdf_high - self._cdf_low)[:, np.newaxis]
+        samples = self.mu[:, np.newaxis] + self.sigma[:, np.newaxis] * ndtri(quantiles)
+        # Inverse-CDF round-off can graze the truncation edges.
+        return np.clip(samples, self.low[:, np.newaxis], self.high[:, np.newaxis])
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 """JSON config files for the CLI.
 
-Unknown fields are rejected everywhere so that a typo cannot silently
-change an experiment.  Every malformed config, the simulator block
-included, raises a `ConfigError` before anything runs; the CLI reports it
-with exit code 2.  An error inside a block names the block by its keys,
-as in `hyperparameters.optimizer: iterations must be >= 1`.
+The parser converts JSON into the library's types and names the block at
+fault.  The checks are the library's, as for a library caller: each type
+checks its fields when built, and `loop.check_designs` the designs against
+the simulator's box.  Unknown fields are rejected everywhere so that a typo
+cannot silently change an experiment.  Every malformed config, the
+simulator block included, raises a `ConfigError` before anything runs; the
+CLI reports it with exit code 2.  An error names its block by its keys, as
+in `hyperparameters.optimizer: iterations must be >= 1`.
 """
 
 from __future__ import annotations
@@ -15,10 +18,9 @@ import json
 import numpy as np
 
 from .acquisition import AcquisitionSpec, InputPrior, TemperingSchedule, VARIANT_NAMES
-from .gp import Dataset
-from .harness import ExperimentConfig, TestSetSpec
+from .harness import ExperimentConfig, TestSetSpec, check_density_options
 from .loop import LoopConfig, check_designs
-from .optimize import AnnealingConfig, AscentConfig, OptimizerConfig, in_box
+from .optimize import AnnealingConfig, AscentConfig, OptimizerConfig
 from .simulators import make_simulator
 
 # Optional JSON keys of the optimizer block -> (field, conversion) of its
@@ -27,7 +29,7 @@ _ANNEALING_KEYS = {
     "iterations": ("iterations", int),
     "cooling": ("cooling", float),
     "proposal_scale": ("proposal_fraction", float),
-    "initial_temperature": ("initial_temperature", lambda value: value),
+    "initial_temperature": ("initial_temperature", lambda value: None if value is None else float(value)),
 }
 _ASCENT_KEYS = {
     "ascent_step": ("initial_step_fraction", float),
@@ -99,28 +101,16 @@ def _require_keys(mapping: dict, allowed: set, required=(), block: str | None = 
 
 
 def _parse_tempering(raw) -> TemperingSchedule:
-    if raw is None:
-        return TemperingSchedule.one_minus_inverse_t()
+    raw = {"kind": "one-minus-inverse-t"} if raw is None else raw
     _require_keys(raw, {"kind", "beta", "gamma"})
-    kind = raw.get("kind")
-    if kind == "constant":
-        return TemperingSchedule.constant(float(raw.get("beta", 1.0)))
-    if kind == "one-minus-inverse-t":
-        return TemperingSchedule.one_minus_inverse_t()
-    if kind == "one-minus-exp":
-        return TemperingSchedule.one_minus_exp(float(raw.get("gamma", 1.0)))
-    raise ConfigError(f"unknown kind: {kind!r}")
+    return TemperingSchedule(raw.get("kind"), float(raw.get("beta", 1.0)), float(raw.get("gamma", 1.0)))
 
 
-def _parse_prior(raw, bounds: np.ndarray) -> InputPrior | None:
+def _parse_prior(raw) -> InputPrior | None:
     if raw is None:
         return None
     _require_keys(raw, {"mu", "sigma", "min", "max"}, required=("mu", "sigma", "min", "max"))
-    prior = InputPrior(mu=raw["mu"], sigma=raw["sigma"], low=raw["min"], high=raw["max"])
-    box = np.column_stack([prior.low, prior.high])  # no draw leaves the simulator's box if these corners do not
-    if prior.dimension != len(bounds) or not in_box(box, bounds):
-        raise ConfigError(f"the prior's box {box.tolist()} leaves the simulator's box {bounds.tolist()}")
-    return prior
+    return InputPrior(mu=raw["mu"], sigma=raw["sigma"], low=raw["min"], high=raw["max"])
 
 
 def _fields(raw: dict, keys: dict) -> dict:
@@ -183,18 +173,14 @@ def _parse_simulator_spec(raw) -> tuple[dict, np.ndarray]:
         return raw, sim.bounds
 
 
-def _parse_initial_design(raw, bounds: np.ndarray) -> dict:
-    """The initial design; given points must be distinct and lie in the simulator's box `bounds`."""
+def _parse_initial_design(raw) -> dict:
+    """The initial design: given points, rows in JSON and columns here, or a sampler and a size."""
     _require_keys(raw, {"points", "sampler", "size"})
     if "points" in raw:
         points = np.asarray(raw["points"], dtype=float)
         if points.ndim != 2:
             raise ConfigError("points must be a list of points")
-        if points.shape[1] != len(bounds):
-            raise ConfigError(f"points have dimension {points.shape[1]}, the simulator expects {len(bounds)}")
-        points = points.T.copy()  # rows in JSON, columns internally
-        Dataset(points, np.empty((0, points.shape[1])), bounds)  # rejects non-finite, outside and duplicate points
-        return {"initial_points": points, "initial_sampler": None, "initial_size": None}
+        return {"initial_points": points.T.copy(), "initial_sampler": None, "initial_size": None}
     sampler = raw.get("sampler")
     size = raw.get("size")
     if sampler is None or size is None:
@@ -202,7 +188,7 @@ def _parse_initial_design(raw, bounds: np.ndarray) -> dict:
     return {"initial_points": None, "initial_sampler": str(sampler), "initial_size": int(size)}
 
 
-def _parse_acquisition(raw, bounds: np.ndarray) -> dict:
+def _parse_acquisition(raw) -> dict:
     """Acquisition settings; the variant is resolved by the caller."""
     raw = {} if raw is None else raw
     _require_keys(raw, {"variant", "tempering", "prior", "strict_zero_at_nodes"})
@@ -212,7 +198,7 @@ def _parse_acquisition(raw, bounds: np.ndarray) -> dict:
     return {
         "variant": variant,
         "tempering": _parse_block(raw, "tempering", _parse_tempering),
-        "prior": _parse_block(raw, "prior", _parse_prior, bounds),
+        "prior": _parse_block(raw, "prior", _parse_prior),
         "strict_zero_at_nodes": bool(raw.get("strict_zero_at_nodes", True)),
     }
 
@@ -228,8 +214,8 @@ def _parse_shared(raw: dict, seed_override: int | None) -> tuple[np.ndarray, dic
     simulator, bounds = _parse_block(raw, "simulator", _parse_simulator_spec)
     return bounds, {
         "simulator": simulator,
-        **_parse_block(raw, "initial_design", _parse_initial_design, bounds),
-        **_parse_block(raw, "acquisition", _parse_acquisition, bounds),
+        **_parse_block(raw, "initial_design", _parse_initial_design),
+        **_parse_block(raw, "acquisition", _parse_acquisition),
         "optimizer": _parse_block(raw, "optimizer", _parse_optimizer),
         **_parse_block(raw, "hyperparameters", _parse_hyper),
         "seed": _parse_block(raw, "seed", _parse_seed, seed_override),
@@ -318,4 +304,6 @@ def _parse_density(raw) -> dict | None:
     if raw is None:
         return None
     _require_keys(raw, {"bandwidth", "grid"})
-    return {"bandwidth": float(raw["bandwidth"]), "grid": int(raw.get("grid", 40))}
+    options = {"bandwidth": float(raw["bandwidth"]), "grid": int(raw.get("grid", 40))}
+    check_density_options(options["bandwidth"], options["grid"])
+    return options

@@ -7,9 +7,7 @@ nugget, one factorisation per grid bandwidth serves all rows, and Brent's
 method refines each row's grid maximum) or by the largest bandwidth that
 keeps the kernel matrix numerically invertible.  A refit whose nodes grew
 by one may hint the fixed-nugget search with the previous fit's
-bandwidths; it then differs from the full search only if the log-ML has a
-higher maximum outside the hint's window while the window's best cell is
-interior.
+bandwidths (see `_shared_ml_bandwidths`).
 `fit` solves every row's weights, reusing the factors the search built.
 `evaluate` is the one evaluation of a fitted `multi_output.MultiGpModel`
 away from its nodes: every output's variances (predictive or noise-free),
@@ -643,12 +641,10 @@ def select_hyperparameters(
     log marginal likelihood by one deterministic search shared by all rows
     (`_shared_ml_bandwidths`), the only one that reads `hint`: bandwidths
     near which to score the grid first, the previous fit's when the nodes
-    grew by one.  A hinted search differs from the full one only if the
-    log-ML has a higher maximum outside the hint's window while the
-    window's best cell is interior.  With the learned nugget each row gets its
-    own 2-D search by `optimizer` (short simulated annealing by default),
-    seeded with `derive_seed(seed, p)` for row p; `optimizer` and `seed`
-    apply to the learned nugget only.
+    grew by one.  With the learned nugget each row gets its own 2-D search
+    by `optimizer` (short simulated annealing by default), seeded with
+    `derive_seed(seed, p)` for row p; `optimizer` and `seed` apply to the
+    learned nugget only.
     'max-stable-bandwidth' walks the bandwidth grid once from the top and
     gives every row the largest value whose regularized kernel matrix stays
     below the condition bound.

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .acquisition import AcquisitionSpec, InputPrior, TemperingSchedule
-from .loop import NONSEQUENTIAL_BASELINES, EmulationResult, LoopConfig, RunSettings, baseline_run, check_designs, run
+from .loop import NONSEQUENTIAL_BASELINES, EmulationResult, LoopConfig, RunSettings, baseline_run, run
+from .loop import check_baseline_designs, check_designs
 from .multi_output import MultiGpModel, predict_mean_matrix
 from .optimize import check_box
 from .samplers import sample_truncated_gaussian
@@ -47,7 +48,7 @@ class TestSetSpec:
 
 @dataclass(frozen=True, kw_only=True)
 class ExperimentConfig(RunSettings):
-    """Each strategy run `runs` times under the shared `RunSettings`; an unrunnable strategy raises here."""
+    """Each strategy run `runs` times under the shared `RunSettings`; designs a run cannot build raise here."""
 
     simulator: dict
     strategies: tuple
@@ -67,10 +68,12 @@ class ExperimentConfig(RunSettings):
         super().__post_init__()
         with make_simulator(self.simulator) as sim:  # an external simulator starts no child here
             box = sim.bounds
+        check_designs(self.loop_config("amogape:SD", self.seed), box)  # the shared initial design and prior
         for strategy in self.strategies:
-            baseline = None if strategy.startswith("amogape:") else strategy
             try:
-                check_designs(self.loop_config(strategy, self.seed), box, baseline)
+                config = self.loop_config(strategy, self.seed)
+                if not strategy.startswith("amogape:"):
+                    check_baseline_designs(config, box, strategy)
             except ValueError as exc:
                 raise ValueError(f"strategies: {strategy!r}: {exc}") from exc
 
@@ -214,6 +217,14 @@ def write_failures_csv(results: ExperimentResults, path) -> None:
             writer.writerow([failure.strategy, failure.run_index, failure.message])
 
 
+def check_density_options(bandwidth: float, grid_size: int) -> None:
+    """A density map's kernel bandwidth must be finite and positive, and its grid at least 1 point per axis."""
+    if not 0.0 < bandwidth < np.inf:
+        raise ValueError(f"bandwidth must be finite and positive, got {bandwidth}")
+    if grid_size < 1:
+        raise ValueError(f"grid must be >= 1, got {grid_size}")
+
+
 def density_report(result: EmulationResult, bandwidth: float, grid_size: int = 40):
     """Gaussian-kernel density of the final node locations on a regular grid.
 
@@ -228,8 +239,7 @@ def density_report(result: EmulationResult, bandwidth: float, grid_size: int = 4
     dataset = result.dataset
     if dataset is None or dataset.dimension != 2:
         raise ValueError("density_report needs a completed 2-dimensional run")
-    if bandwidth <= 0.0:
-        raise ValueError("bandwidth must be positive")
+    check_density_options(bandwidth, grid_size)
     lo = dataset.input_bounds[:, 0]
     hi = dataset.input_bounds[:, 1]
     x_axis = np.linspace(lo[0], hi[0], grid_size)

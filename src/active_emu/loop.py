@@ -11,11 +11,11 @@ the full quadratic evaluation cost.  `_drive` owns the rest: evaluation
 accounting, the fits and the hook, the trace, the convergence test, and
 the partial result when a run fails.  Each dataset owns its nodes'
 geometry: the fit reads it, and a candidate point is checked against the
-nodes by `Dataset.duplicates`.  Where a step appends one node (AMOGAPE
-and the sequential baselines), each fit after the first searched one is
-warm-started: the previous model's bandwidths are its search's hint (see
-`multi_output.fit_all`).  The first fit, one-node fits and the
-redesigning baselines' fits search the full grid.
+nodes by `Dataset.duplicates`.  A fit whose dataset is the previous
+searched fit's plus one node (as after a step of AMOGAPE or a sequential
+baseline) is warm-started: the previous model's bandwidths are its
+search's hint (see `multi_output.fit_all`); other fits search the full
+grid.  A run checks its designs (`check_designs`) before it evaluates.
 
 The settings every run of a comparison shares (budget, initial design,
 optimizers, GP hyperparameters and seed) are `RunSettings`.  `LoopConfig`
@@ -45,7 +45,7 @@ from .acquisition import (
 )
 from .gp import Dataset, IllConditionedError, check_hyperparameters, single_lapack_thread
 from .multi_output import MultiGpModel, fit_all, fit_single_node, predict_mean_matrix
-from .optimize import OptimizerConfig, OptimizerFailure, from_unit_cube, maximize
+from .optimize import OptimizerConfig, OptimizerFailure, from_unit_cube, in_box, maximize
 from .samplers import grid_design, lhs_design, make_sampler, sobol_sequence
 from .seeding import derive_seed
 from .simulators import Simulator, SimulatorError
@@ -152,15 +152,35 @@ def _initial_nodes(config: LoopConfig, box: np.ndarray) -> np.ndarray:
 
 
 def check_designs(config: LoopConfig, box: np.ndarray, baseline: str | None = None) -> LoopConfig:
-    """`config`, once its run (a `baseline_run` of `baseline`, if given) has built its designs in the box.
+    """`config`, once the designs of its run (a `baseline_run` of `baseline`, if given) are checked.
 
-    It builds them as the run would (see `_design`), so a design that cannot be built raises its ValueError here.
+    It raises ValueError naming the setting at fault unless the prior's box
+    lies in the simulator's `box`, so that no draw leaves it; the initial
+    design builds as the run builds it (`_design`) into finite, distinct
+    points of `box`; and `baseline`'s designs build (`check_baseline_designs`).
     """
-    _initial_nodes(config, box)
-    if baseline is not None:  # a sequential baseline's sampler, or a redesign at every size
-        for t in range(1, config.budget + 1) if baseline in NONSEQUENTIAL_BASELINES else [1]:
-            _design(baseline, t, box, 0, config.acquisition.prior)
+    prior = config.acquisition.prior
+    if prior is not None:  # no draw leaves `box` if the prior's corners do not
+        prior_box = np.column_stack([prior.low, prior.high])
+        if prior.dimension != len(box) or not in_box(prior_box, box):
+            message = f"the prior's box {prior_box.tolist()} leaves the simulator's box {box.tolist()}"
+            raise ValueError(f"acquisition.prior: {message}")
+    try:
+        nodes = _initial_nodes(config, box)
+        if len(nodes) != len(box):
+            raise ValueError(f"points have dimension {len(nodes)}, the simulator expects {len(box)}")
+        Dataset(nodes, np.empty((0, nodes.shape[1])), box)
+    except ValueError as exc:
+        raise ValueError(f"initial_design: {exc}") from exc
+    if baseline is not None:
+        check_baseline_designs(config, box, baseline)
     return config
+
+
+def check_baseline_designs(config: LoopConfig, box: np.ndarray, baseline: str) -> None:
+    """Build the designs of a `baseline_run` of `baseline` but the initial one: its sampler, or each size's redesign."""
+    for t in range(1, config.budget + 1) if baseline in NONSEQUENTIAL_BASELINES else [1]:
+        _design(baseline, t, box, 0, config.acquisition.prior)
 
 
 def _evaluated(points: np.ndarray, sim: Simulator) -> Dataset:
@@ -222,20 +242,17 @@ def _choose_next_point(
 
 
 @single_lapack_thread()
-def _drive(
-    config: LoopConfig, sim: Simulator, start, step, iteration_hook, appends: bool = True
-) -> EmulationResult:
+def _drive(config: LoopConfig, sim: Simulator, start, step, iteration_hook) -> EmulationResult:
     """The loop every strategy shares.
 
     `start()` returns the evaluated initial dataset, or None when the first
     step builds the whole design.  `step(model, dataset, t)` returns the
     evaluated dataset of iteration t and the acquisition value of its new
     node (None when no acquisition chose it).  The loop fits after the
-    start and after every step.  When the steps append one node to the
-    dataset (`appends`), each fit after a searched one is warm-started: it
-    passes the previous model's bandwidths to `fit_all` as its hint.  It
-    calls `iteration_hook(n_nodes, model)`
-    after every fit, and records one IterationRecord per step.  With
+    start and after every step.  A fit whose dataset is the previous
+    searched model's plus one node is warm-started: it passes that model's
+    bandwidths to `fit_all` as its hint.  It calls `iteration_hook(n_nodes,
+    model)` after every fit, and records one IterationRecord per step.  With
     `convergence_epsilon` set it stops once the mean predictions on a Sobol
     probe set move by at most that RMS between successive models.  A
     failure of RUN_FAILURES ends the run with a partial result: the trace
@@ -255,8 +272,9 @@ def _drive(
                 dataset, value = (start(), None) if t == 0 else step(model, dataset, t)
                 if dataset is None:
                     continue
-                warm = appends and model is not None and model.dataset.n_nodes > 1
-                model = _fit(dataset, config, t, hint=model.bandwidths if warm else None)
+                warm = model is not None and model.dataset.n_nodes > 1
+                hint = model.bandwidths if warm and np.array_equal(dataset.X[:, :-1], model.dataset.X) else None
+                model = _fit(dataset, config, t, hint=hint)
         except RUN_FAILURES as exc:
             return EmulationResult(dataset, model, trace, sim.eval_count - evals_before, failure=str(exc))
         if t > 0:
@@ -298,6 +316,7 @@ def run(config: LoopConfig, sim: Simulator, iteration_hook=None) -> EmulationRes
         x_star, value = _choose_next_point(config, model, dataset, sim.bounds, t)
         return dataset.with_node(x_star, sim.evaluate(x_star)), value
 
+    check_designs(config, sim.bounds)
     return _drive(config, sim, lambda: _evaluated(_initial_nodes(config, sim.bounds), sim), acquire, iteration_hook)
 
 
@@ -317,17 +336,16 @@ def baseline_run(
     (M^2 + M) / 2.  Hook, trace, convergence and failures are those of
     `run` (see `_drive`).
     """
+    if not sequential and sampler_kind not in NONSEQUENTIAL_BASELINES:
+        raise ValueError(f"non-sequential baseline must be one of {NONSEQUENTIAL_BASELINES}, got {sampler_kind!r}")
+    check_designs(config, sim.bounds, sampler_kind)
     if not sequential:
-        if sampler_kind not in NONSEQUENTIAL_BASELINES:
-            raise ValueError(
-                f"non-sequential baseline must be one of {NONSEQUENTIAL_BASELINES}, got {sampler_kind!r}"
-            )
 
         def redesign(model, dataset, t):
             points = _design(sampler_kind, t, sim.bounds, derive_seed(config.seed, 5, t), None)
             return _evaluated(points, sim), None
 
-        return _drive(config, sim, lambda: None, redesign, iteration_hook, appends=False)
+        return _drive(config, sim, lambda: None, redesign, iteration_hook)
 
     sampler = None
 

@@ -90,9 +90,8 @@ def fit_all(
     factor the search built at each output's bandwidth; `seed` and
     `hyper_optimizer` apply to the learned nugget only.  `hint`, the
     bandwidths of a model whose dataset this one extends by a node, applies
-    to the fixed-nugget search only: it scores the grid near them first,
-    and differs from the full search only if the log-ML has a higher
-    maximum outside that window while the window's best cell is interior.
+    to the fixed-nugget search only: it scores the grid near them first
+    (`gp._shared_ml_bandwidths` says when that differs from the full search).
     Pass `bandwidths`, one per output, to skip selection and fit with fixed
     kernel parameters.
     """

@@ -31,8 +31,16 @@ class AscentConfig:
     """Projected gradient-ascent settings (backtracking line search)."""
 
     initial_step_fraction: float = 0.1  # of the box width
-    max_iterations: int = 200
+    max_iterations: int = 200  # 0: no ascent, the random search alone
     gradient_tolerance: float = 1e-8
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.initial_step_fraction < np.inf:
+            raise ValueError(f"ascent step must be positive and finite, got {self.initial_step_fraction}")
+        if self.max_iterations < 0:
+            raise ValueError(f"ascent iterations must be >= 0, got {self.max_iterations}")
+        if not self.gradient_tolerance >= 0.0:
+            raise ValueError(f"gradient tolerance must be >= 0, got {self.gradient_tolerance}")
 
 
 @dataclass(frozen=True)
@@ -55,6 +63,10 @@ class AnnealingConfig:
             raise ValueError("iterations must be >= 1")
         if not 0.0 < self.cooling < 1.0:
             raise ValueError("cooling factor must lie in (0, 1)")
+        if not 0.0 < self.proposal_fraction < np.inf:
+            raise ValueError(f"proposal scale must be positive and finite, got {self.proposal_fraction}")
+        if self.initial_temperature is not None and not 0.0 <= self.initial_temperature < np.inf:
+            raise ValueError(f"initial temperature must be >= 0 and finite, got {self.initial_temperature}")
 
 
 @dataclass(frozen=True)

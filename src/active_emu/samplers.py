@@ -10,7 +10,6 @@ but the prior's maps the unit cube into its box by the `optimize` box rule.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 from .acquisition import InputPrior
 from .optimize import check_box, from_unit_cube
@@ -124,7 +123,7 @@ class PriorSampler:
         self._rng = np.random.default_rng(seed)
 
     def next_point(self) -> np.ndarray:
-        return _truncated_gaussian_draws(self.prior, 1, self._rng)[:, 0]
+        return self.prior.draws(1, self._rng)[:, 0]
 
 
 def sobol_sequence(dimension: int, n: int, bounds) -> np.ndarray:
@@ -170,20 +169,9 @@ def grid_design(dimension: int, m: int, bounds) -> np.ndarray:
     return from_unit_cube(unit, box[:, :1], box[:, 1:])
 
 
-def _truncated_gaussian_draws(prior: InputPrior, n: int, rng: np.random.Generator) -> np.ndarray:
-    u = rng.random((prior.dimension, n))
-    lo_cdf = prior._cdf_low[:, np.newaxis]
-    hi_cdf = prior._cdf_high[:, np.newaxis]
-    quantiles = lo_cdf + u * (hi_cdf - lo_cdf)
-    samples = prior.mu[:, np.newaxis] + prior.sigma[:, np.newaxis] * ndtri(quantiles)
-    # Inverse-CDF round-off can graze the truncation edges.
-    return np.clip(samples, prior.low[:, np.newaxis], prior.high[:, np.newaxis])
-
-
 def sample_truncated_gaussian(prior: InputPrior, n: int, seed: int = 0) -> np.ndarray:
     """n i.i.d. inverse-CDF samples from the prior, D x n; seed-deterministic."""
-    rng = np.random.default_rng(seed)
-    return _truncated_gaussian_draws(prior, n, rng)
+    return prior.draws(n, np.random.default_rng(seed))
 
 
 def make_sampler(kind: str, dimension: int, bounds, seed: int = 0, pool_size: int | None = None, prior: InputPrior | None = None):

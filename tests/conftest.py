@@ -11,6 +11,7 @@ from hypothesis import settings
 from scipy.linalg import cho_factor, cho_solve
 
 from active_emu import gp
+from active_emu.acquisition import InputPrior
 from active_emu.gp import Dataset
 from active_emu.kernels import KernelParams, exp_quadratic, kernel_matrix, squared_distances
 from active_emu.multi_output import fit_all, predict_mean_matrix
@@ -40,6 +41,16 @@ FIXTURE_RUN = {
         "nugget": {"policy": "fixed", "value": 1e-4},
         "optimizer": {"strategy": "random-then-ascent", "n_random": 10, "ascent_iterations": 40},
     },
+}
+
+
+# Designs no run on the toy-1D box [0.1, 10] can use, as (initial points,
+# prior): each must be refused before the simulator runs.
+UNUSABLE_DESIGNS = {
+    "duplicate-points": (np.array([[1.0, 5.0, 1.0]]), None),
+    "point-outside-box": (np.array([[0.0, 5.0]]), None),
+    "wrong-dimension": (np.array([[1.0, 5.0], [2.0, 6.0]]), None),
+    "prior-outside-box": (np.array([[1.0, 5.0]]), InputPrior(mu=[11.0], sigma=[1.0], low=[0.1], high=[12.0])),
 }
 
 

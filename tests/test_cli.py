@@ -14,7 +14,7 @@ import pytest
 from active_emu import cli, harness, loop
 from active_emu.cli import main
 from active_emu.gp import IllConditionedError
-from active_emu.simulators import ToyLog1D
+from active_emu.simulators import Simulator, ToyLog1D
 
 from conftest import NanSimulator, failing_after
 
@@ -81,6 +81,17 @@ BAD_INITIAL_POINTS = [
     {"points": [[0.0], [5.0]]},
     {"points": [[1.0], [1.0]]},
 ]
+# Search settings no optimizer accepts: a temperature that is not a number
+# or is negative, a zero proposal scale, a negative ascent step or count,
+# and a NaN gradient tolerance.
+BAD_OPTIMIZERS = [
+    {"strategy": "simulated-annealing", "initial_temperature": "hot"},
+    {"strategy": "simulated-annealing", "initial_temperature": -1.0},
+    {"strategy": "simulated-annealing", "proposal_scale": 0.0},
+    {"strategy": "random-then-ascent", "ascent_step": -0.1},
+    {"strategy": "random-then-ascent", "ascent_iterations": -3},
+    {"strategy": "random-then-ascent", "gradient_tolerance": float("nan")},
+]
 MALFORMED_CONFIGS = [
     ("run", "initial_design", {"sampler": "sobol", "size": "x"}),
     ("run", "hyperparameters", {"nugget": {"policy": "fixed", "value": "x"}}),
@@ -101,6 +112,10 @@ MALFORMED_CONFIGS = [
     ("experiment", "n_add", -3),
     *((command, "simulator", simulator) for command in ("run", "experiment") for simulator in UNUSABLE_SIMULATORS),
     *((command, "initial_design", design) for command in ("run", "experiment") for design in BAD_INITIAL_POINTS),
+    ("experiment", "density", {"bandwidth": -1.0}),
+    *((command, "optimizer", optimizer) for command in ("run", "experiment") for optimizer in BAD_OPTIMIZERS),
+    *((command, "hyperparameters", {"nugget": {"policy": "fixed", "value": 0.02}, "optimizer": optimizer})
+      for command in ("run", "experiment") for optimizer in BAD_OPTIMIZERS),
 ]
 
 
@@ -118,6 +133,19 @@ UNRUNNABLE_CONFIGS = [
              "acquisition": {"prior": {"mu": [11.0], "sigma": [1.0], "min": [0.1], "max": [12.0]}}},
      "acquisition.prior: the prior's box [[0.1, 12.0]] leaves the simulator's box [[0.1, 10.0]]"),
 ]
+
+
+def count_evaluations(monkeypatch) -> list:
+    """The list to which every later `Simulator.evaluate` call appends its point."""
+    calls = []
+    evaluate = Simulator.evaluate
+
+    def counting(self, x):
+        calls.append(x)
+        return evaluate(self, x)
+
+    monkeypatch.setattr(Simulator, "evaluate", counting)
+    return calls
 
 
 def external_simulator(outputs: str, bounds) -> dict:
@@ -365,27 +393,31 @@ class TestExperimentCommand:
 
 
 @pytest.mark.parametrize("command, key, block", MALFORMED_CONFIGS)
-def test_malformed_config_exits_2_before_running(tmp_path, capsys, command, key, block):
+def test_malformed_config_exits_2_before_running(tmp_path, capsys, monkeypatch, command, key, block):
     """`main` runs in this process, so an exception it lets out fails the test."""
     payload = json.loads(json.dumps(RUN_CONFIG if command == "run" else EXPERIMENT_CONFIG))
     payload[key] = block
     config = write_config(tmp_path, payload)
     out = tmp_path / "o"
+    evaluations = count_evaluations(monkeypatch)
     assert main([command, "--config", config, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert key in err  # the block at fault is named
     assert not out.exists()
+    assert evaluations == []
 
 
 @pytest.mark.parametrize("command, blocks, message", UNRUNNABLE_CONFIGS,
                          ids=["prior-random-without-prior", "grid-design-2d", "grid-strategy-2d", "prior-box-outside"])
-def test_config_that_cannot_run_exits_2_before_running(tmp_path, capsys, command, blocks, message):
+def test_config_that_cannot_run_exits_2_before_running(tmp_path, capsys, monkeypatch, command, blocks, message):
     payload = dict(RUN_CONFIG if command == "run" else EXPERIMENT_CONFIG, **blocks)
     out = tmp_path / "o"
+    evaluations = count_evaluations(monkeypatch)
     assert main([command, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+    assert evaluations == []
 
 
 @pytest.mark.parametrize("key, block, message", [

@@ -23,7 +23,7 @@ from active_emu.multi_output import fit_all
 from active_emu.optimize import AnnealingConfig, OptimizerConfig
 from active_emu.simulators import ToyLog1D, make_simulator
 
-from conftest import random_multi_model
+from conftest import UNUSABLE_DESIGNS, random_multi_model
 
 
 def tiny_experiment(strategies=("amogape:PDxPG", "random"), runs=2, budget=7, seed=3, **overrides):
@@ -158,11 +158,15 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             tiny_experiment(strategies=("amogape:XX",), runs=1)
 
-    @pytest.mark.parametrize("strategy, overrides", [
-        ("prior-random", {}),
-        ("grid", dict(simulator={"kind": "toy-log-2d"}, initial_points=None, initial_sampler="lhs", initial_size=4)),
-    ], ids=["prior-random-without-prior", "grid-strategy-2d"])
-    def test_unrunnable_strategy_rejected_before_any_run(self, monkeypatch, strategy, overrides):
+    @pytest.mark.parametrize("strategies, overrides, message", [
+        (("prior-random",), {}, "strategies: 'prior-random': "),
+        (("grid",), dict(simulator={"kind": "toy-log-2d"}, initial_points=None, initial_sampler="lhs", initial_size=4),
+         "strategies: 'grid': "),
+        # designs every strategy shares are refused once, in no strategy's name
+        *((("sobol", "amogape:SD"), dict(initial_points=points, prior=prior), "(initial_design|acquisition.prior): ")
+          for points, prior in UNUSABLE_DESIGNS.values()),
+    ], ids=["prior-random-without-prior", "grid-strategy-2d", *UNUSABLE_DESIGNS])
+    def test_unrunnable_strategy_rejected_before_any_run(self, monkeypatch, strategies, overrides, message):
         built = []
 
         def make(spec):
@@ -170,8 +174,8 @@ class TestRunExperiment:
             return built[-1]
 
         monkeypatch.setattr(harness, "make_simulator", make)
-        with pytest.raises(ValueError, match=f"strategies: '{strategy}': "):
-            tiny_experiment(strategies=(strategy,), **overrides)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            tiny_experiment(strategies=strategies, **overrides)
         assert all(sim.eval_count == 0 for sim in built)
 
     def test_initial_sampler_without_size_rejected(self):

@@ -23,7 +23,7 @@ from active_emu.optimize import AnnealingConfig, OptimizerConfig, maximize
 from active_emu.samplers import sobol_sequence
 from active_emu.simulators import Simulator, SimulatorError, ToyLog1D, make_simulator
 
-from conftest import FIXTURE_RUN, NanSimulator, failing_after, numpy_blas_thread_control
+from conftest import FIXTURE_RUN, UNUSABLE_DESIGNS, NanSimulator, failing_after, numpy_blas_thread_control
 
 X0_1D = np.array([[0.1, 3.4, 6.7, 10.0]])
 
@@ -488,6 +488,17 @@ class TestRun:
         with pytest.raises(ValueError, match="initial_design has 8 points"):
             toy_config(budget=6, initial_points=None, initial_sampler="lhs", initial_size=8)
         assert toy_config(budget=4).budget == 4  # an initial design may fill the budget
+
+
+@pytest.mark.parametrize("points, prior", UNUSABLE_DESIGNS.values(), ids=UNUSABLE_DESIGNS.keys())
+@pytest.mark.parametrize("start", [run, lambda config, sim: baseline_run("random", True, config, sim)],
+                         ids=["run", "baseline_run"])
+def test_unusable_design_is_refused_before_any_evaluation(start, points, prior):
+    config = toy_config(initial_points=points, acquisition=AcquisitionSpec.from_variant("PDxPG", prior=prior))
+    sim = ToyLog1D()
+    with pytest.raises(ValueError, match="^(initial_design|acquisition.prior): "):
+        start(config, sim)
+    assert sim.eval_count == 0
 
 
 class TestDuplicateSearches:
