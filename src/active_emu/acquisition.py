@@ -58,7 +58,7 @@ class TemperingSchedule:
             raise ValueError(f"unknown kind: {self.kind!r}")
         if self.kind == "constant" and not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"constant beta must lie in [0, 1], got {self.beta}")
-        if self.kind == "one-minus-exp" and self.gamma < 0.0:
+        if self.kind == "one-minus-exp" and not self.gamma >= 0.0:
             raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
 
     @classmethod
@@ -100,12 +100,22 @@ class InputPrior:
         shapes = {self.mu.shape, self.sigma.shape, self.low.shape, self.high.shape}
         if len(shapes) != 1:
             raise ValueError("mu, sigma, low, high must all have the same length")
-        if not np.all(self.sigma > 0.0):
-            raise ValueError("sigma must be positive")
+        for d, (mu, sigma) in enumerate(zip(self.mu, self.sigma)):
+            if not np.isfinite(mu):
+                raise ValueError(f"dimension {d}: mu must be finite, got {mu}")
+            if not 0.0 < sigma < np.inf:
+                raise ValueError(f"dimension {d}: sigma must be positive and finite, got {sigma}")
         check_box(np.column_stack([self.low, self.high]))  # min < max in every dimension
         zl = (self.low - self.mu) / self.sigma
         zh = (self.high - self.mu) / self.sigma
         mass = ndtr(zh) - ndtr(zl)
+        empty = np.flatnonzero(~(mass > 0.0))
+        if empty.size:
+            d = empty[0]
+            raise ValueError(
+                f"dimension {d}: the prior's mass on [{self.low[d]}, {self.high[d]}] "
+                f"(mu {self.mu[d]}, sigma {self.sigma[d]}) rounds to zero"
+            )
         object.__setattr__(self, "_log_norm", np.log(self.sigma) + 0.5 * np.log(2.0 * np.pi) + np.log(mass))
         object.__setattr__(self, "_cdf_low", ndtr(zl))
         object.__setattr__(self, "_cdf_high", ndtr(zh))

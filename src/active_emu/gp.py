@@ -4,10 +4,11 @@ Zero-mean GPs with the exponentiated quadratic kernel, one per output row,
 each with its own bandwidth and nugget.  `select_hyperparameters` chooses
 them for all rows at once, either by marginal likelihood (with a fixed
 nugget, one factorisation per grid bandwidth serves all rows, and Brent's
-method refines each row's grid maximum) or by the largest bandwidth that
-keeps the kernel matrix numerically invertible.  A refit whose nodes grew
-by one may hint the fixed-nugget search with the previous fit's
-bandwidths (see `_shared_ml_bandwidths`).
+method refines each row's grid maximum until a parabola that predicted
+its last probe promises less than BRENT_GAIN nats more) or by the largest
+bandwidth that keeps the kernel matrix numerically invertible.  A refit
+whose nodes grew by one may hint the fixed-nugget search with the
+previous fit's bandwidths (see `_shared_ml_bandwidths`).
 `fit` solves every row's weights, reusing the factors the search built.
 `evaluate` is the one evaluation of a fitted `multi_output.MultiGpModel`
 away from its nodes: every output's variances (predictive or noise-free),
@@ -31,6 +32,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -61,8 +63,14 @@ HYPER_STRATEGIES = ("marginal-likelihood", "max-stable-bandwidth")
 
 # Most evaluations per output when the fixed-nugget marginal-likelihood
 # search refines its grid maximum (Brent's method, whose fallback steps are
-# golden sections), and the width in log-bandwidth at which it stops.
+# golden sections).  It stops once the parabola through its three best
+# points predicted the last probe's log-ML to within BRENT_GAIN nats and
+# promises less than BRENT_GAIN more, inside the 1e-3 nats of a dense
+# search that the tests hold it to.  BRENT_TOLERANCE, a width in
+# log-bandwidth, is Brent's smallest step and the stop where no concave
+# parabola forms.
 BRENT_EVALUATIONS = 12
+BRENT_GAIN = 1e-4
 BRENT_TOLERANCE = 1e-5
 # Grid cells either side of each hinted bandwidth's nearest cell that a
 # warm-started search scores first.
@@ -436,6 +444,18 @@ def _log_ml_rows(sq, Y, bandwidth: float, nugget: float):
     return -0.5 * rowwise_dot(Y, alpha.T) - 0.5 * log_det - 0.5 * Y.shape[1] * np.log(2.0 * np.pi), factor
 
 
+def _parabola(x: float, fx: float, w: float, fw: float, v: float, fv: float):
+    """(slope, curvature) of the parabola fx + s (slope + curvature s) in s = t - x through three points.
+
+    None unless the points are distinct.
+    """
+    if x == w or x == v or w == v:
+        return None
+    slope_w, slope_v = (fw - fx) / (w - x), (fv - fx) / (v - x)
+    curvature = (slope_w - slope_v) / (w - v)
+    return slope_w + curvature * (x - w), curvature
+
+
 def _brent_max(f, lo: float, hi: float, seeds, evaluations: int, tolerance: float):
     """Best (value, point, payload) of at most `evaluations` probes of f on [lo, hi], by Brent's method.
 
@@ -444,17 +464,31 @@ def _brent_max(f, lo: float, hi: float, seeds, evaluations: int, tolerance: floa
     scipy's `fminbound`), maximizing.  `seeds` are up to three (value,
     point) pairs in [lo, hi] whose values are already known, the best
     first: the first parabola goes through them, so they cost no
-    evaluation.  The search stops once the best point's bracket is within
-    `tolerance` (plus a relative sqrt(eps)), or after `evaluations` probes.
-    f returns (value, payload).  Probes rank by (value, point); only the
-    best keeps its payload.  None if no probe was made.
+    evaluation.  Before each probe, the search stops if the parabola
+    through its three best points (x, w and v) is concave, its vertex
+    beats the best value by less than BRENT_GAIN, and the parabola before
+    it predicted the last probe's value to within BRENT_GAIN: a parabola
+    through points a grid cell apart can misjudge a skewed peak by far
+    more than that, so its promise counts only once it has predicted a
+    probe.  `tolerance` is the smallest step, and the search also stops
+    once the best point's bracket is within it (plus a relative
+    sqrt(eps)), the one stop where no concave parabola forms; and after
+    `evaluations` probes.  f returns (value, payload).  Probes rank by
+    (value, point); only the best keeps its payload.  None if no probe
+    was made.
     """
     (fx, x), *rest = seeds
     (fw, w), (fv, v) = (list(rest) + [(fx, x)] * 2)[:2]
     a, b = lo, hi
     d = e = b - a  # the seeds' spacing stands in for the steps before them
     best = None
+    miss = math.inf  # how far the last probe's value fell from its parabola's prediction
     for _ in range(evaluations):
+        parabola = _parabola(x, fx, w, fw, v, fv)
+        if parabola is not None:
+            slope, curvature = parabola
+            if miss < BRENT_GAIN and curvature < 0.0 and -slope * slope / (4.0 * curvature) < BRENT_GAIN:
+                break
         xm = 0.5 * (a + b)
         tol1 = _SQRT_EPS * abs(x) + tolerance / 3.0
         tol2 = 2.0 * tol1
@@ -480,6 +514,8 @@ def _brent_max(f, lo: float, hi: float, seeds, evaluations: int, tolerance: floa
             d = _GOLDEN_STEP * e
         u = x + (d if abs(d) >= tol1 else (tol1 if d > 0.0 else -tol1))
         fu, payload = f(u)
+        step = u - x
+        miss = math.inf if parabola is None else abs(fu - (fx + step * (slope + curvature * step)))
         if best is None or (fu, u) > best[:2]:
             best = (fu, u, payload)
         if fu >= fx:
@@ -517,9 +553,13 @@ def _shared_ml_bandwidths(sq, Y, nugget: float, hint=None) -> tuple[list[float],
     Each row is then refined by `_brent_max` over log-bandwidth inside the
     grid cells either side of its grid maximum (clipped at the grid ends),
     seeded with the grid maximum and its neighbours with finite scores, so
-    that its first step is the parabola through their known scores.  A row
-    keeps its grid point unless the refinement beats it.  A row
-    whose grid has no finite score raises IllConditionedError naming it:
+    that its first step is the parabola through their known scores.  The
+    refinement stops once that parabola, rebuilt through the three best
+    points after each probe, has predicted the last probe's score to
+    within BRENT_GAIN nats and promises less than BRENT_GAIN more, so each
+    row costs at least one factorisation of its own.  A row keeps its
+    grid point unless the refinement beats it.  A row whose grid has no
+    finite score raises IllConditionedError naming it:
     no grid bandwidth factorises, or the outputs are so large that the
     log-ML overflows.
 

@@ -90,11 +90,31 @@ def test_ascent_takes_value_and_gradient_from_one_call(monkeypatch):
     assert not any(span.name == "acquisition.value" for span in tracer.spans)
 
 
+def count_scored_rows(monkeypatch) -> list:
+    """The list to which each later `gp.select_hyperparameters` call appends the list
+    of the row counts of its `gp._log_ml_rows` calls (one per factorisation)."""
+    fits = []
+    select, log_ml_rows = gp.select_hyperparameters, gp._log_ml_rows
+
+    def selecting(*args, **kwargs):
+        fits.append([])
+        return select(*args, **kwargs)
+
+    def scoring(sq, Y, *args):
+        fits[-1].append(Y.shape[0])
+        return log_ml_rows(sq, Y, *args)
+
+    monkeypatch.setattr(gp, "select_hyperparameters", selecting)
+    monkeypatch.setattr(gp, "_log_ml_rows", scoring)
+    return fits
+
+
 def test_warm_started_fits_factorise_at_most_90_times(monkeypatch):
     """After the first fit of a fixture run, each fit's search scores the grid only near the last bandwidths."""
     monkeypatch.syspath_prepend(str(BENCH_DIR))  # workloads imports its siblings by name
     workloads = load_bench("workloads")
     sim_spec, config = parse_run_config(dict(workloads.FIXTURE_RUN, budget=40, seed=20240819))
+    scored = count_scored_rows(monkeypatch)
     with make_simulator(sim_spec) as sim, load_tracing().Tracer() as tracer:
         result = run(config, sim)
     assert result.failure is None and result.dataset.n_nodes == 40
@@ -109,8 +129,26 @@ def test_warm_started_fits_factorise_at_most_90_times(monkeypatch):
                 factorisations[ancestor] += 1
     first, *warm = factorisations.values()
     assert len(warm) == 10
-    assert first > 90  # the first fit scores the whole grid
+    assert sum(rows > 1 for rows in scored[0]) == gp.BANDWIDTH_GRID.size  # the first fit scores the whole grid
     assert max(warm) <= 90, warm
+
+
+def test_refinement_factorises_at_most_4_times_per_row_fit(monkeypatch):
+    """Each row's bandwidth refinement stops once its parabola, having predicted a probe, promises less than `gp.BRENT_GAIN` nats.
+
+    At a stop 1e-5 wide in log-bandwidth this fixture run made 6.7 one-row
+    factorisations per row and fit.
+    """
+    monkeypatch.syspath_prepend(str(BENCH_DIR))  # workloads imports its siblings by name
+    workloads = load_bench("workloads")
+    sim_spec, config = parse_run_config(dict(workloads.FIXTURE_RUN, budget=40, seed=20240819))
+    scored = count_scored_rows(monkeypatch)
+    with make_simulator(sim_spec) as sim:
+        result = run(config, sim)
+    assert result.failure is None and len(scored) == 11
+    row_fits = len(scored) * result.dataset.n_outputs
+    refinements = sum(rows.count(1) for rows in scored)
+    assert refinements <= 4 * row_fits, refinements / row_fits
 
 
 def test_layer_probes_run_on_a_fitted_fixture_model(monkeypatch):

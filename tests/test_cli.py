@@ -92,6 +92,13 @@ BAD_OPTIMIZERS = [
     {"strategy": "random-then-ascent", "ascent_iterations": -3},
     {"strategy": "random-then-ascent", "gradient_tolerance": float("nan")},
 ]
+# Acquisition blocks no run can use: a NaN tempering rate, and priors with
+# a NaN mean or with no mass on their box.
+BAD_ACQUISITIONS = [
+    {"tempering": {"kind": "one-minus-exp", "gamma": float("nan")}},
+    {"prior": {"mu": [float("nan")], "sigma": [1.0], "min": [0.1], "max": [10.0]}},
+    {"prior": {"mu": [1e6], "sigma": [1.0], "min": [0.1], "max": [10.0]}},
+]
 MALFORMED_CONFIGS = [
     ("run", "initial_design", {"sampler": "sobol", "size": "x"}),
     ("run", "hyperparameters", {"nugget": {"policy": "fixed", "value": "x"}}),
@@ -116,6 +123,7 @@ MALFORMED_CONFIGS = [
     *((command, "optimizer", optimizer) for command in ("run", "experiment") for optimizer in BAD_OPTIMIZERS),
     *((command, "hyperparameters", {"nugget": {"policy": "fixed", "value": 0.02}, "optimizer": optimizer})
       for command in ("run", "experiment") for optimizer in BAD_OPTIMIZERS),
+    *((command, "acquisition", acquisition) for command in ("run", "experiment") for acquisition in BAD_ACQUISITIONS),
 ]
 
 

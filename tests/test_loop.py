@@ -101,47 +101,48 @@ def result_digests(result):
 # before the fixed-nugget search became one shared grid-and-golden-section
 # pass, and neither that change nor the move from golden section to Brent's
 # method moved them.  The traces (which carry the bandwidths) and the
-# AMOGAPE runs were pinned after Brent's method.  Toy-1D
+# AMOGAPE runs were pinned after Brent's method took its stop in nats
+# (`gp.BRENT_GAIN`).  Toy-1D
 # matrices stay far below OpenBLAS's threading size, so the BLAS thread
 # count cannot change these bits.
 PINNED_RUNS = [
     ("amogape", None, dict(budget=8, seed=21), 8, False, (
-        "8735084f0b047d82a407f2fbbd5cbba3b3737282c2d0c17b266baccf4cafeb5d",
-        "173f6922959e5518f5000894e514643f4225b651fc50d719f7c14ed1739f0326",
+        "fbba69a3619a551cf8e2d41d895444cdf49e231cd079108bb37aa6ca8bfa04f6",
+        "5dd9ec439818b5bbc5ca2cb81eb182cb1073b66424127902b0e75902426475b7",
     )),
     ("random", True, dict(budget=8, seed=22), 8, False, (
         "a6f4233626abd8ca2459cabbc37aea50e7bf43e3e4d68d22650c01717387ef12",
-        "c71d070d2a721a91bfbfc0e4728ed451e415cc7bb7fcd5460db2ed2704579f37",
+        "1bc5ac417f0ced21663f20820c45c1200422d1d80206b728e15b02040cf65ab5",
     )),
     ("sobol", True, dict(budget=8, seed=23), 8, False, (
         "8133f7c882934b85f72a13b63e47b3474853c9550d6cfbdd03b1c782b2c265fa",
-        "51b5bf12a34c9288509acdcfdba1e3664d4c3503d308fbd70a09c5ad3c774c9e",
+        "bc74c2d7ae52f5b0a3ac8bd8d5750bcd169d3b3bddec74a798f20119546267ac",
     )),
     ("seq-lhs", True, dict(budget=8, seed=24), 8, False, (
         "801fc5c7852ea3ad9b87342c3a9cd4bcaca43c43c130b06cd52b61764aa3741e",
-        "562af698014a905c631acd622f218fdbc1be160b0756849d4dae71dbf3e0cb87",
+        "79f6cd5a13d6f3d7d92691c744a9f57e10d727fe97abf14b2cc75b0eac1701c7",
     )),
     ("prior-random", True, dict(
         budget=8, seed=25,
         acquisition=AcquisitionSpec.from_variant("PDxPG", prior=PRIOR_1D),
     ), 8, False, (
         "dcbf5e7d0372eacf9fb99599a817efc62bbd371a9f8ed60953ebadac4dfc2a87",
-        "0122cfd95cdb8cbba8ffa7098e32af77e22e9b315fd7eed9ab5999cbf821165f",
+        "059508497f1fd0f354950c8f5ef43b0d613becbf6c4e95cfbe018b82662fb5dc",
     )),
     ("grid", False, dict(budget=6, seed=26), 21, False, (
         "0eb0825cd138a59c79f189ba745813d71242a6600a49c562a8a8cd3575fbc61c",
-        "78e4370767ff96facdc5bf59aac3a23d9493618f989cfb1efdb5d53607deca11",
+        "f76aa6412197c0d7fd78f02fa2096c977cf4f0e53e813740d3fd72b98fd67b06",
     )),
     ("lhs", False, dict(budget=6, seed=27), 21, False, (
         "7174b1cfdca19cde7574d78e23de1037c604d82424b5061cefb4c79406abb303",
-        "a87355943c915dcebb2e1837afc81131f516cfb24fe420ea46d9d44390edb68a",
+        "3b413378e7e8d31f0456217bb1f3ee65a0be692305ea500e50f33757c0a97347",
     )),
     ("amogape-converging", None, dict(
         budget=12, seed=9, initial_points=None, initial_sampler="sobol", initial_size=3,
         convergence_epsilon=0.1, convergence_probes=200,
     ), 8, True, (
-        "c6ddda26ec4addffba67fbe4a6ce135b7564ecabc7c6ee7c7a5041ea55afa39e",
-        "dc39fd5ac4d8ebae3f8c7b376f5899f22ab4214aeaf33480940a51d7b6f2b762",
+        "b4298c22fde8c39fec419d809a8432a296c8199395812f62c8b5649f29c8653f",
+        "8eb4579c28141f82f2bad96786b6108153ac033c5b6fb1b3cc777b2766fbb7ae",
     )),
     # Searched by random probes and the analytic gradient: the pure-diversity
     # gradient with a prior, the product-geometry gradient (beta = 0 at t = 1),
@@ -149,19 +150,19 @@ PINNED_RUNS = [
     ("amogape-SD-ascent", None, dict(
         budget=8, seed=31, optimizer=ASCENT, acquisition=AcquisitionSpec.from_variant("SD", prior=PRIOR_1D),
     ), 8, False, (
-        "f03480a752afcf94f3a29157a9e1e2b9445b53b09ad85f7895cf611adca58e09",
-        "670ac1b17d6f47a49d45d6095111b277c9d022c10731b8d8bd2f4d75371e86cb",
+        "ec4e9ad4bbf5429a5b24ee2613209a7c81bcd3068194324b77a2ea54a68e310f",
+        "73ac9be2320d94accf145ddbbcd28d45037e8cc9275a8aaa5420261034914893",
     )),
     ("amogape-PDxPG-ascent", None, dict(budget=8, seed=32, optimizer=ASCENT), 8, False, (
-        "e3942a7055e48ad6e299e8ead96692b2c297af4ec50cee46f7e5ee5adad12c3f",
-        "7dbf92cac1561b31b7a07acd62e821433afaec2075bc9bc18f31a2c0b98a2d9b",
+        "6eb5bcca0818267f400aaff6a36dfac1b339fbbe49f3ac5997d67b0e597c4c8d",
+        "d56aa2cdd849989b54ed9074b40edf2579acb6cb5e804766be866d4c23533540",
     )),
     ("amogape-nonstrict-ascent", None, dict(
         budget=8, seed=33, optimizer=ASCENT,
         acquisition=AcquisitionSpec.from_variant("PDxSG", strict_zero_at_nodes=False),
     ), 8, False, (
-        "73164771986818652be13a9725cfe75b53ca7ec31df66a2607f508b5a52f4eaa",
-        "17a059df2eef1fcc616e02a9287bc4288ce507214c77e7da81a76eb4a65e5d88",
+        "56a35453f37863ca3db6a6891a8fb2c385ad85ad854be8898f7dd0524038964b",
+        "497b680adebf261dafe53e8f116626f2d148a15d5206b78455574f63376d3a8d",
     )),
 ]
 
@@ -197,9 +198,9 @@ def experiment_digest(results) -> str:
 # (name, experiment overrides, digest): the six strategies of acceptance
 # criterion 1, and prior-random with a prior; two runs each.
 PINNED_EXPERIMENTS = [
-    ("six-strategies", {}, "827b97fa7a03ff59a5b3746e53ee1ac5ad72e7bb6213d0d71e734f7ca4191594"),
+    ("six-strategies", {}, "55ac68e40c337a87592cc1087982ee7e788a7fcea273dba01a11dd01e98fc53f"),
     ("prior-random", dict(strategies=("prior-random",), prior=PRIOR_1D, seed=42),
-     "e9f48e0b34895f49212ccb30a8e1ed5ed261b8c099568e81f6ec23c5fbb26d2b"),
+     "ed2ca8e24f903c115988c3c5f0110855afdc695fb711456f056cce9c84b9b397"),
 ]
 
 
@@ -242,8 +243,8 @@ class TestPinnedOutputs:
         assert result.evaluations == 40
         assert result.converged is False
         nodes, trace = result_digests(result)
-        assert nodes == "237b221c8eb2f74dde189cde97e44ea5e0657f03a366b2a69bef4406e8414515", "nodes or outputs moved"
-        assert trace == "3e1fba22abd9f5432c69ce476053cce2b7cce76bae5f4d584e57ac71969e4a35", "trace moved"
+        assert nodes == "8bb1db760918589063c1f72a99f7f29629ccfc672c06d1cc7dfc0074a3cace5a", "nodes or outputs moved"
+        assert trace == "ea7a5a1709a283eb6de48e6de539654194ba67303bfe36224d30dc0cb4b1a21c", "trace moved"
 
 
 # The fixture run from 126 prior-random nodes to 130: its last fits cross
