@@ -108,6 +108,10 @@ class InputPrior:
         check_box(np.column_stack([self.low, self.high]))  # min < max in every dimension
         zl = (self.low - self.mu) / self.sigma
         zh = (self.high - self.mu) / self.sigma
+        # A box in the upper tail (zl > 0) is taken in the lower tail of -z,
+        # where ndtr keeps its resolution: ndtr(zh) - ndtr(zl) cancels there.
+        upper = zl > 0.0
+        zl, zh = np.where(upper, -zh, zl), np.where(upper, -zl, zh)
         mass = ndtr(zh) - ndtr(zl)
         empty = np.flatnonzero(~(mass > 0.0))
         if empty.size:
@@ -119,6 +123,7 @@ class InputPrior:
         object.__setattr__(self, "_log_norm", np.log(self.sigma) + 0.5 * np.log(2.0 * np.pi) + np.log(mass))
         object.__setattr__(self, "_cdf_low", ndtr(zl))
         object.__setattr__(self, "_cdf_high", ndtr(zh))
+        object.__setattr__(self, "_draw_scale", np.where(upper, -self.sigma, self.sigma))
 
     @property
     def dimension(self) -> int:
@@ -139,7 +144,7 @@ class InputPrior:
         """n i.i.d. inverse-CDF draws with `rng`, D x n."""
         u = rng.random((self.dimension, n))
         quantiles = self._cdf_low[:, np.newaxis] + u * (self._cdf_high - self._cdf_low)[:, np.newaxis]
-        samples = self.mu[:, np.newaxis] + self.sigma[:, np.newaxis] * ndtri(quantiles)
+        samples = self.mu[:, np.newaxis] + self._draw_scale[:, np.newaxis] * ndtri(quantiles)
         # Inverse-CDF round-off can graze the truncation edges.
         return np.clip(samples, self.low[:, np.newaxis], self.high[:, np.newaxis])
 

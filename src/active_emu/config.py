@@ -23,17 +23,31 @@ from .loop import LoopConfig, check_designs
 from .optimize import AnnealingConfig, AscentConfig, OptimizerConfig
 from .simulators import make_simulator
 
+
+def _integer(value) -> int:
+    """A JSON integer field's value as an int.
+
+    A float counts only if it is finite and whole, so `Infinity`, `NaN` and
+    0.5 are refused, and so are `true` and `false`: a boolean is not a
+    count.  Anything else goes through `int`, whose message refuses a
+    string that is no integer.
+    """
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"must be an integer, got {json.dumps(value)}")
+    return int(value)
+
+
 # Optional JSON keys of the optimizer block -> (field, conversion) of its
 # annealing and ascent settings; a key left out keeps the field's default.
 _ANNEALING_KEYS = {
-    "iterations": ("iterations", int),
+    "iterations": ("iterations", _integer),
     "cooling": ("cooling", float),
     "proposal_scale": ("proposal_fraction", float),
     "initial_temperature": ("initial_temperature", lambda value: None if value is None else float(value)),
 }
 _ASCENT_KEYS = {
     "ascent_step": ("initial_step_fraction", float),
-    "ascent_iterations": ("max_iterations", int),
+    "ascent_iterations": ("max_iterations", _integer),
     "gradient_tolerance": ("gradient_tolerance", float),
 }
 # Top-level keys both commands read, through `_parse_shared`.
@@ -124,7 +138,7 @@ def _parse_optimizer(raw, default_strategy="random-then-ascent") -> OptimizerCon
     n_random = raw.get("n_random")
     return OptimizerConfig(
         strategy=raw.get("strategy", default_strategy),
-        n_random=None if n_random is None else int(n_random),
+        n_random=None if n_random is None else _integer(n_random),
         ascent=AscentConfig(**_fields(raw, _ASCENT_KEYS)),
         annealing=AnnealingConfig(**_fields(raw, _ANNEALING_KEYS)),
     )
@@ -145,10 +159,10 @@ def _parse_nugget(raw) -> float | str:
 def _parse_hyper(raw) -> dict:
     """The `hyperparameters` block: strategy, nugget and optimizer.
 
-    `optimizer` drives the learned nugget's 2-D search only.  A fixed
-    nugget's marginal-likelihood search is one deterministic grid pass
-    refined by Brent's method, and max-stable-bandwidth a grid walk; the key is
-    still accepted, and ignored, with those.
+    The marginal-likelihood search, with a fixed or a learned nugget, is
+    one deterministic grid pass refined by Brent's method, and
+    max-stable-bandwidth a grid walk; neither runs an optimizer, so the
+    `optimizer` key is still parsed and checked, and then ignored.
     """
     raw = {} if raw is None else raw
     _require_keys(raw, {"strategy", "nugget", "optimizer"})
@@ -185,7 +199,7 @@ def _parse_initial_design(raw) -> dict:
     size = raw.get("size")
     if sampler is None or size is None:
         raise ConfigError("needs either 'points' or 'sampler' plus 'size'")
-    return {"initial_points": None, "initial_sampler": str(sampler), "initial_size": int(size)}
+    return {"initial_points": None, "initial_sampler": str(sampler), "initial_size": _integer(size)}
 
 
 def _parse_acquisition(raw) -> dict:
@@ -223,7 +237,7 @@ def _parse_shared(raw: dict, seed_override: int | None) -> tuple[np.ndarray, dic
 
 
 def _parse_seed(raw, seed_override: int | None) -> int:
-    return int(0 if raw is None else raw) if seed_override is None else int(seed_override)
+    return _integer(0 if raw is None else raw) if seed_override is None else int(seed_override)
 
 
 def load_json(path) -> dict:
@@ -248,7 +262,7 @@ def parse_run_config(raw: dict, seed_override: int | None = None) -> tuple[dict,
         **{key: shared.pop(key) for key in ("tempering", "prior", "strict_zero_at_nodes")},
     )
     convergence = _parse_block(raw, "convergence", _parse_convergence)
-    budget = _parse_block(raw, "budget", int)
+    budget = _parse_block(raw, "budget", _integer)
     return simulator, check_designs(LoopConfig(budget=budget, acquisition=spec, **convergence, **shared), bounds)
 
 
@@ -258,7 +272,7 @@ def _parse_convergence(raw) -> dict:
     _require_keys(raw, {"epsilon", "probe_points"}, required=("epsilon",))
     return {
         "convergence_epsilon": float(raw["epsilon"]),
-        "convergence_probes": int(raw.get("probe_points", 1000)),
+        "convergence_probes": _integer(raw.get("probe_points", 1000)),
     }
 
 
@@ -277,14 +291,14 @@ def parse_experiment_config(raw: dict, seed_override: int | None = None) -> Expe
     return ExperimentConfig(
         strategies=tuple(strategies),
         budget=m0 + _parse_block(raw, "n_add", _parse_n_add),
-        runs=_parse_block(raw, "runs", int),
+        runs=_parse_block(raw, "runs", _integer),
         test_set=_parse_block(raw, "test_set", _parse_test_set),
         **shared,
     )
 
 
 def _parse_n_add(raw) -> int:
-    n_add = int(raw)
+    n_add = _integer(raw)
     if n_add < 0:
         raise ConfigError(f"must be >= 0, got {n_add}")
     return n_add
@@ -304,6 +318,6 @@ def _parse_density(raw) -> dict | None:
     if raw is None:
         return None
     _require_keys(raw, {"bandwidth", "grid"})
-    options = {"bandwidth": float(raw["bandwidth"]), "grid": int(raw.get("grid", 40))}
+    options = {"bandwidth": float(raw["bandwidth"]), "grid": _integer(raw.get("grid", 40))}
     check_density_options(options["bandwidth"], options["grid"])
     return options

@@ -2,13 +2,17 @@
 
 Zero-mean GPs with the exponentiated quadratic kernel, one per output row,
 each with its own bandwidth and nugget.  `select_hyperparameters` chooses
-them for all rows at once, either by marginal likelihood (with a fixed
-nugget, one factorisation per grid bandwidth serves all rows, and Brent's
-method refines each row's grid maximum until a parabola that predicted
-its last probe promises less than BRENT_GAIN nats more) or by the largest
-bandwidth that keeps the kernel matrix numerically invertible.  A refit
-whose nodes grew by one may hint the fixed-nugget search with the
-previous fit's bandwidths (see `_shared_ml_bandwidths`).
+them for all rows at once, either by marginal likelihood or by the largest
+bandwidth that keeps the kernel matrix numerically invertible.  The
+marginal likelihood has one deterministic search family: score a grid for
+all rows at once, then refine each row's grid maximum by Brent's method
+(`_refined_max`) until a parabola that predicted its last probe promises
+less than BRENT_GAIN nats more.  With a fixed nugget one factorisation per
+grid bandwidth serves all rows; with the learned nugget one
+eigendecomposition per bandwidth scores every nugget of every row
+(`_nugget_scores`).  No optimizer and no seed is involved.  A refit whose
+nodes grew by one may hint the fixed-nugget search with the previous
+fit's bandwidths (see `_shared_ml_bandwidths`).
 `fit` solves every row's weights, reusing the factors the search built.
 `evaluate` is the one evaluation of a fitted `multi_output.MultiGpModel`
 away from its nodes: every output's variances (predictive or noise-free),
@@ -40,11 +44,10 @@ from typing import NamedTuple
 import numpy as np
 import scipy
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
+from scipy.linalg.lapack import dpocon, dpotrf, dpotrs, dsyevd
 
 from .kernels import exp_quadratic, gram, squared_distances
-from .optimize import AnnealingConfig, OptimizerConfig, OptimizerFailure, check_box, in_box, maximize
-from .seeding import derive_seed
+from .optimize import check_box, in_box
 
 # Pairwise node distance below which two nodes count as duplicates
 # (normalized input units).
@@ -57,18 +60,20 @@ BANDWIDTH_GRID = np.geomspace(1e-2, 1e1, 50)
 # Condition-number cap for the max-stable-bandwidth strategy.
 CONDITION_BOUND = 1e6
 
+# The learned nugget's range, and the grid of it scored at every grid bandwidth.
 LEARNED_NUGGET_BOUNDS = (1e-8, 1e-1)
+NUGGET_GRID = np.geomspace(*LEARNED_NUGGET_BOUNDS, 50)
 
 HYPER_STRATEGIES = ("marginal-likelihood", "max-stable-bandwidth")
 
-# Most evaluations per output when the fixed-nugget marginal-likelihood
-# search refines its grid maximum (Brent's method, whose fallback steps are
-# golden sections).  It stops once the parabola through its three best
-# points predicted the last probe's log-ML to within BRENT_GAIN nats and
-# promises less than BRENT_GAIN more, inside the 1e-3 nats of a dense
-# search that the tests hold it to.  BRENT_TOLERANCE, a width in
-# log-bandwidth, is Brent's smallest step and the stop where no concave
-# parabola forms.
+# Most evaluations per output when the marginal-likelihood search refines
+# a grid maximum in log-bandwidth or log-nugget (Brent's method, whose
+# fallback steps are golden sections).  It stops once the parabola through
+# its three best points predicted the last probe's log-ML to within
+# BRENT_GAIN nats and promises less than BRENT_GAIN more, inside the 1e-3
+# nats of a dense search that the tests hold it to.  BRENT_TOLERANCE, a
+# width in the log of the refined parameter, is Brent's smallest step and
+# the stop where no concave parabola forms.
 BRENT_EVALUATIONS = 12
 BRENT_GAIN = 1e-4
 BRENT_TOLERANCE = 1e-5
@@ -550,18 +555,11 @@ def _shared_ml_bandwidths(sq, Y, nugget: float, hint=None) -> tuple[list[float],
     therefore differs from the full one only if some row's full grid holds
     a score outside the window at least as high as the window's best,
     while that best cell is interior to the window.
-    Each row is then refined by `_brent_max` over log-bandwidth inside the
-    grid cells either side of its grid maximum (clipped at the grid ends),
-    seeded with the grid maximum and its neighbours with finite scores, so
-    that its first step is the parabola through their known scores.  The
-    refinement stops once that parabola, rebuilt through the three best
-    points after each probe, has predicted the last probe's score to
-    within BRENT_GAIN nats and promises less than BRENT_GAIN more, so each
-    row costs at least one factorisation of its own.  A row keeps its
-    grid point unless the refinement beats it.  A row whose grid has no
-    finite score raises IllConditionedError naming it:
-    no grid bandwidth factorises, or the outputs are so large that the
-    log-ML overflows.
+    Each row's grid maximum is then refined in log-bandwidth by
+    `_refined_max`, seeded with the known scores, so each row costs at
+    least one factorisation of its own; a row keeps its grid point unless
+    the refinement beats it, and a row whose grid has no finite score
+    raises IllConditionedError naming it.
 
     Each row's factor is the one the search built at its chosen bandwidth
     (None where that factorisation failed).  Only the factors of the rows'
@@ -596,25 +594,109 @@ def _shared_ml_bandwidths(sq, Y, nugget: float, hint=None) -> tuple[list[float],
         score_cells(cells[~scored])  # the full search, or the rest of the grid
     bandwidths = []
     for p, row in enumerate(Y):
-        k = int(np.argmax(grid_scores[:, p]))
-        if not np.isfinite(grid_scores[k, p]):
-            raise IllConditionedError(f"output {p}: the log marginal likelihood is not finite at any grid bandwidth")
-        bandwidth = float(BANDWIDTH_GRID[k])
-        neighbours = [j for j in (k - 1, k + 1) if 0 <= j < log_grid.size and np.isfinite(grid_scores[j, p])]
-        seeds = [(float(grid_scores[j, p]), float(log_grid[j])) for j in neighbours]
-        seeds = [(float(grid_scores[k, p]), float(log_grid[k]))] + sorted(seeds, reverse=True)
 
         def refined(t):
             values, factor = scores(np.exp(t), row[np.newaxis, :])
             return float(values[0]), factor
 
-        lo, hi = log_grid[max(k - 1, 0)], log_grid[min(k + 1, log_grid.size - 1)]
-        best = _brent_max(refined, float(lo), float(hi), seeds, BRENT_EVALUATIONS, BRENT_TOLERANCE)
-        if best is not None and best[0] > grid_scores[k, p]:
-            bandwidth = float(np.exp(best[1]))
-            factors[p] = best[2]
+        _, bandwidth, factors[p] = _refined_max(  # only the grid maximum's payload, the row's grid factor, can stand
+            grid_scores[:, p], BANDWIDTH_GRID, refined, p, lambda j: (float(grid_scores[j, p]), factors[p])
+        )
         bandwidths.append(bandwidth)
     return bandwidths, factors
+
+
+def _refined_max(column, grid, f, output: int, at=None):
+    """Best (value, point, payload) of one row over a log-spaced `grid` and the cells beside its maximum.
+
+    `column` holds the row's scores at the grid points.  Its maximum and
+    that cell's neighbours with finite scores seed `_brent_max` over the
+    log of the point, inside the cells either side of the maximum (clipped
+    at the grid ends), so that its first step is the parabola through them.
+    f(log point) returns (value, payload), and at(j) the (value, payload)
+    of grid cell j as the refinement scores it (by default column[j] and
+    None).  The seeds rank by those values, the best first; a tie keeps
+    the maximum, then the upper neighbour, first.  The best seed stands,
+    with its grid point itself, unless a probe beats it.  A column with no
+    finite score raises IllConditionedError naming `output`: no grid
+    bandwidth factorises, or the outputs are so large that the log-ML
+    overflows.
+    """
+    k = int(np.argmax(column))
+    if not np.isfinite(column[k]):
+        raise IllConditionedError(f"output {output}: the log marginal likelihood is not finite at any grid bandwidth")
+    at = at or (lambda j: (float(column[j]), None))
+    seeds = {j: at(j) for j in (k, k + 1, k - 1) if 0 <= j < grid.size and np.isfinite(column[j])}
+    cells = sorted(seeds, key=lambda j: seeds[j][0], reverse=True)  # a stable sort
+    log_grid = np.log(grid)
+    lo, hi = log_grid[max(k - 1, 0)], log_grid[min(k + 1, grid.size - 1)]
+    best = _brent_max(f, float(lo), float(hi), [(seeds[j][0], float(log_grid[j])) for j in cells],
+                      BRENT_EVALUATIONS, BRENT_TOLERANCE)
+    value, payload = seeds[cells[0]]
+    if best is not None and best[0] > value:
+        return best[0], float(np.exp(best[1])), best[2]
+    return value, float(grid[cells[0]]), payload
+
+
+def _nugget_scores(sq, Y, bandwidth: float):
+    """Log marginal likelihood of every row of Y at one bandwidth, as a function of the nugget.
+
+    One eigendecomposition K = Q diag(lam) Q^T of the nugget-free `gram`
+    of the nodes' squared distances sq (LAPACK dsyevd) serves every
+    nugget nu: K + nu I has log-determinant sum_i log(lam_i + nu) and
+    quadratic term sum_i (Q^T y)_i^2 / (lam_i + nu) (GPML eq. 5.8; the
+    device of FaST-LMM, Lippert et al., Nature Methods 8:833, 2011), so
+    each (nugget, row) costs O(m).  Returns `scores(nuggets)`, the
+    (nuggets, P) log-MLs, -inf where some lam_i + nu <= 0 or the value
+    overflows.
+    """
+    eigenvalues, Q, info = dsyevd(gram(sq, bandwidth, 0.0), lower=1)
+    if info != 0:
+        eigenvalues[:] = -np.inf  # no eigenpairs: no nugget scores
+    with np.errstate(over="ignore"):
+        weights = np.square(Q.T @ Y.T)  # (m, P): (Q^T y)_i^2 of every row
+    constant = -0.5 * Y.shape[1] * np.log(2.0 * np.pi)
+
+    def scores(nuggets) -> np.ndarray:
+        shifted = eigenvalues + np.reshape(nuggets, (-1, 1))
+        positive = (shifted > 0.0).all(axis=1)
+        shifted[~positive] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = (constant - 0.5 * np.log(shifted).sum(axis=1))[:, np.newaxis] - 0.5 * ((1.0 / shifted) @ weights)
+        return np.where(positive[:, np.newaxis] & ~np.isnan(values), values, -np.inf)
+
+    return scores
+
+
+def _learned_ml(sq, Y) -> tuple[list[float], list[float]]:
+    """Marginal-likelihood bandwidth and nugget of every row of Y, by the grid-then-Brent search of a fixed nugget.
+
+    BANDWIDTH_GRID x NUGGET_GRID is scored for all rows at once, with one
+    `_nugget_scores` eigendecomposition per grid bandwidth.  A bandwidth's
+    score for a row is its profile: the log-ML at the row's best nugget
+    there, the NUGGET_GRID maximum refined in log-nugget by `_refined_max`
+    from the same eigenpairs (-inf where no nugget scores finite).  Each
+    row's best grid bandwidth is then refined in log-bandwidth by
+    `_refined_max`, as with a fixed nugget, its seeds profiled from the
+    grid's eigenpairs and each probe one eigendecomposition.  A row with
+    no finite grid score raises IllConditionedError naming it.
+    """
+    scorers = [_nugget_scores(sq, Y, bandwidth) for bandwidth in BANDWIDTH_GRID]
+    grid = np.array([scores(NUGGET_GRID) for scores in scorers])  # (bandwidth, nugget, row)
+
+    def profile(scores, p):
+        """(log-ML, nugget) of row p at its best nugget under `scores`; (-inf, None) where none is finite."""
+        column = scores(NUGGET_GRID)[:, p]
+        if not np.isfinite(column.max()):
+            return -np.inf, None
+        return _refined_max(column, NUGGET_GRID, lambda t: (float(scores(np.exp(t))[0, p]), None), p)[:2]
+
+    chosen = [
+        _refined_max(grid[:, :, p].max(axis=1), BANDWIDTH_GRID, lambda t: profile(_nugget_scores(sq, Y, np.exp(t)), p),
+                     p, lambda k: profile(scorers[k], p))[1:]
+        for p in range(Y.shape[0])
+    ]
+    return [bandwidth for bandwidth, _ in chosen], [nugget for _, nugget in chosen]
 
 
 def _max_stable_bandwidth(sq, nugget: float) -> tuple[float, tuple | None]:
@@ -629,22 +711,6 @@ def _max_stable_bandwidth(sq, nugget: float) -> tuple[float, tuple | None]:
         if factor is not None and _condition_estimate(K, factor) <= CONDITION_BOUND:
             return float(bandwidth), factor
     return float(BANDWIDTH_GRID[0]), factor
-
-
-def _learned_nugget_search(sq, y, seed: int, optimizer: OptimizerConfig) -> tuple[float, float]:
-    """Bandwidth and nugget of one row by `optimizer` over log-space bounds; `sq` as for `_log_ml_rows`."""
-    Y = y[np.newaxis, :]
-
-    def objective(theta):
-        values, _ = _log_ml_rows(sq, Y, np.exp(theta[0]), np.exp(theta[1]))
-        return -1e300 if values is None else float(values[0])  # finite so the optimizer can walk away
-
-    bounds = [
-        [np.log(BANDWIDTH_GRID[0]), np.log(BANDWIDTH_GRID[-1])],
-        [np.log(LEARNED_NUGGET_BOUNDS[0]), np.log(LEARNED_NUGGET_BOUNDS[1])],
-    ]
-    theta, _ = maximize(objective, bounds, optimizer.with_seed(seed))
-    return float(np.exp(theta[0])), float(np.exp(theta[1]))
 
 
 def check_hyperparameters(strategy: str, nugget_policy: float | str) -> None:
@@ -663,8 +729,6 @@ def select_hyperparameters(
     outputs,
     strategy: str = "marginal-likelihood",
     nugget_policy: float | str = 0.0,
-    seed: int = 0,
-    optimizer: OptimizerConfig | None = None,
     hint=None,
 ) -> tuple[list[float], list[float], list]:
     """Choose the kernel bandwidth (and optionally the nugget) of every output row.
@@ -675,16 +739,14 @@ def select_hyperparameters(
     `cho_factor` of K + nugget I at its choice if the search built one (both
     fixed-nugget strategies), else None.  nugget_policy is either a fixed
     variance (float) or the string 'learned'; `check_hyperparameters` says
-    which pairings are accepted.
+    which pairings are accepted.  Every search is deterministic.
 
-    strategy 'marginal-likelihood' with a fixed nugget maximizes each row's
-    log marginal likelihood by one deterministic search shared by all rows
-    (`_shared_ml_bandwidths`), the only one that reads `hint`: bandwidths
-    near which to score the grid first, the previous fit's when the nodes
-    grew by one.  With the learned nugget each row gets its own 2-D search
-    by `optimizer` (short simulated annealing by default), seeded with
-    `derive_seed(seed, p)` for row p; `optimizer` and `seed` apply to the
-    learned nugget only.
+    strategy 'marginal-likelihood' maximizes each row's log marginal
+    likelihood by one grid-then-Brent search shared by all rows: over the
+    bandwidth with a fixed nugget (`_shared_ml_bandwidths`, the only search
+    that reads `hint`: bandwidths near which to score the grid first, the
+    previous fit's when the nodes grew by one), and over the bandwidth and
+    the nugget with the learned nugget (`_learned_ml`).
     'max-stable-bandwidth' walks the bandwidth grid once from the top and
     gives every row the largest value whose regularized kernel matrix stays
     below the condition bound.
@@ -697,20 +759,8 @@ def select_hyperparameters(
     check_hyperparameters(strategy, nugget_policy)
     P = Y.shape[0]
     if nugget_policy == "learned":
-        if optimizer is None:
-            # The log-space search is 2-dimensional and smooth; a short
-            # annealing chain is enough.
-            optimizer = OptimizerConfig(
-                strategy="simulated-annealing",
-                annealing=AnnealingConfig(iterations=200),
-            )
-        chosen = []
-        for p, y in enumerate(Y):
-            try:
-                chosen.append(_learned_nugget_search(sq, y, derive_seed(seed, p), optimizer))
-            except OptimizerFailure as exc:  # its point is (log bandwidth, log nugget), not an input
-                raise IllConditionedError(f"output {p}: the learned-nugget hyperparameter search: {exc}") from exc
-        return [b for b, _ in chosen], [nugget for _, nugget in chosen], [None] * P
+        bandwidths, nuggets = _learned_ml(sq, Y)
+        return bandwidths, nuggets, [None] * P
     nugget = float(nugget_policy)
     if strategy == "max-stable-bandwidth":
         bandwidth, factor = _max_stable_bandwidth(sq, nugget)

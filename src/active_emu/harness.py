@@ -61,6 +61,9 @@ class ExperimentConfig(RunSettings):
     def __post_init__(self) -> None:
         if not self.strategies:
             raise ValueError("at least one strategy is required")
+        for strategy in self.strategies:
+            if not isinstance(strategy, str):
+                raise ValueError(f"strategies: {strategy!r}: a strategy name must be a string")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if self.test_set.kind == "prior" and self.prior is None:

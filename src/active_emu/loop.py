@@ -76,7 +76,7 @@ class RunSettings:
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     hyper_strategy: str = "marginal-likelihood"
     nugget_policy: float | str = 0.0
-    hyper_optimizer: OptimizerConfig | None = None  # the learned nugget's search only
+    hyper_optimizer: OptimizerConfig | None = None  # accepted and ignored: every GP search is grid-then-Brent
     initial_points: np.ndarray | None = None  # D x m0, raw coordinates
     initial_sampler: str | None = None  # one of DESIGNS
     initial_size: int | None = None
@@ -188,19 +188,12 @@ def _evaluated(points: np.ndarray, sim: Simulator) -> Dataset:
     return Dataset(points, outputs, sim.bounds)
 
 
-def _fit(dataset: Dataset, config: LoopConfig, iteration: int, hint=None) -> MultiGpModel:
+def _fit(dataset: Dataset, config: LoopConfig, hint=None) -> MultiGpModel:
     """Fit every output; `hint`, bandwidths to search near first, is passed on to `fit_all`."""
     if dataset.n_nodes < 2:
         nugget = 0.0 if config.nugget_policy == "learned" else float(config.nugget_policy)
         return fit_single_node(dataset, nugget=nugget)
-    return fit_all(
-        dataset,
-        hyper_strategy=config.hyper_strategy,
-        nugget_policy=config.nugget_policy,
-        seed=derive_seed(config.seed, 1, iteration),
-        hyper_optimizer=config.hyper_optimizer,
-        hint=hint,
-    )
+    return fit_all(dataset, hyper_strategy=config.hyper_strategy, nugget_policy=config.nugget_policy, hint=hint)
 
 
 def _choose_next_point(
@@ -274,7 +267,7 @@ def _drive(config: LoopConfig, sim: Simulator, start, step, iteration_hook) -> E
                     continue
                 warm = model is not None and model.dataset.n_nodes > 1
                 hint = model.bandwidths if warm and np.array_equal(dataset.X[:, :-1], model.dataset.X) else None
-                model = _fit(dataset, config, t, hint=hint)
+                model = _fit(dataset, config, hint=hint)
         except RUN_FAILURES as exc:
             return EmulationResult(dataset, model, trace, sim.eval_count - evals_before, failure=str(exc))
         if t > 0:
@@ -333,11 +326,13 @@ def baseline_run(
     its sampler's next point that is not already a node.  A non-sequential
     baseline ('grid', 'lhs') has no start: step t evaluates a fresh design
     of size t, so its cumulative simulator cost over m = 1..M is
-    (M^2 + M) / 2.  Hook, trace, convergence and failures are those of
-    `run` (see `_drive`).
+    (M^2 + M) / 2.  `sequential` must agree with the kind, or ValueError
+    is raised before any evaluation.  Hook, trace, convergence and
+    failures are those of `run` (see `_drive`).
     """
-    if not sequential and sampler_kind not in NONSEQUENTIAL_BASELINES:
-        raise ValueError(f"non-sequential baseline must be one of {NONSEQUENTIAL_BASELINES}, got {sampler_kind!r}")
+    if sequential == (sampler_kind in NONSEQUENTIAL_BASELINES):
+        kind = "sequential" if sequential else "non-sequential"
+        raise ValueError(f"{sampler_kind!r} is not a {kind} baseline; the non-sequential ones are {NONSEQUENTIAL_BASELINES}")
     check_designs(config, sim.bounds, sampler_kind)
     if not sequential:
 

@@ -85,15 +85,16 @@ def fit_all(
     Hyperparameters are selected for all outputs by one call of
     `gp.select_hyperparameters`; each output still gets its own.  The
     search and the fit see the nodes only through the dataset's
-    `node_distances`.  With a fixed nugget that search is deterministic
-    and shares its factorisations between outputs, and `gp.fit` reuses the
-    factor the search built at each output's bandwidth; `seed` and
-    `hyper_optimizer` apply to the learned nugget only.  `hint`, the
-    bandwidths of a model whose dataset this one extends by a node, applies
-    to the fixed-nugget search only: it scores the grid near them first
-    (`gp._shared_ml_bandwidths` says when that differs from the full search).
-    Pass `bandwidths`, one per output, to skip selection and fit with fixed
-    kernel parameters.
+    `node_distances`.  Every search is one deterministic grid-then-Brent
+    search shared by all outputs, with a fixed or a learned nugget, so
+    `seed` and `hyper_optimizer` are accepted and ignored.  With a fixed
+    nugget `gp.fit` reuses the factor the search built at each output's
+    bandwidth; with the learned nugget it factorises at each output's
+    choice.  `hint`, the bandwidths of a model whose dataset this one
+    extends by a node, applies to the fixed-nugget search only: it scores
+    the grid near them first (`gp._shared_ml_bandwidths` says when that
+    differs from the full search).  Pass `bandwidths`, one per output, to
+    skip selection and fit with fixed kernel parameters.
     """
     if bandwidths is None:
         bandwidths, nuggets, factors = gp.select_hyperparameters(
@@ -101,8 +102,6 @@ def fit_all(
             dataset.Y,
             strategy=hyper_strategy,
             nugget_policy=nugget_policy,
-            seed=seed,
-            optimizer=hyper_optimizer,
             hint=hint,
         )
     else:

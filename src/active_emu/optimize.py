@@ -1,10 +1,9 @@
-"""Global maximization over a box: random search + gradient ascent, and
-simulated annealing.
+"""Global maximization over a box: random search + gradient ascent with an
+analytic gradient, and simulated annealing.
 
-The loop maximizes the acquisition with it.  The hyperparameter search
-calls it only for the learned nugget's 2-D marginal-likelihood search; a
-fixed nugget is searched on a grid without it.  Both strategies are
-deterministic given the seed.
+The loop maximizes the acquisition with it; the GP hyperparameters are
+searched on grids without it.  Both strategies are deterministic given the
+seed.
 
 The package's box rule: a box passes `check_box`, a point is in it by
 `in_box` (bounds included, no slack), and unit-cube points reach it only
@@ -132,19 +131,6 @@ def _values(objective, batch_objective, points: np.ndarray) -> np.ndarray:
     return values
 
 
-def _finite_difference_gradient(objective, x, lo, hi, step_fraction=1e-7):
-    grad = np.empty_like(x)
-    h = step_fraction * (hi - lo)
-    for d in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[d] = min(x[d] + h[d], hi[d])
-        xm[d] = max(x[d] - h[d], lo[d])
-        span = xp[d] - xm[d]
-        grad[d] = 0.0 if span == 0.0 else (objective(xp) - objective(xm)) / span
-    return grad
-
-
 def _ascent(evaluate, x0, lo, hi, cfg: AscentConfig):
     """Projected gradient ascent from x0 with a backtracking line search; returns (x, value).
 
@@ -236,10 +222,11 @@ def _reflect(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def maximize(objective, bounds, config: OptimizerConfig, value_and_gradient=None, batch_objective=None):
     """Maximize `objective` over the box; returns (argmax, value).
 
-    `value_and_gradient` is an optional callable returning the value and
-    the analytic gradient at a point, from one evaluation; the ascent calls
-    it once at its start and once per trial point.  Without it the ascent
-    pairs `objective` with central finite differences.
+    `value_and_gradient` is a callable returning the value and the analytic
+    gradient at a point, from one evaluation; the ascent calls it once at
+    its start and once per trial point.  `random-then-ascent` needs it and
+    raises ValueError without it, before any evaluation; simulated
+    annealing ignores it.
 
     `batch_objective` is an optional callable mapping an n x D block of
     points to their n values.  `random-then-ascent` then ranks its random
@@ -256,10 +243,10 @@ def maximize(objective, bounds, config: OptimizerConfig, value_and_gradient=None
     lo, hi = check_box(bounds).T
     if config.strategy == "simulated-annealing":
         return _simulated_annealing(objective, batch_objective, lo, hi, config)
+    if value_and_gradient is None:
+        raise ValueError("random-then-ascent needs value_and_gradient, an analytic gradient")
 
     def evaluate(x):
-        if value_and_gradient is None:
-            return _evaluate(objective, x), _finite_difference_gradient(objective, x, lo, hi)
         value, gradient = value_and_gradient(x)
         return _checked(value, x), np.asarray(gradient, dtype=float)
 

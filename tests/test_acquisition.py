@@ -5,6 +5,7 @@ import pickle
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor
+from scipy.special import ndtr
 from scipy.stats import truncnorm
 
 from active_emu import acquisition, gp
@@ -105,6 +106,24 @@ class TestInputPrior:
         grid = np.linspace(20.0, 90.0, 20_001)
         densities = [prior_density(prior, [g]) for g in grid]
         assert np.trapezoid(densities, grid) == pytest.approx(1.0, abs=1e-6)
+
+    def test_draws_from_a_box_far_in_the_upper_tail(self):
+        # the box [0.1, 10] lies 8.1 to 18 sigma above mu = -8
+        mu, low, high = -8.0, 0.1, 10.0
+        draws = InputPrior(mu=[mu], sigma=[1.0], low=[low], high=[high]).draws(10_000, np.random.default_rng(3))[0]
+        zl, zh = low - mu, high - mu
+        pdf = lambda z: np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
+        mean = mu + (pdf(zl) - pdf(zh)) / (ndtr(-zl) - ndtr(-zh))  # the truncated law's mean, about 0.22
+        assert np.unique(draws).size == draws.size
+        assert low <= draws.min() and draws.max() <= high
+        assert abs(draws.mean() - mean) < 5.0 * draws.std() / np.sqrt(draws.size)
+
+    def test_accepts_a_box_whose_mass_is_tiny(self):
+        # mass about 7.6e-24: the box lies 10 to 19.9 sigma above mu
+        prior = InputPrior(mu=[-9.9], sigma=[1.0], low=[0.1], high=[10.0])
+        for v in (0.1, 0.3, 1.0):
+            expected = truncnorm.pdf(v, 10.0, 19.9, loc=-9.9, scale=1.0)
+            assert prior_density(prior, [v]) == pytest.approx(expected, rel=1e-8)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -257,12 +276,10 @@ class TestAcquisitionValue:
         np.testing.assert_allclose(ratios, np.median(ratios), rtol=1e-6)
 
         config = OptimizerConfig(strategy="random-then-ascent", n_random=60, seed=17)
-        from active_emu.optimize import maximize
-
-        x_base, _ = maximize(lambda x: acquisition_value(spec, base_model, x, 4),
-                             [[0.0, 1.0]], config)
-        x_scaled, _ = maximize(lambda x: acquisition_value(spec, scaled_model, x, 4),
-                               [[0.0, 1.0]], config)
+        x_base, _ = maximize(lambda x: acquisition_value(spec, base_model, x, 4), [[0.0, 1.0]], config,
+                             value_and_gradient=lambda x: acquisition_gradient(spec, base_model, x, 4))
+        x_scaled, _ = maximize(lambda x: acquisition_value(spec, scaled_model, x, 4), [[0.0, 1.0]], config,
+                               value_and_gradient=lambda x: acquisition_gradient(spec, scaled_model, x, 4))
         np.testing.assert_allclose(x_base, x_scaled, atol=1e-8)
 
 

@@ -45,7 +45,10 @@ def test_every_traced_name_is_present():
     tracer = load_tracing().Tracer()
     with tracer:
         pass
-    assert tracer.absent == []
+    # `gp` runs no optimizer any more; the benchmark's entry for one waits
+    # for its next change (the `FOUND:` line on the benchmark's call surface
+    # in CHANGES.md).  Any other missing name still fails.
+    assert tracer.absent == ["active_emu.gp.maximize"]
 
 
 def test_every_run_span_has_a_fit_child():

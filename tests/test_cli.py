@@ -124,6 +124,22 @@ MALFORMED_CONFIGS = [
     *((command, "hyperparameters", {"nugget": {"policy": "fixed", "value": 0.02}, "optimizer": optimizer})
       for command in ("run", "experiment") for optimizer in BAD_OPTIMIZERS),
     *((command, "acquisition", acquisition) for command in ("run", "experiment") for acquisition in BAD_ACQUISITIONS),
+    # A strategy name that is not a string, and integer fields given a
+    # non-finite, fractional or boolean JSON value.
+    ("experiment", "strategies", ["amogape:PDxPG", 7]),
+    ("experiment", "runs", float("inf")),
+    ("run", "seed", float("inf")),
+    ("experiment", "seed", float("nan")),
+    ("run", "seed", 0.5),
+    ("run", "seed", True),
+    ("run", "budget", float("inf")),
+    ("experiment", "n_add", 2.5),
+    ("run", "initial_design", {"sampler": "sobol", "size": float("inf")}),
+    ("run", "optimizer", {"strategy": "simulated-annealing", "iterations": True}),
+    ("experiment", "optimizer", {"n_random": float("inf")}),
+    ("run", "hyperparameters", {"optimizer": {"ascent_iterations": float("inf")}}),
+    ("run", "convergence", {"epsilon": 0.01, "probe_points": float("inf")}),
+    ("experiment", "density", {"bandwidth": 1.0, "grid": 1.5}),
 ]
 
 

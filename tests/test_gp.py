@@ -22,7 +22,6 @@ from active_emu.gp import (
 from active_emu.kernels import KernelParams, kernel_matrix, squared_distances
 from active_emu.multi_output import fit_all, predict_mean_matrix
 from active_emu.harness import run_experiment
-from active_emu.optimize import AnnealingConfig, OptimizerConfig
 from active_emu.simulators import ToyLog1D, make_simulator
 
 from conftest import (
@@ -320,7 +319,7 @@ class TestHyperparameters:
     def test_fixed_nugget_passthrough(self, rng):
         X = separated_points(rng, 1, 6, 0.1)
         y = rng.normal(size=6)
-        _, [nugget], _ = select_hyperparameters(squared_distances(X, X), y, nugget_policy=0.02, seed=1)
+        _, [nugget], _ = select_hyperparameters(squared_distances(X, X), y, nugget_policy=0.02)
         assert nugget == 0.02
 
     def test_max_stable_two_nodes_closed_form(self):
@@ -381,11 +380,7 @@ class TestHyperparameters:
             X = np.sort(rng.random(40))[np.newaxis, :]
             K = kernel_matrix(X, KernelParams(true_bandwidth), 1e-6)
             y = np.linalg.cholesky(K) @ rng.normal(size=40)
-            [bandwidth], _, _ = select_hyperparameters(
-                squared_distances(X, X), y, nugget_policy=1e-6, seed=seed,
-                optimizer=OptimizerConfig(strategy="simulated-annealing",
-                                          annealing=AnnealingConfig(iterations=150)),
-            )
+            [bandwidth], _, _ = select_hyperparameters(squared_distances(X, X), y, nugget_policy=1e-6)
             recovered.append(bandwidth)
         geometric_mean = float(np.exp(np.mean(np.log(recovered))))
         assert true_bandwidth / 2 <= geometric_mean <= true_bandwidth * 2
@@ -393,8 +388,7 @@ class TestHyperparameters:
     def test_learned_nugget_within_bounds(self, rng):
         X = separated_points(rng, 1, 20, 0.02)
         y = np.sin(6.0 * X[0]) + 0.1 * rng.normal(size=20)
-        [bandwidth], [nugget], [factor] = select_hyperparameters(squared_distances(X, X), y, nugget_policy="learned",
-                                                                 seed=7)
+        [bandwidth], [nugget], [factor] = select_hyperparameters(squared_distances(X, X), y, nugget_policy="learned")
         assert factor is None  # the learned search keeps no factor
         assert 1e-8 <= nugget <= 1e-1
         assert BANDWIDTH_GRID[0] <= bandwidth <= BANDWIDTH_GRID[-1]
@@ -411,8 +405,8 @@ class TestHyperparameters:
     def test_deterministic_given_seed(self, rng):
         X = separated_points(rng, 1, 10, 0.05)
         y = rng.normal(size=10)
-        first = select_hyperparameters(squared_distances(X, X), y, nugget_policy=0.02, seed=42)[:2]
-        second = select_hyperparameters(squared_distances(X, X), y, nugget_policy=0.02, seed=42)[:2]
+        first = select_hyperparameters(squared_distances(X, X), y, nugget_policy=0.02)[:2]
+        second = select_hyperparameters(squared_distances(X, X), y, nugget_policy=0.02)[:2]
         assert first == second
 
     def test_max_stable_walks_once_for_every_row(self, rng, monkeypatch):
@@ -662,8 +656,7 @@ class TestSharedSearch:
         self.assert_same_search(hinted, select_hyperparameters(sq, Y[-1:], nugget_policy=1e-4))
 
     @pytest.mark.parametrize("kwargs", [
-        dict(nugget_policy="learned", optimizer=OptimizerConfig(
-            strategy="simulated-annealing", annealing=AnnealingConfig(iterations=30))),
+        dict(nugget_policy="learned"),
         dict(strategy="max-stable-bandwidth", nugget_policy=1e-4),
     ], ids=["learned-nugget", "max-stable-bandwidth"])
     def test_other_searches_ignore_a_hint(self, rng, monkeypatch, kwargs):
@@ -797,6 +790,68 @@ class TestBrentRefinement:
             for p, bandwidth in enumerate(model.bandwidths):
                 chosen = _log_ml(X, Y[p], bandwidth, config.nugget_policy)
                 assert chosen >= oracle[p] - 1e-3, f"m={Y.shape[1]}, output {p}: {chosen} < {oracle[p]}"
+
+
+def dense_learned_oracle(X, Y, points: int = 400):
+    """Best log marginal likelihood of every row of Y over a points x points log-spaced (bandwidth, nugget)
+    grid over the learned search's bounds, from numpy's eigendecomposition of K at each bandwidth."""
+    sq = squared_distances(X, X)
+    nuggets = np.geomspace(*gp.LEARNED_NUGGET_BOUNDS, points)
+    best = np.full(Y.shape[0], -np.inf)
+    for bandwidth in np.geomspace(BANDWIDTH_GRID[0], BANDWIDTH_GRID[-1], points):
+        eigenvalues, Q = np.linalg.eigh(np.exp(-sq / (2.0 * bandwidth**2)))
+        shifted = eigenvalues + nuggets[:, np.newaxis]
+        usable = (shifted > 0.0).all(axis=1)
+        shifted[~usable] = 1.0
+        values = -0.5 * (1.0 / shifted) @ (Q.T @ Y.T) ** 2 - 0.5 * np.log(shifted).sum(axis=1)[:, np.newaxis]
+        best = np.maximum(best, values[usable].max(axis=0, initial=-np.inf))
+    return best - 0.5 * Y.shape[1] * np.log(2.0 * np.pi)
+
+
+class TestLearnedNugget:
+    """The learned nugget's grid-then-Brent search over (bandwidth, nugget), scored from eigendecompositions."""
+
+    def test_every_row_near_the_dense_oracle(self, refinement_designs):
+        checked = 0
+        for name, X, Y, _ in refinement_designs:
+            if name not in ("fixture m=30", "fixture m=80", "fixture m=130"):
+                continue
+            bandwidths, nuggets, factors = select_hyperparameters(squared_distances(X, X), Y, nugget_policy="learned")
+            assert factors == [None] * Y.shape[0]  # `fit` factorises at the choice
+            oracle = dense_learned_oracle(X, Y)
+            for p, (bandwidth, nugget) in enumerate(zip(bandwidths, nuggets)):
+                assert gp.LEARNED_NUGGET_BOUNDS[0] <= nugget <= gp.LEARNED_NUGGET_BOUNDS[1]
+                chosen = _log_ml(X, Y[p], bandwidth, nugget)
+                assert chosen >= oracle[p] - 1e-3, f"{name}, output {p}: {chosen} < {oracle[p]}"
+                checked += 1
+        assert checked == 27
+
+    def test_eigen_scores_match_the_cholesky_log_ml(self, rng):
+        X = separated_points(rng, 2, 40, 0.03)
+        Y = TestSharedSearch.outputs(X)
+        sq = squared_distances(X, X)
+        nuggets = np.array([1e-6, 1e-4, 1e-2, 1e-1])
+        for bandwidth in (0.05, 0.3, 1.0):
+            scores = gp._nugget_scores(sq, Y, bandwidth)(nuggets)
+            assert scores.shape == (nuggets.size, Y.shape[0])
+            for nugget, row in zip(nuggets, scores):
+                expected = gp._log_ml_rows(sq, Y, bandwidth, nugget)[0]
+                np.testing.assert_allclose(row, expected, rtol=1e-8, atol=1e-5)
+
+    def test_a_nugget_below_minus_the_smallest_eigenvalue_scores_minus_infinity(self, rng):
+        X = separated_points(rng, 1, 8, 0.05)
+        scores = gp._nugget_scores(squared_distances(X, X), rng.normal(size=(2, 8)), 0.2)(np.array([-2.0, 1e-3]))
+        assert np.isneginf(scores[0]).all() and np.isfinite(scores[1]).all()
+
+    def test_one_eigendecomposition_per_grid_bandwidth_and_probe(self, rng, monkeypatch):
+        X = separated_points(rng, 2, 30, 0.03)
+        Y = TestSharedSearch.outputs(X)
+        calls = []
+        original = gp.dsyevd
+        monkeypatch.setattr(gp, "dsyevd", lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
+        monkeypatch.setattr(gp, "cho_factor", None)  # the search factorises nothing
+        select_hyperparameters(squared_distances(X, X), Y, nugget_policy="learned")
+        assert BANDWIDTH_GRID.size < len(calls) <= BANDWIDTH_GRID.size + Y.shape[0] * BRENT_EVALUATIONS
 
 
 class TestNoiseFreeFactor:

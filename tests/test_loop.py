@@ -164,6 +164,12 @@ PINNED_RUNS = [
         "56a35453f37863ca3db6a6891a8fb2c385ad85ad854be8898f7dd0524038964b",
         "497b680adebf261dafe53e8f116626f2d148a15d5206b78455574f63376d3a8d",
     )),
+    # The learned nugget's grid-then-Brent search: output 1's nugget leaves
+    # the grid's ends from m = 9 on.  Recorded at 1 and at 2 BLAS threads.
+    ("amogape-learned-nugget", None, dict(budget=12, seed=34, nugget_policy="learned"), 12, False, (
+        "68d3856d9e4b76c68ed589b3162516a78085379c1a13e985afa3da01cd050f9a",
+        "5bca087ff4fe19c2c108177e645ec91d1731232d4ded5fd4663ab1eba39455cf",
+    )),
 ]
 
 
@@ -400,14 +406,12 @@ class TestRun:
         assert result.model is not None
         assert result.evaluations == result.dataset.n_nodes == sim.eval_count < 10
 
-    @pytest.mark.parametrize("nugget_policy, search", [(0.02, "at any grid bandwidth"),
-                                                       ("learned", "learned-nugget hyperparameter search")],
-                             ids=["fixed", "learned"])
-    def test_overflowing_first_fit_returns_partial_result(self, nugget_policy, search):
+    @pytest.mark.parametrize("nugget_policy", [0.02, "learned"], ids=["fixed", "learned"])
+    def test_overflowing_first_fit_returns_partial_result(self, nugget_policy):
         # Outputs near 1e200 overflow the log-ML of every hyperparameter the search scores.
         sim = ScaledToy(1e200)
         result = run(toy_config(budget=10, nugget_policy=nugget_policy), sim)
-        assert result.failure.startswith("output 0: ") and search in result.failure
+        assert result.failure.startswith("output 0: ") and "not finite at any grid bandwidth" in result.failure
         assert result.model is None
         assert result.evaluations == result.dataset.n_nodes == sim.eval_count == 4
 
@@ -682,6 +686,13 @@ class TestNonSequentialBaselines:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             baseline_run("sobol", False, toy_config(budget=4), ToyLog1D())
+
+    @pytest.mark.parametrize("kind, sequential", [("grid", True), ("lhs", True), ("sobol", False)])
+    def test_a_flag_that_contradicts_the_kind_is_rejected_before_any_evaluation(self, kind, sequential):
+        sim = ToyLog1D()
+        with pytest.raises(ValueError, match=f"'{kind}' is not a {'' if sequential else 'non-'}sequential baseline"):
+            baseline_run(kind, sequential, toy_config(budget=6), sim)
+        assert sim.eval_count == 0
 
 
 class TestWriters:

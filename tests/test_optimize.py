@@ -46,23 +46,26 @@ class TestRandomThenAscent:
         assert np.linalg.norm(x - center) < 1e-3
         assert value == pytest.approx(0.0, abs=1e-6)
 
-    def test_finds_maximum_without_gradient(self):
-        center = np.array([0.7])
+    def test_without_gradient_raises_before_any_evaluation(self):
+        calls = []
         config = OptimizerConfig(strategy="random-then-ascent", n_random=30, seed=1)
-        x, _ = maximize(quadratic_peak(center), [[0.0, 1.0]], config)
-        assert abs(x[0] - 0.7) < 1e-3
+        with pytest.raises(ValueError, match="needs value_and_gradient"):
+            maximize(lambda x: calls.append(x) or 0.0, [[0.0, 1.0]], config,
+                     batch_objective=lambda X: calls.append(X) or np.zeros(len(X)))
+        assert calls == []
 
     def test_constant_objective(self):
         config = OptimizerConfig(strategy="random-then-ascent", n_random=10, seed=0)
-        x, value = maximize(lambda x: 3.5, BOUNDS_2D, config)
+        x, value = maximize(lambda x: 3.5, BOUNDS_2D, config, value_and_gradient=lambda x: (3.5, np.zeros(2)))
         assert value == 3.5
         assert np.all(x >= BOUNDS_2D[:, 0]) and np.all(x <= BOUNDS_2D[:, 1])
 
     def test_result_beats_every_random_probe(self):
         rng_check = np.random.default_rng(9)
         objective = lambda x: float(np.sin(7 * x[0]) + np.cos(3 * x[1]))
+        gradient = lambda x: np.array([7 * np.cos(7 * x[0]), -3 * np.sin(3 * x[1])])
         config = OptimizerConfig(strategy="random-then-ascent", n_random=40, seed=3)
-        _, value = maximize(objective, BOUNDS_2D, config)
+        _, value = maximize(objective, BOUNDS_2D, config, value_and_gradient=paired(objective, gradient))
         probes = np.random.default_rng(3).random((40, 2)) * np.array([1.0, 2.0])
         assert value >= max(objective(p) for p in probes) - 1e-12
         del rng_check
@@ -76,7 +79,7 @@ class TestRandomThenAscent:
 
         config = OptimizerConfig(strategy="random-then-ascent", seed=0,
                                  ascent=AscentConfig(max_iterations=1))
-        maximize(counting, BOUNDS_2D, config)
+        maximize(counting, BOUNDS_2D, config, value_and_gradient=paired(counting, lambda x: np.zeros(2)))
         assert len(calls) >= 100  # 10^2 probes plus the ascent phase
 
 
@@ -136,7 +139,7 @@ class TestBatchObjective:
 
         config = OptimizerConfig(strategy="random-then-ascent", n_random=50, seed=0)
         with pytest.raises(OptimizerFailure) as excinfo:
-            maximize(wavy, BOUNDS_2D, config, batch_objective=batch)
+            maximize(wavy, BOUNDS_2D, config, value_and_gradient=paired(wavy, wavy_gradient), batch_objective=batch)
         assert excinfo.value.point[0] > 0.5
 
     @pytest.mark.parametrize("initial_temperature, rows", [(None, 21), (0.5, 1)])
@@ -251,16 +254,17 @@ class TestSharedBehavior:
         objective = lambda x: float(x[0] + x[1])  # pushes to a corner
         config = OptimizerConfig(strategy=strategy, n_random=20, seed=7,
                                  annealing=AnnealingConfig(iterations=500))
-        x, _ = maximize(objective, BOUNDS_2D, config)
+        x, _ = maximize(objective, BOUNDS_2D, config, value_and_gradient=paired(objective, lambda x: np.ones(2)))
         assert np.all(x >= BOUNDS_2D[:, 0]) and np.all(x <= BOUNDS_2D[:, 1])
 
     @pytest.mark.parametrize("strategy", ["random-then-ascent", "simulated-annealing"])
     def test_seed_determinism(self, strategy):
         objective = lambda x: float(np.sin(5 * x[0]) + x[1] ** 2)
+        value_and_gradient = paired(objective, lambda x: np.array([5 * np.cos(5 * x[0]), 2 * x[1]]))
         config = OptimizerConfig(strategy=strategy, n_random=25, seed=123,
                                  annealing=AnnealingConfig(iterations=300))
-        first = maximize(objective, BOUNDS_2D, config)
-        second = maximize(objective, BOUNDS_2D, config)
+        first = maximize(objective, BOUNDS_2D, config, value_and_gradient=value_and_gradient)
+        second = maximize(objective, BOUNDS_2D, config, value_and_gradient=value_and_gradient)
         np.testing.assert_array_equal(first[0], second[0])
         assert first[1] == second[1]
 
@@ -270,7 +274,7 @@ class TestSharedBehavior:
 
         config = OptimizerConfig(strategy="random-then-ascent", n_random=50, seed=0)
         with pytest.raises(OptimizerFailure) as excinfo:
-            maximize(bad, [[0.0, 1.0]], config)
+            maximize(bad, [[0.0, 1.0]], config, value_and_gradient=paired(bad, lambda x: np.zeros(1)))
         assert excinfo.value.point is not None
         assert excinfo.value.point[0] > 0.5
 
