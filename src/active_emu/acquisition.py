@@ -7,13 +7,19 @@ SD, PD, SDxSG, SDxPG, PDxSG, PDxPG.  The value is zero at every node in
 interpolation mode; in regression mode the diversity term defaults to the
 noise-free variance so that the same holds.
 
-One function, `_acquisition`, computes every value and gradient from one
-block evaluation of the GPs (`gp.evaluate`) and one combination rule
-(`_combine_rows`); the three public forms are thin calls of it.  The
-acquisition search scores its random probes with the block form, which
-evaluates at most MAX_BLOCK_ENTRIES kernel entries at a time.  The
-gradient ascent then takes the value and the gradient of each point it
-visits from one evaluation of its one-row block (`acquisition_gradient`).
+The acquisition of one spec on one fitted model at one iteration is bound
+once (`_Bound`): beta_t, the variant's ops, the variances' factors, the box,
+the nodes and the outputs' kernel scalars, which every call of a search
+shares.  The model keeps the last one it was bound to; the three public
+forms fetch it and call one of its two entry points.  `block` scores a
+block of points from one evaluation of the GPs (`gp.evaluate`) and one
+combination rule (`_combine_rows`); the search scores its random probes
+with it (`acquisition_values`), at most MAX_BLOCK_ENTRIES kernel entries at
+a time.  `point` scores one point by the same steps on arrays of one row
+and combines its per-output terms as scalars, bit for bit the block's row
+at a fraction of its fixed cost: annealing calls it once per proposal
+(`acquisition_value`), and the gradient ascent once per point it visits,
+for the value and the gradient (`acquisition_gradient`).
 """
 
 from __future__ import annotations
@@ -136,6 +142,13 @@ class InputPrior:
         z = (X - self.mu) / self.sigma
         return np.where(inside, np.exp(np.sum(-0.5 * z * z - self._log_norm, axis=1)), 0.0)
 
+    def density(self, x: np.ndarray) -> float:
+        """`densities` at one point x (D,), bit for bit: the same operations on one row."""
+        if not ((x >= self.low) & (x <= self.high)).all():
+            return 0.0
+        z = (x - self.mu) / self.sigma
+        return np.exp(np.sum(-0.5 * z * z - self._log_norm))
+
     def grad_log_density(self, X) -> np.ndarray:
         """Gradient of the log density inside the box at each row of X (n x D): -(x - mu) / sigma^2."""
         return -(X - self.mu) / self.sigma**2
@@ -173,8 +186,8 @@ class AcquisitionSpec:
 
 
 def acquisition_value(spec: AcquisitionSpec, model: MultiGpModel, x, t: int) -> float:
-    """[G_t(x)]^beta_t * D_t(x), times the prior density when configured: the one-row block."""
-    return float(_acquisition(spec, model, np.asarray(x, dtype=float).ravel()[np.newaxis], t)[0][0])
+    """[G_t(x)]^beta_t * D_t(x), times the prior density when configured, at one raw point x."""
+    return _bound(spec, model, t).point(x)
 
 
 def acquisition_values(spec: AcquisitionSpec, model: MultiGpModel, X, t: int) -> np.ndarray:
@@ -192,58 +205,172 @@ def acquisition_values(spec: AcquisitionSpec, model: MultiGpModel, X, t: int) ->
 
 
 def acquisition_gradient(spec: AcquisitionSpec, model: MultiGpModel, x, t: int) -> tuple[float, np.ndarray]:
-    """acquisition_value and its analytic gradient with respect to the raw input, from one one-row block."""
-    values, grads = _acquisition(spec, model, np.asarray(x, dtype=float).ravel()[np.newaxis], t, gradients=True)
-    return float(values[0]), grads[0]
+    """acquisition_value and its analytic gradient with respect to the raw input, from one evaluation."""
+    return _bound(spec, model, t).point(x, gradient=True)
 
 
 def _acquisition(spec: AcquisitionSpec, model: MultiGpModel, X, t: int, gradients: bool = False) -> tuple:
-    """Values (n,) at the rows of X (n x D, raw coordinates), and their (n, D) gradients or None.
+    """Values (n,) at the rows of X (n x D, raw coordinates), and their (n, D) gradients or None: the block form."""
+    return _bound(spec, model, t).block(model, X, gradients)
 
-    One `gp.evaluate` gives every output's terms at the points inside the
-    prior box; the rest score exactly zero, as do nodes when strict.  The
-    per-output factors are combined row by row and the power is taken one
-    value at a time, as for a single point.  beta_t = 0 (and the variants
-    without geometry) reduce to pure diversity: 0^0 is taken as 1.  The
-    gradients come from the same terms, mapped back through the affine
-    normalization, and are zero wherever a multiplicative factor is (at
-    nodes, in flat regions, outside the prior box): the optimizer treats
-    the acquisition as a plateau there.
+
+def _bound(spec: AcquisitionSpec, model: MultiGpModel, t: int) -> "_Bound":
+    """The model's `_Bound` of this spec (by identity) at iteration t; a new one replaces it when either differs."""
+    cache = model.bound_acquisition
+    if not (cache and cache[0].spec is spec and cache[0].t == t):
+        cache[:] = [_Bound(spec, model, t)]
+    return cache[0]
+
+
+class _Bound:
+    """The acquisition of one spec on one fitted model at iteration t, with what all its calls share.
+
+    That is beta_t, the variant's ops, the factors behind the variances
+    (building the noise-free ones when strict), the box, the nodes, the
+    outputs' b^2, -2 b^2, 2 / b^2, b^4 and weights, and the prior.  It holds
+    no reference to the model, so a model and its cache form no cycle.
+
+    `block` scores a block of points from one `gp.evaluate`.  `point`
+    scores one point by the same per-output steps in the same order, as
+    arrays of one row, without the block's masks, zero-filled outputs and
+    per-point copies, and combines its P values as scalars by the same
+    operations, so that its value and gradient are the block's row bit for
+    bit.  beta_t = 0 (and the variants without geometry) reduce to pure
+    diversity: 0^0 is taken as 1.  The gradients are mapped back through
+    the affine normalization, and are zero wherever a multiplicative factor
+    is (at nodes, in flat regions, outside the prior box): the optimizer
+    treats the acquisition as a plateau there.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    values = np.zeros(X.shape[0])
-    grads = np.zeros(X.shape) if gradients else None
-    weights = np.ones(X.shape[0]) if spec.prior is None else spec.prior.densities(X)
-    live = weights != 0.0
-    if not live.any():
+
+    def __init__(self, spec: AcquisitionSpec, model: MultiGpModel, t: int):
+        self.spec, self.t = spec, t
+        self.diversity_op, self.geometry_op = _VARIANT_OPS[spec.variant]
+        self.beta = beta_at(spec.tempering, t)
+        self.geometric = self.geometry_op != "none" and self.beta != 0.0
+        self.strict = spec.strict_zero_at_nodes
+        self.prior = spec.prior
+        box = model.dataset.input_bounds
+        self.lo, self.widths = box[:, 0], box[:, 1] - box[:, 0]
+        self.nodes = model.dataset.unit_nodes  # (D, m)
+        self.factors = gp._strict_factors(model) if self.strict else model.factors
+        self.variance_offset = 1.0 if self.strict else np.add(model.nuggets, 1.0)
+        self.b2 = model.squared_bandwidths[:, np.newaxis, np.newaxis]  # (P, 1, 1), as in `gp.evaluate`
+        self.minus_two_b2, self.two_over_b2 = -2.0 * self.b2, 2.0 / self.b2
+        self.fourth_powers = model.fourth_powers[:, np.newaxis, np.newaxis]
+        self.alpha = model.alpha[:, np.newaxis, :]
+        # Zeros, not 0 * x: that is -0.0 at a negative coordinate, and -0.0 + -0.0 stays negative.
+        self.no_prior_gradient = np.zeros(box.shape[0])
+
+    def block(self, model: MultiGpModel, X, gradients: bool = False) -> tuple:
+        """Values (n,) at the rows of X (n x D, raw coordinates), and their (n, D) gradients or None.
+
+        One `gp.evaluate` of the model gives every output's terms at the
+        points inside the prior box; the rest score exactly zero, as do
+        nodes when strict.  The per-output factors are combined row by row
+        and the power is taken one value at a time, as for a single point.
+        """
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        values = np.zeros(X.shape[0])
+        grads = np.zeros(X.shape) if gradients else None
+        weights = np.ones(X.shape[0]) if self.prior is None else self.prior.densities(X)
+        live = weights != 0.0
+        if not live.any():
+            return values, grads
+        live = _rows(live)
+        X, weights = X[live], weights[live]
+        terms = gp.evaluate(model, model.dataset.normalize(X.T).T, self.strict, self.geometric, gradients)
+        d, d_grad = _combine_rows(terms.variances, terms.variance_gradients, self.diversity_op)
+        combined = d
+        if self.geometric:
+            g, g_grad = _combine_rows(terms.gradient_norms, terms.norm_gradients, self.geometry_op)
+            combined = np.where(d == 0.0, 0.0, np.array([v**self.beta for v in g.tolist()]) * d)
+        values[live] = combined = combined * weights
+        if not gradients:
+            return values, grads
+        live_grads = np.zeros(X.shape)
+        rows = _rows((d != 0.0) & (g != 0.0) if self.geometric else d != 0.0)
+        X, d = X[rows], d[rows, np.newaxis]
+        prior_grad_log = np.zeros(X.shape) if self.prior is None else self.prior.grad_log_density(X)
+        if self.geometric:
+            log_grad = self.beta * (g_grad[rows] / g[rows, np.newaxis]) / self.widths + (d_grad[rows] / d) / self.widths
+            live_grads[rows] = combined[rows, np.newaxis] * (log_grad + prior_grad_log)
+        else:
+            live_grads[rows] = (d_grad[rows] / self.widths + d * prior_grad_log) * weights[rows, np.newaxis]
+        grads[live] = live_grads
         return values, grads
-    diversity_op, geometry_op = _VARIANT_OPS[spec.variant]
-    beta = beta_at(spec.tempering, t)
-    geometric = geometry_op != "none" and beta != 0.0
-    live = _rows(live)
-    X, weights = X[live], weights[live]
-    terms = gp.evaluate(model, model.dataset.normalize(X.T).T, spec.strict_zero_at_nodes, geometric, gradients)
-    d, d_grad = _combine_rows(terms.variances, terms.variance_gradients, diversity_op)
-    combined = d
-    if geometric:
-        g, g_grad = _combine_rows(terms.gradient_norms, terms.norm_gradients, geometry_op)
-        combined = np.where(d == 0.0, 0.0, np.array([v**beta for v in g.tolist()]) * d)
-    values[live] = combined = combined * weights
-    if not gradients:
-        return values, grads
-    live_grads = np.zeros(X.shape)
-    rows = _rows((d != 0.0) & (g != 0.0) if geometric else d != 0.0)
-    X, d = X[rows], d[rows, np.newaxis]
-    widths = model.dataset.input_bounds[:, 1] - model.dataset.input_bounds[:, 0]
-    # Zeros, not 0 * X: that is -0.0 at a negative coordinate, and -0.0 + -0.0 stays negative.
-    prior_grad_log = np.zeros(X.shape) if spec.prior is None else spec.prior.grad_log_density(X)
-    if geometric:
-        log_grad = beta * (g_grad[rows] / g[rows, np.newaxis]) / widths + (d_grad[rows] / d) / widths
-        live_grads[rows] = combined[rows, np.newaxis] * (log_grad + prior_grad_log)
-    else:
-        live_grads[rows] = (d_grad[rows] / widths + d * prior_grad_log) * weights[rows, np.newaxis]
-    grads[live] = live_grads
-    return values, grads
+
+    def point(self, x, gradient: bool = False):
+        """The value at one raw point x, or (value, gradient) with `gradient`: the row of a block holding x.
+
+        The steps are `gp.evaluate`'s for one row (differences to the
+        nodes, kernel rows, one `gp._solve` per output, the quadratic form,
+        the zero at a node when strict, the clamp, then the mean gradients
+        and their norms), followed by `block`'s rules on its single row.
+        """
+        x = np.asarray(x, dtype=float).ravel()
+        if x.size != self.lo.size:
+            raise ValueError(f"query points have dimension {x.size}, the model expects {self.lo.size}")
+        weight = 1.0 if self.prior is None else self.prior.density(x)
+        if weight == 0.0:
+            return (0.0, np.zeros(x.size)) if gradient else 0.0
+        # (1, D, m), and its (1, m, D) transpose: the memory layout of `gp.evaluate`'s differences for one row,
+        # which decides how its products with them round.
+        diffs_t = (((x - self.lo) / self.widths)[:, np.newaxis] - self.nodes)[np.newaxis]
+        diffs = diffs_t.transpose(0, 2, 1)
+        sq = np.einsum("nmd,nmd->nm", diffs, diffs)
+        K = np.exp(sq / self.minus_two_b2)  # (P, 1, m)
+        W = K.copy()
+        for p, factor in enumerate(self.factors):
+            gp._solve(factor, W[p].T, overwrite=True)
+        values = self.variance_offset - gp.rowwise_dot(K, W).T  # (1, P)
+        if self.strict and gp._coincident(sq.min()):
+            values[:] = 0.0
+        variances = gp._clamped(values, self.strict)
+        d = _combined(variances[0], self.diversity_op)
+        if gradient:
+            variance_gradients = self.two_over_b2 * gp._by_rows(diffs_t, np.multiply(K, W, out=W))
+        value = d
+        if self.geometric:
+            k_alpha = gp.rowwise_dot(K, self.alpha) if gradient else None
+            weighted = np.multiply(K, self.alpha, out=K)
+            g = -gp._by_rows(diffs_t, weighted) / self.b2  # (P, 1, D)
+            norms = np.sqrt(gp.rowwise_dot(g, g))  # (P, 1)
+            geometry = _combined(norms[:, 0], self.geometry_op)
+            value = 0.0 if d == 0.0 else float(geometry) ** self.beta * d
+        value = value * weight
+        if not gradient:
+            return float(value)
+        if d == 0.0 or (self.geometric and geometry == 0.0):
+            return float(value), np.zeros(x.size)
+        prior_grad_log = self.no_prior_gradient if self.prior is None else self.prior.grad_log_density(x)
+        d_grad = _combined_gradient(d, variances, variance_gradients, self.diversity_op)
+        if not self.geometric:
+            return float(value), (d_grad / self.widths + d * prior_grad_log) * weight
+        # The Hessian-vector product of `gp.evaluate`, for one row.
+        along = np.matmul(diffs, g[..., np.newaxis], out=W[..., np.newaxis])[..., 0]  # (P, 1, m)
+        Hg = gp._by_rows(diffs_t, np.multiply(weighted, along, out=along)) / self.fourth_powers
+        Hg -= (k_alpha / self.b2[..., 0])[..., np.newaxis] * g
+        flat = norms < 1e-12
+        Hg /= np.where(flat, 1.0, norms)[..., np.newaxis]
+        Hg[flat] = 0.0
+        g_grad = _combined_gradient(geometry, norms.T, Hg, self.geometry_op)
+        log_grad = self.beta * (g_grad / geometry) / self.widths + (d_grad / d) / self.widths
+        return float(value), value * (log_grad + prior_grad_log)
+
+
+def _combined(values: np.ndarray, op: str):
+    """Sum or product of one point's P per-output factors (P,): `_combine_rows` for one row."""
+    if op == "sum":
+        return values.sum()
+    return 0.0 if (values <= 0.0).any() else np.exp(np.log(values).sum())
+
+
+def _combined_gradient(combined, values: np.ndarray, grads: np.ndarray, op: str) -> np.ndarray:
+    """Gradient (D,) of one point's nonzero `_combined` from its (1, P) factors and (P, 1, D) gradients."""
+    grads = grads.swapaxes(0, 1)  # (1, P, D), laid out as `gp.evaluate`'s rows
+    if op == "sum":
+        return grads.sum(axis=1)[0]
+    return combined * (grads / values[..., np.newaxis]).sum(axis=1)[0]
 
 
 def _combine_rows(values: np.ndarray, grads: np.ndarray | None, op: str) -> tuple:

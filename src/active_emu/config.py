@@ -18,6 +18,7 @@ import json
 import numpy as np
 
 from .acquisition import AcquisitionSpec, InputPrior, TemperingSchedule, VARIANT_NAMES
+from .gp import check_hyperparameters
 from .harness import ExperimentConfig, TestSetSpec, check_density_options
 from .loop import LoopConfig, check_designs
 from .optimize import AnnealingConfig, AscentConfig, OptimizerConfig
@@ -166,11 +167,13 @@ def _parse_hyper(raw) -> dict:
     """
     raw = {} if raw is None else raw
     _require_keys(raw, {"strategy", "nugget", "optimizer"})
-    return {
+    hyper = {
         "hyper_strategy": raw.get("strategy", "marginal-likelihood"),
         "nugget_policy": _parse_block(raw, "nugget", _parse_nugget),
         "hyper_optimizer": _parse_block(raw, "optimizer", _parse_hyper_optimizer),
     }
+    check_hyperparameters(hyper["hyper_strategy"], hyper["nugget_policy"])  # here, so that its error names the block
+    return hyper
 
 
 def _parse_hyper_optimizer(raw) -> OptimizerConfig | None:

@@ -19,8 +19,10 @@ away from its nodes: every output's variances (predictive or noise-free),
 mean gradients and, on request, their derivatives at a block of points.
 It stacks the outputs: one (P, n, m) kernel block, P solves with the
 outputs' factors, and every other term one array operation over the stack,
-returned per point as C-contiguous (n, P[, D]) arrays.  The predictive
-means are `multi_output.predict_mean_matrix`.  A `Dataset` builds its
+returned per point as C-contiguous (n, P[, D]) arrays; the acquisition's
+one-point form (`acquisition._Bound.point`) repeats its steps for one row
+in the same memory layout.  The predictive means are
+`multi_output.predict_mean_matrix`.  A `Dataset` builds its
 nodes' geometry once: their unit-cube coordinates, which every evaluation
 reads, and their one matrix of squared distances, which the search and
 the fit take in place of the nodes.  Kernel blocks and every
@@ -720,8 +722,8 @@ def check_hyperparameters(strategy: str, nugget_policy: float | str) -> None:
     if nugget_policy == "learned":
         if strategy == "max-stable-bandwidth":
             raise ValueError("max-stable-bandwidth requires a fixed nugget")
-    elif not float(nugget_policy) >= 0.0:
-        raise ValueError(f"nugget must be nonnegative, got {nugget_policy}")
+    elif not 0.0 <= float(nugget_policy) < np.inf:
+        raise ValueError(f"nugget must be nonnegative and finite, got {nugget_policy}")
 
 
 def select_hyperparameters(

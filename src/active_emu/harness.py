@@ -37,8 +37,8 @@ class TestSetSpec:
 
     def __post_init__(self) -> None:
         if self.kind == "grid":
-            if self.step is None or self.step <= 0.0:
-                raise ValueError("grid test set needs a positive step")
+            if self.step is None or not 0.0 < self.step < np.inf:
+                raise ValueError(f"grid test set needs a positive finite step, got {self.step}")
         elif self.kind == "prior":
             if self.size is None or self.size < 1:
                 raise ValueError("prior test set needs a positive size")

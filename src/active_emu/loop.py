@@ -203,13 +203,15 @@ def _choose_next_point(
 
     The search scores blocks of points (its random probes, or annealing's
     start and temperature probes) with the block form `acquisition_values`,
-    whose rows equal the one-row `acquisition_value` bit for bit.  The
-    gradient ascent takes each point's value and gradient from one call of
-    `acquisition_gradient` (see `optimize.maximize`).  The callables are
-    bound here, to the names this module holds, so that a wrapper put in
-    their place sees every call.  When every search lands on a node, the
-    fallback scores its uniform probes that are not nodes in one block and
-    keeps the first best.
+    and each annealing proposal with the one-point `acquisition_value`,
+    whose value equals the block's row bit for bit.  The gradient ascent
+    takes each point's value and gradient from one call of
+    `acquisition_gradient` (see `optimize.maximize`).  All three fetch the
+    acquisition bound to (spec, model, t) that the model keeps, built by
+    the search's first call.  The callables are bound here, to the names
+    this module holds, so that a wrapper put in their place sees every
+    call.  When every search lands on a node, the fallback scores its
+    uniform probes that are not nodes in one block and keeps the first best.
     """
     spec = config.acquisition
     objective = functools.partial(acquisition_value, spec, model, t=t)

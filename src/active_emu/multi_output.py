@@ -36,14 +36,17 @@ PREDICT_BLOCK_ALIGN = 64
 
 @dataclass(frozen=True, eq=False)
 class MultiGpModel:
-    """P independently fitted GPs over one dataset; immutable but for one cache, compared by identity.
+    """P independently fitted GPs over one dataset; immutable but for two caches, compared by identity.
 
     Output p has bandwidth bandwidths[p], nugget nuggets[p], weights
     alpha[p] and factors[p], the `cho_factor` of its K + nugget I.  With a
     nugget, the first strict evaluation (`gp.evaluate`) builds the factor of
     K alone and keeps it in `noise_free_factors[p]`: models that never serve
     a strict acquisition (baselines, RMSE fits, a run's final model) skip
-    that Cholesky and do not hold a second m x m array.
+    that Cholesky and do not hold a second m x m array.  The second cache,
+    `bound_acquisition`, holds at most one acquisition bound to this model
+    (`acquisition._Bound`), so that the calls of one search share its set-up;
+    a call for another spec or iteration replaces it.
 
     `squared_bandwidths` (b^2) and `fourth_powers` (b^4), one entry per
     output, are the scalars `gp.evaluate` broadcasts over its stacked
@@ -58,6 +61,7 @@ class MultiGpModel:
     alpha: np.ndarray  # P x m
     factors: tuple
     noise_free_factors: list = field(default_factory=list)
+    bound_acquisition: list = field(default_factory=list, init=False, repr=False)
     squared_bandwidths: np.ndarray = field(init=False, repr=False)
     fourth_powers: np.ndarray = field(init=False, repr=False)
 

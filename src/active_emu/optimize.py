@@ -239,6 +239,8 @@ def maximize(objective, bounds, config: OptimizerConfig, value_and_gradient=None
     same unless two probes tie within that rounding; annealing takes the
     block's values as they are, so its result is the same where the block
     form equals `objective` row for row, as the acquisition's does.
+    Annealing is sequential: after its first block it calls `objective`
+    once per proposal, so the cost of a one-point call sets its speed.
     """
     lo, hi = check_box(bounds).T
     if config.strategy == "simulated-annealing":

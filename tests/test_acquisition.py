@@ -1,5 +1,6 @@
 """Acquisition variants, tempering, prior weighting, and analytic gradients."""
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -23,6 +24,7 @@ from active_emu.gp import Dataset, IllConditionedError
 from active_emu.kernels import KernelParams, kernel_matrix
 from active_emu.multi_output import fit_all
 from active_emu.optimize import AnnealingConfig, OptimizerConfig, maximize
+from active_emu.simulators import make_simulator
 
 from conftest import (
     central_difference_gradient,
@@ -601,3 +603,138 @@ class TestBlockGradients:
                 if strict or prior is not None:
                     assert flat.any()  # at nodes when strict, outside the prior's box
 
+
+
+def _simulated_model(kind, design, nugget):
+    """A marginal-likelihood fit of a built-in simulator at the columns of `design` (D x m, raw)."""
+    sim = make_simulator(kind)
+    Y = np.column_stack([sim.evaluate(x) for x in design.T])
+    return fit_all(Dataset(design, Y, sim.bounds), nugget_policy=nugget)
+
+
+@pytest.fixture(scope="module")
+def toy_model():
+    """Two outputs of the toy at m = 24, as a criterion-1 run's last model."""
+    rng = np.random.default_rng(11)
+    design = np.concatenate([[0.1, 3.4, 6.7, 10.0], 0.1 + 9.9 * rng.random(20)])[np.newaxis]
+    return _simulated_model({"kind": "toy-log-1d"}, design, 0.02)
+
+
+@pytest.fixture(scope="module")
+def fixture_model():
+    """Nine outputs of the fixture at m = 130, as a criterion-10 run's last model."""
+    rng = np.random.default_rng(12)
+    design = (np.array([20.0, 0.0]) + rng.random((130, 2)) * np.array([70.0, 10.0])).T
+    return _simulated_model({"kind": "fixture-9band", "dimension": 2}, design, 1e-4)
+
+
+# Priors whose boxes leave part of each simulator's box outside.
+ONE_POINT_PRIORS = {
+    "toy": InputPrior(mu=[4.0], sigma=[2.5], low=[1.0], high=[8.0]),
+    "fixture9": InputPrior(mu=[45.0, 3.5], sigma=[30.0, 4.5], low=[30.0, 1.0], high=[80.0, 9.0]),
+}
+
+
+def _one_point_cases(model, rng, n_random):
+    """Random points over the model's box and a few of its nodes."""
+    lo, hi = model.dataset.input_bounds.T
+    return np.vstack([lo + rng.random((n_random, lo.size)) * (hi - lo), model.dataset.X.T[::7]])
+
+
+def _as_bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+class TestOnePointEvaluation:
+    """Bit for bit, `acquisition_value` and `acquisition_gradient` of one point are the block's row."""
+
+    @pytest.mark.parametrize("name", ["toy", "fixture9"])
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("with_prior", [False, True])
+    def test_value_and_gradient_equal_the_block_row(self, request, rng, name, variant, strict, with_prior):
+        model = request.getfixturevalue("toy_model" if name == "toy" else "fixture_model")
+        prior = ONE_POINT_PRIORS[name] if with_prior else None
+        points = _one_point_cases(model, rng, 40 if name == "toy" else 30)
+        for beta in (0.0, 0.5, 1.0):
+            spec = AcquisitionSpec.from_variant(
+                variant, tempering=TemperingSchedule.constant(beta), prior=prior, strict_zero_at_nodes=strict
+            )
+            values, grads = acquisition._acquisition(spec, model, points, 5, gradients=True)
+            single = [acquisition_value(spec, model, x, t=5) for x in points]
+            pairs = [acquisition_gradient(spec, model, x, t=5) for x in points]
+            np.testing.assert_array_equal(_as_bits(single), _as_bits(values))
+            np.testing.assert_array_equal(_as_bits([value for value, _ in pairs]), _as_bits(values))
+            np.testing.assert_array_equal(_as_bits([gradient for _, gradient in pairs]), _as_bits(grads))
+            np.testing.assert_array_equal(_as_bits(acquisition_values(spec, model, points, t=5)), _as_bits(values))
+            assert (values > 0.0).any()
+            if strict or with_prior:
+                assert (values == 0.0).any()  # at the nodes when strict, outside the prior's box
+
+    @pytest.mark.parametrize("variant", ["SD", "PDxPG"])
+    def test_a_failing_clamp_raises_the_block_error(self, rng, variant):
+        model = random_multi_model(rng, dimension=2, n_outputs=2, n_nodes=6, nugget=1e-3, bounds=BATCH_BOUNDS)
+        spec = AcquisitionSpec.from_variant(variant, tempering=TemperingSchedule.constant(1.0))
+        near_node = model.dataset.X[:, 0] + 0.01
+        acquisition_value(spec, model, near_node + 1.0, t=2)  # binds, building every output's noise-free factor
+        # A factor of K / 2 doubles k^T K^{-1} k, driving the noise-free
+        # variance far below its round-off clamp near the nodes.
+        K = kernel_matrix(model.dataset.unit_nodes, KernelParams(model.bandwidths[0]))
+        model.noise_free_factors[0] = cho_factor(0.5 * K, lower=True)
+        messages = []
+        for evaluate in (
+            lambda: acquisition._acquisition(spec, model, near_node[np.newaxis], 2, gradients=True),
+            lambda: acquisition_value(spec, model, near_node, t=2),
+            lambda: acquisition_gradient(spec, model, near_node, t=2),
+        ):
+            with pytest.raises(IllConditionedError, match="^output 0: noise-free variance -") as raised:
+                evaluate()
+            messages.append(str(raised.value))
+        assert len(set(messages)) == 1
+
+
+class TestBoundAcquisitionCache:
+    """A model keeps one bound acquisition; no call is served one bound to another spec, model or t."""
+
+    def test_same_spec_and_t_on_a_second_model(self, rng):
+        first, second = (
+            random_multi_model(rng, dimension=2, n_outputs=3, n_nodes=8, nugget=1e-3, bounds=BATCH_BOUNDS)
+            for _ in range(2)
+        )
+        spec = AcquisitionSpec.from_variant("PDxPG", tempering=TemperingSchedule.constant(0.5))
+        points = _batch_points(first, rng)[:20]
+        for x in points:
+            for model in (first, second, first):
+                fresh = dataclasses.replace(spec)  # an equal spec of another identity binds afresh
+                assert acquisition_value(spec, model, x, t=3) == acquisition_value(fresh, model, x, t=3)
+                np.testing.assert_array_equal(
+                    acquisition_gradient(spec, model, x, t=3)[1], acquisition_gradient(fresh, model, x, t=3)[1]
+                )
+        assert acquisition_value(spec, first, points[0], t=3) != acquisition_value(spec, second, points[0], t=3)
+        assert len(first.bound_acquisition) == len(second.bound_acquisition) == 1
+
+    def test_second_t_on_the_same_model(self, rng):
+        model = random_multi_model(rng, dimension=2, n_outputs=3, n_nodes=8, nugget=1e-3, bounds=BATCH_BOUNDS)
+        spec = AcquisitionSpec.from_variant("SDxSG", tempering=TemperingSchedule.one_minus_inverse_t())
+        points = _batch_points(model, rng)[:20]
+        early = [acquisition_value(spec, model, x, t=2) for x in points]
+        late = [acquisition_value(spec, model, x, t=7) for x in points]
+        for x, value_2, value_7 in zip(points, early, late):
+            assert value_7 == acquisition_value(dataclasses.replace(spec), model, x, t=7)
+            assert value_2 == acquisition_value(spec, model, x, t=2)
+        assert early != late
+        np.testing.assert_array_equal(acquisition_values(spec, model, points, t=7), late)
+        assert model.bound_acquisition[0].t == 7
+
+    def test_another_spec_on_the_same_model(self, rng):
+        model = random_multi_model(rng, dimension=2, n_outputs=3, n_nodes=8, nugget=1e-3, bounds=BATCH_BOUNDS)
+        specs = [
+            AcquisitionSpec.from_variant(variant, tempering=TemperingSchedule.constant(1.0), prior=prior)
+            for variant, prior in (("SDxSG", None), ("PDxPG", None), ("PDxPG", BATCH_PRIOR))
+        ]
+        points = _batch_points(model, rng)[:20]
+        expected = [acquisition_values(dataclasses.replace(spec), model, points, t=3) for spec in specs]
+        for x, *values in zip(points, *expected):
+            for spec, value in zip(specs, values):
+                assert acquisition_value(spec, model, x, t=3) == value
+        assert not np.array_equal(expected[0], expected[1]) and not np.array_equal(expected[1], expected[2])

@@ -93,6 +93,33 @@ def test_ascent_takes_value_and_gradient_from_one_call(monkeypatch):
     assert not any(span.name == "acquisition.value" for span in tracer.spans)
 
 
+def test_toy_annealing_records_one_value_span_per_proposal(monkeypatch):
+    """Each annealing search scores its start and temperature probes in one block and
+    every proposal with one traced `acquisition_value` call, which the benchmark counts."""
+    monkeypatch.syspath_prepend(str(BENCH_DIR))  # workloads imports its siblings by name
+    workloads = load_bench("workloads")
+    toy = workloads.TOY_EXPERIMENT
+    sim_spec, config = parse_run_config({
+        "seed": 3,
+        "simulator": toy["simulator"],
+        "initial_design": toy["initial_design"],
+        "budget": 7,
+        "acquisition": dict(toy["acquisition"], variant="PDxPG"),
+        "optimizer": toy["optimizer"],
+        "hyperparameters": toy["hyperparameters"],
+    })
+    with make_simulator(sim_spec) as sim, load_tracing().Tracer() as tracer:
+        result = run(config, sim)
+    assert result.failure is None and result.dataset.n_nodes == 7
+    spans = tracer.spans
+    searches = [i for i, span in enumerate(spans) if span.name == "optimize.maximize_acq"]
+    values = [span.parent for span in spans if span.name == "acquisition.value"]
+    assert len(searches) == 3
+    assert [values.count(i) for i in searches] == [config.optimizer.annealing.iterations] * 3
+    assert len(values) == config.optimizer.annealing.iterations * 3
+    assert not any(span.name == "acquisition.gradient" for span in spans)
+
+
 def count_scored_rows(monkeypatch) -> list:
     """The list to which each later `gp.select_hyperparameters` call appends the list
     of the row counts of its `gp._log_ml_rows` calls (one per factorisation)."""

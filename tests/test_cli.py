@@ -140,6 +140,11 @@ MALFORMED_CONFIGS = [
     ("run", "hyperparameters", {"optimizer": {"ascent_iterations": float("inf")}}),
     ("run", "convergence", {"epsilon": 0.01, "probe_points": float("inf")}),
     ("experiment", "density", {"bandwidth": 1.0, "grid": 1.5}),
+    # A grid test set's step and a fixed nugget that are not finite.
+    ("experiment", "test_set", {"kind": "grid", "step": float("nan")}),
+    ("experiment", "test_set", {"kind": "grid", "step": float("inf")}),
+    *((command, "hyperparameters", {"nugget": {"policy": "fixed", "value": float("inf")}})
+      for command in ("run", "experiment")),
 ]
 
 
