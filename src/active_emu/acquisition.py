@@ -8,18 +8,14 @@ interpolation mode; in regression mode the diversity term defaults to the
 noise-free variance so that the same holds.
 
 The acquisition of one spec on one fitted model at one iteration is bound
-once (`_Bound`): beta_t, the variant's ops, the variances' factors, the box,
-the nodes and the outputs' kernel scalars, which every call of a search
-shares.  The model keeps the last one it was bound to; the three public
-forms fetch it and call one of its two entry points.  `block` scores a
-block of points from one evaluation of the GPs (`gp.evaluate`) and one
-combination rule (`_combine_rows`); the search scores its random probes
-with it (`acquisition_values`), at most MAX_BLOCK_ENTRIES kernel entries at
-a time.  `point` scores one point by the same steps on arrays of one row
-and combines its per-output terms as scalars, bit for bit the block's row
-at a fraction of its fixed cost: annealing calls it once per proposal
-(`acquisition_value`), and the gradient ascent once per point it visits,
-for the value and the gradient (`acquisition_gradient`).
+once (`_Bound`), and the model keeps the last one; the three public forms
+fetch it and call one of its two entry points, both of which score from
+the model's one `gp.Evaluator`.  `block` scores a block of points: the
+search's random probes (`acquisition_values`), at most MAX_BLOCK_ENTRIES
+kernel entries at a time.  `point` scores one point, bit for bit the
+block's row at a fraction of its fixed cost: once per annealing proposal
+(`acquisition_value`), and once per point the gradient ascent visits, for
+the value and the gradient (`acquisition_gradient`).
 """
 
 from __future__ import annotations
@@ -211,7 +207,7 @@ def acquisition_gradient(spec: AcquisitionSpec, model: MultiGpModel, x, t: int) 
 
 def _acquisition(spec: AcquisitionSpec, model: MultiGpModel, X, t: int, gradients: bool = False) -> tuple:
     """Values (n,) at the rows of X (n x D, raw coordinates), and their (n, D) gradients or None: the block form."""
-    return _bound(spec, model, t).block(model, X, gradients)
+    return _bound(spec, model, t).block(X, gradients)
 
 
 def _bound(spec: AcquisitionSpec, model: MultiGpModel, t: int) -> "_Bound":
@@ -225,17 +221,10 @@ def _bound(spec: AcquisitionSpec, model: MultiGpModel, t: int) -> "_Bound":
 class _Bound:
     """The acquisition of one spec on one fitted model at iteration t, with what all its calls share.
 
-    That is beta_t, the variant's ops, the factors behind the variances
-    (building the noise-free ones when strict), the box, the nodes, the
-    outputs' b^2, -2 b^2, 2 / b^2, b^4 and weights, and the prior.  It holds
-    no reference to the model, so a model and its cache form no cycle.
-
-    `block` scores a block of points from one `gp.evaluate`.  `point`
-    scores one point by the same per-output steps in the same order, as
-    arrays of one row, without the block's masks, zero-filled outputs and
-    per-point copies, and combines its P values as scalars by the same
-    operations, so that its value and gradient are the block's row bit for
-    bit.  beta_t = 0 (and the variants without geometry) reduce to pure
+    That is beta_t, the variant's ops, the prior, the box and the model's
+    `gp.Evaluator` of the variances the spec asks for (noise-free when
+    strict); no reference to the model, so a model and its cache form no
+    cycle.  beta_t = 0 (and the variants without geometry) reduce to pure
     diversity: 0^0 is taken as 1.  The gradients are mapped back through
     the affine normalization, and are zero wherever a multiplicative factor
     is (at nodes, in flat regions, outside the prior box): the optimizer
@@ -247,27 +236,21 @@ class _Bound:
         self.diversity_op, self.geometry_op = _VARIANT_OPS[spec.variant]
         self.beta = beta_at(spec.tempering, t)
         self.geometric = self.geometry_op != "none" and self.beta != 0.0
-        self.strict = spec.strict_zero_at_nodes
         self.prior = spec.prior
         box = model.dataset.input_bounds
         self.lo, self.widths = box[:, 0], box[:, 1] - box[:, 0]
-        self.nodes = model.dataset.unit_nodes  # (D, m)
-        self.factors = gp._strict_factors(model) if self.strict else model.factors
-        self.variance_offset = 1.0 if self.strict else np.add(model.nuggets, 1.0)
-        self.b2 = model.squared_bandwidths[:, np.newaxis, np.newaxis]  # (P, 1, 1), as in `gp.evaluate`
-        self.minus_two_b2, self.two_over_b2 = -2.0 * self.b2, 2.0 / self.b2
-        self.fourth_powers = model.fourth_powers[:, np.newaxis, np.newaxis]
-        self.alpha = model.alpha[:, np.newaxis, :]
+        self.evaluate = gp.evaluator(model, spec.strict_zero_at_nodes)
         # Zeros, not 0 * x: that is -0.0 at a negative coordinate, and -0.0 + -0.0 stays negative.
         self.no_prior_gradient = np.zeros(box.shape[0])
 
-    def block(self, model: MultiGpModel, X, gradients: bool = False) -> tuple:
+    def block(self, X, gradients: bool = False) -> tuple:
         """Values (n,) at the rows of X (n x D, raw coordinates), and their (n, D) gradients or None.
 
-        One `gp.evaluate` of the model gives every output's terms at the
-        points inside the prior box; the rest score exactly zero, as do
-        nodes when strict.  The per-output factors are combined row by row
-        and the power is taken one value at a time, as for a single point.
+        One evaluation gives every output's terms at the points inside the
+        prior box; the rest score exactly zero, as do nodes when strict.
+        The terms are copied per point, so that each row's P values are
+        adjacent as in a one-row evaluation, combined row by row, and the
+        power is taken one value at a time, as for a single point.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         values = np.zeros(X.shape[0])
@@ -278,11 +261,12 @@ class _Bound:
             return values, grads
         live = _rows(live)
         X, weights = X[live], weights[live]
-        terms = gp.evaluate(model, model.dataset.normalize(X.T).T, self.strict, self.geometric, gradients)
-        d, d_grad = _combine_rows(terms.variances, terms.variance_gradients, self.diversity_op)
+        terms = self.evaluate((X - self.lo) / self.widths, self.geometric, gradients)
+        d, d_grad = _combine_rows(_by_points(terms.variances), _by_points(terms.variance_gradients), self.diversity_op)
         combined = d
         if self.geometric:
-            g, g_grad = _combine_rows(terms.gradient_norms, terms.norm_gradients, self.geometry_op)
+            norms = _by_points(terms.gradient_norms)
+            g, g_grad = _combine_rows(norms, _by_points(terms.norm_gradients), self.geometry_op)
             combined = np.where(d == 0.0, 0.0, np.array([v**self.beta for v in g.tolist()]) * d)
         values[live] = combined = combined * weights
         if not gradients:
@@ -302,10 +286,9 @@ class _Bound:
     def point(self, x, gradient: bool = False):
         """The value at one raw point x, or (value, gradient) with `gradient`: the row of a block holding x.
 
-        The steps are `gp.evaluate`'s for one row (differences to the
-        nodes, kernel rows, one `gp._solve` per output, the quadratic form,
-        the zero at a node when strict, the clamp, then the mean gradients
-        and their norms), followed by `block`'s rules on its single row.
+        The terms come from the evaluation of x as a block of one row, whose
+        (P, 1) stacks need no copy; `block`'s rules follow on that row, with
+        scalars in place of its masks and zero-filled outputs.
         """
         x = np.asarray(x, dtype=float).ravel()
         if x.size != self.lo.size:
@@ -313,29 +296,11 @@ class _Bound:
         weight = 1.0 if self.prior is None else self.prior.density(x)
         if weight == 0.0:
             return (0.0, np.zeros(x.size)) if gradient else 0.0
-        # (1, D, m), and its (1, m, D) transpose: the memory layout of `gp.evaluate`'s differences for one row,
-        # which decides how its products with them round.
-        diffs_t = (((x - self.lo) / self.widths)[:, np.newaxis] - self.nodes)[np.newaxis]
-        diffs = diffs_t.transpose(0, 2, 1)
-        sq = np.einsum("nmd,nmd->nm", diffs, diffs)
-        K = np.exp(sq / self.minus_two_b2)  # (P, 1, m)
-        W = K.copy()
-        for p, factor in enumerate(self.factors):
-            gp._solve(factor, W[p].T, overwrite=True)
-        values = self.variance_offset - gp.rowwise_dot(K, W).T  # (1, P)
-        if self.strict and gp._coincident(sq.min()):
-            values[:] = 0.0
-        variances = gp._clamped(values, self.strict)
-        d = _combined(variances[0], self.diversity_op)
-        if gradient:
-            variance_gradients = self.two_over_b2 * gp._by_rows(diffs_t, np.multiply(K, W, out=W))
+        terms = self.evaluate(((x - self.lo) / self.widths)[np.newaxis], self.geometric, gradient)
+        d = _combined(terms.variances[:, 0], self.diversity_op)
         value = d
         if self.geometric:
-            k_alpha = gp.rowwise_dot(K, self.alpha) if gradient else None
-            weighted = np.multiply(K, self.alpha, out=K)
-            g = -gp._by_rows(diffs_t, weighted) / self.b2  # (P, 1, D)
-            norms = np.sqrt(gp.rowwise_dot(g, g))  # (P, 1)
-            geometry = _combined(norms[:, 0], self.geometry_op)
+            geometry = _combined(terms.gradient_norms[:, 0], self.geometry_op)
             value = 0.0 if d == 0.0 else float(geometry) ** self.beta * d
         value = value * weight
         if not gradient:
@@ -343,17 +308,10 @@ class _Bound:
         if d == 0.0 or (self.geometric and geometry == 0.0):
             return float(value), np.zeros(x.size)
         prior_grad_log = self.no_prior_gradient if self.prior is None else self.prior.grad_log_density(x)
-        d_grad = _combined_gradient(d, variances, variance_gradients, self.diversity_op)
+        d_grad = _combined_gradient(d, terms.variances.T, terms.variance_gradients, self.diversity_op)
         if not self.geometric:
             return float(value), (d_grad / self.widths + d * prior_grad_log) * weight
-        # The Hessian-vector product of `gp.evaluate`, for one row.
-        along = np.matmul(diffs, g[..., np.newaxis], out=W[..., np.newaxis])[..., 0]  # (P, 1, m)
-        Hg = gp._by_rows(diffs_t, np.multiply(weighted, along, out=along)) / self.fourth_powers
-        Hg -= (k_alpha / self.b2[..., 0])[..., np.newaxis] * g
-        flat = norms < 1e-12
-        Hg /= np.where(flat, 1.0, norms)[..., np.newaxis]
-        Hg[flat] = 0.0
-        g_grad = _combined_gradient(geometry, norms.T, Hg, self.geometry_op)
+        g_grad = _combined_gradient(geometry, terms.gradient_norms.T, terms.norm_gradients, self.geometry_op)
         log_grad = self.beta * (g_grad / geometry) / self.widths + (d_grad / d) / self.widths
         return float(value), value * (log_grad + prior_grad_log)
 
@@ -362,12 +320,12 @@ def _combined(values: np.ndarray, op: str):
     """Sum or product of one point's P per-output factors (P,): `_combine_rows` for one row."""
     if op == "sum":
         return values.sum()
-    return 0.0 if (values <= 0.0).any() else np.exp(np.log(values).sum())
+    return 0.0 if values.min() <= 0.0 else np.exp(np.log(values).sum())
 
 
 def _combined_gradient(combined, values: np.ndarray, grads: np.ndarray, op: str) -> np.ndarray:
     """Gradient (D,) of one point's nonzero `_combined` from its (1, P) factors and (P, 1, D) gradients."""
-    grads = grads.swapaxes(0, 1)  # (1, P, D), laid out as `gp.evaluate`'s rows
+    grads = grads.swapaxes(0, 1)  # (1, P, D), laid out as the block's rows
     if op == "sum":
         return grads.sum(axis=1)[0]
     return combined * (grads / values[..., np.newaxis]).sum(axis=1)[0]
@@ -392,6 +350,11 @@ def _combine_rows(values: np.ndarray, grads: np.ndarray | None, op: str) -> tupl
     quotients = grads[positive] / factors[..., np.newaxis]
     combined_grads[positive] = combined[positive, np.newaxis] * quotients.sum(axis=1)
     return combined, combined_grads
+
+
+def _by_points(A):
+    """A (P, n, ...) per output as a C-contiguous (n, P, ...) array per point; None stays None."""
+    return None if A is None else np.ascontiguousarray(A.swapaxes(0, 1))
 
 
 def _rows(mask: np.ndarray):

@@ -14,14 +14,11 @@ eigendecomposition per bandwidth scores every nugget of every row
 nodes grew by one may hint the fixed-nugget search with the previous
 fit's bandwidths (see `_shared_ml_bandwidths`).
 `fit` solves every row's weights, reusing the factors the search built.
-`evaluate` is the one evaluation of a fitted `multi_output.MultiGpModel`
-away from its nodes: every output's variances (predictive or noise-free),
-mean gradients and, on request, their derivatives at a block of points.
-It stacks the outputs: one (P, n, m) kernel block, P solves with the
-outputs' factors, and every other term one array operation over the stack,
-returned per point as C-contiguous (n, P[, D]) arrays; the acquisition's
-one-point form (`acquisition._Bound.point`) repeats its steps for one row
-in the same memory layout.  The predictive means are
+`evaluator(model, strict)` is the one evaluation of a fitted
+`multi_output.MultiGpModel` away from its nodes, built once per model
+and kind of variance: every output's variances (predictive or
+noise-free), mean gradients and their derivatives at a block of points,
+as (P, n[, D]) stacks.  The predictive means are
 `multi_output.predict_mean_matrix`.  A `Dataset` builds its
 nodes' geometry once: their unit-cube coordinates, which every evaluation
 reads, and their one matrix of squared distances, which the search and
@@ -48,7 +45,7 @@ import scipy
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dpocon, dpotrf, dpotrs, dsyevd
 
-from .kernels import exp_quadratic, gram, squared_distances
+from .kernels import gram, squared_distances
 from .optimize import check_box, in_box
 
 # Pairwise node distance below which two nodes count as duplicates
@@ -223,34 +220,17 @@ def _noise_free_factor(sq, bandwidth: float):
     return None
 
 
-def _strict_factors(model) -> list:
-    """Cholesky factors behind the noise-free variances of a fitted model, one per output.
-
-    Built on the model's first strict evaluation from its dataset's
-    `node_distances`, and kept in its `noise_free_factors`.  Without a
-    nugget an output's factor of K alone is its fit's own; where even the
-    largest jitter gives none, K + nugget I stands in.
-    """
-    cache = model.noise_free_factors
-    if not cache:
-        cache.extend(
-            factor if nugget == 0.0 else _noise_free_factor(model.dataset.node_distances, bandwidth) or factor
-            for bandwidth, nugget, factor in zip(model.bandwidths, model.nuggets, model.factors)
-        )
-    return cache
-
-
 def _clamped(values: np.ndarray, strict: bool) -> np.ndarray:
-    """Round-off clamp of (n, P) variances: tiny negatives become 0, larger ones raise.
+    """Round-off clamp of (P, n) variances: tiny negatives become 0, larger ones raise.
 
     The error names the output that holds the most negative value.
     """
     clamp = _NOISE_FREE_CLAMP if strict else _VARIANCE_CLAMP
-    if (values >= -clamp).all():
+    if values.min() >= -clamp:
         return np.maximum(values, 0.0)
     what = "noise-free variance" if strict else "predictive variance"
-    j, p = np.unravel_index(np.argmin(values), values.shape)
-    raise IllConditionedError(f"output {p}: {what} {float(values[j, p])} is more negative than round-off allows")
+    p, j = np.unravel_index(np.argmin(values), values.shape)
+    raise IllConditionedError(f"output {p}: {what} {float(values[p, j])} is more negative than round-off allows")
 
 
 def rowwise_dot(A, B) -> np.ndarray:
@@ -267,17 +247,8 @@ def _by_rows(A, V) -> np.ndarray:
     return np.matmul(A, V[..., np.newaxis])[..., 0]
 
 
-def _by_points(A) -> np.ndarray:
-    """A (P, n, ...) per output as a C-contiguous (n, P, ...) array per point."""
-    return np.ascontiguousarray(A.swapaxes(0, 1))
-
-
 class Evaluation(NamedTuple):
-    """Per-output terms at n points: (n, P) values, (n, P, D) gradients; None where not asked for.
-
-    Every array is C-contiguous, so a row's P values are adjacent, as in a
-    one-row evaluation (see `evaluate`).
-    """
+    """Per-output terms at n points: (P, n) values, (P, n, D) gradients; None where not asked for."""
 
     variances: np.ndarray
     mean_gradients: np.ndarray | None
@@ -286,78 +257,88 @@ class Evaluation(NamedTuple):
     norm_gradients: np.ndarray | None  # gradients of gradient_norms
 
 
-def evaluate(model, Xq, strict: bool, mean_gradients: bool = True, derivatives: bool = False) -> Evaluation:
-    """Variances and mean gradients of a fitted `MultiGpModel`, at the rows of Xq (n x D, unit cube).
+def evaluator(model, strict: bool) -> Evaluator:
+    """The model's `Evaluator` of noise-free (strict) or predictive variances, built on first use and kept."""
+    cache = model.evaluators
+    if strict not in cache:
+        cache[strict] = Evaluator(model, strict)
+    return cache[strict]
 
-    All P outputs are one stacked computation, in the batched layout of
-    GPyTorch (Gardner et al., arXiv:1809.11165).  The (n, m, D)
-    differences to the dataset's `unit_nodes` and their squared distances
-    are built once; one `exp_quadratic` of them over the outputs' b^2 gives
-    the kernel block K of shape (P, n, m).  The only per-output step is the solve: P
-    `_solve` calls, each with n right-hand sides, turn a copy of K into W,
-    whose row W[p, j] is (K_p + nugget_p I)^-1 k_x of point j (the
-    triangular-solve form of GPML Alg. 2.1).  Every other term is one
-    broadcast `matmul`, elementwise operation or clamp over the whole
-    (P, n, .) stack.  strict selects the noise-free variance, exactly zero
-    at a node; both variances pass the round-off clamps.  `derivatives`
-    adds the variance gradients and, with `mean_gradients`, the gradients
-    of the mean-gradient norms (a Hessian-vector product, zero where the
-    norm is below 1e-12).
 
-    Every reduction is one dot product or matrix-vector product per
-    (output, point) pair over contiguous rows, as for a single point, so a
-    row depends on the rest of the block only through the solve: a one-row
-    block is the evaluation of that point, bit for bit.  The returned
-    arrays are C-contiguous (n, P[, D]) copies.  That matters to callers
-    that reduce a row's P values (`acquisition._combine_rows` sums the
-    values and their gradients): numpy adds a contiguous row in another
-    order than a strided one, so a transposed view of the (P, n) stack
-    would round some block values 1 ULP away from the one-row values.  K
-    and W share one allocation, and later stacks overwrite them: a fresh
-    multi-megabyte temporary per call costs hundreds of page faults.
+class Evaluator:
+    """Variances and mean gradients of a fitted `MultiGpModel` at query points, with its set-up built once.
+
+    The set-up is the dataset's `unit_nodes`, the variances' factors, 1 +
+    nugget, and the outputs' b^2, -2 b^2, 2 / b^2, b^4 and weights; no
+    reference to the model, so a model and its cache form no cycle.  Strict
+    selects the noise-free variance, exactly zero at a node; its factors,
+    kept in the model's `noise_free_factors`, are of K alone (the fit's own
+    without a nugget) or, where even the largest jitter gives none, of
+    K + nugget I.
     """
-    Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
-    nodes = model.dataset.unit_nodes
-    if Xq.shape[1] != nodes.shape[0]:
-        raise ValueError(f"query points have dimension {Xq.shape[1]}, the model expects {nodes.shape[0]}")
-    diffs = Xq[:, np.newaxis, :] - nodes.T[np.newaxis, :, :]  # (n, m, D), diffs[j, i] = x_j - x_i
-    diffs_t = diffs.transpose(0, 2, 1)
-    sq = np.einsum("nmd,nmd->nm", diffs, diffs)
-    b2 = model.squared_bandwidths[:, np.newaxis, np.newaxis]  # (P, 1, 1), broadcast over (P, n, .)
-    alpha = model.alpha[:, np.newaxis, :]
-    K, W = np.empty((2, model.n_outputs) + sq.shape)
-    exp_quadratic(sq, b2, out=K)  # K[p, j] is k_x of point j under output p
-    np.copyto(W, K)
-    for p, factor in enumerate(_strict_factors(model) if strict else model.factors):
-        _solve(factor, W[p].T, overwrite=True)  # W[p] = K[p] (K + nugget I)^-1, in place
-    quad = _by_points(rowwise_dot(K, W))
-    if strict:
-        values = 1.0 - quad
-        values[_coincident(sq.min(axis=1))] = 0.0  # at a node
-    else:
-        values = np.add(model.nuggets, 1.0) - quad
-    variances = _clamped(values, strict)
-    variance_gradients = gradients = norms = norm_gradients = None
-    if derivatives:
-        variance_gradients = _by_points((2.0 / b2) * _by_rows(diffs_t, np.multiply(K, W, out=W)))
-    if not mean_gradients:
-        return Evaluation(variances, gradients, norms, variance_gradients, norm_gradients)
-    k_alpha = rowwise_dot(K, alpha) if derivatives else None
-    weighted = np.multiply(K, alpha, out=K)
-    g = -_by_rows(diffs_t, weighted) / b2
-    norm = np.sqrt(rowwise_dot(g, g))
-    gradients, norms = _by_points(g), _by_points(norm)
-    if derivatives:
-        # Hessian-vector product of the mean without forming the D x D Hessian:
-        # H g = (1/b2^2) sum_i alpha_i k_i d_i (d_i . g) - (1/b2) (alpha . k) g.
-        t = np.matmul(diffs, g[..., np.newaxis], out=W[..., np.newaxis])[..., 0]  # (P, n, m)
-        Hg = _by_rows(diffs_t, np.multiply(weighted, t, out=t)) / model.fourth_powers[:, np.newaxis, np.newaxis]
-        Hg -= (k_alpha / b2[..., 0])[..., np.newaxis] * g
-        flat = norm < 1e-12
-        Hg /= np.where(flat, 1.0, norm)[..., np.newaxis]
-        Hg[flat] = 0.0
-        norm_gradients = _by_points(Hg)
-    return Evaluation(variances, gradients, norms, variance_gradients, norm_gradients)
+
+    def __init__(self, model, strict: bool):
+        self.strict = strict
+        self.nodes = model.dataset.unit_nodes.T  # (m, D)
+        if strict and not model.noise_free_factors:
+            model.noise_free_factors.extend(
+                factor if nugget == 0.0 else _noise_free_factor(model.dataset.node_distances, b) or factor
+                for b, nugget, factor in zip(model.bandwidths, model.nuggets, model.factors)
+            )
+        self.factors = model.noise_free_factors if strict else model.factors
+        self.offset = 1.0 if strict else np.add(model.nuggets, 1.0)[:, np.newaxis]
+        self.b2 = model.squared_bandwidths[:, np.newaxis, np.newaxis]  # (P, 1, 1), broadcast over (P, n, .)
+        self.minus_two_b2, self.two_over_b2 = -2.0 * self.b2, 2.0 / self.b2
+        self.fourth_powers = model.fourth_powers[:, np.newaxis, np.newaxis]
+        self.alpha = model.alpha[:, np.newaxis, :]
+
+    def __call__(self, Xq: np.ndarray, mean_gradients: bool = True, derivatives: bool = False) -> Evaluation:
+        """The terms at the rows of Xq (n x D, unit cube), as (P, n[, D]) stacks.
+
+        All P outputs are one stacked computation, in the batched layout of
+        GPyTorch (Gardner et al., arXiv:1809.11165): one kernel block K
+        (P, n, m), built as `kernels.exp_quadratic` builds it, then P
+        `_solve` calls, each with n right-hand sides, turn a copy of K into
+        W, whose row W[p, j] is (K_p + nugget_p I)^-1 k_x of point j (GPML
+        Alg. 2.1).  Every other term is one broadcast `matmul`, elementwise
+        operation or clamp over the stack, reducing one (output, point) row
+        at a time, so a row depends on the rest of the block only through
+        the solve: a one-row block is that point's evaluation, bit for bit.
+        `derivatives` adds the variance gradients and, with
+        `mean_gradients`, the gradients of the mean-gradient norms (a
+        Hessian-vector product, zero where the norm is below 1e-12).
+        """
+        diffs = Xq[:, np.newaxis, :] - self.nodes  # (n, m, D), diffs[j, i] = x_j - x_i
+        diffs_t = diffs.transpose(0, 2, 1)
+        sq = np.einsum("nmd,nmd->nm", diffs, diffs)
+        K = np.divide(sq, self.minus_two_b2)
+        np.exp(K, out=K)  # K[p, j] is k_x of point j under output p
+        W = K.copy()
+        for p, factor in enumerate(self.factors):
+            _solve(factor, W[p].T, overwrite=True)  # W[p] = K[p] (K + nugget I)^-1, in place
+        values = self.offset - rowwise_dot(K, W)
+        if self.strict and _coincident(sq.min()):  # the per-point test only for a block that holds a node
+            values[:, _coincident(sq.min(axis=1))] = 0.0  # at a node
+        variances = _clamped(values, self.strict)
+        variance_gradients = g = norms = norm_gradients = None
+        if derivatives:
+            variance_gradients = self.two_over_b2 * _by_rows(diffs_t, np.multiply(K, W, out=W))
+        if not mean_gradients:
+            return Evaluation(variances, g, norms, variance_gradients, norm_gradients)
+        k_alpha = rowwise_dot(K, self.alpha) if derivatives else None
+        weighted = np.multiply(K, self.alpha, out=K)
+        g = -_by_rows(diffs_t, weighted) / self.b2
+        norms = np.sqrt(rowwise_dot(g, g))
+        if derivatives:
+            # Hessian-vector product of the mean without forming the D x D Hessian:
+            # H g = (1/b2^2) sum_i alpha_i k_i d_i (d_i . g) - (1/b2) (alpha . k) g.
+            t = np.matmul(diffs, g[..., np.newaxis], out=W[..., np.newaxis])[..., 0]  # (P, n, m)
+            norm_gradients = _by_rows(diffs_t, np.multiply(weighted, t, out=t)) / self.fourth_powers
+            norm_gradients -= (k_alpha / self.b2[..., 0])[..., np.newaxis] * g
+            flat = norms < 1e-12
+            norm_gradients /= np.where(flat, 1.0, norms)[..., np.newaxis]
+            norm_gradients[flat] = 0.0
+        return Evaluation(variances, g, norms, variance_gradients, norm_gradients)
 
 
 @functools.cache

@@ -45,7 +45,7 @@ from .acquisition import (
 )
 from .gp import Dataset, IllConditionedError, check_hyperparameters, single_lapack_thread
 from .multi_output import MultiGpModel, fit_all, fit_single_node, predict_mean_matrix
-from .optimize import OptimizerConfig, OptimizerFailure, from_unit_cube, in_box, maximize
+from .optimize import OptimizerConfig, OptimizerFailure, best_probe, in_box, maximize
 from .samplers import grid_design, lhs_design, make_sampler, sobol_sequence
 from .seeding import derive_seed
 from .simulators import Simulator, SimulatorError
@@ -211,7 +211,7 @@ def _choose_next_point(
     the search's first call.  The callables are bound here, to the names
     this module holds, so that a wrapper put in their place sees every
     call.  When every search lands on a node, the fallback scores its
-    uniform probes that are not nodes in one block and keeps the first best.
+    uniform probes that are not nodes in blocks and keeps the first best.
     """
     spec = config.acquisition
     objective = functools.partial(acquisition_value, spec, model, t=t)
@@ -226,14 +226,15 @@ def _choose_next_point(
             return x_star, value
     # Every optimizer attempt landed on an existing node (possible in
     # regression mode); fall back to the best non-duplicate uniform probe.
+    def score(probes):
+        probes = probes[~dataset.duplicates(probes.T)]
+        return probes, batch_objective(probes)
+
     rng = np.random.default_rng(derive_seed(config.seed, 3, t))
-    probes = from_unit_cube(rng.random((max(config.optimizer.n_random or 0, 100), len(bounds))), *bounds.T)
-    probes = probes[~dataset.duplicates(probes.T)]
-    if not probes.size:
+    x_star, value = best_probe(score, rng, max(config.optimizer.n_random or 0, 100), *bounds.T)
+    if x_star is None:
         raise RuntimeError("could not find a non-duplicate candidate point")
-    values = batch_objective(probes)
-    best = int(np.argmax(values))
-    return probes[best], float(values[best])
+    return x_star, value
 
 
 @single_lapack_thread()

@@ -6,7 +6,7 @@ row and Cholesky factor per output.  The nodes' geometry is the dataset's:
 evaluation reads its `unit_nodes`.  All GP operations are applied in these
 normalized coordinates, so gradient norms reported here are with respect
 to unit-cube units.  Variances and gradients at a block of points come
-from one `gp.evaluate` of the model; the predictive means are
+from the model's `gp.evaluator`; the predictive means are
 `predict_mean_matrix`.
 """
 
@@ -36,20 +36,21 @@ PREDICT_BLOCK_ALIGN = 64
 
 @dataclass(frozen=True, eq=False)
 class MultiGpModel:
-    """P independently fitted GPs over one dataset; immutable but for two caches, compared by identity.
+    """P independently fitted GPs over one dataset; immutable but for three caches, compared by identity.
 
     Output p has bandwidth bandwidths[p], nugget nuggets[p], weights
-    alpha[p] and factors[p], the `cho_factor` of its K + nugget I.  With a
-    nugget, the first strict evaluation (`gp.evaluate`) builds the factor of
-    K alone and keeps it in `noise_free_factors[p]`: models that never serve
-    a strict acquisition (baselines, RMSE fits, a run's final model) skip
-    that Cholesky and do not hold a second m x m array.  The second cache,
-    `bound_acquisition`, holds at most one acquisition bound to this model
-    (`acquisition._Bound`), so that the calls of one search share its set-up;
-    a call for another spec or iteration replaces it.
+    alpha[p] and factors[p], the `cho_factor` of its K + nugget I.  The
+    caches are filled on first use.  `evaluators` holds the model's
+    `gp.Evaluator`s, one per variance kind; with a nugget, the strict one
+    builds the factor of K alone and keeps it in `noise_free_factors[p]`:
+    models that never serve a strict acquisition (baselines, RMSE fits, a
+    run's final model) skip that Cholesky and do not hold a second m x m
+    array.  `bound_acquisition` holds at most one acquisition bound to this
+    model (`acquisition._Bound`), so that the calls of one search share its
+    set-up; a call for another spec or iteration replaces it.
 
     `squared_bandwidths` (b^2) and `fourth_powers` (b^4), one entry per
-    output, are the scalars `gp.evaluate` broadcasts over its stacked
+    output, are the scalars a `gp.Evaluator` broadcasts over its stacked
     blocks.  Each is Python's float power of the one before, as a scalar
     per-output evaluation takes it: numpy's square rounds about 1 in 1,000
     of them differently.
@@ -61,6 +62,7 @@ class MultiGpModel:
     alpha: np.ndarray  # P x m
     factors: tuple
     noise_free_factors: list = field(default_factory=list)
+    evaluators: dict = field(default_factory=dict, init=False, repr=False)
     bound_acquisition: list = field(default_factory=list, init=False, repr=False)
     squared_bandwidths: np.ndarray = field(init=False, repr=False)
     fourth_powers: np.ndarray = field(init=False, repr=False)

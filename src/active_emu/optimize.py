@@ -16,6 +16,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+# Random probes drawn and scored at a time, so that memory does not grow with
+# n_random; drawn in blocks, `Generator.random` gives the stream of one draw.
+PROBE_BLOCK = 2**14
+
 
 class OptimizerFailure(RuntimeError):
     """Objective returned a non-finite value; carries the offending point."""
@@ -161,11 +165,25 @@ def _ascent(evaluate, x0, lo, hi, cfg: AscentConfig):
     return x, fx
 
 
+def best_probe(score, rng: np.random.Generator, n: int, lo, hi) -> tuple:
+    """The first best of n uniform probes of the box, drawn and scored PROBE_BLOCK rows at a time.
+
+    `score` maps a block of probes (rows) to the probes it keeps and their
+    values.  Returns (probe, value), or (None, -inf) when it keeps none.
+    """
+    best, best_value = None, -np.inf
+    for start in range(0, n, PROBE_BLOCK):
+        probes, values = score(from_unit_cube(rng.random((min(PROBE_BLOCK, n - start), lo.size)), lo, hi))
+        if values.size and values.max() > best_value:
+            k = int(np.argmax(values))
+            best, best_value = probes[k], float(values[k])
+    return best, best_value
+
+
 def _random_then_ascent(objective, evaluate, batch_objective, lo, hi, cfg: OptimizerConfig):
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_random if cfg.n_random is not None else 10 ** lo.size
-    probes = from_unit_cube(rng.random((n, lo.size)), lo, hi)
-    x0 = probes[int(np.argmax(_values(objective, batch_objective, probes)))]
+    x0, _ = best_probe(lambda probes: (probes, _values(objective, batch_objective, probes)), rng, n, lo, hi)
     return _ascent(evaluate, x0, lo, hi, cfg.ascent)
 
 
@@ -230,7 +248,7 @@ def maximize(objective, bounds, config: OptimizerConfig, value_and_gradient=None
 
     `batch_objective` is an optional callable mapping an n x D block of
     points to their n values.  `random-then-ascent` then ranks its random
-    probes with one batch call instead of n calls of `objective`, and
+    probes with one batch call per PROBE_BLOCK of them (`best_probe`), and
     simulated annealing scores its start point and its temperature probes
     with one.  A batch form may round differently from `objective` (the
     acquisition's n-column solve may round differently from a 1-column

@@ -348,9 +348,14 @@ def mean_at(model, x):
     return float(predict_mean_matrix(model, np.reshape(x, (-1, 1)))[0, 0])
 
 
+def evaluate(model, Xq, strict, mean_gradients=True, derivatives=False):
+    """The terms of the model's `gp.evaluator` at the rows of Xq (n x D, unit cube), as (P, n[, D]) stacks."""
+    return gp.evaluator(model, strict)(np.atleast_2d(np.asarray(Xq, dtype=float)), mean_gradients, derivatives)
+
+
 def terms_at(model, x, strict=False):
-    """`gp.evaluate` of a one-output model at one point with every derivative; each field's one entry."""
-    terms = gp.evaluate(model, np.reshape(np.asarray(x, dtype=float), (1, -1)), strict, derivatives=True)
+    """`evaluate` of a one-output model at one point with every derivative; each field's one entry."""
+    terms = evaluate(model, np.reshape(np.asarray(x, dtype=float), (1, -1)), strict, derivatives=True)
     return gp.Evaluation(*(field[0, 0] for field in terms))
 
 
@@ -410,12 +415,12 @@ def denormalize(dataset, x) -> np.ndarray:
 def predict_all(model, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-output (means, variances, gradient norms) at one raw input point.
 
-    The one-point slice of `gp.evaluate` (predictive variances), with the
+    The one-point column of `evaluate` (predictive variances), with the
     means of `predict_mean_matrix`.
     """
     x = np.asarray(x, dtype=float).reshape(-1, 1)
-    terms = gp.evaluate(model, model.dataset.normalize(x).T, strict=False)
-    return predict_mean_matrix(model, x)[:, 0], terms.variances[0], terms.gradient_norms[0]
+    terms = evaluate(model, model.dataset.normalize(x).T, strict=False)
+    return predict_mean_matrix(model, x)[:, 0], terms.variances[:, 0], terms.gradient_norms[:, 0]
 
 
 def prior_density(prior, x) -> float:

@@ -28,6 +28,7 @@ from active_emu.simulators import make_simulator
 
 from conftest import (
     central_difference_gradient,
+    evaluate,
     predict_all,
     prior_contains,
     prior_density,
@@ -143,7 +144,7 @@ def diversity(model, x, op):
 
 def strict_variances(model, x):
     """Each output's noise-free variance at one raw point, from the block evaluation."""
-    return gp.evaluate(model, model.dataset.normalize(np.ravel(x))[np.newaxis, :], strict=True).variances[0]
+    return evaluate(model, model.dataset.normalize(np.ravel(x))[np.newaxis, :], strict=True).variances[:, 0]
 
 
 class TestDiversityGeometry:
@@ -418,14 +419,14 @@ class TestNineOutputBlocks:
     def test_evaluate_rows_equal_one_row_evaluations(self, rng, strict):
         model = self._model(rng)
         points = self._points(model, rng)
-        as_passed = model.dataset.normalize(points.T).T  # Fortran-ordered, as `acquisition_values` passes it
-        rows = [gp.evaluate(model, x[np.newaxis, :], strict, derivatives=True) for x in as_passed]
+        as_passed = model.dataset.normalize(points.T).T  # Fortran-ordered
+        rows = [evaluate(model, x[np.newaxis, :], strict, derivatives=True) for x in as_passed]
         for block_points in (as_passed, np.ascontiguousarray(as_passed)):
-            block = gp.evaluate(model, block_points, strict, derivatives=True)
+            block = evaluate(model, block_points, strict, derivatives=True)
             for name, field in zip(gp.Evaluation._fields, block):
-                assert field.shape[:2] == (points.shape[0], 9)
-                assert field.flags.c_contiguous, name
-                np.testing.assert_array_equal(field, np.concatenate([getattr(row, name) for row in rows]), name)
+                assert field.shape[:2] == (9, points.shape[0])  # per output
+                expected = np.concatenate([getattr(row, name) for row in rows], axis=1)
+                np.testing.assert_array_equal(field, expected, name)
 
     @pytest.mark.parametrize("variant", ["SDxSG", "PDxPG"])
     @pytest.mark.parametrize("strict", [True, False])
@@ -560,9 +561,9 @@ class TestAcquisitionValues:
         points = _batch_points(model, rng)  # 48 rows
         whole = acquisition_values(spec, model, points, t=3)
         blocks = []
-        original = gp.evaluate
+        original = gp.Evaluator.__call__
         monkeypatch.setattr(
-            gp, "evaluate", lambda model, Xq, *args: blocks.append(len(Xq)) or original(model, Xq, *args)
+            gp.Evaluator, "__call__", lambda self, Xq, *args: blocks.append(len(Xq)) or original(self, Xq, *args)
         )
         monkeypatch.setattr(acquisition, "MAX_BLOCK_ENTRIES", 3 * 8 * 10)  # ten rows of 3 outputs at m = 8
         split = acquisition_values(spec, model, points, t=3)

@@ -28,6 +28,7 @@ from conftest import (
     FIXTURE_RUN,
     central_difference_gradient,
     denormalize,
+    evaluate,
     fit_one,
     golden_ml_bandwidths,
     log_marginal_likelihood,
@@ -225,7 +226,7 @@ class TestPredictVariance:
 
     def test_nonnegative_everywhere(self, rng):
         model = random_gp_model(rng, dimension=2, n_nodes=12, bandwidth=0.3, nugget=0.0)
-        variances = gp.evaluate(model, rng.random((200, 2)), strict=False).variances
+        variances = evaluate(model, rng.random((200, 2)), strict=False).variances
         assert np.all(variances >= 0.0)
 
     def test_noise_free_variance_exact_zero_at_nodes(self, rng):
@@ -871,11 +872,11 @@ class TestNoiseFreeFactor:
         y = rng.normal(size=12)
         model = fit_one(X, y, KernelParams(0.4), nugget=1e-4)
         assert model.noise_free_factors == []  # fit and non-strict variances skip it
-        gp.evaluate(model, rng.random((1, 2)), strict=False, derivatives=True)
+        evaluate(model, rng.random((1, 2)), strict=False, derivatives=True)
         assert model.noise_free_factors == []
-        gp.evaluate(model, rng.random((1, 2)), strict=True)
+        evaluate(model, rng.random((1, 2)), strict=True)
         expected = gp._noise_free_factor(squared_distances(X, X), 0.4)
         np.testing.assert_array_equal(model.noise_free_factors[0][0], expected[0])
         exact = fit_one(X, y, KernelParams(0.4), nugget=0.0)
-        gp.evaluate(exact, rng.random((1, 2)), strict=True)
+        evaluate(exact, rng.random((1, 2)), strict=True)
         assert exact.noise_free_factors[0] is exact.factors[0]

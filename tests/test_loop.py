@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from active_emu import config as run_config
-from active_emu import gp, harness, loop
+from active_emu import gp, harness, loop, optimize
 from active_emu.acquisition import AcquisitionSpec, InputPrior, TemperingSchedule
 from active_emu.gp import IllConditionedError
 from active_emu.loop import (
@@ -554,6 +554,24 @@ class TestDuplicateSearches:
         np.testing.assert_array_equal(x, best)
         assert value == -float(np.abs(best - target).sum())
         assert not dataset.duplicates(x)[0]
+
+    def test_fallback_in_blocks_takes_the_probe_of_one_block(self, monkeypatch):
+        sim = ToyLog1D()
+        dataset = loop._evaluated(X0_1D, sim)
+        blocks = []
+
+        def score(spec, model, X, t):
+            blocks.append(len(X))
+            return np.sin(3.0 * X[:, 0])
+
+        monkeypatch.setattr(loop, "maximize", lambda *args, **kwargs: (X0_1D[:, 0], 0.0))
+        monkeypatch.setattr(loop, "acquisition_values", score)
+        whole = loop._choose_next_point(self.CONFIG, None, dataset, sim.bounds, t=2)
+        monkeypatch.setattr(optimize, "PROBE_BLOCK", 7)
+        split = loop._choose_next_point(self.CONFIG, None, dataset, sim.bounds, t=2)
+        assert blocks == [100] + [7] * 14 + [2]
+        np.testing.assert_array_equal(split[0], whole[0])
+        assert split[1] == whole[1]
 
 
 class TestSequentialBaselines:

@@ -10,7 +10,7 @@ from active_emu.multi_output import fit_all, predict_mean_matrix
 from active_emu.samplers import lhs_design
 from active_emu.simulators import FixtureNineBand
 
-from conftest import predict_all, random_multi_model, single_block_means
+from conftest import evaluate, predict_all, random_multi_model, single_block_means
 
 
 def toy_log_dataset(n=6):
@@ -94,7 +94,7 @@ class TestFitAll:
 
             monkeypatch.setattr(module, "squared_distances", counting)
         model = fit_all(dataset, nugget_policy=1e-4)
-        gp.evaluate(model, np.random.default_rng(0).random((5, 2)), strict=True)
+        evaluate(model, np.random.default_rng(0).random((5, 2)), strict=True)
         assert len(model.noise_free_factors) == 9
         assert (2, 40) not in built
 
@@ -143,7 +143,7 @@ class TestPredictAll:
         for p, bandwidth in enumerate(model.bandwidths):
             ds = Dataset(model.dataset.X, model.dataset.Y[p : p + 1], model.dataset.input_bounds)
             alone = fit_all(ds, bandwidths=[bandwidth], nugget_policy=model.nuggets[p])
-            terms = gp.evaluate(alone, xn[np.newaxis, :], strict=False)
+            terms = evaluate(alone, xn[np.newaxis, :], strict=False)
             assert means[p] == predict_mean_matrix(alone, x[:, np.newaxis])[0, 0]
             assert variances[p] == terms.variances[0, 0]
             assert grads[p] == terms.gradient_norms[0, 0]

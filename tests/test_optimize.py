@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from active_emu import loop
+from active_emu import loop, optimize
 from active_emu.gp import Dataset
 from active_emu.loop import LoopConfig
 from active_emu.optimize import (
@@ -130,6 +130,35 @@ class TestBatchObjective:
         assert len(points) == 1  # only the winning probe, re-scored per point
         np.testing.assert_array_equal(points[0], x)
         assert value == wavy(x)
+
+    def test_probes_are_drawn_in_bounded_blocks(self):
+        class Drawn(Exception):
+            pass
+
+        rows = []
+
+        def batch(X):
+            rows.append(len(X))
+            raise Drawn
+
+        config = OptimizerConfig(strategy="random-then-ascent", n_random=10**30, seed=0)
+        with pytest.raises(Drawn):
+            maximize(wavy, BOUNDS_2D, config, value_and_gradient=paired(wavy, wavy_gradient), batch_objective=batch)
+        assert rows == [optimize.PROBE_BLOCK]
+
+    @pytest.mark.parametrize(
+        "objective, batch", [(wavy, wavy_batch), (lambda x: 1.0, lambda X: np.ones(len(X)))], ids=["wavy", "constant"]
+    )
+    def test_blocks_keep_the_first_best_of_one_draw(self, monkeypatch, objective, batch):
+        config = OptimizerConfig(strategy="random-then-ascent", n_random=60, seed=4,
+                                 ascent=AscentConfig(max_iterations=0))
+        search = lambda: maximize(objective, BOUNDS_2D, config, value_and_gradient=paired(objective, wavy_gradient),
+                                  batch_objective=batch)
+        whole = search()
+        monkeypatch.setattr(optimize, "PROBE_BLOCK", 7)
+        split = search()
+        np.testing.assert_array_equal(split[0], whole[0])
+        assert split[1] == whole[1]
 
     def test_non_finite_batch_value_raises_with_its_probe(self):
         def batch(X):

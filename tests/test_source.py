@@ -34,3 +34,29 @@ def test_no_unused_imports(path):
 def test_an_unused_import_is_found():
     tree = ast.parse("import os\nfrom json import dumps, loads as load_json\n__all__ = ['dumps']\n")
     assert unused_imports(tree) == ["os (line 1)", "load_json (line 2)"]
+
+
+def reads_from(tree: ast.Module, module: str) -> set[str]:
+    """Names a module reads from a sibling `module`: its `module.name` attributes and its `from .module` imports."""
+    read = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == module
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == module:
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_the_acquisition_reads_only_the_evaluation_from_gp():
+    # Both acquisition entry points score from one GP evaluation; a copy of
+    # its steps would read gp's kernel, solve or clamp helpers.
+    read = reads_from(ast.parse((Path(active_emu.__file__).parent / "acquisition.py").read_text()), "gp")
+    assert "evaluator" in read
+    assert read <= {"evaluator", "Evaluation"}
+
+
+def test_reads_from_a_module_are_found():
+    tree = ast.parse("from . import gp\nfrom .gp import a\nx = gp.b(gp.c.d, y.e)\n")
+    assert reads_from(tree, "gp") == {"a", "b", "c"}
